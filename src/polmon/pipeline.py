@@ -222,6 +222,35 @@ def category_victims(annotations: Mapping, category: Category) -> set[str]:
     return {uid for uid, ann in annotations.items() if ann.category is category}
 
 
+def _reduced_graphs(g: InteractionGraph, annotations: Mapping,
+                    influencer_set: Iterable[str],
+                    drop_isolated: bool) -> dict[str, InteractionGraph]:
+    """g without each connector category, keyed by ABLATION_CATEGORIES."""
+    victims_by_cat = {
+        "Political": category_victims(annotations, Category.POLITICAL),
+        "MediaJournalist": category_victims(annotations,
+                                            Category.MEDIA_JOURNALIST),
+        "Influencers": set(influencer_set),
+    }
+    return {name: remove_nodes(g, victims_by_cat[name], drop_isolated)
+            for name in ABLATION_CATEGORIES}
+
+
+def _ablation_pis(g: InteractionGraph,
+                  reduced: Mapping[str, InteractionGraph],
+                  stances: Mapping[str, StanceAssignment],
+                  **pi_kwargs) -> tuple[float, dict[str, float]]:
+    """(pi of g, pi of each reduced graph), naming an emptied category."""
+    pi_full = compute_pi(g, stances, **pi_kwargs).pi
+    pi_without = {}
+    for name, graph in reduced.items():
+        try:
+            pi_without[name] = compute_pi(graph, stances, **pi_kwargs).pi
+        except ValueError as exc:
+            raise ValueError(f"removing {name} nodes: {exc}") from exc
+    return pi_full, pi_without
+
+
 def ablation(g: InteractionGraph,
              stances: Mapping[str, StanceAssignment],
              annotations: Mapping,
@@ -235,20 +264,8 @@ def ablation(g: InteractionGraph,
     pi_full; removing everything raises (the index is undefined on an
     empty graph) with the offending category named.
     """
-    victims_by_cat = {
-        "Political": category_victims(annotations, Category.POLITICAL),
-        "MediaJournalist": category_victims(annotations,
-                                            Category.MEDIA_JOURNALIST),
-        "Influencers": set(influencer_set),
-    }
-    pi_full = compute_pi(g, stances, **pi_kwargs).pi
-    pi_without = {}
-    for name in ABLATION_CATEGORIES:
-        reduced = remove_nodes(g, victims_by_cat[name], drop_isolated)
-        try:
-            pi_without[name] = compute_pi(reduced, stances, **pi_kwargs).pi
-        except ValueError as exc:
-            raise ValueError(f"removing {name} nodes: {exc}") from exc
+    reduced = _reduced_graphs(g, annotations, influencer_set, drop_isolated)
+    pi_full, pi_without = _ablation_pis(g, reduced, stances, **pi_kwargs)
     return AblationResult(date=result_date, pi_full=pi_full,
                           pi_without=pi_without, drop_isolated=drop_isolated)
 
@@ -276,22 +293,25 @@ def threshold_sweep(g: InteractionGraph,
                     drop_isolated: bool = True,
                     k: int = 500,
                     **pi_kwargs) -> ThresholdSweepResult:
-    """Re-infer stances and redo every ablation PI at each threshold."""
+    """Re-infer stances and redo every ablation PI at each threshold.
+
+    The reduced graphs do not depend on the threshold, so they are built
+    once; stance inference and the solves run per threshold.
+    """
     if influencer_set is None:
         influencer_set = netshield(g, min(k, g.n)).selected
+    reduced = _reduced_graphs(g, annotations, influencer_set, drop_isolated)
     entries = []
     for t in thresholds:
         stances = stance_map(follows, annotations, threshold=t,
                              ensure_users=g.nodes)
-        result = ablation(g, stances, annotations, influencer_set,
-                          drop_isolated=drop_isolated, **pi_kwargs)
+        pi_full, pi_without = _ablation_pis(g, reduced, stances, **pi_kwargs)
         n_left = sum(1 for u in g.nodes
                      if stances[u].stance is Stance.LEFT)
         n_right = sum(1 for u in g.nodes
                       if stances[u].stance is Stance.RIGHT)
         entries.append(ThresholdSweepEntry(
-            threshold=t, pi_full=result.pi_full,
-            pi_without=result.pi_without,
+            threshold=t, pi_full=pi_full, pi_without=pi_without,
             n_left_users=n_left, n_right_users=n_right))
     return ThresholdSweepResult(thresholds=list(thresholds), entries=entries)
 
@@ -313,7 +333,7 @@ class RunConfig:
     k: int = 500
     drop_isolated: bool = True
     include_isolated: bool = True
-    solver: str = "direct"
+    solver: str = "cg"  # "cg", "direct" or "fixed_point"
     tol: float = 1e-10
     top_k: int = 10
     stopwords: Path | None = None
@@ -348,7 +368,7 @@ class RunConfig:
             k=int(raw.get("k", 500)),
             drop_isolated=bool(raw.get("drop_isolated", True)),
             include_isolated=bool(raw.get("include_isolated", True)),
-            solver=str(raw.get("solver", "direct")),
+            solver=str(raw.get("solver", "cg")),
             tol=float(raw.get("tol", 1e-10)),
             top_k=int(raw.get("top_k", 10)),
             stopwords=respath("stopwords"),
@@ -385,7 +405,8 @@ def _sha256(path: Path) -> str:
 
 
 def _solver_method(name: str) -> SolverMethod:
-    lookup = {"direct": SolverMethod.DIRECT,
+    lookup = {"cg": SolverMethod.CG,
+              "direct": SolverMethod.DIRECT,
               "directsolve": SolverMethod.DIRECT,
               "fixed_point": SolverMethod.FIXED_POINT,
               "fixedpoint": SolverMethod.FIXED_POINT}

@@ -10,13 +10,15 @@ equilibrium opinion, which lives in [0, 1]: 0 for an unopinionated
 population, 1 exactly when every connected component is internally
 unanimous at +/-1.
 
-Two solvers are provided.  DirectSolve factorizes the sparse SPD system;
-FixedPoint runs the Jacobi iteration above and doubles as the independent
-verification oracle for the direct path.
+Three solvers are provided.  CG, the production default, runs
+Jacobi-preconditioned conjugate gradients on the SPD system; DirectSolve
+factorizes it and serves as the small-graph reference; FixedPoint runs the
+Jacobi iteration above and is the independent verification oracle.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -29,8 +31,11 @@ from . import _kernels
 from .graphkit import InteractionGraph
 from .stance import opinion_vector
 
+log = logging.getLogger(__name__)
+
 
 class SolverMethod(Enum):
+    CG = "CG"
     DIRECT = "DirectSolve"
     FIXED_POINT = "FixedPoint"
 
@@ -64,24 +69,68 @@ def default_max_iter(n: int) -> int:
     return 10 * n + 1000
 
 
-def _system(indptr: np.ndarray, indices: np.ndarray) -> sp.csc_matrix:
+def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     n = len(indptr) - 1
-    deg = np.diff(indptr)
-    adj = sp.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(n, n))
-    return (sp.diags(1.0 + deg) - adj).tocsc()
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                         shape=(n, n))
+
+
+def _system(indptr: np.ndarray, indices: np.ndarray) -> sp.csc_matrix:
+    diag = 1.0 + np.diff(indptr)
+    return (sp.diags(diag) - _adjacency(indptr, indices)).tocsc()
+
+
+def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
+        max_iter: int) -> tuple[np.ndarray, int, float, bool]:
+    """Jacobi-preconditioned conjugate gradients for (I + L) z = s.
+
+    Starts from z = 0 with preconditioner diag(1 + deg)^-1.  Returns
+    (z, iterations, residual, converged), where residual is the max-norm
+    of (I + L) z - s recomputed from z, never the recursively updated one:
+    when the recursion claims tol but the true residual misses it, CG
+    restarts from the true residual.
+    """
+    diag = 1.0 + np.diff(indptr)
+    adj = _adjacency(indptr, indices)
+    z = np.zeros(len(s))
+    r = s.copy()
+    residual = float(np.max(np.abs(r))) if len(r) else 0.0
+    iters = 0
+    while residual > tol and iters < max_iter:
+        y = r / diag
+        p = y
+        ry = r @ y
+        while iters < max_iter:
+            ap = diag * p - adj @ p
+            alpha = ry / (p @ ap)
+            z += alpha * p
+            r -= alpha * ap
+            iters += 1
+            if np.max(np.abs(r)) <= tol:
+                break
+            y = r / diag
+            ry, ry_old = r @ y, ry
+            p = y + (ry / ry_old) * p
+        r = s - (diag * z - adj @ z)
+        residual = float(np.max(np.abs(r)))
+    return z, iters, residual, residual <= tol
 
 
 def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
                    tol: float = 1e-10,
                    max_iter: int | None = None,
-                   method: SolverMethod = SolverMethod.DIRECT
+                   method: SolverMethod = SolverMethod.CG
                    ) -> tuple[np.ndarray, SolverInfo]:
     """Solve (I + L) z = s on g; returns (z, solver info).
 
-    The direct route cannot fail on valid input (I + L is symmetric
-    positive definite); the fixed point raises ConvergenceError carrying
-    the last residual if max_iter sweeps do not reach tol.
+    CG and FixedPoint stop once the max-norm residual ||(I + L) z - s||
+    is at most tol, and raise ConvergenceError carrying the last residual
+    and the iteration count if max_iter iterations do not get there.
+    (I + L)^-1 is entrywise nonnegative with unit row sums, so its
+    infinity norm is 1 and a residual <= tol guarantees
+    ||z - z*||_inf <= tol for the exact solution z*.  The direct route
+    cannot fail on valid input (I + L is symmetric positive definite) and
+    reports its residual without checking it against tol.
     """
     if len(s) != g.n:
         raise ValueError(f"opinion vector has length {len(s)}, graph has {g.n}")
@@ -92,22 +141,21 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
     if max_iter is None:
         max_iter = default_max_iter(g.n)
 
-    if method is SolverMethod.FIXED_POINT:
-        z, iters, residual, converged = _kernels.fj_fixed_point(
-            indptr, indices, s, tol, max_iter)
-        if not converged:
-            raise ConvergenceError(
-                f"fixed point stalled at residual {residual:.3e} "
-                f"after {iters} sweeps", residual, iters)
-        return z, SolverInfo(SolverMethod.FIXED_POINT, iters, residual)
+    if method is SolverMethod.DIRECT:
+        if g.n == 0:
+            return np.zeros(0), SolverInfo(SolverMethod.DIRECT, 0, 0.0)
+        system = _system(indptr, indices)
+        z = np.atleast_1d(spla.spsolve(system, s))
+        residual = float(np.max(np.abs(system @ z - s)))
+        return z, SolverInfo(SolverMethod.DIRECT, 1, residual)
 
-    if g.n == 0:
-        return np.zeros(0), SolverInfo(SolverMethod.DIRECT, 0, 0.0)
-    system = _system(indptr, indices)
-    z = spla.spsolve(system, s)
-    z = np.atleast_1d(z)
-    residual = float(np.max(np.abs(system @ z - s)))
-    return z, SolverInfo(SolverMethod.DIRECT, 1, residual)
+    solve = _cg if method is SolverMethod.CG else _kernels.fj_fixed_point
+    z, iters, residual, converged = solve(indptr, indices, s, tol, max_iter)
+    if not converged:
+        raise ConvergenceError(
+            f"{method.value} stalled at residual {residual:.3e} "
+            f"after {iters} iterations", residual, iters)
+    return z, SolverInfo(method, iters, residual)
 
 
 def polarization_index(z: np.ndarray) -> float:
@@ -119,7 +167,7 @@ def polarization_index(z: np.ndarray) -> float:
 
 def compute_pi(g: InteractionGraph,
                stances: Mapping,
-               method: SolverMethod = SolverMethod.DIRECT,
+               method: SolverMethod = SolverMethod.CG,
                tol: float = 1e-10,
                max_iter: int | None = None,
                include_isolated: bool = True) -> PolarizationResult:
@@ -135,5 +183,8 @@ def compute_pi(g: InteractionGraph,
         work = remove_nodes(g, isolated)
     s = opinion_vector(work, stances)
     z, info = fj_equilibrium(work, s, tol=tol, max_iter=max_iter, method=method)
+    log.debug("FJ solve: n=%d m=%d method=%s iterations=%d residual=%.3e",
+              work.n, work.m, info.method.value, info.iterations,
+              info.residual)
     return PolarizationResult(pi=polarization_index(z), z=z, solver=info,
                               n=work.n, m=work.m)

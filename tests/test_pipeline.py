@@ -1,4 +1,5 @@
 import json
+import logging
 from datetime import date
 
 import pytest
@@ -9,6 +10,7 @@ from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig,
                              Runner, ablation, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
                              threshold_sweep, tokenize)
+from polmon.polarization import SolverMethod
 from polmon.stance import Stance, StanceAssignment, stance_map
 
 from conftest import graph_of, tweet
@@ -286,6 +288,60 @@ def test_sweep_all_neutral_graph(sweep_setup):
     result = threshold_sweep(g, follows, annotations,
                              thresholds=(0.0, 0.5), influencer_set=[])
     assert all(e.pi_full == 0.0 for e in result.entries)
+
+
+@pytest.mark.parametrize("method", [SolverMethod.CG, SolverMethod.DIRECT])
+@pytest.mark.parametrize("drop_isolated", [True, False])
+def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path, method,
+                                             drop_isolated):
+    # the sweep builds its reduced graphs once; rebuilding them per
+    # threshold through ablation must give identical entries
+    config = RunConfig.from_file(fixture_paths["config"])
+    config.out_dir = tmp_path
+    runner = Runner(config)
+    g, follows, annotations = (runner.full_graph, runner.follows,
+                               runner.annotations)
+    influencers = runner.influencer_ranking.selected
+    thresholds = (0.0, 0.5, 0.7, 0.9)
+    result = threshold_sweep(g, follows, annotations, thresholds=thresholds,
+                             influencer_set=influencers,
+                             drop_isolated=drop_isolated, method=method)
+    assert [e.threshold for e in result.entries] == list(thresholds)
+    for entry in result.entries:
+        stances = stance_map(follows, annotations, threshold=entry.threshold,
+                             ensure_users=g.nodes)
+        reference = ablation(g, stances, annotations, influencers,
+                             drop_isolated=drop_isolated, method=method)
+        assert entry.pi_full == reference.pi_full
+        assert entry.pi_without == reference.pi_without
+
+
+def test_sweep_names_category_that_empties_graph(sweep_setup):
+    g, follows, annotations = sweep_setup
+    annotations = dict(annotations)
+    annotations.update({u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
+                        for u in g.nodes})
+    with pytest.raises(ValueError, match="removing MediaJournalist nodes"):
+        threshold_sweep(g, follows, annotations, thresholds=(0.0, 0.5),
+                        influencer_set=[])
+
+
+def test_sweep_logs_every_solve(sweep_setup, caplog):
+    g, follows, annotations = sweep_setup
+    caplog.set_level(logging.DEBUG, logger="polmon.polarization")
+    threshold_sweep(g, follows, annotations, thresholds=(0.0, 0.5),
+                    influencer_set=["b"])
+    solves = [r.getMessage() for r in caplog.records
+              if r.name == "polmon.polarization"]
+    # per threshold: the full graph plus one graph per ablation category
+    assert len(solves) == 2 * (1 + len(ABLATION_CATEGORIES))
+    for message in solves:
+        assert message.startswith("FJ solve: n=")
+        assert all(f" {field}=" in message
+                   for field in ("m", "method", "iterations", "residual"))
+        assert "method=CG" in message
+    # removing influencer b strands a (dropped) and leaves the edge c-d
+    assert sum("n=2 m=1 " in m for m in solves) == 2
 
 
 # ---------------------------------------------------------------------------

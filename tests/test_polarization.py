@@ -84,6 +84,15 @@ def test_fixed_point_nonconvergence_raises_with_residual():
     assert err.value.residual > 0
 
 
+def test_cg_nonconvergence_raises_with_residual_and_iterations():
+    g = graph_of([("a", "b"), ("b", "c"), ("c", "d")])
+    with pytest.raises(ConvergenceError) as err:
+        fj_equilibrium(g, np.array([1.0, -1.0, 0.0, 1.0]),
+                       method=SolverMethod.CG, max_iter=1, tol=1e-15)
+    assert err.value.residual > 1e-15
+    assert err.value.iterations == 1
+
+
 def test_opinion_bounds_validated():
     g = graph_of([("a", "b")])
     with pytest.raises(ValueError):
@@ -217,3 +226,87 @@ def test_bridge_damping():
     bridged = graph_of(cliques + [("l0", "r0")])
     zb, _ = fj_equilibrium(bridged, s)
     assert polarization_index(zb) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# CG oracle: CG against DirectSolve and the FixedPoint oracle
+# ---------------------------------------------------------------------------
+
+
+def _named_random_graph(rng, prefix, n, p):
+    names = [f"{prefix}{i:03d}" for i in range(n)]
+    edges = [(names[i], names[j])
+             for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return edges, names
+
+
+def _cg_matches_oracles(g, s):
+    z_cg, info = fj_equilibrium(g, s, method=SolverMethod.CG)
+    z_direct, _ = fj_equilibrium(g, s, method=SolverMethod.DIRECT)
+    z_fixed, _ = fj_equilibrium(g, s, method=SolverMethod.FIXED_POINT)
+    assert info.method is SolverMethod.CG
+    assert info.residual <= 1e-10
+    return (float(np.max(np.abs(z_cg - z_direct), initial=0.0)),
+            float(np.max(np.abs(z_cg - z_fixed), initial=0.0)))
+
+
+def test_cg_oracle_equivalence_random_graphs():
+    # modelled on C1: 100 seeded graphs, here with up to two components
+    # and a few extra isolated nodes each
+    worst = 0.0
+    for seed in range(100):
+        rng = np.random.default_rng(5000 + seed)
+        edges, nodes = _named_random_graph(
+            rng, "a", int(rng.integers(2, 151)), float(rng.uniform(0.02, 0.5)))
+        if seed % 2:
+            more, names = _named_random_graph(
+                rng, "b", int(rng.integers(2, 51)),
+                float(rng.uniform(0.05, 0.5)))
+            edges += more
+            nodes += names
+        nodes += [f"iso{i}" for i in range(int(rng.integers(0, 4)))]
+        g = graph_of(edges, isolated=nodes)
+        s = rng.choice([-1.0, 0.0, 1.0], size=g.n)
+        worst = max(worst, *_cg_matches_oracles(g, s))
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["isolated", "components", "zero_s"])
+def test_cg_oracle_equivalence_corner_cases(case):
+    rng = np.random.default_rng(17)
+    if case == "isolated":
+        g = graph_of([("a", "b"), ("b", "c")], isolated=["x", "y", "z"])
+    else:
+        edges, _ = _named_random_graph(rng, "a", 40, 0.2)
+        more, _ = _named_random_graph(rng, "b", 30, 0.3)
+        g = graph_of(edges + more + [("c0", "c1")])
+    s = (np.zeros(g.n) if case == "zero_s"
+         else rng.choice([-1.0, 0.0, 1.0], size=g.n))
+    diff_direct, diff_fixed = _cg_matches_oracles(g, s)
+    assert diff_direct <= 1e-8
+    assert diff_fixed <= 1e-8
+    if case == "zero_s":
+        z, info = fj_equilibrium(g, s)
+        assert not np.any(z)
+        assert info.iterations == 0
+
+
+def test_cg_empty_graph():
+    z, info = fj_equilibrium(graph_of([]), np.zeros(0))
+    assert len(z) == 0
+    assert (info.method, info.iterations, info.residual) == (
+        SolverMethod.CG, 0, 0.0)
+
+
+def test_cg_matches_direct_on_3k_node_graph():
+    rng = np.random.default_rng(7)
+    names = [f"n{i:04d}" for i in range(3000)]
+    pairs = rng.integers(0, len(names), size=(4500, 2))
+    g = graph_of([(names[a], names[b]) for a, b in pairs if a != b],
+                 isolated=names)
+    s = rng.choice([-1.0, 0.0, 1.0], size=g.n)
+    z_cg, info = fj_equilibrium(g, s)
+    z_direct, _ = fj_equilibrium(g, s, method=SolverMethod.DIRECT)
+    assert info.method is SolverMethod.CG
+    assert np.max(np.abs(z_cg - z_direct)) <= 1e-8
