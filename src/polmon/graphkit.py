@@ -73,18 +73,6 @@ class InteractionGraph:
         return int(self.degrees[self.node_index[user_id]])
 
 
-def _normalize(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
-               window: Window) -> InteractionGraph:
-    node_tuple = tuple(sorted(set(nodes)))
-    edge_set = set()
-    for u, v in edges:
-        if u == v:
-            continue
-        edge_set.add((u, v) if u < v else (v, u))
-    return InteractionGraph(window=window, nodes=node_tuple,
-                            edges=tuple(sorted(edge_set)))
-
-
 def build_graph(tweets: Iterable[TweetRecord], window: Window) -> InteractionGraph:
     """Graph of all interactions with timestamp in [window.start, window.end)."""
     start, end = window
@@ -153,17 +141,8 @@ def remove_nodes(g: InteractionGraph, victims: set[str],
                             edges=tuple(kept_edges))
 
 
-def union_graph(graphs: Iterable[InteractionGraph], window: Window) -> InteractionGraph:
-    nodes: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for g in graphs:
-        nodes.extend(g.nodes)
-        edges.extend(g.edges)
-    return _normalize(nodes, edges, window)
-
-
 # ---------------------------------------------------------------------------
-# GraphML / edge-list export
+# GraphML export
 # ---------------------------------------------------------------------------
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -209,31 +188,3 @@ def _category_name(entry) -> str:
         return "Individual"
     category = getattr(entry, "category", entry)
     return getattr(category, "value", None) or str(category)
-
-
-def import_graph(path: str | Path) -> tuple[InteractionGraph, dict[str, dict[str, str]]]:
-    """Re-read an exported GraphML file; returns (graph, node attributes)."""
-    tree = ET.parse(Path(path))
-    ns = {"g": _GRAPHML_NS}
-    root = tree.getroot()
-    key_names = {el.get("id"): el.get("attr.name")
-                 for el in root.findall("g:key", ns)}
-    graph_el = root.find("g:graph", ns)
-    nodes = []
-    attrs: dict[str, dict[str, str]] = {}
-    for node_el in graph_el.findall("g:node", ns):
-        uid = node_el.get("id")
-        nodes.append(uid)
-        attrs[uid] = {key_names.get(d.get("key"), d.get("key")): (d.text or "")
-                      for d in node_el.findall("g:data", ns)}
-    edges = [(e.get("source"), e.get("target"))
-             for e in graph_el.findall("g:edge", ns)]
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    return _normalize(nodes, edges, (epoch, epoch)), attrs
-
-
-def export_edgelist(g: InteractionGraph, path: str | Path) -> None:
-    """Diff-stable text form: one 'u<TAB>v' line per edge, sorted."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for u, v in g.edges:  # already (min,max)-ordered and sorted
-            fh.write(f"{u}\t{v}\n")

@@ -16,20 +16,19 @@ import json
 import logging
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import __version__, _kernels
+from . import __version__
 from .corpus import (Category, FilterReport, Kind, RuleSet, TweetRecord,
                      default_rule_set, filter_corpus, fold_text,
                      load_annotations, load_follows, load_rule_set,
                      load_tweets, tweet_to_obj)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
-from .polarization import PolarizationResult, SolverMethod, compute_pi
+from .polarization import PolarizationResult, compute_pi
 from .stance import Stance, StanceAssignment, stance_map, write_stance_csv
 from .structure import decompose_communities, louvain, netshield
 
@@ -186,28 +185,18 @@ def stance_shares(tweets: Sequence[TweetRecord],
 # ---------------------------------------------------------------------------
 
 
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def pi_series(graphs: Sequence[tuple[date, InteractionGraph]],
               stances: Mapping[str, StanceAssignment],
-              workers: int = 1,
               **pi_kwargs) -> list[tuple[date, PolarizationResult | None]]:
     """compute_pi per day; a failing day becomes a flagged gap (None)."""
-
-    def one(pair: tuple[date, InteractionGraph]):
-        d, g = pair
+    out = []
+    for d, g in graphs:
         try:
-            return d, compute_pi(g, stances, **pi_kwargs)
+            out.append((d, compute_pi(g, stances, **pi_kwargs)))
         except Exception as exc:
             log.warning("pi series gap on %s: %s", d, exc)
-            return d, None
-
-    return _pmap(one, list(graphs), workers)
+            out.append((d, None))
+    return out
 
 
 @dataclass
@@ -333,13 +322,11 @@ class RunConfig:
     k: int = 500
     drop_isolated: bool = True
     include_isolated: bool = True
-    solver: str = "cg"  # "cg", "direct" or "fixed_point"
     tol: float = 1e-10
     top_k: int = 10
     stopwords: Path | None = None
     date_from: date | None = None
     date_to: date | None = None
-    workers: int = 1
     schema_strict: bool = False
     # emit ablation rows for both drop_isolated modes instead of just the
     # configured one (stranded satellites mechanically inflate PI, so the
@@ -357,6 +344,13 @@ class RunConfig:
             value = raw.get(key)
             return (base / value).resolve() if value else None
 
+        def flag(key, default: bool) -> bool:
+            value = raw.get(key, default)
+            if not isinstance(value, bool):
+                raise ValueError(
+                    f"{key!r} must be true or false, got {value!r}")
+            return value
+
         return cls(
             tweets=respath("tweets"),
             annotations=respath("annotations"),
@@ -366,17 +360,15 @@ class RunConfig:
             threshold=float(raw.get("threshold", 0.0)),
             sweep_thresholds=tuple(raw.get("sweep_thresholds", (0.0, 0.5, 0.7))),
             k=int(raw.get("k", 500)),
-            drop_isolated=bool(raw.get("drop_isolated", True)),
-            include_isolated=bool(raw.get("include_isolated", True)),
-            solver=str(raw.get("solver", "cg")),
+            drop_isolated=flag("drop_isolated", True),
+            include_isolated=flag("include_isolated", True),
             tol=float(raw.get("tol", 1e-10)),
             top_k=int(raw.get("top_k", 10)),
             stopwords=respath("stopwords"),
             date_from=date.fromisoformat(raw["date_from"]) if raw.get("date_from") else None,
             date_to=date.fromisoformat(raw["date_to"]) if raw.get("date_to") else None,
-            workers=int(raw.get("workers", 1)),
-            schema_strict=bool(raw.get("schema_strict", False)),
-            ablate_both_variants=bool(raw.get("ablate_both_variants", False)),
+            schema_strict=flag("schema_strict", False),
+            ablate_both_variants=flag("ablate_both_variants", False),
         )
 
     def echo(self) -> dict:
@@ -402,18 +394,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _solver_method(name: str) -> SolverMethod:
-    lookup = {"cg": SolverMethod.CG,
-              "direct": SolverMethod.DIRECT,
-              "directsolve": SolverMethod.DIRECT,
-              "fixed_point": SolverMethod.FIXED_POINT,
-              "fixedpoint": SolverMethod.FIXED_POINT}
-    try:
-        return lookup[name.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown solver {name!r}") from None
 
 
 class Runner:
@@ -512,39 +492,35 @@ class Runner:
         return self._get("stopwords", build)
 
     def _pi_kwargs(self) -> dict:
-        return {"method": _solver_method(self.config.solver),
-                "tol": self.config.tol,
+        return {"tol": self.config.tol,
                 "include_isolated": self.config.include_isolated}
 
     @property
     def series(self):
         return self._get("polarize", lambda: pi_series(
-            self.daily, self.stances, workers=self.config.workers,
-            **self._pi_kwargs()))
+            self.daily, self.stances, **self._pi_kwargs()))
 
     @property
     def ablation_rows(self) -> list[AblationResult | tuple[date, str]]:
         def build():
             variants = ((True, False) if self.config.ablate_both_variants
                         else (self.config.drop_isolated,))
-            work = [(d, g, drop) for d, g in self.daily for drop in variants]
-            # materialize shared stages before fanning out to workers
+            daily = self.daily
             stances = self.stances
             annotations = self.annotations
             influencers = self.influencer_ranking.selected
             pi_kwargs = self._pi_kwargs()
-
-            def one(item):
-                d, g, drop = item
-                try:
-                    return ablation(g, stances, annotations, influencers,
-                                    drop_isolated=drop, result_date=d,
-                                    **pi_kwargs)
-                except Exception as exc:
-                    log.warning("ablation gap on %s: %s", d, exc)
-                    return (d, str(exc))
-
-            return _pmap(one, work, self.config.workers)
+            rows = []
+            for d, g in daily:
+                for drop in variants:
+                    try:
+                        rows.append(ablation(
+                            g, stances, annotations, influencers,
+                            drop_isolated=drop, result_date=d, **pi_kwargs))
+                    except Exception as exc:
+                        log.warning("ablation gap on %s: %s", d, exc)
+                        rows.append((d, str(exc)))
+            return rows
         return self._get("ablate", build)
 
     @property
@@ -725,7 +701,6 @@ class Runner:
                 inputs[label] = {"path": str(p), "sha256": _sha256(Path(p))}
         manifest = {
             "version": __version__,
-            "kernel_backend": _kernels.backend(),
             "config": self.config.echo(),
             "inputs": inputs,
             "outputs": sorted(outputs),

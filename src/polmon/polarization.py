@@ -10,10 +10,12 @@ equilibrium opinion, which lives in [0, 1]: 0 for an unopinionated
 population, 1 exactly when every connected component is internally
 unanimous at +/-1.
 
-Three solvers are provided.  CG, the production default, runs
-Jacobi-preconditioned conjugate gradients on the SPD system; DirectSolve
-factorizes it and serves as the small-graph reference; FixedPoint runs the
-Jacobi iteration above and is the independent verification oracle.
+Three solvers are provided.  CG runs Jacobi-preconditioned conjugate
+gradients on the SPD system and is the one every pipeline run uses.
+DirectSolve factorizes the system and serves as the small-graph
+reference; FixedPoint runs the Jacobi iteration above and is the
+independent verification oracle.  These two are reached only through
+the ``method`` argument.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import _kernels
 from .graphkit import InteractionGraph
 from .stance import opinion_vector
 
@@ -116,6 +117,28 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
     return z, iters, residual, residual <= tol
 
 
+def _fixed_point(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray,
+                 tol: float, max_iter: int
+                 ) -> tuple[np.ndarray, int, float, bool]:
+    """Jacobi iteration z <- (s + A z) / (1 + deg) for (I + L) z = s.
+
+    Starts from z = s.  Returns (z, iterations, residual, converged); one
+    adjacency product per sweep serves both the max-norm residual of the
+    returned iterate and the update.
+    """
+    diag = 1.0 + np.diff(indptr)
+    adj = _adjacency(indptr, indices)
+    z = s.copy()
+    for it in range(max_iter + 1):
+        az = adj @ z
+        residual = float(np.max(np.abs(diag * z - az - s))) if len(s) else 0.0
+        if residual <= tol:
+            return z, it, residual, True
+        if it < max_iter:
+            z = (s + az) / diag
+    return z, max_iter, residual, False
+
+
 def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
                    tol: float = 1e-10,
                    max_iter: int | None = None,
@@ -149,7 +172,7 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
         residual = float(np.max(np.abs(system @ z - s)))
         return z, SolverInfo(SolverMethod.DIRECT, 1, residual)
 
-    solve = _cg if method is SolverMethod.CG else _kernels.fj_fixed_point
+    solve = _cg if method is SolverMethod.CG else _fixed_point
     z, iters, residual, converged = solve(indptr, indices, s, tol, max_iter)
     if not converged:
         raise ConvergenceError(

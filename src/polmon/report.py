@@ -9,7 +9,7 @@ from __future__ import annotations
 import html
 from typing import Sequence
 
-from . import __version__, _kernels
+from . import __version__
 
 _W, _H = 720, 240
 _PAD = 40
@@ -231,7 +231,7 @@ th {{ background: #eee; }}
 </head>
 <body>
 <h1>Discussion monitoring summary</h1>
-<p>polmon {__version__} · kernel backend: {_kernels.backend()}</p>
+<p>polmon {__version__}</p>
 {body}
 </body>
 </html>

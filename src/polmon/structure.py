@@ -4,25 +4,27 @@ NetShield greedily picks the k nodes maximizing the shield value
 
     Sv(S) = sum_{i in S} 2 lambda u_i^2 - sum_{i,j in S} A_ij u_i u_j
 
-where (lambda, u) is the leading adjacency eigenpair; picking and score
-updates run in O(n k + m), within the O(n k^2 + m) class.
+where (lambda, u) is the leading adjacency eigenpair, found by power
+iteration; picking and score updates run in O(n k + m), within the
+O(n k^2 + m) class.
 
 Louvain is the standard two-phase modularity heuristic: local moves to the
 best positive-gain neighbouring community, then graph aggregation, repeated
 until no move gains more than 1e-12.  All randomization is removed: nodes
 are visited in ascending dense-index order, so a given graph always yields
-the same partition.  Modularity is Q = sum_c [e_c/m - (d_c/(2m))^2].
+the same partition.  The local-move sweep is plain Python over lists,
+which is where the interpreter indexes fastest.  Modularity is
+Q = sum_c [e_c/m - (d_c/(2m))^2].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels
 from .graphkit import InteractionGraph
 from .polarization import ConvergenceError
 from .stance import Stance, StanceAssignment
@@ -76,40 +78,46 @@ def leading_eigenpair(g: InteractionGraph, tol: float = 1e-10,
                       max_iter: int = 100_000) -> tuple[float, np.ndarray]:
     """Leading adjacency eigenvalue and Perron-oriented unit eigenvector.
 
-    Power iteration with deterministic uniform positive start; converged
-    when ||A u - lambda u||_inf <= tol * max(1, lambda).
+    Power iteration on A + I (the unit shift keeps bipartite graphs, whose
+    spectrum is symmetric, from oscillating between +/- lambda rays) from a
+    uniform positive start, so the iterate stays nonnegative; lambda and
+    the residual are reported for A itself.  Converged when
+    ||A u - lambda u||_inf <= tol * max(1, lambda).
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
     indptr, indices = g.csr
-    lam, u, iters, residual, converged = _kernels.power_iteration(
-        indptr, indices, tol, max_iter)
-    if not converged:
-        raise ConvergenceError(
-            f"power iteration stalled at residual {residual:.3e} after "
-            f"{iters} iterations (degenerate leading spectrum?)",
-            residual, iters)
-    return float(lam), u
-
-
-def shield_value(g: InteractionGraph, subset: Sequence[str],
-                 lam: float, u: np.ndarray) -> float:
-    """Sv for an explicit subset; O(|S|^2) pairwise form, used by tests too."""
-    idx = g.node_index
-    chosen = [idx[s] for s in subset]
-    edge_lookup = set(g.edges)
-    total = sum(2.0 * lam * u[i] ** 2 for i in chosen)
-    for a, i in enumerate(chosen):
-        for j in chosen[a + 1:]:
-            ui, uj = g.nodes[i], g.nodes[j]
-            pair = (ui, uj) if ui < uj else (uj, ui)
-            if pair in edge_lookup:
-                total -= 2.0 * u[i] * u[j]  # A_ij and A_ji
-    return float(total)
+    # A u is one np.add.reduceat over the starts of the non-empty rows:
+    # empty rows in between contribute no entries, so each segment is
+    # exactly one row.  This summation order fixes u's last bits, which
+    # break NetShield's exact score ties, so it is part of the output.
+    nonempty = np.diff(indptr) > 0
+    starts = indptr[:-1][nonempty]
+    au = np.zeros(g.n)
+    u = np.full(g.n, 1.0 / np.sqrt(g.n))
+    for it in range(max_iter + 1):
+        if len(indices):
+            au[nonempty] = np.add.reduceat(u[indices], starts)
+        lam = float(np.dot(u, au))
+        residual = float(np.max(np.abs(au - lam * u)))
+        if residual <= tol * max(1.0, lam):
+            return lam, u
+        if it < max_iter:
+            y = au + u
+            u = y / np.linalg.norm(y)
+    raise ConvergenceError(
+        f"power iteration stalled at residual {residual:.3e} after "
+        f"{max_iter} iterations (degenerate leading spectrum?)",
+        residual, max_iter)
 
 
 def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
-    """Greedy shield-value node selection; ties go to the ascending node id."""
+    """Greedy shield-value node selection; ties go to the ascending node id.
+
+    The marginal score of candidate i given the selected set S is
+    2 lambda u_i^2 - 2 u_i sum_{j in S} A_ij u_j; b holds that inner sum
+    per node, so each pick costs O(n) plus the picked node's degree.
+    """
     if k < 0 or k > g.n:
         raise ValueError(f"k must lie in [0, {g.n}], got {k}")
     if g.n == 0 or k == 0:
@@ -117,9 +125,18 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
         return ShieldRanking([], [], lam, u)
     lam, u = leading_eigenpair(g)
     indptr, indices = g.csr
-    sel, marginal = _kernels.netshield_greedy(indptr, indices, lam, u, k)
-    return ShieldRanking(selected=[g.nodes[i] for i in sel],
-                         shield_scores=[float(x) for x in marginal],
+    b = np.zeros(g.n)
+    picked = np.zeros(g.n, bool)
+    selected, scores = [], []
+    for _ in range(k):
+        score = 2.0 * lam * u * u - 2.0 * u * b
+        score[picked] = -np.inf
+        best = int(np.argmax(score))  # first max = lowest index on ties
+        selected.append(g.nodes[best])
+        scores.append(float(score[best]))
+        picked[best] = True
+        b[indices[indptr[best]:indptr[best + 1]]] += u[best]
+    return ShieldRanking(selected=selected, shield_scores=scores,
                          lam=lam, eigvec=u)
 
 
@@ -129,18 +146,55 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
 
 
 def _louvain_level(indptr, indices, weights, k_arr, m, resolution):
-    """Run sweeps to fixpoint on one level; returns (assignment, moved)."""
-    n = len(indptr) - 1
-    comm = np.arange(n, dtype=np.int64)
-    comm_tot = k_arr.copy()
+    """Sweep local moves to fixpoint on one level; returns (comm, moved).
+
+    Each sweep visits nodes in ascending order.  Gains are kept scaled by
+    m: for node i and community c,
+        g(c) = w(i->c) - resolution * tot(c) * k_i / (2m)
+    and i moves only when the best candidate beats staying put by more
+    than _MIN_GAIN * m.  Candidates are scanned in first-touch order (the
+    insertion order of the weight dict), which the sorted CSR makes
+    deterministic; ties keep the earlier candidate.  The CSR carries no
+    diagonal: a node's self-loop weight cancels out of every gain
+    difference.  The level's arrays become Python lists once, since the
+    sweep indexes them one element at a time.
+    """
+    ptr, nbr, w = indptr.tolist(), indices.tolist(), weights.tolist()
+    rows = [list(zip(nbr[a:b], w[a:b])) for a, b in zip(ptr, ptr[1:])]
+    k = k_arr.tolist()
+    comm = list(range(len(rows)))
+    tot = list(k)
+    two_m = 2.0 * m
+    threshold = _MIN_GAIN * m
     moved_any = False
     while True:
-        moves = _kernels.louvain_sweep(indptr, indices, weights, k_arr, comm,
-                                       comm_tot, m, resolution, _MIN_GAIN)
+        moves = 0
+        for i, row in enumerate(rows):
+            c_old = comm[i]
+            ki = k[i]
+            tot[c_old] -= ki
+            cw: dict[int, float] = {}
+            for j, wj in row:
+                c = comm[j]
+                cw[c] = cw.get(c, 0.0) + wj
+            scale = ki / two_m
+            best_c = c_old
+            best_g = cw.get(c_old, 0.0) - resolution * tot[c_old] * scale
+            for c, wc in cw.items():
+                if c == c_old:
+                    continue
+                gain = wc - resolution * tot[c] * scale
+                if gain > best_g + threshold:
+                    best_g = gain
+                    best_c = c
+            comm[i] = best_c
+            tot[best_c] += ki
+            if best_c != c_old:
+                moves += 1
         if moves == 0:
             break
         moved_any = True
-    return comm, moved_any
+    return np.array(comm, dtype=np.int64), moved_any
 
 
 def _aggregate(indptr, indices, weights, self_w, comm):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from polmon.cli import main
+from polmon.pipeline import RunConfig
 
 
 @pytest.mark.parametrize("command,expected", [
@@ -92,3 +93,33 @@ def test_bad_bool_flag_rejected(fixture_paths):
     with pytest.raises(SystemExit):
         main(["ablate", "--config", str(fixture_paths["config"]),
               "--drop-isolated", "perhaps"])
+
+
+@pytest.mark.parametrize("key", ["drop_isolated", "include_isolated",
+                                 "schema_strict", "ablate_both_variants"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_config_bool_must_be_json_bool(key, value, fixture_paths, tmp_path,
+                                       capsys):
+    raw = json.loads(fixture_paths["config"].read_text(encoding="utf-8"))
+    raw[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main(["stats", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load config" in err
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_bool_accepts_json_false(fixture_paths, tmp_path):
+    raw = json.loads(fixture_paths["config"].read_text(encoding="utf-8"))
+    raw.update(drop_isolated=False, include_isolated=False,
+               schema_strict=True, ablate_both_variants=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    loaded = RunConfig.from_file(config)
+    assert (loaded.drop_isolated, loaded.include_isolated,
+            loaded.schema_strict, loaded.ablate_both_variants) == (
+        False, False, True, True)

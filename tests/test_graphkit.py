@@ -1,13 +1,13 @@
 from datetime import datetime, timezone
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polmon.corpus import Kind
 from polmon.graphkit import (build_graph, daily_graphs, day_window,
-                             export_edgelist, export_graph, import_graph,
-                             remove_nodes, union_graph)
+                             export_graph, remove_nodes)
 
 from conftest import WINDOW, graph_of, tweet
 
@@ -86,10 +86,10 @@ def test_daily_union_covers_full_window_edges():
         tweet("t3", author="A", kind=Kind.QUOTE, refs=["B"],
               ts="2022-08-06T10:00:00Z"),
     ]
-    union = union_graph((g for _, g in daily_graphs(tweets)), WINDOW)
+    days = [g for _, g in daily_graphs(tweets)]
     full = build_graph(tweets, WINDOW)
-    assert union.edges == full.edges
-    assert union.nodes == full.nodes
+    assert set().union(*(g.edges for g in days)) == set(full.edges)
+    assert set().union(*(g.nodes for g in days)) == set(full.nodes)
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,15 +159,22 @@ def test_remove_empty_victims_returns_same_graph():
     assert remove_nodes(g, set()) is g
 
 
+def _read_graphml(path):
+    # networkx's reader is independent of the writer under test
+    nx = pytest.importorskip("networkx")
+    return nx.read_graphml(path)
+
+
 def test_graphml_round_trip(tmp_path):
     g = graph_of([("a", "b"), ("b", "c")], isolated=["d"])
     path = tmp_path / "g.graphml"
     export_graph(g, path)
-    back, attrs = import_graph(path)
-    assert back.nodes == g.nodes
-    assert back.edges == g.edges
-    assert attrs["a"]["stance"] == "Neutral"
-    assert attrs["a"]["category"] == "Individual"
+    back = _read_graphml(path)
+    assert not back.is_directed()
+    assert sorted(back.nodes) == list(g.nodes)
+    assert sorted(tuple(sorted(e)) for e in back.edges) == list(g.edges)
+    assert back.nodes["a"] == {"user_id": "a", "stance": "Neutral",
+                               "category": "Individual"}
 
 
 def test_graphml_attributes(tmp_path):
@@ -178,18 +185,18 @@ def test_graphml_attributes(tmp_path):
     annotations = {"b": AccountAnnotation("b", Category.POLITICAL, Side.RIGHT)}
     path = tmp_path / "g.graphml"
     export_graph(g, path, stances=stances, annotations=annotations)
-    _, attrs = import_graph(path)
-    assert attrs["a"]["stance"] == "Left"
-    assert attrs["b"]["category"] == "Political"
+    back = _read_graphml(path)
+    assert back.nodes["a"]["stance"] == "Left"
+    assert back.nodes["b"]["category"] == "Political"
 
 
 def test_graphml_empty_graph(tmp_path):
     g = graph_of([])
     path = tmp_path / "empty.graphml"
     export_graph(g, path)
-    back, _ = import_graph(path)
-    assert back.n == 0
-    assert back.m == 0
+    back = _read_graphml(path)
+    assert back.number_of_nodes() == 0
+    assert back.number_of_edges() == 0
 
 
 def test_graphml_edge_count(tmp_path):
@@ -197,10 +204,3 @@ def test_graphml_edge_count(tmp_path):
     path = tmp_path / "two.graphml"
     export_graph(g, path)
     assert path.read_text(encoding="utf-8").count("<edge ") == 1
-
-
-def test_edgelist_export(tmp_path):
-    g = graph_of([("b", "a"), ("c", "a")])
-    path = tmp_path / "edges.txt"
-    export_edgelist(g, path)
-    assert path.read_text(encoding="utf-8") == "a\tb\na\tc\n"

@@ -6,7 +6,7 @@ from polmon.polarization import (ConvergenceError, SolverMethod, compute_pi,
 from polmon.stance import Stance, StanceAssignment
 
 from conftest import graph_of, random_graph
-from oracles import dense_fj
+from oracles import dense_adjacency, dense_fj
 
 
 def _stance(uid, value):
@@ -82,6 +82,32 @@ def test_fixed_point_nonconvergence_raises_with_residual():
                        method=SolverMethod.FIXED_POINT, max_iter=1,
                        tol=1e-15)
     assert err.value.residual > 0
+
+
+def test_fixed_point_reports_honest_residual():
+    rng = np.random.default_rng(7)
+    g = random_graph(rng, 30, 0.2)
+    s = rng.choice([-1.0, 1.0], size=g.n)
+    z, info = fj_equilibrium(g, s, tol=1e-10, max_iter=10_000,
+                             method=SolverMethod.FIXED_POINT)
+    A = dense_adjacency(g)
+    system = np.eye(g.n) + np.diag(A.sum(axis=1)) - A
+    assert info.method is SolverMethod.FIXED_POINT
+    assert info.iterations > 0
+    assert info.residual == pytest.approx(np.max(np.abs(system @ z - s)),
+                                          abs=1e-14)
+    assert info.residual <= 1e-10
+
+
+def test_fixed_point_nonconvergence_reports_iterations():
+    rng = np.random.default_rng(8)
+    g = random_graph(rng, 30, 0.3)
+    s = rng.choice([-1.0, 1.0], size=g.n)
+    with pytest.raises(ConvergenceError, match="FixedPoint") as err:
+        fj_equilibrium(g, s, method=SolverMethod.FIXED_POINT, max_iter=2,
+                       tol=1e-14)
+    assert err.value.residual > 1e-14
+    assert err.value.iterations == 2
 
 
 def test_cg_nonconvergence_raises_with_residual_and_iterations():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
+from polmon.pipeline import RunConfig, Runner
 from polmon.stance import Stance, StanceAssignment
 from polmon.structure import (CommunityPartition, decompose_communities,
-                              leading_eigenpair, louvain, netshield,
-                              shield_value)
+                              leading_eigenpair, louvain, netshield)
 
 from conftest import graph_of, random_graph
 from oracles import (best_partition_modularity, best_shield_subset,
@@ -50,6 +52,21 @@ def test_eigenpair_matches_dense_oracle(seed):
     from oracles import dense_adjacency
     A = dense_adjacency(g)
     assert np.max(np.abs(A @ u - lam_ref * u)) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eigenpair_matches_eigsh(seed):
+    # sparse graphs with isolated nodes, beyond the dense oracle's sizes
+    rng = np.random.default_rng(300 + seed)
+    g = random_graph(rng, 300, 0.02)
+    lam, u = leading_eigenpair(g)
+    indptr, indices = g.csr
+    A = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                      shape=(g.n, g.n))
+    vals, vecs = eigsh(A, k=1, which="LA", v0=np.ones(g.n), tol=1e-14)
+    assert lam == pytest.approx(vals[0], rel=1e-9)
+    assert abs(u @ vecs[:, 0]) == pytest.approx(1.0, abs=1e-8)
+    assert np.max(np.abs(A @ u - vals[0] * u)) <= 1e-8
 
 
 def test_eigenvector_is_nonnegative_unit():
@@ -180,15 +197,6 @@ def test_netshield_permutation_consistent():
     assert [relabel[x] for x in r1.selected] == r2.selected
 
 
-def test_shield_value_matches_dense():
-    rng = np.random.default_rng(23)
-    g = random_graph(rng, 12, 0.4)
-    lam, u = leading_eigenpair(g)
-    subset = list(g.nodes[:4])
-    dense = shield_value_dense(g, [g.node_index[x] for x in subset], lam, u)
-    assert shield_value(g, subset, lam, u) == pytest.approx(dense, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # louvain
 # ---------------------------------------------------------------------------
@@ -254,6 +262,56 @@ def test_q_never_exceeds_exhaustive_optimum(seed):
     g = random_graph(rng, n, 0.4)
     partition = louvain(g)
     assert partition.modularity <= best_partition_modularity(g) + 1e-12
+
+
+def _networkx_modularity(g, partition: CommunityPartition) -> float:
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(g.nodes)
+    graph.add_edges_from(g.edges)
+    return nx.community.modularity(graph, _communities_of(partition))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reported_q_matches_networkx(seed):
+    rng = np.random.default_rng(700 + seed)
+    g = random_graph(rng, 200, 0.03)
+    partition = louvain(g)
+    assert partition.modularity == pytest.approx(
+        _networkx_modularity(g, partition), abs=1e-12)
+
+
+# Louvain on the fixture's full graph: one community id per node in
+# ascending user-id order
+FIXTURE_PARTITION = [0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                     1, 1, 2, 3, 4, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_fixture_partition_pinned(fixture_paths):
+    g = Runner(RunConfig.from_file(fixture_paths["config"])).full_graph
+    partition = louvain(g)
+    assert [partition.assignment[u] for u in g.nodes] == FIXTURE_PARTITION
+    assert partition.modularity == pytest.approx(0.37386621315192736,
+                                                 abs=1e-15)
+    assert partition.modularity == pytest.approx(
+        _networkx_modularity(g, partition), abs=1e-12)
+
+
+def test_grid_partition_pinned():
+    # the fixture's two camps come out the same under any visit or
+    # candidate order; a 5x5 grid is full of exact gain ties, so a change
+    # of visit order, candidate order or tie rule changes its partition
+    grid = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(5) for c in range(4)]
+    grid += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(4) for c in range(5)]
+    g = graph_of(grid)
+    partition = louvain(g)
+    assert [partition.assignment[u] for u in g.nodes] == [
+        0, 0, 0, 1, 1,
+        0, 0, 0, 1, 1,
+        0, 0, 0, 1, 1,
+        2, 2, 2, 3, 3,
+        2, 2, 2, 3, 3]
+    assert partition.modularity == pytest.approx(0.4740625, abs=1e-15)
 
 
 def test_louvain_deterministic():
