@@ -105,10 +105,14 @@ class FilterRule:
     mode: MatchMode
     active_from: date | None = None
     active_until: date | None = None
+    # fold_text(term) of a keyword rule, computed once here
+    folded_term: str = field(init=False, default="", repr=False)
 
     def __post_init__(self):
         if self.mode is MatchMode.HASHTAG_EXACT:
             self.term = normalize_hashtag(self.term)
+        else:
+            self.folded_term = fold_text(self.term)
         if (self.active_from is not None and self.active_until is not None
                 and self.active_from > self.active_until):
             raise CorpusFormatError(
@@ -203,8 +207,10 @@ def parse_tweet(obj: dict) -> TweetRecord:
     """Build a validated TweetRecord from one decoded archive object.
 
     Raises CorpusFormatError on any violated invariant (missing field,
-    bad enum value, negative count, non-original post without a referenced
-    user).
+    bad enum value, a count that is not a non-negative integer, a
+    hashtags/urls/referenced_user_ids value that is not a list of strings,
+    a non-original post without a referenced user).  A missing or null
+    count or list means 0 or empty.
     """
     for name in _REQUIRED_FIELDS:
         if name not in obj or obj[name] is None:
@@ -215,24 +221,44 @@ def parse_tweet(obj: dict) -> TweetRecord:
         raise CorpusFormatError(f"unknown kind {obj['kind']!r}") from None
     try:
         ts = _parse_timestamp(str(obj["timestamp"]))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise CorpusFormatError(
             f"unparseable timestamp {obj['timestamp']!r}") from None
 
-    refs = [str(u) for u in obj.get("referenced_user_ids") or []]
+    # exact type() tests: bool is not a count, and a string is not a list
+    lists = {}
+    for name in ("hashtags", "urls", "referenced_user_ids"):
+        value = obj.get(name)
+        if value is None:
+            value = []
+        try:
+            if type(value) is not list:
+                raise TypeError
+            "".join(value)  # a TypeError unless every item is a str
+        except TypeError:
+            raise CorpusFormatError(
+                f"{name} is not a list of strings: {value!r}") from None
+        lists[name] = value
+    refs = list(lists["referenced_user_ids"])
     if kind is not Kind.ORIGINAL and not refs:
         raise CorpusFormatError(
             f"{kind.value} tweet must reference at least one user")
 
     counts = {}
     for name in ("like_count", "retweet_count", "reply_count"):
-        value = int(obj.get(name) or 0)
-        if value < 0:
-            raise CorpusFormatError(f"{name} is negative")
+        value = obj.get(name)
+        if value is None:
+            value = 0
+        elif type(value) is not int or value < 0:
+            raise CorpusFormatError(
+                f"{name} is not a non-negative integer: {value!r}")
         counts[name] = value
 
     media = []
-    for item in obj.get("media") or []:
+    items = obj.get("media")
+    if items is not None and type(items) is not list:
+        raise CorpusFormatError(f"media is not a list: {items!r}")
+    for item in items or ():
         try:
             media.append(MediaItem(kind=MediaKind(str(item["kind"]).lower()),
                                    url=str(item["url"])))
@@ -247,8 +273,8 @@ def parse_tweet(obj: dict) -> TweetRecord:
         text=str(obj["text"]),
         lang=str(obj["lang"]),
         kind=kind,
-        hashtags=[normalize_hashtag(str(h)) for h in obj.get("hashtags") or []],
-        urls=[str(u) for u in obj.get("urls") or []],
+        hashtags=[normalize_hashtag(h) for h in lists["hashtags"]],
+        urls=list(lists["urls"]),
         media=media,
         referenced_user_ids=refs,
         referenced_tweet_id=None if ref_tweet is None else str(ref_tweet),
@@ -258,10 +284,12 @@ def parse_tweet(obj: dict) -> TweetRecord:
 
 def tweet_to_obj(t: TweetRecord) -> dict:
     """Inverse of parse_tweet, for writing archives back out."""
+    ts = t.timestamp.isoformat(
+        timespec="microseconds" if t.timestamp.microsecond else "seconds")
     return {
         "tweet_id": t.tweet_id,
         "author_id": t.author_id,
-        "timestamp": t.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "timestamp": ts.replace("+00:00", "Z"),
         "text": t.text,
         "lang": t.lang,
         "kind": t.kind.value,
@@ -294,8 +322,11 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise CorpusFormatError("line is not an object")
-                yield parse_tweet(obj)
-            except (json.JSONDecodeError, CorpusFormatError) as exc:
+                record = parse_tweet(obj)
+            except (ValueError, TypeError) as exc:
+                # CorpusFormatError and JSONDecodeError are ValueErrors; any
+                # other ValueError or TypeError from a badly typed value
+                # makes the line malformed too
                 if schema_strict:
                     raise CorpusFormatError(
                         f"{path}:{lineno}: {exc}") from exc
@@ -303,6 +334,8 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
                     error_log.append((lineno, str(exc)))
                 log.warning("%s:%d: skipping malformed line (%s)",
                             path, lineno, exc)
+                continue
+            yield record
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +343,25 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def rule_matches(rule: FilterRule, t: TweetRecord, tweet_date: date) -> bool:
-    if not rule.window_contains(tweet_date):
-        return False
-    if rule.mode is MatchMode.HASHTAG_EXACT:
-        return rule.term in t.hashtags
-    return fold_text(rule.term) in fold_text(t.text)
+def matching_rules(rules: Iterable[FilterRule], t: TweetRecord,
+                   tweet_date: date) -> Iterator[FilterRule]:
+    """The rules active on tweet_date that the tweet matches, in order.
+
+    The tweet's text is folded at most once, when the first active keyword
+    rule needs it.
+    """
+    folded = None
+    for rule in rules:
+        if not rule.window_contains(tweet_date):
+            continue
+        if rule.mode is MatchMode.HASHTAG_EXACT:
+            if rule.term in t.hashtags:
+                yield rule
+            continue
+        if folded is None:
+            folded = fold_text(t.text)
+        if rule.folded_term in folded:
+            yield rule
 
 
 def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
@@ -329,7 +375,7 @@ def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
     lo, hi = rule_set.study_window
     if d < lo or d > hi:
         return False
-    return any(rule_matches(rule, t, d) for rule in rule_set.rules)
+    return any(matching_rules(rule_set.rules, t, d))
 
 
 @dataclass
@@ -386,10 +432,9 @@ def filter_corpus(rule_set: RuleSet,
             report.dropped_window += 1
             continue
         hit = False
-        for rule in rule_set.rules:
-            if rule_matches(rule, t, d):
-                report.rule_hits[f"{rule.mode.value}:{rule.term}"] += 1
-                hit = True
+        for rule in matching_rules(rule_set.rules, t, d):
+            report.rule_hits[f"{rule.mode.value}:{rule.term}"] += 1
+            hit = True
         if hit:
             report.kept += 1
             kept.append(t)

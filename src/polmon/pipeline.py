@@ -16,9 +16,10 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import __version__
@@ -70,7 +71,9 @@ def _top(counter: Counter, k: int) -> list[tuple[str, int]]:
 
 
 def _stats_for(group: Sequence[TweetRecord], day: date | None, top_k: int,
-               stopwords: frozenset[str]) -> DailyStats:
+               stopwords: frozenset[str], folds: dict[str, str],
+               totals: dict[str, Counter] | None) -> DailyStats:
+    """Stats of one group; folds maps word -> fold_text(word) and grows."""
     by_kind = {k.value: 0 for k in Kind}
     users: set[str] = set()
     hashtags = Counter()
@@ -93,7 +96,12 @@ def _stats_for(group: Sequence[TweetRecord], day: date | None, top_k: int,
             (images if m.kind.value == "image" else videos)[m.url] += 1
         for ref in t.referenced_user_ids:
             mentioned[ref] += 1
-        tokens = [w for w in tokenize(t.text) if w not in stopwords]
+        raw_words = _WORD_RE.findall(t.text)
+        for w in raw_words:
+            if w not in folds:
+                folds[w] = fold_text(w)
+        tokens = [f for f in map(folds.__getitem__, raw_words)
+                  if f not in stopwords]
         words.update(tokens)
         phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
     ranked_tweets = sorted(group, key=lambda t: t.tweet_id)
@@ -113,6 +121,12 @@ def _stats_for(group: Sequence[TweetRecord], day: date | None, top_k: int,
         "phrases": _top(phrases, top_k),
         "hashtags": _top(hashtags, top_k),
     }
+    if totals is not None:
+        for key, counter in (("hashtags", hashtags), ("words", words),
+                             ("phrases", phrases),
+                             ("mentioned_users", mentioned),
+                             ("active_users", active)):
+            totals.setdefault(key, Counter()).update(counter)
     return DailyStats(date=day, n_posts=len(group), n_by_kind=by_kind,
                       n_users=len(users), n_hashtags=len(hashtags),
                       n_urls=len(urls), top=top)
@@ -120,16 +134,32 @@ def _stats_for(group: Sequence[TweetRecord], day: date | None, top_k: int,
 
 def compute_stats(tweets: Sequence[TweetRecord], per_day: bool = True,
                   top_k: int = 10, stopwords: Iterable[str] = (),
-                  offset_minutes: int = 0) -> list[DailyStats]:
-    """Per-day statistics (ascending date), or one aggregate row."""
+                  offset_minutes: int = 0,
+                  totals: dict[str, Counter] | None = None) -> list[DailyStats]:
+    """Per-day statistics (ascending date), or one aggregate row.
+
+    Words are those of ``tokenize``; each distinct word is folded once per
+    call.  When ``totals`` is given, the full hashtags, words, phrases,
+    mentioned_users and active_users counters of every row are added into
+    it under those keys as the row is built, so ``window_top(totals)``
+    gives the tables of the aggregate row without a second pass.
+    """
     stop = frozenset(stopwords)
+    folds: dict[str, str] = {}
     if not per_day:
-        return [_stats_for(list(tweets), None, top_k, stop)]
+        return [_stats_for(list(tweets), None, top_k, stop, folds, totals)]
     shift = timedelta(minutes=offset_minutes)
     by_date: dict[date, list[TweetRecord]] = {}
     for t in tweets:
         by_date.setdefault((t.timestamp + shift).date(), []).append(t)
-    return [_stats_for(by_date[d], d, top_k, stop) for d in sorted(by_date)]
+    return [_stats_for(by_date[d], d, top_k, stop, folds, totals)
+            for d in sorted(by_date)]
+
+
+def window_top(totals: Mapping[str, Counter],
+               top_k: int) -> dict[str, list[tuple[str, int]]]:
+    """The top_k entries of each counter that compute_stats summed."""
+    return {key: _top(counter, top_k) for key, counter in totals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +340,10 @@ def threshold_sweep(g: InteractionGraph,
 # ---------------------------------------------------------------------------
 
 
+# keys of deleted run options; old config files still load, and ignore them
+RETIRED_CONFIG_KEYS = ("solver", "workers")
+
+
 @dataclass
 class RunConfig:
     tweets: Path
@@ -335,21 +369,55 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """Load a JSON run config; paths resolve against its directory.
+
+        Every value must have its field's JSON type (bool is neither an
+        integer nor a number here) and every key must be a field or one of
+        RETIRED_CONFIG_KEYS; otherwise a ValueError names the key.
+        """
         path = Path(path)
         with path.open("r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("run config must be a JSON object")
+        known = {f.name for f in fields(cls)}.union(RETIRED_CONFIG_KEYS)
+        unknown = sorted(set(raw) - known)
+        if unknown:
+            raise ValueError(
+                "unknown config key " + ", ".join(map(repr, unknown)))
         base = path.parent
 
+        def typed(key, default, types: tuple, what: str):
+            value = raw.get(key, default)
+            if type(value) not in types:
+                raise ValueError(f"{key!r} must be {what}, got {value!r}")
+            return value
+
+        def text(key) -> str | None:
+            return typed(key, None, (str, type(None)), "a string") or None
+
         def respath(key) -> Path | None:
-            value = raw.get(key)
+            value = text(key)
             return (base / value).resolve() if value else None
 
+        def day(key) -> date | None:
+            value = text(key)
+            return date.fromisoformat(value) if value else None
+
         def flag(key, default: bool) -> bool:
-            value = raw.get(key, default)
-            if not isinstance(value, bool):
-                raise ValueError(
-                    f"{key!r} must be true or false, got {value!r}")
-            return value
+            return typed(key, default, (bool,), "true or false")
+
+        def integer(key, default: int) -> int:
+            return typed(key, default, (int,), "an integer")
+
+        def number(key, default: float) -> float:
+            return float(typed(key, default, (int, float), "a number"))
+
+        thresholds = typed("sweep_thresholds", [0.0, 0.5, 0.7], (list,),
+                           "a list of numbers")
+        if any(type(t) not in (int, float) for t in thresholds):
+            raise ValueError("'sweep_thresholds' must be a list of numbers, "
+                             f"got {thresholds!r}")
 
         return cls(
             tweets=respath("tweets"),
@@ -357,16 +425,16 @@ class RunConfig:
             follows=respath("follows"),
             out_dir=respath("out_dir") or (base / "out").resolve(),
             rules=respath("rules"),
-            threshold=float(raw.get("threshold", 0.0)),
-            sweep_thresholds=tuple(raw.get("sweep_thresholds", (0.0, 0.5, 0.7))),
-            k=int(raw.get("k", 500)),
+            threshold=number("threshold", 0.0),
+            sweep_thresholds=tuple(thresholds),
+            k=integer("k", 500),
             drop_isolated=flag("drop_isolated", True),
             include_isolated=flag("include_isolated", True),
-            tol=float(raw.get("tol", 1e-10)),
-            top_k=int(raw.get("top_k", 10)),
+            tol=number("tol", 1e-10),
+            top_k=integer("top_k", 10),
             stopwords=respath("stopwords"),
-            date_from=date.fromisoformat(raw["date_from"]) if raw.get("date_from") else None,
-            date_to=date.fromisoformat(raw["date_to"]) if raw.get("date_to") else None,
+            date_from=day("date_from"),
+            date_to=day("date_to"),
             schema_strict=flag("schema_strict", False),
             ablate_both_variants=flag("ablate_both_variants", False),
         )
@@ -403,15 +471,22 @@ class Runner:
         self.config = config
         self._cache: dict[str, object] = {}
         self.load_errors: list = []
+        # whole-window counters, set by the stats stage (compute_stats totals)
+        self.window_counts: dict[str, Counter] = {}
 
     def _get(self, key: str, builder: Callable):
         if key not in self._cache:
+            log.debug("stage %s: start", key)
+            start = perf_counter()
             try:
                 self._cache[key] = builder()
             except StageError:
                 raise
             except Exception as exc:
                 raise StageError(key, exc) from exc
+            # the time includes any stage this one built first
+            log.debug("stage %s: done in %.3f s", key,
+                      perf_counter() - start)
         return self._cache[key]
 
     # -- stages ------------------------------------------------------------
@@ -546,10 +621,16 @@ class Runner:
 
     @property
     def stats(self) -> list[DailyStats]:
-        return self._get("stats", lambda: compute_stats(
-            self.filtered[0], per_day=True, top_k=self.config.top_k,
-            stopwords=self.stopword_set,
-            offset_minutes=self.rule_set.date_offset_minutes))
+        def build():
+            totals: dict[str, Counter] = {}
+            rows = compute_stats(
+                self.filtered[0], per_day=True, top_k=self.config.top_k,
+                stopwords=self.stopword_set,
+                offset_minutes=self.rule_set.date_offset_minutes,
+                totals=totals)
+            self.window_counts = totals
+            return rows
+        return self._get("stats", build)
 
     @property
     def shares(self) -> StanceShares:

@@ -121,7 +121,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def render_summary(runner) -> str:
     """Assemble summary.html from an (already computed) pipeline Runner."""
-    kept, report = runner.filtered
+    report = runner.filtered[1]
     stats = runner.stats
     shares = runner.shares
     dates = [row.date.isoformat() for row in stats]
@@ -204,14 +204,13 @@ def render_summary(runner) -> str:
 
     if stats:
         sections.append("<h2>Top content (full window)</h2>")
-        from .pipeline import compute_stats
-        total = compute_stats(kept, per_day=False, top_k=runner.config.top_k,
-                              stopwords=runner.stopword_set)[0]
+        from .pipeline import window_top
+        total = window_top(runner.window_counts, runner.config.top_k)
         for key, label in (("hashtags", "Hashtags"), ("words", "Words"),
                            ("phrases", "Phrases"),
                            ("mentioned_users", "Mentioned users"),
                            ("active_users", "Active users")):
-            entries = total.top[key]
+            entries = total[key]
             if entries:
                 sections.append(f"<h3>{label}</h3>")
                 sections.append(_table(["value", "count"], entries))

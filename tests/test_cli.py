@@ -123,3 +123,68 @@ def test_config_bool_accepts_json_false(fixture_paths, tmp_path):
     assert (loaded.drop_isolated, loaded.include_isolated,
             loaded.schema_strict, loaded.ablate_both_variants) == (
         False, False, True, True)
+
+
+def _load_with(fixture_paths, tmp_path, **changes):
+    raw = json.loads(fixture_paths["config"].read_text(encoding="utf-8"))
+    raw.update(changes)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("key,value", [
+    ("k", 2.9), ("k", True), ("k", "500"), ("k", None),
+    ("top_k", 5.0), ("top_k", False),
+    ("threshold", "0.5"), ("threshold", True), ("threshold", None),
+    ("tol", False), ("tol", [1e-10]),
+    ("sweep_thresholds", "05"), ("sweep_thresholds", [0.0, "0.5"]),
+    ("sweep_thresholds", [True]), ("sweep_thresholds", 0.5),
+    ("tweets", 7), ("stopwords", ["a"]), ("date_from", 20220801),
+])
+def test_config_value_must_have_field_type(key, value, fixture_paths,
+                                           tmp_path, capsys):
+    config = _load_with(fixture_paths, tmp_path, **{key: value})
+    with pytest.raises(ValueError, match=repr(key)):
+        RunConfig.from_file(config)
+    rc = main(["stats", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load config" in err
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_unknown_key_rejected(fixture_paths, tmp_path, capsys):
+    config = _load_with(fixture_paths, tmp_path, treshold=0.7)
+    rc = main(["stats", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load config" in err
+    assert "'treshold'" in err
+
+
+def test_config_retired_keys_ignored(fixture_paths, tmp_path):
+    config = _load_with(fixture_paths, tmp_path, workers=1, solver="direct")
+    loaded = RunConfig.from_file(config)
+    assert "workers" not in loaded.echo() and "solver" not in loaded.echo()
+
+
+def test_config_numbers_accept_json_ints(fixture_paths, tmp_path):
+    config = _load_with(fixture_paths, tmp_path, threshold=0, tol=1,
+                        sweep_thresholds=[0, 0.5], k=3, top_k=2)
+    loaded = RunConfig.from_file(config)
+    assert (loaded.threshold, loaded.tol, loaded.k, loaded.top_k) == (
+        0.0, 1.0, 3, 2)
+    assert type(loaded.threshold) is float
+    assert loaded.sweep_thresholds == (0, 0.5)
+
+
+def test_config_must_be_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]", encoding="utf-8")
+    rc = main(["stats", "--config", str(config)])
+    assert rc == 1
+    assert "cannot load config" in capsys.readouterr().err

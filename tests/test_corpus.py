@@ -1,13 +1,17 @@
 import json
-from datetime import date
+import unicodedata
+from collections import Counter
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polmon import corpus
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
-                           FilterRule, FollowRecord, Kind, MatchMode, RuleSet,
-                           Side, default_rule_set, filter_corpus, fold_text,
+                           FilterRule, FollowRecord, Kind, MatchMode,
+                           MediaItem, MediaKind, RuleSet, Side,
+                           default_rule_set, filter_corpus, fold_text,
                            load_annotations, load_follows, load_tweets,
                            matches, normalize_hashtag, prevalent_users,
                            rule_set_from_dict, tweet_to_obj, parse_tweet)
@@ -96,6 +100,166 @@ def test_tweet_round_trip():
     obj["media"] = [{"kind": "video", "url": "https://v"}]
     record = parse_tweet(obj)
     assert parse_tweet(tweet_to_obj(record)) == record
+
+
+def test_round_trip_keeps_sub_second_and_early_timestamps():
+    for raw in ("2022-08-05T10:00:00.250000Z", "0999-01-02T03:04:05Z"):
+        obj = json.loads(GOOD_LINE)
+        obj["timestamp"] = raw
+        record = parse_tweet(obj)
+        assert tweet_to_obj(record)["timestamp"] == raw
+        assert parse_tweet(tweet_to_obj(record)) == record
+
+
+@pytest.mark.parametrize("name", ["like_count", "retweet_count",
+                                  "reply_count"])
+@pytest.mark.parametrize("value", ["abc", "3", 1.7, 2.0, True, False, [1],
+                                   {"n": 1}])
+def test_count_must_be_json_integer(name, value):
+    obj = json.loads(GOOD_LINE)
+    obj[name] = value
+    with pytest.raises(CorpusFormatError, match=name):
+        parse_tweet(obj)
+
+
+def test_missing_or_null_count_is_zero():
+    obj = json.loads(GOOD_LINE)
+    del obj["like_count"]
+    obj["retweet_count"] = None
+    record = parse_tweet(obj)
+    assert (record.like_count, record.retweet_count) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["hashtags", "urls", "referenced_user_ids"])
+@pytest.mark.parametrize("value", ["u22", "", 7, {"a": "b"}, ["a", 2],
+                                   ["a", None], [["a"]]])
+def test_list_field_must_be_list_of_strings(name, value):
+    obj = json.loads(GOOD_LINE)
+    obj["kind"] = "reply"
+    obj["referenced_user_ids"] = ["b"]
+    obj[name] = value
+    with pytest.raises(CorpusFormatError, match=name):
+        parse_tweet(obj)
+
+
+@pytest.mark.parametrize("value", ["abc", 3, {"kind": "image", "url": "u"}])
+def test_media_must_be_list(value):
+    obj = json.loads(GOOD_LINE)
+    obj["media"] = value
+    with pytest.raises(CorpusFormatError, match="media"):
+        parse_tweet(obj)
+
+
+def test_type_confused_lines_are_skipped_and_counted(tmp_path):
+    bad = []
+    for name, value in (("like_count", "abc"), ("like_count", 1.7),
+                        ("referenced_user_ids", "u22"), ("hashtags", "abc"),
+                        ("media", 5),
+                        ("timestamp", "0001-01-01T00:00:00+01:00")):
+        obj = json.loads(GOOD_LINE)
+        obj[name] = value
+        bad.append(json.dumps(obj, ensure_ascii=False))
+    # json.loads raises a plain ValueError on a 5000-digit integer
+    bad.append(GOOD_LINE.replace('"t1"', "1" * 5000))
+    path = _write(tmp_path, [GOOD_LINE, *bad, GOOD_LINE])
+    errors = []
+    records = list(load_tweets(path, error_log=errors))
+    assert len(records) == 2
+    assert [lineno for lineno, _ in errors] == list(range(2, 2 + len(bad)))
+    with pytest.raises(CorpusFormatError, match="tweets.jsonl:2"):
+        list(load_tweets(path, schema_strict=True))
+
+
+def test_type_confused_line_does_not_abort_filter(tmp_path):
+    obj = json.loads(GOOD_LINE)
+    obj["like_count"] = "abc"
+    path = _write(tmp_path, [GOOD_LINE, json.dumps(obj), GOOD_LINE])
+    errors = []
+    kept, report = filter_corpus(default_rule_set(),
+                                 load_tweets(path, error_log=errors))
+    assert (len(kept), report.total, len(errors)) == (2, 2, 1)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=8)
+
+_TIMESTAMPS = st.one_of(
+    st.datetimes(timezones=st.none() | st.just(timezone.utc)
+                 | st.builds(lambda m: timezone(timedelta(minutes=m)),
+                             st.integers(-900, 900)))
+    .map(lambda ts: ts.isoformat()),
+    st.datetimes(min_value=datetime(2000, 1, 1))
+    .map(lambda ts: ts.strftime("%Y-%m-%dT%H:%M:%SZ")),
+    st.text(max_size=30))
+
+_FIELDS = {
+    "tweet_id": st.text(max_size=5),
+    "author_id": st.text(max_size=5),
+    "timestamp": _TIMESTAMPS,
+    "text": st.text(max_size=20),
+    "lang": st.sampled_from(["el", "en"]),
+    "kind": st.sampled_from(["original", "retweet", "Quote", "REPLY", "x"]),
+    "hashtags": st.lists(st.text(max_size=6), max_size=3),
+    "urls": st.lists(st.text(max_size=6), max_size=3),
+    "media": st.lists(st.fixed_dictionaries({
+        "kind": st.sampled_from(["image", "VIDEO", "gif"]),
+        "url": st.text(max_size=6)}), max_size=2),
+    "referenced_user_ids": st.lists(st.text(max_size=5), max_size=3),
+    "referenced_tweet_id": st.none() | st.text(max_size=5),
+    "like_count": st.none() | st.integers(-2, 10 ** 20),
+    "retweet_count": st.none() | st.integers(-2, 10 ** 20),
+    "reply_count": st.none() | st.integers(-2, 10 ** 20),
+}
+
+
+@st.composite
+def _archive_object(draw) -> dict:
+    """A well-typed record with some fields dropped or made arbitrary JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.dictionaries(st.text(max_size=8), _JSON, max_size=6))
+    obj = {}
+    for name, values in _FIELDS.items():
+        how = draw(st.integers(0, 11))
+        if how == 0:
+            continue
+        obj[name] = draw(_JSON if how == 1 else values)
+    return obj
+
+
+def _assert_invariants(r):
+    for name in ("tweet_id", "author_id", "text", "lang"):
+        assert type(getattr(r, name)) is str
+    assert r.timestamp.utcoffset() == timedelta(0)
+    assert isinstance(r.kind, Kind)
+    for name in ("hashtags", "urls", "referenced_user_ids"):
+        values = getattr(r, name)
+        assert type(values) is list
+        assert all(type(v) is str for v in values)
+    assert all(normalize_hashtag(h) == h for h in r.hashtags)
+    assert all(type(m) is MediaItem and isinstance(m.kind, MediaKind)
+               and type(m.url) is str for m in r.media)
+    for name in ("like_count", "retweet_count", "reply_count"):
+        value = getattr(r, name)
+        assert type(value) is int and value >= 0
+    if r.kind is not Kind.ORIGINAL:
+        assert r.referenced_user_ids
+    assert r.referenced_tweet_id is None or type(r.referenced_tweet_id) is str
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_archive_object(), min_size=1, max_size=6))
+def test_non_strict_load_never_raises_and_keeps_invariants(tmp_path, objs):
+    path = _write(tmp_path, [json.dumps(o) for o in objs])
+    errors = []
+    records = list(load_tweets(path, error_log=errors))
+    assert len(records) + len(errors) == len(objs)
+    for r in records:
+        _assert_invariants(r)
+        assert parse_tweet(tweet_to_obj(r)) == r
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +425,123 @@ def test_filter_report_merge_matches_single_pass(rules):
     _, first = filter_corpus(rules, tweets[:2])
     _, second = filter_corpus(rules, tweets[2:])
     assert first.merge(second).to_dict() == whole.to_dict()
+
+
+# the reference path: each active rule on its own, term and text folded
+# on every evaluation
+def _filter_reference(rule_set, tweets):
+    kept, hits = [], Counter()
+    lo, hi = rule_set.study_window
+    for t in tweets:
+        d = rule_set.local_date(t.timestamp)
+        if t.lang not in rule_set.language_whitelist or not lo <= d <= hi:
+            continue
+        hit = False
+        for rule in rule_set.rules:
+            if not rule.window_contains(d):
+                continue
+            if rule.mode is MatchMode.HASHTAG_EXACT:
+                matched = rule.term in t.hashtags
+            else:
+                matched = fold_text(rule.term) in fold_text(t.text)
+            if matched:
+                hits[f"{rule.mode.value}:{rule.term}"] += 1
+                hit = True
+        if hit:
+            kept.append(t)
+    return kept, hits
+
+
+# overlapping on purpose, so that one tweet often matches several rules
+_BASES = ("υποκλοπες", "υποκλοπη", "κλοπ", "predator", "pred")
+
+
+@st.composite
+def _variant(draw, bases=_BASES) -> str:
+    """A base word with random case and tonos/acute/diaeresis marks."""
+    base = draw(st.sampled_from(bases))
+    upper = draw(st.integers(0, 2 ** len(base) - 1))
+    chars = [ch.upper() if upper >> i & 1 else ch
+             for i, ch in enumerate(base)]
+    for i, mark in draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                           st.sampled_from("\u0301\u0308")),
+                                 max_size=1)):
+        chars[i] += mark
+    form = draw(st.sampled_from(("NFC", "NFD")))
+    return unicodedata.normalize(form, "".join(chars))
+
+
+_DAYS = [date(2022, 8, 1) + timedelta(days=i) for i in range(6)]
+
+
+@st.composite
+def _rule(draw) -> FilterRule:
+    lo = draw(st.none() | st.sampled_from(_DAYS))
+    hi = draw(st.none() | st.sampled_from([d for d in _DAYS
+                                           if lo is None or d >= lo]))
+    mode = draw(st.sampled_from((MatchMode.KEYWORD_SUBSTRING,
+                                 MatchMode.HASHTAG_EXACT)))
+    return FilterRule(draw(_variant()), mode, active_from=lo, active_until=hi)
+
+
+@st.composite
+def _tweet(draw, index: int):
+    word = _variant(_BASES + ("καφες", "ΤΟ"))
+    words = draw(st.lists(word | word | st.text(max_size=4),
+                          min_size=1, max_size=4))
+    ts = datetime(2022, 8, 1) + timedelta(
+        minutes=draw(st.integers(-12 * 60, 6 * 24 * 60)))
+    return tweet(f"t{index}", text=draw(st.sampled_from((" ", ""))).join(words),
+                 lang=draw(st.sampled_from(("el", "el", "en"))),
+                 hashtags=[normalize_hashtag(h) for h in
+                           draw(st.lists(_variant(), min_size=1,
+                                         max_size=2))],
+                 ts=ts.strftime("%Y-%m-%dT%H:%M:%SZ"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_rule(), min_size=2, max_size=6),
+       st.integers(1, 8).flatmap(
+           lambda n: st.tuples(*[_tweet(i) for i in range(n)])),
+       st.sampled_from((0, 180, -300)))
+def test_filter_equals_per_rule_reference(rules, tweets, offset):
+    rule_set = RuleSet(rules=rules,
+                       study_window=(date(2022, 8, 1), date(2022, 8, 5)),
+                       date_offset_minutes=offset)
+    kept, report = filter_corpus(rule_set, tweets)
+    ref_kept, ref_hits = _filter_reference(rule_set, tweets)
+    assert kept == ref_kept
+    assert report.rule_hits == ref_hits
+    assert kept == [t for t in tweets if matches(rule_set, t)]
+
+
+def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
+    tweets = [tweet(f"t{i}", text=text, ts="2022-08-05T09:00:00Z")
+              for i, text in enumerate(("ΥΠΟΚΛΟΠΈΣ", "predator", "ok",
+                                        "άσχετο"))]
+    tweets.append(tweet("t9", text="x", hashtags=["pega"],
+                        ts="2022-08-05T09:00:00Z"))
+    folded = []
+    real = corpus.fold_text
+    monkeypatch.setattr(corpus, "fold_text",
+                        lambda s: folded.append(s) or real(s))
+    kept, report = filter_corpus(rules, tweets)
+    # the default set's four keyword rules are active on every date
+    assert folded == [t.text for t in tweets]
+    assert [t.tweet_id for t in kept] == ["t0", "t1", "t9"]
+    folded.clear()
+    assert [matches(rules, t) for t in tweets] == [True, True, False, False,
+                                                    True]
+    assert folded == [t.text for t in tweets]
+
+
+def test_rule_term_folded_once_and_kept():
+    rule = FilterRule("Υποκλοπές", MatchMode.KEYWORD_SUBSTRING)
+    assert rule.term == "Υποκλοπές"
+    assert rule.folded_term == fold_text("Υποκλοπές")
+    _, report = filter_corpus(RuleSet(rules=[rule]),
+                              [tweet(text="ΥΠΟΚΛΟΠΕΣ")])
+    assert report.to_dict()["rule_hits"] == {"keyword:Υποκλοπές": 1}
 
 
 # ---------------------------------------------------------------------------

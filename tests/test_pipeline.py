@@ -1,15 +1,19 @@
 import json
 import logging
-from datetime import date
+import random
+from collections import Counter
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
+from polmon import pipeline
 from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
-                           Side)
+                           Side, load_tweets, tweet_to_obj)
 from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig,
                              Runner, ablation, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
-                             threshold_sweep, tokenize)
+                             threshold_sweep, tokenize, window_top)
+from polmon.report import _table
 from polmon.polarization import SolverMethod
 from polmon.stance import Stance, StanceAssignment, stance_map
 
@@ -100,6 +104,157 @@ def test_stats_stopwords_removed():
                         per_day=False, stopwords={"beta"})[0]
     assert row.top["words"] == [("alpha", 2)]
     assert row.top["phrases"] == [("alpha alpha", 1)]
+
+
+_VOCAB = ("Υποκλοπές", "ΥΠΟΚΛΟΠΕΣ", "υποκλοπες", "Ανδρουλάκης", "ΕΥΠ",
+          "ο", "το", "και", "predator", "PREDATOR", "Café", "cafe", "ÉTÉ",
+          "δίκη", "ΔΙΚΗ", "έρευνα", "Ερευνα")
+
+
+def _synthetic_tweets(seed: int, n: int = 400, days: int = 6):
+    """Tweets spread over every hour of several days, mixed kinds."""
+    rng = random.Random(seed)
+    start = datetime(2022, 8, 1, tzinfo=timezone.utc)
+    users = [f"u{i:02d}" for i in range(25)]
+    out = []
+    for i in range(n):
+        kind = rng.choice(list(Kind))
+        refs = ([] if kind is Kind.ORIGINAL else
+                rng.sample(users, rng.randint(1, 3)))
+        words = [rng.choice(_VOCAB) for _ in range(rng.randint(0, 9))]
+        ts = start + timedelta(minutes=rng.randrange(days * 24 * 60))
+        out.append(tweet(f"t{i:04d}", author=rng.choice(users),
+                         ts=ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                         text=rng.choice((" ", ", ", "-")).join(words),
+                         kind=kind, refs=refs,
+                         hashtags=["predator"] + rng.sample(
+                             ["υποκλοπες", "υποκλοπές", "pega"],
+                             rng.randint(0, 2))))
+    return out
+
+
+def _reference_words_phrases(tweets, stopwords, offset_minutes):
+    """Per-day word and bigram counters through plain ``tokenize``."""
+    shift = timedelta(minutes=offset_minutes)
+    by_day = {}
+    for t in tweets:
+        words, phrases = by_day.setdefault((t.timestamp + shift).date(),
+                                           (Counter(), Counter()))
+        tokens = [w for w in tokenize(t.text) if w not in stopwords]
+        words.update(tokens)
+        phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+    return by_day
+
+
+@pytest.mark.parametrize("offset", [0, 180, -420])
+@pytest.mark.parametrize("stopwords", [(), ("το", "και", "cafe")])
+def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
+    fixture = list(load_tweets(fixture_paths["tweets"]))
+    for tweets in (fixture, _synthetic_tweets(seed=7)):
+        everything = 10 ** 6  # top_k above every distinct count
+        rows = compute_stats(tweets, top_k=everything, stopwords=stopwords,
+                             offset_minutes=offset)
+        ref = _reference_words_phrases(tweets, frozenset(stopwords), offset)
+        assert [r.date for r in rows] == sorted(ref)
+        for row in rows:
+            words, phrases = ref[row.date]
+            assert dict(row.top["words"]) == words
+            assert dict(row.top["phrases"]) == phrases
+        # the truncated, tie-broken tables agree as well
+        for row, small in zip(rows, compute_stats(
+                tweets, top_k=3, stopwords=stopwords, offset_minutes=offset)):
+            words, phrases = ref[row.date]
+            assert small.top["words"] == pipeline._top(words, 3)
+            assert small.top["phrases"] == pipeline._top(phrases, 3)
+
+
+def test_stats_folds_each_distinct_word_once(monkeypatch):
+    tweets = _synthetic_tweets(seed=3, n=200)
+    folded = []
+    real = pipeline.fold_text
+    monkeypatch.setattr(pipeline, "fold_text",
+                        lambda s: folded.append(s) or real(s))
+    compute_stats(tweets)
+    assert sorted(folded) == sorted({w for t in tweets
+                                     for w in pipeline._WORD_RE.findall(t.text)})
+
+
+_WINDOW_KEYS = ("hashtags", "words", "phrases", "mentioned_users",
+                "active_users")
+
+
+def test_window_totals_equal_aggregate_row():
+    tweets = _synthetic_tweets(seed=11)
+    totals = {}
+    compute_stats(tweets, top_k=4, stopwords={"ο"}, offset_minutes=180,
+                  totals=totals)
+    whole = compute_stats(tweets, per_day=False, top_k=4, stopwords={"ο"})[0]
+    assert window_top(totals, 4) == {key: whole.top[key]
+                                     for key in _WINDOW_KEYS}
+
+
+def _synthetic_run(tmp_path, fixture_paths, offset: int) -> RunConfig:
+    lines = [json.dumps(tweet_to_obj(t), ensure_ascii=False)
+             for t in _synthetic_tweets(seed=5)]
+    (tmp_path / "tweets.jsonl").write_text("\n".join(lines) + "\n",
+                                           encoding="utf-8")
+    (tmp_path / "rules.json").write_text(json.dumps({
+        "rules": [{"term": "predator", "mode": "hashtag"}],
+        "study_window": ["2022-08-01", "2022-08-05"],
+        "date_offset_minutes": offset}), encoding="utf-8")
+    (tmp_path / "stop.txt").write_text("το\nκαι\n", encoding="utf-8")
+    return RunConfig(tweets=tmp_path / "tweets.jsonl",
+                     annotations=fixture_paths["annotations"],
+                     follows=fixture_paths["follows"],
+                     out_dir=tmp_path / "out", rules=tmp_path / "rules.json",
+                     stopwords=tmp_path / "stop.txt", top_k=5, k=3)
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "offset0", "offset180",
+                                    "offset-300"])
+def test_summary_tables_equal_whole_window_stats(corpus, fixture_paths,
+                                                 tmp_path, monkeypatch):
+    if corpus == "fixture":
+        config = _config(fixture_paths, tmp_path / "out")
+    else:
+        config = _synthetic_run(tmp_path, fixture_paths,
+                                int(corpus[len("offset"):]))
+    calls = []
+    real = pipeline.compute_stats
+    monkeypatch.setattr(pipeline, "compute_stats",
+                        lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+    bundle = run_all(config)
+    assert [kw["per_day"] for kw in calls] == [True]  # no second corpus walk
+
+    runner = Runner(config)
+    kept = runner.filtered[0]
+    assert len({runner.rule_set.local_date(t.timestamp) for t in kept}) > 1
+    whole = real(kept, per_day=False, top_k=config.top_k,
+                 stopwords=runner.stopword_set)[0]
+    runner.stats
+    assert window_top(runner.window_counts, config.top_k) == {
+        key: whole.top[key] for key in _WINDOW_KEYS}
+    html = bundle["summary.html"].read_text(encoding="utf-8")
+    for key in _WINDOW_KEYS:
+        assert whole.top[key]
+        assert _table(["value", "count"], whole.top[key]) in html
+
+
+def test_stage_start_and_end_logged(fixture_paths, tmp_path, caplog):
+    runner = Runner(_config(fixture_paths, tmp_path / "out"))
+    with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"):
+        runner.stats
+        runner.stats  # cached: logs nothing more
+    stage_lines = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("stage ")]
+    assert [line.split(" in ")[0] for line in stage_lines] == [
+        "stage stats: start", "stage filter: start", "stage rules: start",
+        "stage rules: done", "stage filter: done", "stage stopwords: start",
+        "stage stopwords: done", "stage stats: done"]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records
+               if r.getMessage().startswith("stage "))
+    assert stage_lines[-1].endswith(" s")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
