@@ -59,16 +59,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config)
     if args.out is not None:
         config.out_dir = args.out.resolve()
-    if args.date_from is not None:
-        config.date_from = args.date_from
-    if args.date_to is not None:
-        config.date_to = args.date_to
-    if args.threshold is not None:
-        config.threshold = args.threshold
-    if args.drop_isolated is not None:
-        config.drop_isolated = args.drop_isolated
-    if args.k is not None:
-        config.k = args.k
+    for key in ("date_from", "date_to", "threshold", "drop_isolated", "k"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 

@@ -140,8 +140,12 @@ class RuleSet:
         if lo > hi:
             raise CorpusFormatError("study_window is not well-ordered")
 
-    def local_date(self, ts: datetime) -> date:
-        return (ts + timedelta(minutes=self.date_offset_minutes)).date()
+    def local_date(self, ts: datetime) -> date | None:
+        """Calendar date of ts under the offset; None past date.min/max."""
+        try:
+            return (ts + timedelta(minutes=self.date_offset_minutes)).date()
+        except OverflowError:
+            return None
 
 
 @dataclass
@@ -373,14 +377,14 @@ def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
         return False
     d = rule_set.local_date(t.timestamp)
     lo, hi = rule_set.study_window
-    if d < lo or d > hi:
+    if d is None or d < lo or d > hi:
         return False
     return any(matching_rules(rule_set.rules, t, d))
 
 
 @dataclass
 class FilterReport:
-    """Counters from one filter pass; merge() makes it a commutative monoid."""
+    """Counters from one filter pass; total = kept + dropped."""
 
     total: int = 0
     kept: int = 0
@@ -392,17 +396,6 @@ class FilterReport:
     @property
     def dropped(self) -> int:
         return self.dropped_lang + self.dropped_window + self.dropped_no_rule
-
-    def merge(self, other: "FilterReport") -> "FilterReport":
-        merged = FilterReport(
-            total=self.total + other.total,
-            kept=self.kept + other.kept,
-            dropped_lang=self.dropped_lang + other.dropped_lang,
-            dropped_window=self.dropped_window + other.dropped_window,
-            dropped_no_rule=self.dropped_no_rule + other.dropped_no_rule,
-        )
-        merged.rule_hits = self.rule_hits + other.rule_hits
-        return merged
 
     def to_dict(self) -> dict:
         return {
@@ -428,7 +421,7 @@ def filter_corpus(rule_set: RuleSet,
             continue
         d = rule_set.local_date(t.timestamp)
         lo, hi = rule_set.study_window
-        if d < lo or d > hi:
+        if d is None or d < lo or d > hi:
             report.dropped_window += 1
             continue
         hit = False
@@ -504,26 +497,33 @@ _CATEGORY_ALIASES = {
 
 def load_annotations(path: str | Path,
                      delimiter: str = ",") -> dict[str, AccountAnnotation]:
-    """Read the account annotation CSV into a user_id-keyed dict."""
+    """Read the account annotation CSV into a user_id-keyed dict.
+
+    A bad header or row raises CorpusFormatError naming path:line.
+    """
     annotations: dict[str, AccountAnnotation] = {}
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None or "user_id" not in reader.fieldnames:
-            raise CorpusFormatError(f"{path}: missing user_id header")
+            raise CorpusFormatError(f"{path}:1: missing user_id header")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             uid = (row.get("user_id") or "").strip()
             if not uid:
-                raise CorpusFormatError(f"{path}: empty user_id")
+                raise CorpusFormatError(f"{where}: empty user_id")
             if uid in annotations:
-                raise CorpusFormatError(f"{path}: duplicate annotation for {uid}")
+                raise CorpusFormatError(f"{where}: duplicate annotation for {uid}")
             raw_cat = (row.get("category") or "").strip()
             category = _CATEGORY_ALIASES.get(raw_cat.lower())
             if category is None:
-                raise CorpusFormatError(f"{path}: unknown category {raw_cat!r}")
+                raise CorpusFormatError(f"{where}: unknown category {raw_cat!r}")
             raw_side = (row.get("side") or "").strip()
-            side = Side(raw_side.capitalize()) if raw_side else None
-            annotations[uid] = AccountAnnotation(uid, category, side)
+            try:
+                side = Side(raw_side.capitalize()) if raw_side else None
+                annotations[uid] = AccountAnnotation(uid, category, side)
+            except ValueError as exc:  # unknown side, or side rule broken
+                raise CorpusFormatError(f"{where}: {exc}") from None
     return annotations
 
 
@@ -533,7 +533,7 @@ def load_follows(path: str | Path,
     """Read follow records; duplicates collapse with a warning.
 
     When annotations are given, every followed id must be annotated
-    Political (raises CorpusFormatError naming the id otherwise).
+    Political.  A bad header or row raises CorpusFormatError at path:line.
     """
     path = Path(path)
     seen: set[tuple[str, str]] = set()
@@ -543,22 +543,23 @@ def load_follows(path: str | Path,
         if (reader.fieldnames is None
                 or "follower_id" not in reader.fieldnames
                 or "followed_political_id" not in reader.fieldnames):
-            raise CorpusFormatError(f"{path}: bad follow-list header")
+            raise CorpusFormatError(f"{path}:1: bad follow-list header")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             pair = ((row.get("follower_id") or "").strip(),
                     (row.get("followed_political_id") or "").strip())
             if not pair[0] or not pair[1]:
-                raise CorpusFormatError(f"{path}: incomplete follow row {row}")
+                raise CorpusFormatError(f"{where}: incomplete follow row {row}")
             if pair in seen:
-                log.warning("%s: duplicate follow pair %s", path, pair)
+                log.warning("%s: duplicate follow pair %s", where, pair)
                 continue
             seen.add(pair)
             if annotations is not None:
                 ann = annotations.get(pair[1])
                 if ann is None or ann.category is not Category.POLITICAL:
                     raise CorpusFormatError(
-                        f"{path}: followed id {pair[1]!r} is not an annotated "
-                        "political account")
+                        f"{where}: followed id {pair[1]!r} is not an "
+                        "annotated political account")
             records.append(FollowRecord(*pair))
     return records
 
@@ -568,39 +569,73 @@ def load_follows(path: str | Path,
 # ---------------------------------------------------------------------------
 
 
-def _parse_date(raw) -> date | None:
+_MATCH_MODES = {m.value: m for m in MatchMode}
+
+
+def _parse_date(raw, key: str) -> date | None:
+    """An ISO date string; None for null or ""."""
     if raw is None or raw == "":
         return None
-    return date.fromisoformat(str(raw))
+    try:
+        return date.fromisoformat(raw)
+    except (TypeError, ValueError):
+        raise CorpusFormatError(
+            f"{key!r} must be an ISO date, got {raw!r}") from None
 
 
 def rule_set_from_dict(obj: dict) -> RuleSet:
-    rules = []
-    for entry in obj.get("rules", []):
-        try:
-            mode = MatchMode(str(entry["mode"]).lower())
-        except (KeyError, ValueError):
-            raise CorpusFormatError(f"bad rule entry {entry!r}") from None
-        rules.append(FilterRule(
-            term=str(entry["term"]),
-            mode=mode,
-            active_from=_parse_date(entry.get("active_from")),
-            active_until=_parse_date(entry.get("active_until")),
-        ))
+    """RuleSet from its JSON form, checking every value's JSON type.
+
+    Nothing is coerced: a wrong value raises CorpusFormatError naming its
+    key.  language_whitelist defaults to ["el"], date_offset_minutes to 0.
+    """
+    if type(obj) is not dict:
+        raise CorpusFormatError("rule set must be a JSON object")
+    entries = obj.get("rules", [])
+    languages = obj.get("language_whitelist", ["el"])
+    offset = obj.get("date_offset_minutes", 0)
     window = obj.get("study_window")
-    if not window or len(window) != 2:
-        raise CorpusFormatError("rule set needs a two-element study_window")
-    return RuleSet(
-        rules=rules,
-        language_whitelist=set(obj.get("language_whitelist") or ["el"]),
-        study_window=(_parse_date(window[0]), _parse_date(window[1])),
-        date_offset_minutes=int(obj.get("date_offset_minutes") or 0),
-    )
+    for key, value, ok, what in (
+            ("rules", entries, type(entries) is list, "a list"),
+            ("language_whitelist", languages, type(languages) is list
+             and languages and all(type(x) is str for x in languages),
+             "a non-empty list of strings"),
+            ("date_offset_minutes", offset, type(offset) is int,
+             "an integer"),
+            ("study_window", window, type(window) is list
+             and len(window) == 2, "a list of two ISO dates")):
+        if not ok:
+            raise CorpusFormatError(f"{key!r} must be {what}, got {value!r}")
+    rules = []
+    for entry in entries:
+        well_typed = (type(entry) is dict and type(entry.get("term")) is str
+                      and type(entry.get("mode")) is str)
+        mode = _MATCH_MODES.get(entry["mode"].lower()) if well_typed else None
+        if mode is None:
+            raise CorpusFormatError(f"bad rule entry {entry!r}")
+        rules.append(FilterRule(
+            term=entry["term"],
+            mode=mode,
+            active_from=_parse_date(entry.get("active_from"), "active_from"),
+            active_until=_parse_date(entry.get("active_until"),
+                                     "active_until"),
+        ))
+    lo, hi = (_parse_date(w, "study_window") for w in window)
+    if lo is None or hi is None:
+        raise CorpusFormatError(
+            f"'study_window' must be a list of two ISO dates, got {window!r}")
+    return RuleSet(rules=rules, language_whitelist=set(languages),
+                   study_window=(lo, hi), date_offset_minutes=offset)
 
 
 def load_rule_set(path: str | Path) -> RuleSet:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return rule_set_from_dict(json.load(fh))
+    """Read a rule-set JSON file; a format error names the path."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            return rule_set_from_dict(json.load(fh))
+    except ValueError as exc:  # bad UTF-8 or JSON, or a CorpusFormatError
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def default_rule_set() -> RuleSet:

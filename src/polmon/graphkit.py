@@ -4,6 +4,10 @@ An edge joins a tweet's author to every distinct user it references
 (retweeted, mentioned, quoted or replied-to); repeated interactions of any
 kind collapse into the single edge, self-interactions are dropped, and
 authors of reference-free tweets stay in the graph as isolated nodes.
+
+A graph is its CSR adjacency over the sorted user ids.  Derived graphs
+(ablations, the non-isolated core) are induced subgraphs cut from the
+parent's CSR by a boolean keep-mask, so nodes and rows keep their order.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -26,18 +31,27 @@ Window = tuple[datetime, datetime]
 class InteractionGraph:
     """Immutable-by-convention simple graph for one time window.
 
-    Nodes are sorted ascending user_id; edges are stored as (u, v) pairs
-    with u < v, sorted.  node_index is the dense index every downstream
-    array (opinion vectors, CSR adjacency) is aligned to.
+    nodes are the ascending user ids; row i of the symmetric CSR adjacency
+    (indptr, indices) lists the neighbours of nodes[i] in ascending order.
+    Every downstream array (opinion vectors, solves) is aligned to nodes.
     """
 
     window: Window
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    @cached_property
-    def node_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.nodes)}
+    @classmethod
+    def from_edges(cls, window: Window, nodes: Sequence[str],
+                   edges: Collection[tuple[str, str]]) -> "InteractionGraph":
+        """Graph on the sorted nodes from distinct (u, v) pairs, u != v."""
+        index = {u: i for i, u in enumerate(nodes)}
+        iu = np.fromiter((index[u] for u, _ in edges), np.int64, len(edges))
+        iv = np.fromiter((index[v] for _, v in edges), np.int64, len(edges))
+        rows, cols = np.concatenate([iu, iv]), np.concatenate([iv, iu])
+        row_len = np.bincount(rows, minlength=len(nodes))
+        return cls(window, tuple(nodes), _indptr(row_len),
+                   cols[np.lexsort((cols, rows))])
 
     @property
     def n(self) -> int:
@@ -45,32 +59,36 @@ class InteractionGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the symmetric adjacency, rows sorted."""
-        idx = self.node_index
-        n = self.n
-        if not self.edges:
-            return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        iu = np.fromiter((idx[u] for u, _ in self.edges), dtype=np.int64)
-        iv = np.fromiter((idx[v] for _, v in self.edges), dtype=np.int64)
-        rows = np.concatenate([iu, iv])
-        cols = np.concatenate([iv, iu])
-        order = np.lexsort((cols, rows))
-        indices = cols[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return indptr, indices
+        return len(self.indices) // 2
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        indptr, _ = self.csr
-        return np.diff(indptr)
+        return np.diff(self.indptr)
 
-    def degree_of(self, user_id: str) -> int:
-        return int(self.degrees[self.node_index[user_id]])
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Sorted (u, v) pairs with u < v, read off the CSR's upper half."""
+        rows = np.repeat(np.arange(self.n), self.degrees)
+        upper = rows < self.indices
+        nodes = self.nodes
+        return tuple((nodes[i], nodes[j]) for i, j in
+                     zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    def subgraph(self, keep: np.ndarray) -> "InteractionGraph":
+        """Induced subgraph on the nodes where the boolean mask keep holds."""
+        new_id = np.cumsum(keep) - 1
+        kept = np.repeat(keep, self.degrees) & keep[self.indices]
+        before = _indptr(kept)  # kept entries before each CSR position
+        row_len = (before[self.indptr[1:]] - before[self.indptr[:-1]])[keep]
+        return InteractionGraph(self.window,
+                                tuple(compress(self.nodes, keep.tolist())),
+                                _indptr(row_len),
+                                new_id[self.indices[kept]])
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """Running totals of counts, starting from 0."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
 def build_graph(tweets: Iterable[TweetRecord], window: Window) -> InteractionGraph:
@@ -88,8 +106,7 @@ def build_graph(tweets: Iterable[TweetRecord], window: Window) -> InteractionGra
                 continue
             nodes.add(ref)
             edges.add((u, ref) if u < ref else (ref, u))
-    return InteractionGraph(window=window, nodes=tuple(sorted(nodes)),
-                            edges=tuple(sorted(edges)))
+    return InteractionGraph.from_edges(window, sorted(nodes), edges)
 
 
 def day_window(d: date, offset_minutes: int = 0) -> Window:
@@ -106,10 +123,8 @@ def daily_graphs(tweets: Sequence[TweetRecord],
     by_date: dict[date, list[TweetRecord]] = {}
     for t in tweets:
         by_date.setdefault((t.timestamp + shift).date(), []).append(t)
-    out = []
-    for d in sorted(by_date):
-        out.append((d, build_graph(by_date[d], day_window(d, offset_minutes))))
-    return out
+    return [(d, build_graph(by_date[d], day_window(d, offset_minutes)))
+            for d in sorted(by_date)]
 
 
 def remove_nodes(g: InteractionGraph, victims: set[str],
@@ -121,24 +136,12 @@ def remove_nodes(g: InteractionGraph, victims: set[str],
     """
     if not victims:
         return g
-    surviving = [u for u in g.nodes if u not in victims]
-    kept_edges = [e for e in g.edges
-                  if e[0] not in victims and e[1] not in victims]
+    keep = np.fromiter((u not in victims for u in g.nodes), dtype=bool,
+                       count=g.n)
+    sub = g.subgraph(keep)
     if drop_isolated:
-        deg_before: dict[str, int] = {u: 0 for u in surviving}
-        for u, v in g.edges:
-            if u in deg_before:
-                deg_before[u] += 1
-            if v in deg_before:
-                deg_before[v] += 1
-        deg_after = {u: 0 for u in surviving}
-        for u, v in kept_edges:
-            deg_after[u] += 1
-            deg_after[v] += 1
-        surviving = [u for u in surviving
-                     if deg_after[u] > 0 or deg_before[u] == 0]
-    return InteractionGraph(window=g.window, nodes=tuple(surviving),
-                            edges=tuple(kept_edges))
+        sub = sub.subgraph((sub.degrees > 0) | (g.degrees[keep] == 0))
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +167,10 @@ def export_graph(g: InteractionGraph, path: str | Path,
     graph_el = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
     for u in g.nodes:
         node_el = ET.SubElement(graph_el, "node", id=u)
-        stance = _stance_name(stances.get(u)) if stances else "Neutral"
-        category = _category_name(annotations.get(u)) if annotations else "Individual"
+        stance = _label(stances.get(u) if stances else None, "stance",
+                        "Neutral")
+        category = _label(annotations.get(u) if annotations else None,
+                          "category", "Individual")
         for key_id, value in (("d0", u), ("d1", stance), ("d2", category)):
             data = ET.SubElement(node_el, "data", key=key_id)
             data.text = value
@@ -176,15 +181,9 @@ def export_graph(g: InteractionGraph, path: str | Path,
     tree.write(Path(path), encoding="utf-8", xml_declaration=True)
 
 
-def _stance_name(entry) -> str:
+def _label(entry, attr: str, default: str) -> str:
+    """entry.attr's enum value, or entry itself as a string."""
     if entry is None:
-        return "Neutral"
-    stance = getattr(entry, "stance", entry)
-    return getattr(stance, "value", None) or str(stance)
-
-
-def _category_name(entry) -> str:
-    if entry is None:
-        return "Individual"
-    category = getattr(entry, "category", entry)
-    return getattr(category, "value", None) or str(category)
+        return default
+    value = getattr(entry, attr, entry)
+    return getattr(value, "value", None) or str(value)

@@ -16,7 +16,7 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from time import perf_counter
@@ -30,12 +30,16 @@ from .corpus import (Category, FilterReport, Kind, RuleSet, TweetRecord,
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import PolarizationResult, compute_pi
-from .stance import Stance, StanceAssignment, stance_map, write_stance_csv
+from .stance import (Stance, StanceAssignment, classify, stance_map,
+                     write_stance_csv)
 from .structure import decompose_communities, louvain, netshield
 
 log = logging.getLogger(__name__)
 
 ABLATION_CATEGORIES = ("Political", "MediaJournalist", "Influencers")
+# the bundle's column for each category's PI, in ABLATION_CATEGORIES order
+_PI_WITHOUT_COLUMNS = ("pi_without_political", "pi_without_media",
+                       "pi_without_influencers")
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -237,21 +241,21 @@ class AblationResult:
     drop_isolated: bool
 
 
-def category_victims(annotations: Mapping, category: Category) -> set[str]:
-    return {uid for uid, ann in annotations.items() if ann.category is category}
+def ablation_victims(annotations: Mapping,
+                     influencer_set: Iterable[str]) -> dict[str, set[str]]:
+    """The nodes each of ABLATION_CATEGORIES removes."""
+    victims = {"Political": set(), "MediaJournalist": set(),
+               "Influencers": set(influencer_set)}
+    for uid, ann in annotations.items():
+        if ann.category in (Category.POLITICAL, Category.MEDIA_JOURNALIST):
+            victims[ann.category.value].add(uid)  # keys are Category values
+    return victims
 
 
-def _reduced_graphs(g: InteractionGraph, annotations: Mapping,
-                    influencer_set: Iterable[str],
+def _reduced_graphs(g: InteractionGraph, victims: Mapping[str, set[str]],
                     drop_isolated: bool) -> dict[str, InteractionGraph]:
     """g without each connector category, keyed by ABLATION_CATEGORIES."""
-    victims_by_cat = {
-        "Political": category_victims(annotations, Category.POLITICAL),
-        "MediaJournalist": category_victims(annotations,
-                                            Category.MEDIA_JOURNALIST),
-        "Influencers": set(influencer_set),
-    }
-    return {name: remove_nodes(g, victims_by_cat[name], drop_isolated)
+    return {name: remove_nodes(g, victims[name], drop_isolated)
             for name in ABLATION_CATEGORIES}
 
 
@@ -283,10 +287,10 @@ def ablation(g: InteractionGraph,
     pi_full; removing everything raises (the index is undefined on an
     empty graph) with the offending category named.
     """
-    reduced = _reduced_graphs(g, annotations, influencer_set, drop_isolated)
+    victims = ablation_victims(annotations, influencer_set)
+    reduced = _reduced_graphs(g, victims, drop_isolated)
     pi_full, pi_without = _ablation_pis(g, reduced, stances, **pi_kwargs)
-    return AblationResult(date=result_date, pi_full=pi_full,
-                          pi_without=pi_without, drop_isolated=drop_isolated)
+    return AblationResult(result_date, pi_full, pi_without, drop_isolated)
 
 
 @dataclass
@@ -312,23 +316,25 @@ def threshold_sweep(g: InteractionGraph,
                     drop_isolated: bool = True,
                     k: int = 500,
                     **pi_kwargs) -> ThresholdSweepResult:
-    """Re-infer stances and redo every ablation PI at each threshold.
+    """Relabel stances and redo every ablation PI at each threshold.
 
-    The reduced graphs do not depend on the threshold, so they are built
-    once; stance inference and the solves run per threshold.
+    Neither the follow tallies nor the reduced graphs depend on the
+    threshold, so both are built once; each threshold relabels g's users
+    from their tallies with classify, and the solves run per threshold.
     """
     if influencer_set is None:
         influencer_set = netshield(g, min(k, g.n)).selected
-    reduced = _reduced_graphs(g, annotations, influencer_set, drop_isolated)
+    reduced = _reduced_graphs(g, ablation_victims(annotations, influencer_set),
+                              drop_isolated)
+    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
+    users = [tallies[u] for u in g.nodes]
     entries = []
     for t in thresholds:
-        stances = stance_map(follows, annotations, threshold=t,
-                             ensure_users=g.nodes)
+        stances = {a.user_id: replace(a, threshold_used=t, stance=classify(
+            a.n_left, a.n_right, a.n_center, t)) for a in users}
         pi_full, pi_without = _ablation_pis(g, reduced, stances, **pi_kwargs)
-        n_left = sum(1 for u in g.nodes
-                     if stances[u].stance is Stance.LEFT)
-        n_right = sum(1 for u in g.nodes
-                      if stances[u].stance is Stance.RIGHT)
+        labels = Counter(a.stance for a in stances.values())
+        n_left, n_right = labels[Stance.LEFT], labels[Stance.RIGHT]
         entries.append(ThresholdSweepEntry(
             threshold=t, pi_full=pi_full, pi_without=pi_without,
             n_left_users=n_left, n_right_users=n_right))
@@ -580,18 +586,17 @@ class Runner:
         def build():
             variants = ((True, False) if self.config.ablate_both_variants
                         else (self.config.drop_isolated,))
-            daily = self.daily
             stances = self.stances
-            annotations = self.annotations
-            influencers = self.influencer_ranking.selected
             pi_kwargs = self._pi_kwargs()
+            victims = ablation_victims(self.annotations,
+                                       self.influencer_ranking.selected)
             rows = []
-            for d, g in daily:
+            for d, g in self.daily:
                 for drop in variants:
                     try:
-                        rows.append(ablation(
-                            g, stances, annotations, influencers,
-                            drop_isolated=drop, result_date=d, **pi_kwargs))
+                        reduced = _reduced_graphs(g, victims, drop)
+                        pis = _ablation_pis(g, reduced, stances, **pi_kwargs)
+                        rows.append(AblationResult(d, *pis, drop))
                     except Exception as exc:
                         log.warning("ablation gap on %s: %s", d, exc)
                         rows.append((d, str(exc)))
@@ -658,19 +663,23 @@ class Runner:
             fh.write("\n")
         return self.config.out_dir / "filtered.jsonl"
 
-    def write_stats(self) -> Path:
-        with self._open("stats_daily.csv") as fh:
+    def _write_csv(self, name: str, header: Sequence[str],
+                   rows: Iterable[Sequence]) -> Path:
+        with self._open(name) as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["date", "n_posts", "n_original", "n_retweet",
-                        "n_quote", "n_reply", "n_users", "n_hashtags",
-                        "n_urls"])
-            for row in self.stats:
-                w.writerow([row.date.isoformat(), row.n_posts,
-                            row.n_by_kind["original"],
-                            row.n_by_kind["retweet"],
-                            row.n_by_kind["quote"], row.n_by_kind["reply"],
-                            row.n_users, row.n_hashtags, row.n_urls])
-        return self.config.out_dir / "stats_daily.csv"
+            w.writerow(header)
+            w.writerows(rows)
+        return self.config.out_dir / name
+
+    def write_stats(self) -> Path:
+        kinds = ("original", "retweet", "quote", "reply")
+        return self._write_csv(
+            "stats_daily.csv",
+            ["date", "n_posts", *(f"n_{k}" for k in kinds), "n_users",
+             "n_hashtags", "n_urls"],
+            ([row.date.isoformat(), row.n_posts,
+              *(row.n_by_kind[k] for k in kinds), row.n_users,
+              row.n_hashtags, row.n_urls] for row in self.stats))
 
     def write_stance(self) -> Path:
         path = self.config.out_dir / "stance.csv"
@@ -679,79 +688,53 @@ class Runner:
         return path
 
     def write_pi_series(self) -> Path:
-        with self._open("pi_series.csv") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["date", "n", "m", "pi", "method", "iterations",
-                        "residual"])
-            for d, result in self.series:
-                if result is None:
-                    w.writerow([d.isoformat(), "", "", "", "gap", "", ""])
-                else:
-                    w.writerow([d.isoformat(), result.n, result.m,
-                                _fmt(result.pi), result.solver.method.value,
-                                result.solver.iterations,
-                                format(result.solver.residual, ".3e")])
-        return self.config.out_dir / "pi_series.csv"
+        return self._write_csv(
+            "pi_series.csv",
+            ["date", "n", "m", "pi", "method", "iterations", "residual"],
+            ([d.isoformat(), "", "", "", "gap", "", ""] if result is None
+             else [d.isoformat(), result.n, result.m, _fmt(result.pi),
+                   result.solver.method.value, result.solver.iterations,
+                   format(result.solver.residual, ".3e")]
+             for d, result in self.series))
 
     def write_influencers(self) -> Path:
         ranking = self.influencer_ranking
-        with self._open("influencers.csv") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["rank", "user_id", "marginal_score"])
-            for rank, (uid, score) in enumerate(
-                    zip(ranking.selected, ranking.shield_scores), start=1):
-                w.writerow([rank, uid, _fmt(score)])
-        return self.config.out_dir / "influencers.csv"
+        return self._write_csv(
+            "influencers.csv", ["rank", "user_id", "marginal_score"],
+            ([rank, uid, _fmt(score)] for rank, (uid, score) in enumerate(
+                zip(ranking.selected, ranking.shield_scores), start=1)))
 
     def write_ablation(self) -> Path:
-        with self._open("ablation.csv") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["date", "drop_isolated", "pi_full",
-                        "pi_without_political", "pi_without_media",
-                        "pi_without_influencers"])
-            for row in self.ablation_rows:
-                if isinstance(row, tuple):
-                    w.writerow([row[0].isoformat(), "", "", "", "", ""])
-                else:
-                    w.writerow([
-                        row.date.isoformat(),
-                        str(row.drop_isolated).lower(), _fmt(row.pi_full),
-                        _fmt(row.pi_without["Political"]),
-                        _fmt(row.pi_without["MediaJournalist"]),
-                        _fmt(row.pi_without["Influencers"]),
-                    ])
-        return self.config.out_dir / "ablation.csv"
+        return self._write_csv(
+            "ablation.csv",
+            ["date", "drop_isolated", "pi_full", *_PI_WITHOUT_COLUMNS],
+            ([row[0].isoformat(), "", "", "", "", ""]
+             if isinstance(row, tuple)
+             else [row.date.isoformat(), str(row.drop_isolated).lower(),
+                   _fmt(row.pi_full),
+                   *(_fmt(row.pi_without[c]) for c in ABLATION_CATEGORIES)]
+             for row in self.ablation_rows))
 
     def write_sweep(self) -> Path:
-        with self._open("sweep.csv") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["threshold", "pi_full", "pi_without_political",
-                        "pi_without_media", "pi_without_influencers",
-                        "n_left_users", "n_right_users"])
-            entries = self.sweep.entries if self.full_graph.n else []
-            for entry in entries:
-                w.writerow([
-                    format(entry.threshold, "g"), _fmt(entry.pi_full),
-                    _fmt(entry.pi_without["Political"]),
-                    _fmt(entry.pi_without["MediaJournalist"]),
-                    _fmt(entry.pi_without["Influencers"]),
-                    entry.n_left_users, entry.n_right_users,
-                ])
-        return self.config.out_dir / "sweep.csv"
+        entries = self.sweep.entries if self.full_graph.n else []
+        return self._write_csv(
+            "sweep.csv",
+            ["threshold", "pi_full", *_PI_WITHOUT_COLUMNS, "n_left_users",
+             "n_right_users"],
+            ([format(e.threshold, "g"), _fmt(e.pi_full),
+              *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
+              e.n_left_users, e.n_right_users] for e in entries))
 
     def write_communities(self) -> Path:
-        with self._open("communities.csv") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["community_id", "size", "n_left", "n_right",
-                        "n_center", "n_neutral", "lean"])
-            partition = self.communities
-            if partition is not None:
-                ranked = sorted(partition.per_community,
-                                key=lambda p: (-p.size, p.community_id))
-                for p in ranked:
-                    w.writerow([p.community_id, p.size, p.n_left, p.n_right,
-                                p.n_center, p.n_neutral, _fmt(p.lean)])
-        return self.config.out_dir / "communities.csv"
+        partition = self.communities
+        ranked = [] if partition is None else sorted(
+            partition.per_community, key=lambda p: (-p.size, p.community_id))
+        return self._write_csv(
+            "communities.csv",
+            ["community_id", "size", "n_left", "n_right", "n_center",
+             "n_neutral", "lean"],
+            ([p.community_id, p.size, p.n_left, p.n_right, p.n_center,
+              p.n_neutral, _fmt(p.lean)] for p in ranked))
 
     def graphml_name(self) -> str:
         lo, hi = self.rule_set.study_window

@@ -160,7 +160,7 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
     if g.n and np.max(np.abs(s)) > 1.0 + 1e-12:
         raise ValueError("innate opinions must lie in [-1, 1]")
     s = np.asarray(s, dtype=np.float64)
-    indptr, indices = g.csr
+    indptr, indices = g.indptr, g.indices
     if max_iter is None:
         max_iter = default_max_iter(g.n)
 
@@ -199,11 +199,7 @@ def compute_pi(g: InteractionGraph,
     include_isolated=False drops degree-0 nodes (whose z would simply echo
     s) before solving.
     """
-    work = g
-    if not include_isolated:
-        from .graphkit import remove_nodes
-        isolated = {u for u in g.nodes if g.degree_of(u) == 0}
-        work = remove_nodes(g, isolated)
+    work = g if include_isolated else g.subgraph(g.degrees > 0)
     s = opinion_vector(work, stances)
     z, info = fj_equilibrium(work, s, tol=tol, max_iter=max_iter, method=method)
     log.debug("FJ solve: n=%d m=%d method=%s iterations=%d residual=%.3e",

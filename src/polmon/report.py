@@ -121,6 +121,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def render_summary(runner) -> str:
     """Assemble summary.html from an (already computed) pipeline Runner."""
+    from .pipeline import ABLATION_CATEGORIES, window_top
     report = runner.filtered[1]
     stats = runner.stats
     shares = runner.shares
@@ -150,23 +151,18 @@ def render_summary(runner) -> str:
         sections.append("<h2>Polarization</h2>")
         by_date = {d.isoformat(): (r.pi if r else None) for d, r in pi_rows}
         full = [by_date.get(d) for d in dates]
-        ablation_series: dict[str, list[float | None]] = {
-            "Political": [], "MediaJournalist": [], "Influencers": []}
-        ab_by_date = {}
+        without = {}  # date -> pi_without; a later variant's row wins
         for row in runner.ablation_rows:
             if isinstance(row, tuple):
-                ab_by_date[row[0].isoformat()] = None
+                without[row[0].isoformat()] = None
             else:
-                ab_by_date[row.date.isoformat()] = row.pi_without
-        for d in dates:
-            without = ab_by_date.get(d)
-            for name in ablation_series:
-                ablation_series[name].append(
-                    None if without is None else without[name])
-        sections.append(svg_line_chart(
-            [("full", full)] + [(f"without {name}", vals)
-                                for name, vals in ablation_series.items()],
-            dates, title="Daily polarization index"))
+                without[row.date.isoformat()] = row.pi_without
+        series = [("full", full)] + [
+            (f"without {name}", [w[name] if (w := without.get(d)) else None
+                                 for d in dates])
+            for name in ABLATION_CATEGORIES]
+        sections.append(svg_line_chart(series, dates,
+                                       title="Daily polarization index"))
 
     sweep = runner.sweep if runner.full_graph.n else None
     if sweep is not None and sweep.entries:
@@ -175,9 +171,7 @@ def render_summary(runner) -> str:
             ["threshold", "pi full", "w/o Political", "w/o MediaJournalist",
              "w/o Influencers", "Left users", "Right users"],
             [[format(e.threshold, "g"), _fmt(e.pi_full),
-              _fmt(e.pi_without["Political"]),
-              _fmt(e.pi_without["MediaJournalist"]),
-              _fmt(e.pi_without["Influencers"]),
+              *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
               e.n_left_users, e.n_right_users] for e in sweep.entries]))
 
     ranking = runner.influencer_ranking
@@ -204,7 +198,6 @@ def render_summary(runner) -> str:
 
     if stats:
         sections.append("<h2>Top content (full window)</h2>")
-        from .pipeline import window_top
         total = window_top(runner.window_counts, runner.config.top_k)
         for key, label in (("hashtags", "Hashtags"), ("words", "Words"),
                            ("phrases", "Phrases"),

@@ -59,6 +59,8 @@ def _side_of(followed_id: str,
 def classify(n_left: int, n_right: int, n_center: int,
              threshold: float = 0.0) -> Stance:
     """The stance rule on raw tallies (order matters; see module docstring)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
     total = n_left + n_right + n_center
     if total == 0:
         return Stance.NEUTRAL
@@ -74,8 +76,6 @@ def infer_stance(user_id: str,
                  annotations: Mapping[str, AccountAnnotation],
                  threshold: float = 0.0) -> StanceAssignment:
     """Stance for one user from their follow records (or followed ids)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
     tally = {Side.LEFT: 0, Side.RIGHT: 0, Side.CENTER: 0}
     for f in follows:
         followed = f.followed_political_id if isinstance(f, FollowRecord) else f
@@ -114,9 +114,9 @@ _OPINION = {Stance.RIGHT: 1.0, Stance.LEFT: -1.0,
 
 
 def opinion_vector(g, stances: Mapping[str, StanceAssignment]) -> np.ndarray:
-    """Innate opinion s aligned to g.node_index: Right +1, Left -1, else 0."""
+    """Innate opinion s aligned to g.nodes: Right +1, Left -1, else 0."""
     s = np.zeros(g.n)
-    for uid, i in g.node_index.items():
+    for i, uid in enumerate(g.nodes):
         assignment = stances.get(uid)
         if assignment is not None:
             s[i] = _OPINION[assignment.stance]

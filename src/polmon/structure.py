@@ -86,7 +86,7 @@ def leading_eigenpair(g: InteractionGraph, tol: float = 1e-10,
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
-    indptr, indices = g.csr
+    indptr, indices = g.indptr, g.indices
     # A u is one np.add.reduceat over the starts of the non-empty rows:
     # empty rows in between contribute no entries, so each segment is
     # exactly one row.  This summation order fixes u's last bits, which
@@ -124,7 +124,7 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
         lam, u = (0.0, np.zeros(g.n)) if g.n == 0 else leading_eigenpair(g)
         return ShieldRanking([], [], lam, u)
     lam, u = leading_eigenpair(g)
-    indptr, indices = g.csr
+    indptr, indices = g.indptr, g.indices
     b = np.zeros(g.n)
     picked = np.zeros(g.n, bool)
     selected, scores = [], []
@@ -243,7 +243,7 @@ def louvain(g: InteractionGraph, resolution: float = 1.0) -> CommunityPartition:
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
-    indptr0, indices0 = g.csr
+    indptr0, indices0 = g.indptr, g.indices
     weights0 = np.ones(len(indices0), dtype=np.float64)
     self_w = np.zeros(g.n, dtype=np.float64)
     m = g.m

@@ -23,8 +23,7 @@ def graph_of(edges, isolated=(), window=WINDOW) -> InteractionGraph:
     for u, v in edges:
         nodes.update((u, v))
         cleaned.add((u, v) if u < v else (v, u))
-    return InteractionGraph(window=window, nodes=tuple(sorted(nodes)),
-                            edges=tuple(sorted(cleaned)))
+    return InteractionGraph.from_edges(window, sorted(nodes), cleaned)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float,

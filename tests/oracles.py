@@ -14,11 +14,51 @@ import numpy as np
 
 def dense_adjacency(g) -> np.ndarray:
     A = np.zeros((g.n, g.n))
-    idx = g.node_index
+    idx = {u: i for i, u in enumerate(g.nodes)}
     for u, v in g.edges:
         A[idx[u], idx[v]] = 1.0
         A[idx[v], idx[u]] = 1.0
     return A
+
+
+def remove_nodes_reference(g, victims: set[str], drop_isolated: bool = False
+                           ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """(nodes, edges) of g minus victims, from string lists and degree dicts.
+
+    With drop_isolated, nodes whose degree fell to zero because of the
+    removal are dropped too; nodes that were already isolated are kept.
+    """
+    surviving = [u for u in g.nodes if u not in victims]
+    kept_edges = [e for e in g.edges
+                  if e[0] not in victims and e[1] not in victims]
+    if drop_isolated:
+        deg_before: dict[str, int] = {u: 0 for u in surviving}
+        for u, v in g.edges:
+            if u in deg_before:
+                deg_before[u] += 1
+            if v in deg_before:
+                deg_before[v] += 1
+        deg_after = {u: 0 for u in surviving}
+        for u, v in kept_edges:
+            deg_after[u] += 1
+            deg_after[v] += 1
+        surviving = [u for u in surviving
+                     if deg_after[u] > 0 or deg_before[u] == 0]
+    return tuple(surviving), tuple(kept_edges)
+
+
+def csr_reference(nodes, edges) -> tuple[list[int], list[int]]:
+    """(indptr, indices) of the symmetric adjacency, one sorted row per node."""
+    idx = {u: i for i, u in enumerate(nodes)}
+    rows: list[list[int]] = [[] for _ in nodes]
+    for u, v in edges:
+        rows[idx[u]].append(idx[v])
+        rows[idx[v]].append(idx[u])
+    indptr, indices = [0], []
+    for row in rows:
+        indices.extend(sorted(row))
+        indptr.append(len(indices))
+    return indptr, indices
 
 
 def dense_fj(g, s: np.ndarray) -> np.ndarray:

@@ -135,7 +135,7 @@ def test_c4_netshield_small_scale_exactness():
                 continue
             total += 1
             ranking = netshield(g, k)
-            chosen = [g.node_index[x] for x in ranking.selected]
+            chosen = [g.nodes.index(x) for x in ranking.selected]
             attained = shield_value_dense(g, chosen, lam, u)
             _, best = best_shield_subset(g, k, lam, u)
             if best - attained > 1e-9:

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 import unicodedata
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
@@ -414,17 +416,27 @@ def test_filter_idempotent(rules):
     assert report.kept == report.total
 
 
-def test_filter_report_merge_matches_single_pass(rules):
-    tweets = [
-        tweet("t1", text="υποκλοπές", ts="2022-08-05T09:00:00Z"),
-        tweet("t2", text="predator", ts="2022-08-06T09:00:00Z"),
-        tweet("t3", text="x", lang="en", ts="2022-08-06T09:00:00Z"),
-        tweet("t4", text="y", ts="2022-08-06T09:00:00Z"),
-    ]
-    _, whole = filter_corpus(rules, tweets)
-    _, first = filter_corpus(rules, tweets[:2])
-    _, second = filter_corpus(rules, tweets[2:])
-    assert first.merge(second).to_dict() == whole.to_dict()
+@pytest.mark.parametrize("ts, offset", [
+    ("9999-12-31T23:30:00Z", 60),
+    ("0001-01-01T00:30:00Z", -60),
+])
+def test_date_overflow_counts_as_out_of_window(tmp_path, ts, offset):
+    # the local date would fall past date.max / before date.min
+    obj = dict(json.loads(GOOD_LINE), timestamp=ts, tweet_id="edge")
+    path = _write(tmp_path, [GOOD_LINE, json.dumps(obj)])
+    rule_set = rule_set_from_dict({
+        "rules": [{"term": "υποκλοπές", "mode": "keyword"}],
+        "study_window": ["0001-01-01", "9999-12-31"],
+        "date_offset_minutes": offset,
+    })
+    errors = []
+    tweets = list(load_tweets(path, error_log=errors))
+    kept, report = filter_corpus(rule_set, tweets)
+    assert errors == []
+    assert [t.tweet_id for t in kept] == ["t1"]
+    assert (report.total, report.kept, report.dropped_window) == (2, 1, 1)
+    assert report.to_dict()["dropped"] == report.total - report.kept
+    assert not matches(rule_set, tweets[1])
 
 
 # the reference path: each active rule on its own, term and text folded
@@ -627,6 +639,102 @@ def test_load_annotations_duplicate(tmp_path):
         load_annotations(path)
 
 
+def test_load_annotations_unknown_side_names_location(tmp_path):
+    path = tmp_path / "ann.csv"
+    path.write_text("user_id,category,side\np1,Political,Left\n"
+                    "p2,Political,Leftish\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{path}:3: .*'Leftish'"):
+        load_annotations(path)
+
+
+def _located(exc: CorpusFormatError, path) -> bool:
+    return re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)) is not None
+
+
+_CELL = st.one_of(st.text(max_size=12), st.sampled_from(
+    ["", " ", "p1", "u1", "Political", "political", "Bot", "Media", "Left",
+     "right", "Center", "Leftish", "None"]))
+_ROWS = st.lists(st.lists(_CELL, max_size=4), max_size=6)
+
+
+def _write_csv(path, header, rows):
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_ROWS)
+def test_annotation_loader_accepts_or_names_location(tmp_path, rows):
+    path = tmp_path / "ann.csv"
+    _write_csv(path, ["user_id", "category", "side"], rows)
+    try:
+        annotations = load_annotations(path)
+    except CorpusFormatError as exc:
+        assert _located(exc, path), exc
+    else:
+        assert all(isinstance(a, AccountAnnotation)
+                   for a in annotations.values())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_ROWS, check_targets=st.booleans())
+def test_follow_loader_accepts_or_names_location(tmp_path, rows,
+                                                 check_targets):
+    annotations = {"p1": AccountAnnotation("p1", Category.POLITICAL,
+                                           Side.LEFT),
+                   "Bot": AccountAnnotation("Bot", Category.BOT)}
+    path = tmp_path / "follows.csv"
+    _write_csv(path, ["follower_id", "followed_political_id"], rows)
+    try:
+        records = load_follows(path,
+                               annotations if check_targets else None)
+    except CorpusFormatError as exc:
+        assert _located(exc, path), exc
+    else:
+        assert len(set(records)) == len(records)
+
+
+_GOOD_RULES = {
+    "rules": [{"term": "υποκλοπές", "mode": "keyword",
+               "active_from": "2022-05-01"}],
+    "language_whitelist": ["el"],
+    "study_window": ["2022-04-01", "2022-12-31"],
+    "date_offset_minutes": 60,
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=st.one_of(
+    _JSON,
+    st.tuples(st.sampled_from(sorted(_GOOD_RULES) + ["mode", "term",
+                                                     "active_from"]),
+              _JSON).map(lambda kv: _with_value(*kv))))
+def test_rule_set_loader_accepts_or_names_location(tmp_path, obj):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    try:
+        rule_set = corpus.load_rule_set(path)
+    except CorpusFormatError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+    else:
+        assert isinstance(rule_set, RuleSet)
+
+
+def _with_value(key, value) -> dict:
+    """_GOOD_RULES with one top-level or rule-entry key set to value."""
+    obj = json.loads(json.dumps(_GOOD_RULES))
+    if key in obj:
+        obj[key] = value
+    else:
+        obj["rules"][0][key] = value
+    return obj
+
+
 def test_annotation_side_rules():
     with pytest.raises(CorpusFormatError):
         AccountAnnotation("x", Category.POLITICAL, None)
@@ -679,6 +787,53 @@ def test_rule_set_from_dict_round_trip():
     assert rs.rules[0].term == "foo"  # '#' stripped, lowercased
     assert rs.rules[0].active_from == date(2022, 5, 1)
     assert rs.date_offset_minutes == 120
+
+
+@pytest.mark.parametrize("key, value", [
+    ("language_whitelist", "el"),
+    ("language_whitelist", ["el", 1]),
+    ("language_whitelist", []),
+    ("language_whitelist", {"el": True}),
+    ("language_whitelist", None),
+    ("date_offset_minutes", None),
+    ("date_offset_minutes", 90.7),
+    ("date_offset_minutes", 60.0),
+    ("date_offset_minutes", True),
+    ("date_offset_minutes", "60"),
+    ("study_window", ["2022-04-01", 20221231]),
+    ("study_window", ["2022-04-01", None]),
+    ("rules", {"term": "x", "mode": "keyword"}),
+])
+def test_rule_set_rejects_type_confused_value(key, value):
+    with pytest.raises(CorpusFormatError, match=key):
+        rule_set_from_dict(_with_value(key, value))
+
+
+@pytest.mark.parametrize("entry", [
+    {"term": 2022, "mode": "keyword"},
+    {"term": "x", "mode": ["keyword"]},
+    {"term": "x"},
+    "x",
+])
+def test_rule_set_rejects_type_confused_rule(entry):
+    with pytest.raises(CorpusFormatError, match="bad rule entry"):
+        rule_set_from_dict(dict(_GOOD_RULES, rules=[entry]))
+
+
+def test_rule_set_absent_whitelist_and_offset_take_defaults():
+    obj = {k: v for k, v in _GOOD_RULES.items()
+           if k not in ("language_whitelist", "date_offset_minutes")}
+    rs = rule_set_from_dict(obj)
+    assert (rs.language_whitelist, rs.date_offset_minutes) == ({"el"}, 0)
+
+
+def test_load_rule_set_names_path(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(dict(_GOOD_RULES, date_offset_minutes=90.7)),
+                    encoding="utf-8")
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{path}: 'date_offset_minutes'"):
+        corpus.load_rule_set(path)
 
 
 def test_rule_set_rejects_bad_window():

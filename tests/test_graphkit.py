@@ -1,4 +1,4 @@
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from polmon.graphkit import (build_graph, daily_graphs, day_window,
                              export_graph, remove_nodes)
 
 from conftest import WINDOW, graph_of, tweet
+from oracles import csr_reference, remove_nodes_reference
 
 
 def test_bidirectional_interactions_single_edge():
@@ -116,15 +117,71 @@ def test_simple_graph_invariants():
     assert g.m <= g.n * (g.n - 1) // 2
     assert all(u != v for u, v in g.edges)
     assert all(u < v for u, v in g.edges)
-    indptr, indices = g.csr
+    indptr = g.indptr
     assert indptr[-1] == 2 * g.m
     assert (np.diff(indptr) == g.degrees).all()
+
+
+USERS = ["a", "b", "c", "d", "e", "f"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(USERS),
+                          st.lists(st.sampled_from(USERS), max_size=3),
+                          st.integers(-48, 31 * 24 + 48)), max_size=25))
+def test_build_graph_edges_equal_pairs_from_tweets(specs):
+    start, end = WINDOW
+    tweets = [tweet(f"t{i}", author=author, refs=refs,
+                    ts=(start + timedelta(hours=h)).isoformat())
+              for i, (author, refs, h) in enumerate(specs)]
+    inside = [t for t in tweets if start <= t.timestamp < end]
+    nodes = {t.author_id for t in inside}.union(
+        *(t.referenced_user_ids for t in inside))
+    pairs = {tuple(sorted((t.author_id, r)))
+             for t in inside for r in t.referenced_user_ids
+             if r != t.author_id}
+    g = build_graph(tweets, WINDOW)
+    assert g.nodes == tuple(sorted(nodes))
+    assert g.edges == tuple(sorted(pairs))
+    indptr, indices = csr_reference(g.nodes, sorted(pairs))
+    assert g.indptr.tolist() == indptr
+    assert g.indices.tolist() == indices
+
+
+@st.composite
+def graph_and_victims(draw):
+    n = draw(st.integers(0, 12))
+    names = [f"u{i:02d}" for i in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # every name is passed as isolated too, so edgeless names stay as nodes
+    g = graph_of(edges, isolated=names)
+    victims = draw(st.sets(st.sampled_from(names + ["absent", "zz"])))
+    return g, edges, victims
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_victims(), st.booleans())
+def test_remove_nodes_equals_reference(case, drop_isolated):
+    g, edges, victims = case
+    assert g.edges == tuple(sorted(edges))
+    out = remove_nodes(g, victims, drop_isolated=drop_isolated)
+    nodes, kept = remove_nodes_reference(g, victims, drop_isolated)
+    assert out.nodes == nodes
+    assert out.edges == kept
+    indptr, indices = csr_reference(nodes, kept)
+    assert out.indptr.tolist() == indptr
+    assert out.indices.tolist() == indices
+    assert out.indptr.dtype == out.indices.dtype == np.int64
+    assert out.window == g.window
 
 
 def test_node_index_is_sorted_dense():
     g = graph_of([("zeta", "alpha"), ("alpha", "mid")])
     assert g.nodes == ("alpha", "mid", "zeta")
-    assert g.node_index == {"alpha": 0, "mid": 1, "zeta": 2}
+    # row i is nodes[i]; alpha's neighbours are mid and zeta, in that order
+    assert g.indptr.tolist() == [0, 2, 3, 4]
+    assert g.indices.tolist() == [1, 2, 0, 0]
 
 
 def test_remove_hub_keep_isolated():

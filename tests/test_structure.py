@@ -60,7 +60,7 @@ def test_eigenpair_matches_eigsh(seed):
     rng = np.random.default_rng(300 + seed)
     g = random_graph(rng, 300, 0.02)
     lam, u = leading_eigenpair(g)
-    indptr, indices = g.csr
+    indptr, indices = g.indptr, g.indices
     A = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
                       shape=(g.n, g.n))
     vals, vecs = eigsh(A, k=1, which="LA", v0=np.ones(g.n), tol=1e-14)
@@ -116,7 +116,7 @@ def test_netshield_star_picks_hub():
     ranking = netshield(g, 1)
     assert ranking.selected == ["hub"]
     lam, u = leading_eigenpair(g)
-    idx = g.node_index["hub"]
+    idx = g.nodes.index("hub")
     expected, = (best_shield_subset(g, 1, lam, u)[0],)
     assert idx == expected[0]
 
@@ -125,7 +125,7 @@ def test_netshield_triangle_plus_pendant_matches_bruteforce():
     g = graph_of([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
     ranking = netshield(g, 2)
     lam, u = leading_eigenpair(g)
-    chosen = [g.node_index[x] for x in ranking.selected]
+    chosen = [g.nodes.index(x) for x in ranking.selected]
     got = shield_value_dense(g, chosen, lam, u)
     _, best = best_shield_subset(g, 2, lam, u)
     assert got == pytest.approx(best, abs=1e-9)
@@ -139,7 +139,7 @@ def test_netshield_k1_equals_bruteforce(seed):
     g = random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
     ranking = netshield(g, 1)
     lam, u = leading_eigenpair(g)
-    got = shield_value_dense(g, [g.node_index[ranking.selected[0]]], lam, u)
+    got = shield_value_dense(g, [g.nodes.index(ranking.selected[0])], lam, u)
     _, best = best_shield_subset(g, 1, lam, u)
     assert got == pytest.approx(best, abs=1e-9)
 
@@ -155,7 +155,7 @@ def test_netshield_greedy_near_bruteforce_optimum(seed, k):
     g = random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
     ranking = netshield(g, k)
     lam, u = leading_eigenpair(g)
-    chosen = [g.node_index[x] for x in ranking.selected]
+    chosen = [g.nodes.index(x) for x in ranking.selected]
     got = shield_value_dense(g, chosen, lam, u)
     _, best = best_shield_subset(g, k, lam, u)
     assert got <= best + 1e-9
@@ -169,7 +169,7 @@ def test_netshield_marginals_telescope_to_shield_value(seed, k):
     g = random_graph(rng, 10, 0.4)
     ranking = netshield(g, k)
     lam, u = leading_eigenpair(g)
-    chosen = [g.node_index[x] for x in ranking.selected]
+    chosen = [g.nodes.index(x) for x in ranking.selected]
     attained = shield_value_dense(g, chosen, lam, u)
     assert sum(ranking.shield_scores) == pytest.approx(attained, abs=1e-9)
 
