@@ -21,12 +21,14 @@ activation windows) ships as package data; ``default_rule_set()`` loads it.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import logging
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -131,7 +133,7 @@ class RuleSet:
     rules: list[FilterRule]
     language_whitelist: set[str] = field(default_factory=lambda: {"el"})
     study_window: tuple[date, date] = (date(2022, 4, 1), date(2023, 1, 14))
-    date_offset_minutes: int = 0  # shift applied before taking calendar dates
+    date_offset_minutes: int = 0  # shift before taking dates; under a day
 
     def __post_init__(self):
         if not self.rules:
@@ -139,6 +141,9 @@ class RuleSet:
         lo, hi = self.study_window
         if lo > hi:
             raise CorpusFormatError("study_window is not well-ordered")
+        if not -1440 < self.date_offset_minutes < 1440:
+            raise CorpusFormatError("'date_offset_minutes' must lie within a "
+                                    f"day, got {self.date_offset_minutes!r}")
 
     def local_date(self, ts: datetime) -> date | None:
         """Calendar date of ts under the offset; None past date.min/max."""
@@ -146,6 +151,27 @@ class RuleSet:
             return (ts + timedelta(minutes=self.date_offset_minutes)).date()
         except OverflowError:
             return None
+
+    def utc_window(self) -> tuple[datetime, datetime]:
+        """UTC [start, end) of the study window under the date offset."""
+        return utc_bounds(*self.study_window, self.date_offset_minutes)
+
+
+def utc_bounds(lo: date, hi: date,
+               offset_minutes: int) -> tuple[datetime, datetime]:
+    """UTC [start, end) of the instants whose local date is in [lo, hi],
+    clamped at the calendar's ends to agree with RuleSet.local_date."""
+    shift = timedelta(minutes=offset_minutes)
+    try:
+        start = datetime.combine(lo, time.min, tzinfo=timezone.utc) - shift
+    except OverflowError:
+        start = datetime.min.replace(tzinfo=timezone.utc)
+    try:  # the shift is under a day: only hi == date.max overflows
+        end = (datetime.combine(hi, time.min, tzinfo=timezone.utc)
+               + (timedelta(days=1) - shift))
+    except OverflowError:  # just past datetime.max in UTC
+        end = datetime.max.replace(tzinfo=timezone(-timedelta(microseconds=1)))
+    return start, end
 
 
 @dataclass
@@ -179,11 +205,29 @@ def fold_text(s: str) -> str:
 
     Greek tonos/diaeresis are removed via NFD + combining-mark strip; the
     final sigma folds to sigma through casefold.  NFC-recomposed so equal
-    strings compare equal byte-wise.
+    strings compare equal byte-wise.  Below U+0900 each character folds on
+    its own, by table: with the marks stripped, NFC only joins a starter to
+    one at U+09BE or above (Indic vowel signs, Hangul V/T jamo; UAX #15).
     """
+    if _WIDE.search(s) is None:
+        return s.translate(_FOLD_TABLE)
+    return _fold_whole(s)
+
+
+def _fold_whole(s: str) -> str:
     decomposed = unicodedata.normalize("NFD", s)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return unicodedata.normalize("NFC", stripped).casefold()
+
+
+class _FoldTable(dict):
+    def __missing__(self, cp: int) -> str:
+        folded = self[cp] = _fold_whole(chr(cp))
+        return folded
+
+
+_FOLD_TABLE = _FoldTable()  # code point -> its fold, filled on first use
+_WIDE = re.compile("[^\x00-\u08ff]")
 
 
 def normalize_hashtag(tag: str) -> str:
@@ -198,6 +242,7 @@ def normalize_hashtag(tag: str) -> str:
 _REQUIRED_FIELDS = (
     "tweet_id", "author_id", "timestamp", "text", "lang", "kind",
 )
+_KINDS = {k.value: k for k in Kind}
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -214,15 +259,19 @@ def parse_tweet(obj: dict) -> TweetRecord:
     bad enum value, a count that is not a non-negative integer, a
     hashtags/urls/referenced_user_ids value that is not a list of strings,
     a non-original post without a referenced user).  A missing or null
-    count or list means 0 or empty.
+    count or list means 0 or empty.  The record keeps obj's lists.
     """
+    return _parse_tweet(obj, {})
+
+
+def _parse_tweet(obj: dict, tags: dict[str, str]) -> TweetRecord:
+    """parse_tweet, with tags memoising normalize_hashtag across calls."""
     for name in _REQUIRED_FIELDS:
-        if name not in obj or obj[name] is None:
+        if obj.get(name) is None:
             raise CorpusFormatError(f"missing field {name!r}")
-    try:
-        kind = Kind(str(obj["kind"]).lower())
-    except ValueError:
-        raise CorpusFormatError(f"unknown kind {obj['kind']!r}") from None
+    kind = _KINDS.get(str(obj["kind"]).lower())
+    if kind is None:
+        raise CorpusFormatError(f"unknown kind {obj['kind']!r}")
     try:
         ts = _parse_timestamp(str(obj["timestamp"]))
     except (ValueError, OverflowError):
@@ -230,7 +279,7 @@ def parse_tweet(obj: dict) -> TweetRecord:
             f"unparseable timestamp {obj['timestamp']!r}") from None
 
     # exact type() tests: bool is not a count, and a string is not a list
-    lists = {}
+    lists = []
     for name in ("hashtags", "urls", "referenced_user_ids"):
         value = obj.get(name)
         if value is None:
@@ -242,13 +291,13 @@ def parse_tweet(obj: dict) -> TweetRecord:
         except TypeError:
             raise CorpusFormatError(
                 f"{name} is not a list of strings: {value!r}") from None
-        lists[name] = value
-    refs = list(lists["referenced_user_ids"])
+        lists.append(value)
+    hashtags, urls, refs = lists
     if kind is not Kind.ORIGINAL and not refs:
         raise CorpusFormatError(
             f"{kind.value} tweet must reference at least one user")
 
-    counts = {}
+    counts = []
     for name in ("like_count", "retweet_count", "reply_count"):
         value = obj.get(name)
         if value is None:
@@ -256,7 +305,7 @@ def parse_tweet(obj: dict) -> TweetRecord:
         elif type(value) is not int or value < 0:
             raise CorpusFormatError(
                 f"{name} is not a non-negative integer: {value!r}")
-        counts[name] = value
+        counts.append(value)
 
     media = []
     items = obj.get("media")
@@ -264,26 +313,19 @@ def parse_tweet(obj: dict) -> TweetRecord:
         raise CorpusFormatError(f"media is not a list: {items!r}")
     for item in items or ():
         try:
-            media.append(MediaItem(kind=MediaKind(str(item["kind"]).lower()),
-                                   url=str(item["url"])))
+            media.append(MediaItem(MediaKind(str(item["kind"]).lower()),
+                                   str(item["url"])))
         except (KeyError, ValueError, TypeError):
             raise CorpusFormatError(f"bad media item {item!r}") from None
 
     ref_tweet = obj.get("referenced_tweet_id")
     return TweetRecord(
-        tweet_id=str(obj["tweet_id"]),
-        author_id=str(obj["author_id"]),
-        timestamp=ts,
-        text=str(obj["text"]),
-        lang=str(obj["lang"]),
-        kind=kind,
-        hashtags=[normalize_hashtag(h) for h in lists["hashtags"]],
-        urls=list(lists["urls"]),
-        media=media,
-        referenced_user_ids=refs,
-        referenced_tweet_id=None if ref_tweet is None else str(ref_tweet),
-        **counts,
-    )
+        str(obj["tweet_id"]), str(obj["author_id"]), ts, str(obj["text"]),
+        str(obj["lang"]), kind,
+        [tags[h] if h in tags else tags.setdefault(h, normalize_hashtag(h))
+         for h in hashtags],
+        urls, media, refs, None if ref_tweet is None else str(ref_tweet),
+        *counts)
 
 
 def tweet_to_obj(t: TweetRecord) -> dict:
@@ -308,29 +350,41 @@ def tweet_to_obj(t: TweetRecord) -> dict:
     }
 
 
+_decode = json.JSONDecoder().raw_decode
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800 to \uDFFF
+
+
 def load_tweets(path: str | Path, schema_strict: bool = False,
                 error_log: list | None = None) -> Iterator[TweetRecord]:
     """Stream validated TweetRecords from a line-delimited JSON archive.
 
     Malformed lines are skipped with a warning (collected into error_log as
     ``(line_number, message)`` when a list is passed); with schema_strict
-    they raise instead.  An unreadable file always raises.
+    they raise instead.  Bytes that are not UTF-8 and escaped lone
+    surrogates make a line malformed.  An unreadable file always raises.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    tags: dict[str, str] = {}
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                if not line.isascii():  # fails on a byte that was not UTF-8
+                    line.encode("utf-8")
+                obj, end = _decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
                 if not isinstance(obj, dict):
                     raise CorpusFormatError("line is not an object")
-                record = parse_tweet(obj)
+                record = _parse_tweet(obj, tags)
+                if _SURROGATE_ESCAPE.search(line):  # fails on a lone one
+                    json.dumps(tweet_to_obj(record),
+                               ensure_ascii=False).encode("utf-8")
             except (ValueError, TypeError) as exc:
-                # CorpusFormatError and JSONDecodeError are ValueErrors; any
-                # other ValueError or TypeError from a badly typed value
-                # makes the line malformed too
+                # CorpusFormatError, JSONDecodeError, UnicodeError, and any
+                # other ValueError or TypeError from a bad value: malformed
                 if schema_strict:
                     raise CorpusFormatError(
                         f"{path}:{lineno}: {exc}") from exc
@@ -345,41 +399,6 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
 # ---------------------------------------------------------------------------
 # rule matching and corpus filtering
 # ---------------------------------------------------------------------------
-
-
-def matching_rules(rules: Iterable[FilterRule], t: TweetRecord,
-                   tweet_date: date) -> Iterator[FilterRule]:
-    """The rules active on tweet_date that the tweet matches, in order.
-
-    The tweet's text is folded at most once, when the first active keyword
-    rule needs it.
-    """
-    folded = None
-    for rule in rules:
-        if not rule.window_contains(tweet_date):
-            continue
-        if rule.mode is MatchMode.HASHTAG_EXACT:
-            if rule.term in t.hashtags:
-                yield rule
-            continue
-        if folded is None:
-            folded = fold_text(t.text)
-        if rule.folded_term in folded:
-            yield rule
-
-
-def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
-    """True iff the tweet passes language, study window and at least one rule.
-
-    Pure predicate; date windows are inclusive on both bounds.
-    """
-    if t.lang not in rule_set.language_whitelist:
-        return False
-    d = rule_set.local_date(t.timestamp)
-    lo, hi = rule_set.study_window
-    if d is None or d < lo or d > hi:
-        return False
-    return any(matching_rules(rule_set.rules, t, d))
 
 
 @dataclass
@@ -414,19 +433,32 @@ def filter_corpus(rule_set: RuleSet,
     """Order-preserving filter by ``matches`` with per-rule hit accounting."""
     kept: list[TweetRecord] = []
     report = FilterReport()
+    start, end = rule_set.utc_window()
+    active_on: dict[date, list[tuple[FilterRule, str]]] = {}
     for t in tweets:
         report.total += 1
         if t.lang not in rule_set.language_whitelist:
             report.dropped_lang += 1
             continue
-        d = rule_set.local_date(t.timestamp)
-        lo, hi = rule_set.study_window
-        if d is None or d < lo or d > hi:
+        if not start <= t.timestamp < end:
             report.dropped_window += 1
             continue
-        hit = False
-        for rule in matching_rules(rule_set.rules, t, d):
-            report.rule_hits[f"{rule.mode.value}:{rule.term}"] += 1
+        d = rule_set.local_date(t.timestamp)
+        if d not in active_on:
+            active_on[d] = [(rule, f"{rule.mode.value}:{rule.term}")
+                            for rule in rule_set.rules
+                            if rule.window_contains(d)]
+        hit, folded = False, None  # the text is folded at most once
+        for rule, key in active_on[d]:
+            if rule.mode is MatchMode.HASHTAG_EXACT:
+                if rule.term not in t.hashtags:
+                    continue
+            else:
+                if folded is None:
+                    folded = fold_text(t.text)
+                if rule.folded_term not in folded:
+                    continue
+            report.rule_hits[key] += 1
             hit = True
         if hit:
             report.kept += 1
@@ -436,14 +468,22 @@ def filter_corpus(rule_set: RuleSet,
     return kept, report
 
 
+def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
+    """True iff the tweet passes language, study window and at least one rule.
+
+    Pure predicate; date windows are inclusive on both bounds.
+    """
+    return bool(filter_corpus(rule_set, (t,))[0])
+
+
 # ---------------------------------------------------------------------------
 # prevalent users
 # ---------------------------------------------------------------------------
 
 
 def _top_ids(counts: Counter, k: int) -> list[str]:
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [uid for uid, _ in ranked[:k]]
+    ranked = heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [uid for uid, _ in ranked]
 
 
 def prevalent_users(tweets: Sequence[TweetRecord],
@@ -503,27 +543,26 @@ def load_annotations(path: str | Path,
     """
     annotations: dict[str, AccountAnnotation] = {}
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None or "user_id" not in reader.fieldnames:
-            raise CorpusFormatError(f"{path}:1: missing user_id header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            uid = (row.get("user_id") or "").strip()
-            if not uid:
-                raise CorpusFormatError(f"{where}: empty user_id")
-            if uid in annotations:
-                raise CorpusFormatError(f"{where}: duplicate annotation for {uid}")
-            raw_cat = (row.get("category") or "").strip()
-            category = _CATEGORY_ALIASES.get(raw_cat.lower())
-            if category is None:
-                raise CorpusFormatError(f"{where}: unknown category {raw_cat!r}")
-            raw_side = (row.get("side") or "").strip()
-            try:
-                side = Side(raw_side.capitalize()) if raw_side else None
-                annotations[uid] = AccountAnnotation(uid, category, side)
-            except ValueError as exc:  # unknown side, or side rule broken
-                raise CorpusFormatError(f"{where}: {exc}") from None
+    reader = csv.DictReader(_csv_lines(path), delimiter=delimiter)
+    if reader.fieldnames is None or "user_id" not in reader.fieldnames:
+        raise CorpusFormatError(f"{path}:1: missing user_id header")
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        uid = (row.get("user_id") or "").strip()
+        if not uid:
+            raise CorpusFormatError(f"{where}: empty user_id")
+        if uid in annotations:
+            raise CorpusFormatError(f"{where}: duplicate annotation for {uid}")
+        raw_cat = (row.get("category") or "").strip()
+        category = _CATEGORY_ALIASES.get(raw_cat.lower())
+        if category is None:
+            raise CorpusFormatError(f"{where}: unknown category {raw_cat!r}")
+        raw_side = (row.get("side") or "").strip()
+        try:
+            side = Side(raw_side.capitalize()) if raw_side else None
+            annotations[uid] = AccountAnnotation(uid, category, side)
+        except ValueError as exc:  # unknown side, or side rule broken
+            raise CorpusFormatError(f"{where}: {exc}") from None
     return annotations
 
 
@@ -536,32 +575,49 @@ def load_follows(path: str | Path,
     Political.  A bad header or row raises CorpusFormatError at path:line.
     """
     path = Path(path)
+    political = None if annotations is None else {
+        u for u, a in annotations.items() if a.category is Category.POLITICAL}
     seen: set[tuple[str, str]] = set()
     records: list[FollowRecord] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if (reader.fieldnames is None
-                or "follower_id" not in reader.fieldnames
-                or "followed_political_id" not in reader.fieldnames):
-            raise CorpusFormatError(f"{path}:1: bad follow-list header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            pair = ((row.get("follower_id") or "").strip(),
-                    (row.get("followed_political_id") or "").strip())
-            if not pair[0] or not pair[1]:
-                raise CorpusFormatError(f"{where}: incomplete follow row {row}")
-            if pair in seen:
-                log.warning("%s: duplicate follow pair %s", where, pair)
-                continue
-            seen.add(pair)
-            if annotations is not None:
-                ann = annotations.get(pair[1])
-                if ann is None or ann.category is not Category.POLITICAL:
-                    raise CorpusFormatError(
-                        f"{where}: followed id {pair[1]!r} is not an "
-                        "annotated political account")
-            records.append(FollowRecord(*pair))
+    reader = csv.reader(_csv_lines(path), delimiter=delimiter)
+    # a repeated name means its last column, as in csv.DictReader
+    columns = {name: i for i, name in enumerate(next(reader, None) or ())}
+    if "follower_id" not in columns or "followed_political_id" not in columns:
+        raise CorpusFormatError(f"{path}:1: bad follow-list header")
+    a, b = columns["follower_id"], columns["followed_political_id"]
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        pair = ((row[a] if a < len(row) else "").strip(),
+                (row[b] if b < len(row) else "").strip())
+        if not pair[0] or not pair[1]:
+            raise CorpusFormatError(
+                f"{path}:{reader.line_num}: incomplete follow row {row}")
+        if pair in seen:
+            log.warning("%s:%d: duplicate follow pair %s", path,
+                        reader.line_num, pair)
+            continue
+        seen.add(pair)
+        if political is not None and pair[1] not in political:
+            raise CorpusFormatError(
+                f"{path}:{reader.line_num}: followed id {pair[1]!r} is "
+                "not an annotated political account")
+        records.append(FollowRecord(*pair))
     return records
+
+
+def _csv_lines(path: Path) -> Iterator[str]:
+    """path's lines for csv; one with bytes that are not UTF-8 raises."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape",
+                   newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:  # a byte that was not UTF-8 is now a lone surrogate
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: not UTF-8 text") from None
+            yield line
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -22,7 +22,7 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import TweetRecord
+from .corpus import TweetRecord, utc_bounds
 
 Window = tuple[datetime, datetime]
 
@@ -111,9 +111,7 @@ def build_graph(tweets: Iterable[TweetRecord], window: Window) -> InteractionGra
 
 def day_window(d: date, offset_minutes: int = 0) -> Window:
     """UTC window covering local calendar date d under a fixed offset."""
-    shift = timedelta(minutes=offset_minutes)
-    start = datetime.combine(d, time.min, tzinfo=timezone.utc) - shift
-    return start, start + timedelta(days=1)
+    return utc_bounds(d, d, offset_minutes)
 
 
 def daily_graphs(tweets: Sequence[TweetRecord],

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import json
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -71,7 +72,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _top(counter: Counter, k: int) -> list[tuple[str, int]]:
-    return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    return heapq.nsmallest(k, counter.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def _stats_for(group: Sequence[TweetRecord], day: date | None, top_k: int,
@@ -108,14 +109,13 @@ def _stats_for(group: Sequence[TweetRecord], day: date | None, top_k: int,
                   if f not in stopwords]
         words.update(tokens)
         phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-    ranked_tweets = sorted(group, key=lambda t: t.tweet_id)
     top = {
         "liked_tweets": _top(Counter({t.tweet_id: t.like_count
-                                      for t in ranked_tweets}), top_k),
+                                      for t in group}), top_k),
         "retweeted_tweets": _top(Counter({t.tweet_id: t.retweet_count
-                                          for t in ranked_tweets}), top_k),
+                                          for t in group}), top_k),
         "replied_tweets": _top(Counter({t.tweet_id: t.reply_count
-                                        for t in ranked_tweets}), top_k),
+                                        for t in group}), top_k),
         "mentioned_users": _top(mentioned, top_k),
         "active_users": _top(active, top_k),
         "shared_urls": _top(urls, top_k),
@@ -533,12 +533,7 @@ class Runner:
 
     @property
     def window(self) -> tuple[datetime, datetime]:
-        lo, hi = self.rule_set.study_window
-        shift = timedelta(minutes=self.rule_set.date_offset_minutes)
-        start = datetime.combine(lo, time.min, tzinfo=timezone.utc) - shift
-        end = datetime.combine(hi + timedelta(days=1), time.min,
-                               tzinfo=timezone.utc) - shift
-        return start, end
+        return self.rule_set.utc_window()
 
     @property
     def full_graph(self) -> InteractionGraph:

@@ -1,15 +1,26 @@
 """Independent reference implementations used as test oracles.
 
-Everything here works from a graph's node/edge lists with dense numpy (or
+The graph oracles work from a graph's node/edge lists with dense numpy (or
 plain enumeration), deliberately avoiding the package's CSR kernels, sparse
-solves and greedy code paths.
+solves and greedy code paths.  The corpus oracles are the plain archive
+loader, follow-list loader and text fold that the package's ingest path
+must reproduce: ``json.loads`` per line, ``csv.DictReader`` rows, and a
+whole-string NFD -> strip marks -> NFC -> casefold fold of every text.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import unicodedata
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+from polmon.corpus import (Category, CorpusFormatError, FollowRecord, Kind,
+                           MediaItem, MediaKind, TweetRecord,
+                           _parse_timestamp, normalize_hashtag)
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -137,3 +148,132 @@ def best_partition_modularity(g) -> float:
         assignment = {u: c for c, block in enumerate(partition) for u in block}
         best = max(best, modularity_of(g, assignment))
     return best
+
+
+# ---------------------------------------------------------------------------
+# corpus ingest references
+# ---------------------------------------------------------------------------
+
+
+def fold_text_reference(s: str) -> str:
+    """Casefold and strip accents, folding the whole string at once."""
+    decomposed = unicodedata.normalize("NFD", s)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return unicodedata.normalize("NFC", stripped).casefold()
+
+
+def parse_tweet_reference(obj: dict) -> TweetRecord:
+    """A validated TweetRecord, building every field from scratch."""
+    for name in ("tweet_id", "author_id", "timestamp", "text", "lang",
+                 "kind"):
+        if name not in obj or obj[name] is None:
+            raise CorpusFormatError(f"missing field {name!r}")
+    try:
+        kind = Kind(str(obj["kind"]).lower())
+    except ValueError:
+        raise CorpusFormatError(f"unknown kind {obj['kind']!r}") from None
+    try:
+        ts = _parse_timestamp(str(obj["timestamp"]))
+    except (ValueError, OverflowError):
+        raise CorpusFormatError(
+            f"unparseable timestamp {obj['timestamp']!r}") from None
+    lists = {}
+    for name in ("hashtags", "urls", "referenced_user_ids"):
+        value = obj.get(name)
+        if value is None:
+            value = []
+        try:
+            if type(value) is not list:
+                raise TypeError
+            "".join(value)
+        except TypeError:
+            raise CorpusFormatError(
+                f"{name} is not a list of strings: {value!r}") from None
+        lists[name] = value
+    refs = list(lists["referenced_user_ids"])
+    if kind is not Kind.ORIGINAL and not refs:
+        raise CorpusFormatError(
+            f"{kind.value} tweet must reference at least one user")
+    counts = {}
+    for name in ("like_count", "retweet_count", "reply_count"):
+        value = obj.get(name)
+        if value is None:
+            value = 0
+        elif type(value) is not int or value < 0:
+            raise CorpusFormatError(
+                f"{name} is not a non-negative integer: {value!r}")
+        counts[name] = value
+    media = []
+    items = obj.get("media")
+    if items is not None and type(items) is not list:
+        raise CorpusFormatError(f"media is not a list: {items!r}")
+    for item in items or ():
+        try:
+            media.append(MediaItem(kind=MediaKind(str(item["kind"]).lower()),
+                                   url=str(item["url"])))
+        except (KeyError, ValueError, TypeError):
+            raise CorpusFormatError(f"bad media item {item!r}") from None
+    ref_tweet = obj.get("referenced_tweet_id")
+    return TweetRecord(
+        tweet_id=str(obj["tweet_id"]), author_id=str(obj["author_id"]),
+        timestamp=ts, text=str(obj["text"]), lang=str(obj["lang"]),
+        kind=kind, hashtags=[normalize_hashtag(h) for h in lists["hashtags"]],
+        urls=list(lists["urls"]), media=media, referenced_user_ids=refs,
+        referenced_tweet_id=None if ref_tweet is None else str(ref_tweet),
+        **counts)
+
+
+def load_tweets_reference(path, schema_strict: bool = False,
+                          error_log: list | None = None):
+    """Records of a line-delimited archive, by json.loads per line.
+
+    Reads strict UTF-8, so a file that is not UTF-8 raises
+    UnicodeDecodeError here.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise CorpusFormatError("line is not an object")
+                record = parse_tweet_reference(obj)
+            except (ValueError, TypeError) as exc:
+                if schema_strict:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: {exc}") from exc
+                if error_log is not None:
+                    error_log.append((lineno, str(exc)))
+                continue
+            yield record
+
+
+def load_follows_reference(path, annotations=None) -> list[FollowRecord]:
+    """Follow records through csv.DictReader; duplicates collapse."""
+    path = Path(path)
+    seen, records = set(), []
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if (reader.fieldnames is None
+                or "follower_id" not in reader.fieldnames
+                or "followed_political_id" not in reader.fieldnames):
+            raise CorpusFormatError(f"{path}:1: bad follow-list header")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            pair = ((row.get("follower_id") or "").strip(),
+                    (row.get("followed_political_id") or "").strip())
+            if not pair[0] or not pair[1]:
+                raise CorpusFormatError(f"{where}: incomplete follow row")
+            if pair in seen:
+                continue
+            seen.add(pair)
+            if annotations is not None:
+                ann = annotations.get(pair[1])
+                if ann is None or ann.category is not Category.POLITICAL:
+                    raise CorpusFormatError(
+                        f"{where}: followed id {pair[1]!r} is not political")
+            records.append(FollowRecord(*pair))
+    return records

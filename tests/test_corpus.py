@@ -6,7 +6,7 @@ from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polmon import corpus
@@ -169,6 +169,36 @@ def test_type_confused_lines_are_skipped_and_counted(tmp_path):
     assert len(records) == 2
     assert [lineno for lineno, _ in errors] == list(range(2, 2 + len(bad)))
     with pytest.raises(CorpusFormatError, match="tweets.jsonl:2"):
+        list(load_tweets(path, schema_strict=True))
+
+
+def test_undecodable_bytes_are_a_malformed_line(tmp_path):
+    good = GOOD_LINE.encode("utf-8")
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(b"\n".join([
+        good, good.replace("υποκλοπές".encode("utf-8"), b"\xff\xfe"),
+        good.replace(b'"t1"', b'"t3"')]) + b"\n")
+    errors = []
+    records = list(load_tweets(path, error_log=errors))
+    assert [r.tweet_id for r in records] == ["t1", "t3"]
+    assert [lineno for lineno, _ in errors] == [2]
+    with pytest.raises(CorpusFormatError, match="tweets.jsonl:2: "):
+        list(load_tweets(path, schema_strict=True))
+
+
+def test_lone_surrogate_escape_is_malformed_but_a_pair_loads(tmp_path):
+    lone = GOOD_LINE.replace("υποκλοπές", "υποκλοπές \\ud800")
+    pair = GOOD_LINE.replace("υποκλοπές", "υποκλοπές \\ud83d\\ude00") \
+        .replace('"t1"', '"t2"')
+    # the check is on the record: a lone surrogate in an unused key is fine
+    odd_key = '{"x\\udc00": 1, ' + GOOD_LINE[1:].replace('"t1"', '"t3"')
+    path = _write(tmp_path, [lone, pair, odd_key])
+    errors = []
+    records = list(load_tweets(path, error_log=errors))
+    assert [r.tweet_id for r in records] == ["t2", "t3"]
+    assert records[0].text == "υποκλοπές \U0001F600"
+    assert [lineno for lineno, _ in errors] == [1]
+    with pytest.raises(CorpusFormatError, match="tweets.jsonl:1: "):
         list(load_tweets(path, schema_strict=True))
 
 
@@ -439,6 +469,36 @@ def test_date_overflow_counts_as_out_of_window(tmp_path, ts, offset):
     assert not matches(rule_set, tweets[1])
 
 
+# timestamps in the first and last representable days, the ends included
+_EDGE_TIMES = st.one_of(
+    st.sampled_from([datetime.min, datetime.max,
+                     datetime.min + timedelta(minutes=59, seconds=59),
+                     datetime.max - timedelta(minutes=59, seconds=59)]),
+    st.datetimes(max_value=datetime.min + timedelta(days=1)),
+    st.datetimes(min_value=datetime.max - timedelta(days=1)),
+    st.datetimes()).map(lambda ts: ts.replace(tzinfo=timezone.utc))
+_EDGE_DATES = st.sampled_from([date.min, date.min + timedelta(days=1),
+                               date.max - timedelta(days=1), date.max]) \
+    | st.dates()
+
+
+@settings(max_examples=500, deadline=None)
+@example(ts=datetime.max.replace(tzinfo=timezone.utc),
+         ends=[date.max, date.max], offset=-60)
+@example(ts=datetime.min.replace(tzinfo=timezone.utc),
+         ends=[date.min, date.min], offset=60)
+@given(ts=_EDGE_TIMES, ends=st.lists(_EDGE_DATES, min_size=2, max_size=2),
+       offset=st.sampled_from([0, 60, -60, 1439, -1439])
+       | st.integers(-1439, 1439))
+def test_utc_window_agrees_with_local_date(ts, ends, offset):
+    lo, hi = sorted(ends)
+    rule_set = RuleSet(rules=[FilterRule("x", MatchMode.KEYWORD_SUBSTRING)],
+                       study_window=(lo, hi), date_offset_minutes=offset)
+    start, end = rule_set.utc_window()
+    d = rule_set.local_date(ts)
+    assert (start <= ts < end) == (d is not None and lo <= d <= hi)
+
+
 # the reference path: each active rule on its own, term and text folded
 # on every evaluation
 def _filter_reference(rule_set, tweets):
@@ -647,6 +707,18 @@ def test_load_annotations_unknown_side_names_location(tmp_path):
         load_annotations(path)
 
 
+@pytest.mark.parametrize("loader, header", [
+    (load_annotations, b"user_id,category,side\n"),
+    (load_follows, b"follower_id,followed_political_id\n"),
+])
+def test_csv_that_is_not_utf8_names_path_and_line(tmp_path, loader, header):
+    path = tmp_path / "data.csv"
+    path.write_bytes(header + b"u1,Political,Left\n\xff\xfeu2,Bot,\n")
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(path))}:3: "):
+        loader(path)
+
+
 def _located(exc: CorpusFormatError, path) -> bool:
     return re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)) is not None
 
@@ -818,6 +890,23 @@ def test_rule_set_rejects_type_confused_value(key, value):
 def test_rule_set_rejects_type_confused_rule(entry):
     with pytest.raises(CorpusFormatError, match="bad rule entry"):
         rule_set_from_dict(dict(_GOOD_RULES, rules=[entry]))
+
+
+@pytest.mark.parametrize("offset, accepted", [
+    (1440, False), (-1440, False), (10 ** 9, False), (-10 ** 9, False),
+    (1439, True), (-1439, True), (330, True),
+])
+def test_rule_set_offset_lies_within_a_day(offset, accepted):
+    obj = dict(_GOOD_RULES, date_offset_minutes=offset)
+    rules = [FilterRule("x", MatchMode.KEYWORD_SUBSTRING)]
+    if accepted:
+        assert rule_set_from_dict(obj).date_offset_minutes == offset
+        assert RuleSet(rules, date_offset_minutes=offset)
+    else:
+        with pytest.raises(CorpusFormatError, match="'date_offset_minutes'"):
+            rule_set_from_dict(obj)
+        with pytest.raises(CorpusFormatError, match="'date_offset_minutes'"):
+            RuleSet(rules, date_offset_minutes=offset)
 
 
 def test_rule_set_absent_whitelist_and_offset_take_defaults():

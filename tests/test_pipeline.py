@@ -2,13 +2,15 @@ import json
 import logging
 import random
 from collections import Counter
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
 from polmon import pipeline
 from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
-                           Side, load_tweets, tweet_to_obj)
+                           Side, load_tweets, matches, tweet_to_obj)
 from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig,
                              Runner, ablation, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
@@ -514,6 +516,65 @@ def _config(fixture_paths, out_dir) -> RunConfig:
     config = RunConfig.from_file(fixture_paths["config"])
     config.out_dir = out_dir
     return config
+
+
+@pytest.mark.parametrize("offset", [60, -60])
+def test_run_all_over_the_whole_calendar(fixture_paths, tmp_path, offset):
+    rules = json.loads((Path(pipeline.__file__).parent / "data"
+                        / "default_rules.json").read_text(encoding="utf-8"))
+    rules.update(study_window=["0001-01-01", "9999-12-31"],
+                 date_offset_minutes=offset)
+    (tmp_path / "rules.json").write_text(json.dumps(rules), encoding="utf-8")
+    plain = _config(fixture_paths, tmp_path / "plain")
+    # a kept tweet copied into the first and the last UTC hour: one of the
+    # two falls on the calendar's first or last local day, the other off it
+    kept = tweet_to_obj(Runner(plain).filtered[0][0])
+    edges = [json.dumps(dict(kept, tweet_id=f"edge{i}", timestamp=ts))
+             for i, ts in enumerate(["0001-01-01T00:30:00Z",
+                                     "9999-12-31T23:30:00Z"])]
+    (tmp_path / "tweets.jsonl").write_bytes(
+        fixture_paths["tweets"].read_bytes()
+        + "\n".join(edges).encode("utf-8") + b"\n")
+    config = replace(plain, tweets=tmp_path / "tweets.jsonl",
+                     rules=tmp_path / "rules.json", out_dir=tmp_path / "out")
+    bundle = run_all(config)
+    assert "pi_series.csv" in bundle
+    runner = Runner(config)
+    kept = runner.filtered[0]
+    assert kept == [t for t in load_tweets(config.tweets)
+                    if matches(runner.rule_set, t)]
+    assert [t.tweet_id for t in kept if t.tweet_id.startswith("edge")] == (
+        ["edge0"] if offset > 0 else ["edge1"])
+    assert ((runner.daily[0][0] == date.min) if offset > 0
+            else (runner.daily[-1][0] == date.max))
+    assert set(runner.full_graph.nodes) == {
+        u for t in kept for u in (t.author_id, *t.referenced_user_ids)}
+
+
+def test_write_filtered_counts_undecodable_lines_as_malformed(fixture_paths,
+                                                               tmp_path):
+    plain = _config(fixture_paths, tmp_path / "plain")
+    runner = Runner(plain)
+    runner.write_filtered()
+    kept = tweet_to_obj(runner.filtered[0][0])  # both copies would be kept
+    bad_bytes = json.dumps(dict(kept, tweet_id="x1"), ensure_ascii=False) \
+        .encode("utf-8").replace(b'"x1"', b'"x1\xff\xfe"')
+    lone = json.dumps(dict(kept, tweet_id="x2", text=kept["text"] + "\ud800"))
+    assert "\\ud800" in lone
+    (tmp_path / "tweets.jsonl").write_bytes(
+        fixture_paths["tweets"].read_bytes() + bad_bytes + b"\n"
+        + lone.encode("ascii") + b"\n")
+    config = replace(plain, tweets=tmp_path / "tweets.jsonl",
+                     out_dir=tmp_path / "out")
+    Runner(config).write_filtered()
+    for name in ("filtered.jsonl", "filter_report.json"):
+        before = (tmp_path / "plain" / name).read_text(encoding="utf-8")
+        after = (tmp_path / "out" / name).read_text(encoding="utf-8")
+        if name == "filter_report.json":
+            assert json.loads(after)["malformed_lines"] == 2
+            after = after.replace('"malformed_lines": 2',
+                                  '"malformed_lines": 0')
+        assert after == before
 
 
 def test_run_all_emits_full_bundle(fixture_paths, tmp_path):
