@@ -12,7 +12,6 @@ parent's CSR by a boolean keep-mask, so nodes and rows keep their order.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -65,14 +64,20 @@ class InteractionGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    @cached_property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        """Sorted (u, v) pairs with u < v, read off the CSR's upper half."""
+    @property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) node indices of the edges, i < j, from the CSR's upper half."""
         rows = np.repeat(np.arange(self.n), self.degrees)
         upper = rows < self.indices
+        return rows[upper], self.indices[upper]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Sorted (u, v) pairs with u < v."""
         nodes = self.nodes
-        return tuple((nodes[i], nodes[j]) for i, j in
-                     zip(rows[upper].tolist(), self.indices[upper].tolist()))
+        iu, iv = self.edge_index
+        return tuple((nodes[i], nodes[j])
+                     for i, j in zip(iu.tolist(), iv.tolist()))
 
     def subgraph(self, keep: np.ndarray) -> "InteractionGraph":
         """Induced subgraph on the nodes where the boolean mask keep holds."""
@@ -136,10 +141,10 @@ def remove_nodes(g: InteractionGraph, victims: set[str],
         return g
     keep = np.fromiter((u not in victims for u in g.nodes), dtype=bool,
                        count=g.n)
-    sub = g.subgraph(keep)
     if drop_isolated:
-        sub = sub.subgraph((sub.degrees > 0) | (g.degrees[keep] == 0))
-    return sub
+        kept = _indptr(keep[g.indices])  # kept neighbours before each entry
+        keep &= (kept[g.indptr[1:]] > kept[g.indptr[:-1]]) | (g.degrees == 0)
+    return g.subgraph(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,12 @@ def remove_nodes(g: InteractionGraph, victims: set[str],
 # ---------------------------------------------------------------------------
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# ElementTree's escaping: attribute values also escape quotes and the three
+# whitespace characters an XML parser would otherwise normalise
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               '"': "&quot;", "\r": "&#13;", "\n": "&#10;",
+                               "\t": "&#09;"})
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def export_graph(g: InteractionGraph, path: str | Path,
@@ -156,27 +167,44 @@ def export_graph(g: InteractionGraph, path: str | Path,
 
     stance values come from a stance map (objects with a .stance attribute
     or plain strings); categories from account annotations.  Missing entries
-    default to Neutral / Individual.
+    default to Neutral / Individual.  The file is streamed line by line in
+    the layout ElementTree writes after ET.indent: two-space indentation,
+    " />" empty tags, no newline after the root.
     """
-    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
-    for key_id, name in (("d0", "user_id"), ("d1", "stance"), ("d2", "category")):
-        ET.SubElement(root, "key", id=key_id, **{
-            "for": "node", "attr.name": name, "attr.type": "string"})
-    graph_el = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
-    for u in g.nodes:
-        node_el = ET.SubElement(graph_el, "node", id=u)
-        stance = _label(stances.get(u) if stances else None, "stance",
-                        "Neutral")
-        category = _label(annotations.get(u) if annotations else None,
-                          "category", "Individual")
-        for key_id, value in (("d0", u), ("d1", stance), ("d2", category)):
-            data = ET.SubElement(node_el, "data", key=key_id)
-            data.text = value
-    for u, v in g.edges:
-        ET.SubElement(graph_el, "edge", source=u, target=v)
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(Path(path), encoding="utf-8", xml_declaration=True)
+    ids = [u.translate(_ATTR_ESCAPES) for u in g.nodes]
+    # ElementTree.write opens the file the same way: platform newlines, and
+    # character references for anything UTF-8 cannot encode
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("<?xml version='1.0' encoding='utf-8'?>\n"
+                 f'<graphml xmlns="{_GRAPHML_NS}">\n')
+        for key_id, name in (("d0", "user_id"), ("d1", "stance"),
+                             ("d2", "category")):
+            fh.write(f'  <key id="{key_id}" for="node" attr.name="{name}" '
+                     'attr.type="string" />\n')
+        graph_tag = '  <graph id="G" edgedefault="undirected"'
+        if not g.n:
+            fh.write(graph_tag + " />\n</graphml>")
+            return
+        fh.write(graph_tag + ">\n")
+        for u, uid in zip(g.nodes, ids):
+            stance = _label(stances.get(u) if stances else None, "stance",
+                            "Neutral")
+            category = _label(annotations.get(u) if annotations else None,
+                              "category", "Individual")
+            fh.write(f'    <node id="{uid}">\n'
+                     + _data_line("d0", u) + _data_line("d1", stance)
+                     + _data_line("d2", category) + "    </node>\n")
+        iu, iv = g.edge_index
+        fh.writelines(f'    <edge source="{ids[i]}" target="{ids[j]}" />\n'
+                      for i, j in zip(iu.tolist(), iv.tolist()))
+        fh.write("  </graph>\n</graphml>")
+
+
+def _data_line(key_id: str, text: str) -> str:
+    if not text:
+        return f'      <data key="{key_id}" />\n'
+    return (f'      <data key="{key_id}">{text.translate(_TEXT_ESCAPES)}'
+            '</data>\n')
 
 
 def _label(entry, attr: str, default: str) -> str:

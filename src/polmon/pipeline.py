@@ -259,19 +259,17 @@ def _reduced_graphs(g: InteractionGraph, victims: Mapping[str, set[str]],
             for name in ABLATION_CATEGORIES}
 
 
-def _ablation_pis(g: InteractionGraph,
-                  reduced: Mapping[str, InteractionGraph],
-                  stances: Mapping[str, StanceAssignment],
-                  **pi_kwargs) -> tuple[float, dict[str, float]]:
-    """(pi of g, pi of each reduced graph), naming an emptied category."""
-    pi_full = compute_pi(g, stances, **pi_kwargs).pi
+def _pis_without(reduced: Mapping[str, InteractionGraph],
+                 stances: Mapping[str, StanceAssignment],
+                 **pi_kwargs) -> dict[str, float]:
+    """pi of each reduced graph, naming an emptied category."""
     pi_without = {}
     for name, graph in reduced.items():
         try:
             pi_without[name] = compute_pi(graph, stances, **pi_kwargs).pi
         except ValueError as exc:
             raise ValueError(f"removing {name} nodes: {exc}") from exc
-    return pi_full, pi_without
+    return pi_without
 
 
 def ablation(g: InteractionGraph,
@@ -289,8 +287,10 @@ def ablation(g: InteractionGraph,
     """
     victims = ablation_victims(annotations, influencer_set)
     reduced = _reduced_graphs(g, victims, drop_isolated)
-    pi_full, pi_without = _ablation_pis(g, reduced, stances, **pi_kwargs)
-    return AblationResult(result_date, pi_full, pi_without, drop_isolated)
+    pi_full = compute_pi(g, stances, **pi_kwargs).pi
+    return AblationResult(result_date, pi_full,
+                          _pis_without(reduced, stances, **pi_kwargs),
+                          drop_isolated)
 
 
 @dataclass
@@ -332,7 +332,8 @@ def threshold_sweep(g: InteractionGraph,
     for t in thresholds:
         stances = {a.user_id: replace(a, threshold_used=t, stance=classify(
             a.n_left, a.n_right, a.n_center, t)) for a in users}
-        pi_full, pi_without = _ablation_pis(g, reduced, stances, **pi_kwargs)
+        pi_full = compute_pi(g, stances, **pi_kwargs).pi
+        pi_without = _pis_without(reduced, stances, **pi_kwargs)
         labels = Counter(a.stance for a in stances.values())
         n_left, n_right = labels[Stance.LEFT], labels[Stance.RIGHT]
         entries.append(ThresholdSweepEntry(
@@ -585,13 +586,19 @@ class Runner:
             pi_kwargs = self._pi_kwargs()
             victims = ablation_victims(self.annotations,
                                        self.influencer_ranking.selected)
+            # the series stage already solved each day's full graph with
+            # these arguments; only its gap days are solved again, to
+            # reproduce their error
+            series = dict(self.series)
             rows = []
             for d, g in self.daily:
                 for drop in variants:
                     try:
                         reduced = _reduced_graphs(g, victims, drop)
-                        pis = _ablation_pis(g, reduced, stances, **pi_kwargs)
-                        rows.append(AblationResult(d, *pis, drop))
+                        full = series[d] or compute_pi(g, stances, **pi_kwargs)
+                        rows.append(AblationResult(
+                            d, full.pi,
+                            _pis_without(reduced, stances, **pi_kwargs), drop))
                     except Exception as exc:
                         log.warning("ablation gap on %s: %s", d, exc)
                         rows.append((d, str(exc)))

@@ -10,15 +10,21 @@ O(n k^2 + m) class.
 
 Louvain is the standard two-phase modularity heuristic: local moves to the
 best positive-gain neighbouring community, then graph aggregation, repeated
-until no move gains more than 1e-12.  All randomization is removed: nodes
-are visited in ascending dense-index order, so a given graph always yields
-the same partition.  The local-move sweep is plain Python over lists,
-which is where the interpreter indexes fastest.  Modularity is
+until no move gains more than 1e-12.  The local moves run from a FIFO
+queue: first every node in ascending dense-index order, then only the
+neighbours of nodes that moved (Leiden's fast local move).  All
+randomization is removed, so a given graph always yields the same
+partition.  The local-move loop is plain Python over lists, which is where
+the interpreter indexes fastest.  Each level is logged at DEBUG with its
+size, visits, moves and Q.  Modularity is
 Q = sum_c [e_c/m - (d_c/(2m))^2].
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -28,6 +34,8 @@ import scipy.sparse as sp
 from .graphkit import InteractionGraph
 from .polarization import ConvergenceError
 from .stance import Stance, StanceAssignment
+
+log = logging.getLogger(__name__)
 
 _MIN_GAIN = 1e-12
 
@@ -146,10 +154,16 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
 
 
 def _louvain_level(indptr, indices, weights, k_arr, m, resolution):
-    """Sweep local moves to fixpoint on one level; returns (comm, moved).
+    """Queue-driven local moves on one level; returns (comm, visits, moves).
 
-    Each sweep visits nodes in ascending order.  Gains are kept scaled by
-    m: for node i and community c,
+    Every node is queued once in ascending order; a node that moves to
+    community c queues each neighbour (in ascending order) that is not
+    already queued and lies outside c, and the level ends when the queue is
+    empty.  This is Leiden's fast local move (Traag, Waltman & van Eck
+    2019): a node is re-examined only after its neighbourhood changed, so
+    nodes that would flip back and forth between equal-looking communities
+    are not swept again and again.  Gains are kept scaled by m: for node i
+    and community c,
         g(c) = w(i->c) - resolution * tot(c) * k_i / (2m)
     and i moves only when the best candidate beats staying put by more
     than _MIN_GAIN * m.  Candidates are scanned in first-touch order (the
@@ -157,44 +171,50 @@ def _louvain_level(indptr, indices, weights, k_arr, m, resolution):
     deterministic; ties keep the earlier candidate.  The CSR carries no
     diagonal: a node's self-loop weight cancels out of every gain
     difference.  The level's arrays become Python lists once, since the
-    sweep indexes them one element at a time.
+    loop indexes them one element at a time.
     """
     ptr, nbr, w = indptr.tolist(), indices.tolist(), weights.tolist()
     rows = [list(zip(nbr[a:b], w[a:b])) for a, b in zip(ptr, ptr[1:])]
     k = k_arr.tolist()
-    comm = list(range(len(rows)))
+    n = len(rows)
+    comm = list(range(n))
     tot = list(k)
     two_m = 2.0 * m
     threshold = _MIN_GAIN * m
-    moved_any = False
-    while True:
-        moves = 0
-        for i, row in enumerate(rows):
-            c_old = comm[i]
-            ki = k[i]
-            tot[c_old] -= ki
-            cw: dict[int, float] = {}
-            for j, wj in row:
-                c = comm[j]
-                cw[c] = cw.get(c, 0.0) + wj
-            scale = ki / two_m
-            best_c = c_old
-            best_g = cw.get(c_old, 0.0) - resolution * tot[c_old] * scale
-            for c, wc in cw.items():
-                if c == c_old:
-                    continue
-                gain = wc - resolution * tot[c] * scale
-                if gain > best_g + threshold:
-                    best_g = gain
-                    best_c = c
-            comm[i] = best_c
-            tot[best_c] += ki
-            if best_c != c_old:
-                moves += 1
-        if moves == 0:
-            break
-        moved_any = True
-    return np.array(comm, dtype=np.int64), moved_any
+    queue = deque(range(n))
+    queued = [True] * n
+    visits = moves = 0
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        visits += 1
+        row = rows[i]
+        c_old = comm[i]
+        ki = k[i]
+        tot[c_old] -= ki
+        cw: dict[int, float] = {}
+        for j, wj in row:
+            c = comm[j]
+            cw[c] = cw.get(c, 0.0) + wj
+        scale = ki / two_m
+        best_c = c_old
+        best_g = cw.get(c_old, 0.0) - resolution * tot[c_old] * scale
+        for c, wc in cw.items():
+            if c == c_old:
+                continue
+            gain = wc - resolution * tot[c] * scale
+            if gain > best_g + threshold:
+                best_g = gain
+                best_c = c
+        comm[i] = best_c
+        tot[best_c] += ki
+        if best_c != c_old:
+            moves += 1
+            for j, _ in row:
+                if not queued[j] and comm[j] != best_c:
+                    queued[j] = True
+                    queue.append(j)
+    return np.array(comm, dtype=np.int64), visits, moves
 
 
 def _aggregate(indptr, indices, weights, self_w, comm):
@@ -252,13 +272,19 @@ def louvain(g: InteractionGraph, resolution: float = 1.0) -> CommunityPartition:
     if m > 0:
         indptr, indices, weights = indptr0, indices0, weights0
         level_self = self_w
-        while True:
+        for level in itertools.count(1):
             k_arr = np.bincount(
                 np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
                 weights=weights, minlength=len(indptr) - 1) + 2.0 * level_self
-            comm, moved = _louvain_level(indptr, indices, weights, k_arr,
-                                         float(m), resolution)
-            if not moved:
+            comm, visits, moves = _louvain_level(indptr, indices, weights,
+                                                 k_arr, float(m), resolution)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug(
+                    "louvain level %d: n=%d m=%d visits=%d moves=%d Q=%.6f",
+                    level, len(indptr) - 1, len(indices) // 2, visits, moves,
+                    _assignment_modularity(indptr, indices, weights,
+                                           level_self, comm, resolution))
+            if not moves:
                 break
             # dense[i] is the aggregated node id of level node i, so the
             # original-node map composes through it; every level with a move

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import unicodedata
+import xml.etree.ElementTree as ET
 from itertools import combinations
 from pathlib import Path
 
@@ -56,6 +57,41 @@ def remove_nodes_reference(g, victims: set[str], drop_isolated: bool = False
         surviving = [u for u in surviving
                      if deg_after[u] > 0 or deg_before[u] == 0]
     return tuple(surviving), tuple(kept_edges)
+
+
+def export_graph_reference(g, path, stances=None, annotations=None) -> None:
+    """GraphML through a whole ElementTree, ET.indent and ElementTree.write.
+
+    The writer ``graphkit.export_graph`` streams; it must produce these
+    bytes.  Labels follow the same rule: an entry's .stance / .category
+    enum value, or the entry itself as a string; missing entries are
+    Neutral / Individual.
+    """
+    def label(entry, attr, default):
+        if entry is None:
+            return default
+        value = getattr(entry, attr, entry)
+        return getattr(value, "value", None) or str(value)
+
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    for key_id, name in (("d0", "user_id"), ("d1", "stance"),
+                         ("d2", "category")):
+        ET.SubElement(root, "key", id=key_id, **{
+            "for": "node", "attr.name": name, "attr.type": "string"})
+    graph_el = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
+    for u in g.nodes:
+        node_el = ET.SubElement(graph_el, "node", id=u)
+        stance = label(stances.get(u) if stances else None, "stance",
+                       "Neutral")
+        category = label(annotations.get(u) if annotations else None,
+                         "category", "Individual")
+        for key_id, value in (("d0", u), ("d1", stance), ("d2", category)):
+            ET.SubElement(node_el, "data", key=key_id).text = value
+    for u, v in g.edges:
+        ET.SubElement(graph_el, "edge", source=u, target=v)
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(Path(path), encoding="utf-8", xml_declaration=True)
 
 
 def csr_reference(nodes, edges) -> tuple[list[int], list[int]]:
@@ -127,6 +163,47 @@ def modularity_of(g, assignment: dict[str, int], resolution: float = 1.0) -> flo
         d_c = sum(degrees[u] for u in members)
         q += e_c / m - resolution * (d_c / (2.0 * m)) ** 2
     return q
+
+
+def sweep_louvain_level(indptr, indices, weights, k_arr, m, resolution):
+    """Louvain local moves swept to a fixpoint: the schedule before the queue.
+
+    Same gains, first-touch candidate order, strict ``> best + 1e-12 * m``
+    rule and return value (comm, visits, moves) as
+    ``structure._louvain_level``, but every sweep visits all nodes in
+    ascending order until one sweep moves none.  Substituted for
+    ``_louvain_level``, it makes ``louvain`` the reference partition.
+    """
+    ptr, nbr, w = indptr.tolist(), indices.tolist(), weights.tolist()
+    rows = [list(zip(nbr[a:b], w[a:b])) for a, b in zip(ptr, ptr[1:])]
+    k = k_arr.tolist()
+    comm = list(range(len(rows)))
+    tot = list(k)
+    threshold = 1e-12 * m
+    visits = moves = 0
+    while True:
+        sweep_moves = 0
+        for i, row in enumerate(rows):
+            c_old = comm[i]
+            tot[c_old] -= k[i]
+            cw: dict[int, float] = {}
+            for j, wj in row:
+                cw[comm[j]] = cw.get(comm[j], 0.0) + wj
+            scale = k[i] / (2.0 * m)
+            best_c = c_old
+            best_g = cw.get(c_old, 0.0) - resolution * tot[c_old] * scale
+            for c, wc in cw.items():
+                if c != c_old:
+                    gain = wc - resolution * tot[c] * scale
+                    if gain > best_g + threshold:
+                        best_c, best_g = c, gain
+            comm[i] = best_c
+            tot[best_c] += k[i]
+            sweep_moves += best_c != c_old
+        visits += len(rows)
+        moves += sweep_moves
+        if sweep_moves == 0:
+            return np.array(comm, dtype=np.int64), visits, moves
 
 
 def iter_partitions(items: list):

@@ -2,15 +2,17 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polmon.corpus import Kind
+from polmon.corpus import AccountAnnotation, Category, Kind
 from polmon.graphkit import (build_graph, daily_graphs, day_window,
                              export_graph, remove_nodes)
+from polmon.stance import Stance, StanceAssignment
 
 from conftest import WINDOW, graph_of, tweet
-from oracles import csr_reference, remove_nodes_reference
+from oracles import (csr_reference, export_graph_reference,
+                     remove_nodes_reference)
 
 
 def test_bidirectional_interactions_single_edge():
@@ -261,3 +263,41 @@ def test_graphml_edge_count(tmp_path):
     path = tmp_path / "two.graphml"
     export_graph(g, path)
     assert path.read_text(encoding="utf-8").count("<edge ") == 1
+
+
+# ids mixing every character either escape rule touches, the apostrophe
+# neither touches, non-ASCII, and a lone surrogate UTF-8 cannot encode
+_XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\t\r\ud800 aZ"),
+                              st.characters()), max_size=6)
+_STANCE = st.one_of(
+    _XML_TEXT, st.sampled_from(Stance),
+    st.builds(StanceAssignment, st.just("u"), st.sampled_from(Stance),
+              st.just(0), st.just(0), st.just(0), st.just(0.0)))
+_CATEGORY = st.one_of(
+    _XML_TEXT, st.sampled_from(Category),
+    st.sampled_from(Category).filter(lambda c: c is not Category.POLITICAL)
+    .map(lambda c: AccountAnnotation("u", c)))
+
+
+@st.composite
+def labelled_graphs(draw):
+    ids = draw(st.lists(_XML_TEXT, unique=True, max_size=8))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    stances = draw(st.dictionaries(st.sampled_from(ids), _STANCE)) if ids else {}
+    categories = (draw(st.dictionaries(st.sampled_from(ids), _CATEGORY))
+                  if ids else {})
+    return graph_of(edges, isolated=ids), stances, categories
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graphs(), st.booleans())
+@example((graph_of([]), {}, {}), False)  # a self-closed empty <graph />
+def test_graphml_bytes_match_elementtree(tmp_path_factory, case, with_maps):
+    g, stances, categories = case
+    maps = (stances, categories) if with_maps else (None, None)
+    out = tmp_path_factory.mktemp("graphml")
+    export_graph(g, out / "stream.graphml", *maps)
+    export_graph_reference(g, out / "tree.graphml", *maps)
+    assert ((out / "stream.graphml").read_bytes()
+            == (out / "tree.graphml").read_bytes())

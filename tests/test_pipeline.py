@@ -640,6 +640,38 @@ def test_run_all_both_isolated_variants(fixture_paths, tmp_path):
     assert dates[0::2] == dates[1::2]
 
 
+def test_ablation_reuses_series_solves(fixture_paths, tmp_path, monkeypatch):
+    config = _config(fixture_paths, tmp_path / "out")
+    config.ablate_both_variants = True
+    runner = Runner(config)
+    series = dict(runner.series)
+    assert all(series.values())
+    runner.influencer_ranking
+    # a series gap day is solved again by the ablation stage itself
+    gap_day = runner.daily[0][0]
+    series_with_gap = [(d, None if d == gap_day else r)
+                       for d, r in runner.series]
+    monkeypatch.setitem(runner._cache, "polarize", series_with_gap)
+    solved = []
+    real_compute_pi = pipeline.compute_pi
+    monkeypatch.setattr(pipeline, "compute_pi", lambda g, *args, **kwargs: (
+        solved.append(g) or real_compute_pi(g, *args, **kwargs)))
+    rows = runner.ablation_rows
+    full_graphs = [g for _, g in runner.daily]
+    assert sum(g is full_graphs[0] for g in solved) == 2  # both variants
+    assert not any(g is h for g in solved for h in full_graphs[1:])
+    assert len(solved) == 2 + 2 * len(ABLATION_CATEGORIES) * len(full_graphs)
+    monkeypatch.setattr(pipeline, "compute_pi", real_compute_pi)
+    expected = [ablation(g, runner.stances, runner.annotations,
+                         runner.influencer_ranking.selected,
+                         drop_isolated=drop, result_date=d,
+                         **runner._pi_kwargs())
+                for d, g in runner.daily for drop in (True, False)]
+    assert rows == expected
+    assert [row.pi_full for row in rows[::2]] == [series[d].pi
+                                                 for d, _ in runner.daily]
+
+
 def test_runner_stage_error_tags_stage(tmp_path):
     config = RunConfig(tweets=tmp_path / "missing.jsonl",
                        annotations=tmp_path / "missing.csv",
