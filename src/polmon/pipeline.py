@@ -309,7 +309,7 @@ class ThresholdSweepResult:
 
 
 def threshold_sweep(g: InteractionGraph,
-                    follows,
+                    stances: Mapping[str, StanceAssignment],
                     annotations: Mapping,
                     thresholds: Sequence[float] = (0.0, 0.5, 0.7),
                     influencer_set: Iterable[str] | None = None,
@@ -318,23 +318,24 @@ def threshold_sweep(g: InteractionGraph,
                     **pi_kwargs) -> ThresholdSweepResult:
     """Relabel stances and redo every ablation PI at each threshold.
 
-    Neither the follow tallies nor the reduced graphs depend on the
-    threshold, so both are built once; each threshold relabels g's users
-    from their tallies with classify, and the solves run per threshold.
+    stances carries the follow tallies of g's users (a stance_map at any
+    threshold); a user missing from it counts as Neutral.  Neither the
+    tallies nor the reduced graphs depend on the threshold, so each
+    threshold relabels g's users from their tallies with classify, and
+    the solves run per threshold.
     """
     if influencer_set is None:
         influencer_set = netshield(g, min(k, g.n)).selected
     reduced = _reduced_graphs(g, ablation_victims(annotations, influencer_set),
                               drop_isolated)
-    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
-    users = [tallies[u] for u in g.nodes]
+    users = [stances[u] for u in g.nodes if u in stances]
     entries = []
     for t in thresholds:
-        stances = {a.user_id: replace(a, threshold_used=t, stance=classify(
+        relabelled = {a.user_id: replace(a, threshold_used=t, stance=classify(
             a.n_left, a.n_right, a.n_center, t)) for a in users}
-        pi_full = compute_pi(g, stances, **pi_kwargs).pi
-        pi_without = _pis_without(reduced, stances, **pi_kwargs)
-        labels = Counter(a.stance for a in stances.values())
+        pi_full = compute_pi(g, relabelled, **pi_kwargs).pi
+        pi_without = _pis_without(reduced, relabelled, **pi_kwargs)
+        labels = Counter(a.stance for a in relabelled.values())
         n_left, n_right = labels[Stance.LEFT], labels[Stance.RIGHT]
         entries.append(ThresholdSweepEntry(
             threshold=t, pi_full=pi_full, pi_without=pi_without,
@@ -608,7 +609,7 @@ class Runner:
     @property
     def sweep(self) -> ThresholdSweepResult:
         return self._get("sweep", lambda: threshold_sweep(
-            self.full_graph, self.follows, self.annotations,
+            self.full_graph, self.stances, self.annotations,
             thresholds=self.config.sweep_thresholds,
             influencer_set=self.influencer_ranking.selected,
             drop_isolated=self.config.drop_isolated,

@@ -15,7 +15,8 @@ gradients on the SPD system and is the one every pipeline run uses.
 DirectSolve factorizes the system and serves as the small-graph
 reference; FixedPoint runs the Jacobi iteration above and is the
 independent verification oracle.  These two are reached only through
-the ``method`` argument.
+the ``method`` argument.  CG and FixedPoint need numpy alone; only
+DirectSolve imports scipy, when it is called, so a run never loads it.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .graphkit import InteractionGraph
 from .stance import opinion_vector
@@ -70,15 +69,28 @@ def default_max_iter(n: int) -> int:
     return 10 * n + 1000
 
 
-def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+def _adjacency(indptr: np.ndarray, indices: np.ndarray
+               ) -> Callable[[np.ndarray], np.ndarray]:
+    """The product x -> A x with the 0/1 adjacency matrix of the CSR.
+
+    bincount starts each row at 0.0 and adds the row's entries in CSR
+    order, as scipy's CSR matvec does, so the product is bit-identical to
+    ``csr_matrix @ x``; the solvers' last bits depend on that order.
+    (bincount returns integers when there are no entries at all.)
+    """
     n = len(indptr) - 1
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                         shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    return lambda x: np.bincount(rows, weights=x.take(indices),
+                                 minlength=n).astype(np.float64, copy=False)
 
 
-def _system(indptr: np.ndarray, indices: np.ndarray) -> sp.csc_matrix:
-    diag = 1.0 + np.diff(indptr)
-    return (sp.diags(diag) - _adjacency(indptr, indices)).tocsc()
+def _system(indptr: np.ndarray, indices: np.ndarray):
+    """I + L as a scipy CSC matrix, for DirectSolve's factorization."""
+    import scipy.sparse as sp
+    n = len(indptr) - 1
+    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                        shape=(n, n))
+    return (sp.diags(1.0 + np.diff(indptr)) - adj).tocsc()
 
 
 def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
@@ -102,7 +114,7 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
         p = y
         ry = r @ y
         while iters < max_iter:
-            ap = diag * p - adj @ p
+            ap = diag * p - adj(p)
             alpha = ry / (p @ ap)
             z += alpha * p
             r -= alpha * ap
@@ -112,7 +124,7 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
             y = r / diag
             ry, ry_old = r @ y, ry
             p = y + (ry / ry_old) * p
-        r = s - (diag * z - adj @ z)
+        r = s - (diag * z - adj(z))
         residual = float(np.max(np.abs(r)))
     return z, iters, residual, residual <= tol
 
@@ -130,7 +142,7 @@ def _fixed_point(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray,
     adj = _adjacency(indptr, indices)
     z = s.copy()
     for it in range(max_iter + 1):
-        az = adj @ z
+        az = adj(z)
         residual = float(np.max(np.abs(diag * z - az - s))) if len(s) else 0.0
         if residual <= tol:
             return z, it, residual, True
@@ -167,8 +179,9 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
     if method is SolverMethod.DIRECT:
         if g.n == 0:
             return np.zeros(0), SolverInfo(SolverMethod.DIRECT, 0, 0.0)
+        from scipy.sparse.linalg import spsolve
         system = _system(indptr, indices)
-        z = np.atleast_1d(spla.spsolve(system, s))
+        z = np.atleast_1d(spsolve(system, s))
         residual = float(np.max(np.abs(system @ z - s)))
         return z, SolverInfo(SolverMethod.DIRECT, 1, residual)
 

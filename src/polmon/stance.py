@@ -15,7 +15,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,21 +71,47 @@ def classify(n_left: int, n_right: int, n_center: int,
     return Stance.CENTER
 
 
+_SLOT = {Side.LEFT: 0, Side.RIGHT: 1, Side.CENTER: 2}
+
+
+def _tallies(pairs: Iterable[tuple[str, str]],
+             annotations: Mapping[str, AccountAnnotation]
+             ) -> dict[str, list[int]]:
+    """[left, right, center] follow counts per follower, in one pass.
+
+    pairs are (follower id, followed id); each followed id's side is
+    looked up once, so an unannotated one raises at its first follow.
+    """
+    slot_of: dict[str, int] = {}
+    counts: dict[str, list[int]] = {}
+    for follower, followed in pairs:
+        slot = slot_of.get(followed)
+        if slot is None:
+            slot = slot_of[followed] = _SLOT[_side_of(followed, annotations)]
+        row = counts.get(follower)
+        if row is None:
+            row = counts[follower] = [0, 0, 0]
+        row[slot] += 1
+    return counts
+
+
+def _assign(user_id: str, tally: Sequence[int],
+            threshold: float) -> StanceAssignment:
+    n_left, n_right, n_center = tally
+    return StanceAssignment(user_id, classify(n_left, n_right, n_center,
+                                              threshold),
+                            n_left, n_right, n_center, threshold)
+
+
 def infer_stance(user_id: str,
                  follows: Iterable[FollowRecord | str],
                  annotations: Mapping[str, AccountAnnotation],
                  threshold: float = 0.0) -> StanceAssignment:
     """Stance for one user from their follow records (or followed ids)."""
-    tally = {Side.LEFT: 0, Side.RIGHT: 0, Side.CENTER: 0}
-    for f in follows:
-        followed = f.followed_political_id if isinstance(f, FollowRecord) else f
-        tally[_side_of(followed, annotations)] += 1
-    stance = classify(tally[Side.LEFT], tally[Side.RIGHT], tally[Side.CENTER],
-                      threshold)
-    return StanceAssignment(user_id=user_id, stance=stance,
-                            n_left=tally[Side.LEFT], n_right=tally[Side.RIGHT],
-                            n_center=tally[Side.CENTER],
-                            threshold_used=threshold)
+    followed = (f.followed_political_id if isinstance(f, FollowRecord) else f
+                for f in follows)
+    counts = _tallies(((user_id, f) for f in followed), annotations)
+    return _assign(user_id, counts.get(user_id, (0, 0, 0)), threshold)
 
 
 def stance_map(all_follows: Iterable[FollowRecord],
@@ -97,12 +123,10 @@ def stance_map(all_follows: Iterable[FollowRecord],
     Corpus users absent from the follow data land on Neutral with zero
     tallies, which is what ensure_users is for.
     """
-    grouped: dict[str, list[str]] = {}
-    for f in all_follows:
-        grouped.setdefault(f.follower_id, []).append(f.followed_political_id)
-    out = {}
-    for uid in sorted(grouped):
-        out[uid] = infer_stance(uid, grouped[uid], annotations, threshold)
+    counts = _tallies(((f.follower_id, f.followed_political_id)
+                       for f in all_follows), annotations)
+    out = {uid: _assign(uid, counts[uid], threshold)
+           for uid in sorted(counts)}
     for uid in ensure_users:
         if uid not in out:
             out[uid] = StanceAssignment(uid, Stance.NEUTRAL, 0, 0, 0, threshold)

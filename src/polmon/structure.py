@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphkit import InteractionGraph
 from .polarization import ConvergenceError
@@ -228,12 +227,17 @@ def _aggregate(indptr, indices, weights, self_w, comm):
     new_self = np.bincount(rows[intra], weights=weights[intra],
                            minlength=nc) / 2.0
     new_self += np.bincount(dense, weights=self_w, minlength=nc)
-    mat = sp.coo_matrix((weights[~intra], (rows[~intra], cols[~intra])),
-                        shape=(nc, nc)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return (mat.indptr.astype(np.int64), mat.indices.astype(np.int64),
-            mat.data.astype(np.float64), new_self, dense)
+    # one sorted key per (row, col) pair gives the CSR in row-major order;
+    # the weights are whole numbers, so summing duplicates in any order is
+    # exact (and bincount returns integers when there are no entries)
+    inter = ~intra
+    keys, entry = np.unique(rows[inter] * nc + cols[inter],
+                            return_inverse=True)
+    summed = np.bincount(entry, weights=weights[inter], minlength=len(keys))
+    new_indptr = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // nc, minlength=nc), out=new_indptr[1:])
+    return (new_indptr, keys % nc, summed.astype(np.float64, copy=False),
+            new_self, dense)
 
 
 def _assignment_modularity(indptr, indices, weights, self_w, comm,

@@ -2,7 +2,9 @@
 
 The graph oracles work from a graph's node/edge lists with dense numpy (or
 plain enumeration), deliberately avoiding the package's CSR kernels, sparse
-solves and greedy code paths.  The corpus oracles are the plain archive
+solves and greedy code paths.  Two kernels that the package computes with
+numpy alone keep their scipy.sparse forms here: the adjacency matvec and
+Louvain's community collapse.  The corpus oracles are the plain archive
 loader, follow-list loader and text fold that the package's ingest path
 must reproduce: ``json.loads`` per line, ``csv.DictReader`` rows, and a
 whole-string NFD -> strip marks -> NFC -> casefold fold of every text.
@@ -18,6 +20,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from polmon.corpus import (Category, CorpusFormatError, FollowRecord, Kind,
                            MediaItem, MediaKind, TweetRecord,
@@ -106,6 +109,37 @@ def csr_reference(nodes, edges) -> tuple[list[int], list[int]]:
         indices.extend(sorted(row))
         indptr.append(len(indices))
     return indptr, indices
+
+
+def adjacency_matvec_scipy(indptr, indices, x: np.ndarray) -> np.ndarray:
+    """A x through ``scipy.sparse.csr_matrix``, A the CSR's 0/1 adjacency."""
+    n = len(indptr) - 1
+    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                        shape=(n, n))
+    return adj @ x
+
+
+def aggregate_scipy(indptr, indices, weights, self_w, comm):
+    """Louvain's community collapse through scipy's coo -> csr conversion.
+
+    Same arguments and return value (indptr, indices, weights, self
+    weights, dense community of each node) as ``structure._aggregate``.
+    """
+    uniq, dense = np.unique(comm, return_inverse=True)
+    nc = len(uniq)
+    n = len(indptr) - 1
+    rows = dense[np.repeat(np.arange(n), np.diff(indptr))]
+    cols = dense[indices]
+    intra = rows == cols
+    new_self = np.bincount(rows[intra], weights=weights[intra],
+                           minlength=nc) / 2.0
+    new_self += np.bincount(dense, weights=self_w, minlength=nc)
+    mat = sp.coo_matrix((weights[~intra], (rows[~intra], cols[~intra])),
+                        shape=(nc, nc)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return (mat.indptr.astype(np.int64), mat.indices.astype(np.int64),
+            mat.data.astype(np.float64), new_self, dense)
 
 
 def dense_fj(g, s: np.ndarray) -> np.ndarray:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polmon
 from polmon.cli import main
 from polmon.pipeline import RunConfig
 
@@ -188,3 +193,40 @@ def test_config_must_be_object(tmp_path, capsys):
     rc = main(["stats", "--config", str(config)])
     assert rc == 1
     assert "cannot load config" in capsys.readouterr().err
+
+
+_RUN_WITHOUT_SCIPY = """
+import json, sys
+import numpy as np
+from polmon.cli import main
+from polmon.polarization import SolverMethod, fj_equilibrium
+from polmon.graphkit import InteractionGraph
+
+rc = main(["run-all", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded_by_run = "scipy" in sys.modules
+g = InteractionGraph.from_edges(None, ("a", "b", "c"), [("a", "b")])
+z, info = fj_equilibrium(g, np.array([1.0, -1.0, 1.0]),
+                         method=SolverMethod.DIRECT)
+print(json.dumps({"rc": rc, "loaded_by_run": loaded_by_run,
+                  "z": z.tolist(), "method": info.method.value}))
+"""
+
+
+def test_run_all_does_not_load_scipy(fixture_paths, tmp_path):
+    # scipy only backs the DirectSolve reference; a run needs numpy alone
+    src = str(Path(polmon.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY,
+         str(fixture_paths["config"]), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert (tmp_path / "out" / "run_manifest.json").exists()
+    assert not result["loaded_by_run"]
+    # (I + L) z = s on the edge a-b plus the isolated c
+    assert result["method"] == "DirectSolve"
+    assert result["z"] == pytest.approx([1 / 3, -1 / 3, 1.0], abs=1e-12)

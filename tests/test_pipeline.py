@@ -422,9 +422,9 @@ def sweep_setup():
 
 def test_sweep_threshold_zero_matches_default(sweep_setup):
     g, follows, annotations = sweep_setup
-    result = threshold_sweep(g, follows, annotations, thresholds=(0.0,),
-                             influencer_set=[])
     stances = stance_map(follows, annotations, 0.0, ensure_users=g.nodes)
+    result = threshold_sweep(g, stances, annotations, thresholds=(0.0,),
+                             influencer_set=[])
     reference = ablation(g, stances, annotations, influencer_set=[])
     assert result.entries[0].pi_full == reference.pi_full
     assert result.entries[0].pi_without == reference.pi_without
@@ -432,7 +432,8 @@ def test_sweep_threshold_zero_matches_default(sweep_setup):
 
 def test_sweep_counts_non_increasing(sweep_setup):
     g, follows, annotations = sweep_setup
-    result = threshold_sweep(g, follows, annotations,
+    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
+    result = threshold_sweep(g, tallies, annotations,
                              thresholds=(0.0, 0.5, 0.7, 0.9),
                              influencer_set=[])
     labeled = [e.n_left_users + e.n_right_users for e in result.entries]
@@ -442,9 +443,13 @@ def test_sweep_counts_non_increasing(sweep_setup):
 def test_sweep_all_neutral_graph(sweep_setup):
     _, follows, annotations = sweep_setup
     g = graph_of([("x", "y")])  # nobody in the follow data
-    result = threshold_sweep(g, follows, annotations,
-                             thresholds=(0.0, 0.5), influencer_set=[])
-    assert all(e.pi_full == 0.0 for e in result.entries)
+    for tallies in (stance_map(follows, annotations, ensure_users=g.nodes),
+                    stance_map(follows, annotations)):  # x, y missing
+        result = threshold_sweep(g, tallies, annotations,
+                                 thresholds=(0.0, 0.5), influencer_set=[])
+        assert all(e.pi_full == 0.0 for e in result.entries)
+        assert all(e.n_left_users == e.n_right_users == 0
+                   for e in result.entries)
 
 
 @pytest.mark.parametrize("method", [SolverMethod.CG, SolverMethod.DIRECT])
@@ -460,7 +465,8 @@ def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path, method,
                                runner.annotations)
     influencers = runner.influencer_ranking.selected
     thresholds = (0.0, 0.5, 0.7, 0.9)
-    result = threshold_sweep(g, follows, annotations, thresholds=thresholds,
+    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
+    result = threshold_sweep(g, tallies, annotations, thresholds=thresholds,
                              influencer_set=influencers,
                              drop_isolated=drop_isolated, method=method)
     assert [e.threshold for e in result.entries] == list(thresholds)
@@ -473,20 +479,32 @@ def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path, method,
         assert entry.pi_without == reference.pi_without
 
 
+def test_run_all_tallies_follows_once(fixture_paths, tmp_path, monkeypatch):
+    # the sweep relabels the stance stage's tallies instead of redoing them
+    calls = []
+    real_stance_map = pipeline.stance_map
+    monkeypatch.setattr(pipeline, "stance_map", lambda *args, **kwargs: (
+        calls.append(args) or real_stance_map(*args, **kwargs)))
+    run_all(_config(fixture_paths, tmp_path / "out"))
+    assert len(calls) == 1
+
+
 def test_sweep_names_category_that_empties_graph(sweep_setup):
     g, follows, annotations = sweep_setup
     annotations = dict(annotations)
     annotations.update({u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
                         for u in g.nodes})
+    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
     with pytest.raises(ValueError, match="removing MediaJournalist nodes"):
-        threshold_sweep(g, follows, annotations, thresholds=(0.0, 0.5),
+        threshold_sweep(g, tallies, annotations, thresholds=(0.0, 0.5),
                         influencer_set=[])
 
 
 def test_sweep_logs_every_solve(sweep_setup, caplog):
     g, follows, annotations = sweep_setup
+    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
     caplog.set_level(logging.DEBUG, logger="polmon.polarization")
-    threshold_sweep(g, follows, annotations, thresholds=(0.0, 0.5),
+    threshold_sweep(g, tallies, annotations, thresholds=(0.0, 0.5),
                     influencer_set=["b"])
     solves = [r.getMessage() for r in caplog.records
               if r.name == "polmon.polarization"]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from polmon.polarization import (ConvergenceError, SolverMethod, compute_pi,
-                                 fj_equilibrium, polarization_index)
+from polmon.polarization import (ConvergenceError, SolverMethod, _adjacency,
+                                 compute_pi, fj_equilibrium,
+                                 polarization_index)
 from polmon.stance import Stance, StanceAssignment
 
 from conftest import graph_of, random_graph
-from oracles import dense_adjacency, dense_fj
+from oracles import adjacency_matvec_scipy, dense_adjacency, dense_fj
 
 
 def _stance(uid, value):
@@ -336,3 +337,37 @@ def test_cg_matches_direct_on_3k_node_graph():
     z_direct, _ = fj_equilibrium(g, s, method=SolverMethod.DIRECT)
     assert info.method is SolverMethod.CG
     assert np.max(np.abs(z_cg - z_direct)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# adjacency matvec: numpy against scipy.sparse
+# ---------------------------------------------------------------------------
+
+
+def _matvec_graphs():
+    rng = np.random.default_rng(31)
+    names = [f"n{i:04d}" for i in range(3000)]
+    pairs = rng.integers(0, len(names), size=(4500, 2))
+    return [graph_of([]),
+            graph_of([], isolated=["x", "y"]),
+            graph_of([("a", "b"), ("b", "c")], isolated=["x", "y", "z"]),
+            random_graph(rng, 40, 0.05),
+            random_graph(rng, 150, 0.2),
+            graph_of([(names[a], names[b]) for a, b in pairs if a != b],
+                     isolated=names)]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_matvec_bit_equal_to_scipy(case):
+    g = _matvec_graphs()[case]
+    rng = np.random.default_rng(32 + case)
+    # magnitudes over 32 decades make each row's sum depend on its order;
+    # the signed zeros check empty rows and rows that sum to zero
+    x = rng.standard_normal(g.n) * 10.0 ** rng.integers(-16, 17, g.n)
+    x[rng.random(g.n) < 0.2] = -0.0
+    matvec = _adjacency(g.indptr, g.indices)
+    for v in (x, -x, np.full(g.n, -0.0), np.zeros(g.n)):
+        expected = adjacency_matvec_scipy(g.indptr, g.indices, v)
+        got = matvec(v)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()

@@ -13,9 +13,9 @@ from polmon.structure import (CommunityPartition, decompose_communities,
                               leading_eigenpair, louvain, netshield)
 
 from conftest import graph_of, random_graph
-from oracles import (best_partition_modularity, best_shield_subset,
-                     leading_eigenpair_dense, modularity_of,
-                     shield_value_dense, sweep_louvain_level)
+from oracles import (aggregate_scipy, best_partition_modularity,
+                     best_shield_subset, leading_eigenpair_dense,
+                     modularity_of, shield_value_dense, sweep_louvain_level)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +419,32 @@ def test_louvain_permutation_consistent():
     groups1 = {frozenset(relabel[u] for u in block)
                for block in _communities_of(p1)}
     assert groups1 == _communities_of(p2)
+
+
+@pytest.mark.parametrize("partition", ["louvain", "random", "one"])
+@pytest.mark.parametrize("seed", range(4))
+def test_aggregate_matches_scipy_oracle(seed, partition):
+    rng = np.random.default_rng(700 + seed)
+    g = random_graph(rng, 120, 0.05)
+    level = (g.indptr, g.indices, np.ones(len(g.indices)), np.zeros(g.n))
+    for _ in range(2):  # levels 1 and 2
+        indptr, indices, weights, self_w = level
+        n = len(indptr) - 1
+        if partition == "louvain":
+            k_arr = np.bincount(np.repeat(np.arange(n), np.diff(indptr)),
+                                weights=weights, minlength=n) + 2.0 * self_w
+            comm = structure._louvain_level(indptr, indices, weights, k_arr,
+                                            float(g.m), 1.0)[0]
+        elif partition == "random":  # labels with gaps, as Louvain leaves
+            comm = 3 * rng.integers(0, max(1, n // 4), n)
+        else:
+            comm = np.zeros(n, dtype=np.int64)
+        got = structure._aggregate(*level, comm)
+        expected = aggregate_scipy(*level, comm)
+        for a, b in zip(got, expected):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        level = got[:4]
 
 
 def test_community_ids_dense_and_sized():
