@@ -153,25 +153,33 @@ class RuleSet:
             return None
 
     def utc_window(self) -> tuple[datetime, datetime]:
-        """UTC [start, end) of the study window under the date offset."""
-        return utc_bounds(*self.study_window, self.date_offset_minutes)
+        """UTC [start, end) of the instants whose local date lies in the
+        study window, clamped at the calendar's ends to agree with
+        local_date."""
+        lo, hi = self.study_window
+        shift = timedelta(minutes=self.date_offset_minutes)
+        try:
+            start = datetime.combine(lo, time.min, tzinfo=timezone.utc) - shift
+        except OverflowError:
+            start = datetime.min.replace(tzinfo=timezone.utc)
+        try:  # the shift is under a day: only hi == date.max overflows
+            end = (datetime.combine(hi, time.min, tzinfo=timezone.utc)
+                   + (timedelta(days=1) - shift))
+        except OverflowError:  # just past datetime.max in UTC
+            end = datetime.max.replace(
+                tzinfo=timezone(-timedelta(microseconds=1)))
+        return start, end
 
 
-def utc_bounds(lo: date, hi: date,
-               offset_minutes: int) -> tuple[datetime, datetime]:
-    """UTC [start, end) of the instants whose local date is in [lo, hi],
-    clamped at the calendar's ends to agree with RuleSet.local_date."""
+def by_local_date(tweets: Iterable[TweetRecord], offset_minutes: int = 0
+                  ) -> list[tuple[date, list[TweetRecord]]]:
+    """Tweets grouped by calendar date under the offset, in ascending date
+    order; each group keeps the input order."""
     shift = timedelta(minutes=offset_minutes)
-    try:
-        start = datetime.combine(lo, time.min, tzinfo=timezone.utc) - shift
-    except OverflowError:
-        start = datetime.min.replace(tzinfo=timezone.utc)
-    try:  # the shift is under a day: only hi == date.max overflows
-        end = (datetime.combine(hi, time.min, tzinfo=timezone.utc)
-               + (timedelta(days=1) - shift))
-    except OverflowError:  # just past datetime.max in UTC
-        end = datetime.max.replace(tzinfo=timezone(-timedelta(microseconds=1)))
-    return start, end
+    groups: dict[date, list[TweetRecord]] = {}
+    for t in tweets:
+        groups.setdefault((t.timestamp + shift).date(), []).append(t)
+    return sorted(groups.items())
 
 
 @dataclass
@@ -481,9 +489,9 @@ def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _top_ids(counts: Counter, k: int) -> list[str]:
-    ranked = heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [uid for uid, _ in ranked]
+def _top(counts: Counter, k: int) -> list[tuple[str, int]]:
+    """The k most frequent (key, count) pairs; ties by ascending key."""
+    return heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def prevalent_users(tweets: Sequence[TweetRecord],
@@ -515,7 +523,7 @@ def prevalent_users(tweets: Sequence[TweetRecord],
                     quoted_by_others[target] += 1
     selected: set[str] = set()
     for counts in (posted, replied, quoted_posts, quoted_by_others):
-        selected.update(_top_ids(counts, top_k))
+        selected.update(uid for uid, _ in _top(counts, top_k))
     selected.update(influencer_ranking[:top_k])
     return selected
 

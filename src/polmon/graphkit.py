@@ -5,15 +5,18 @@ An edge joins a tweet's author to every distinct user it references
 kind collapse into the single edge, self-interactions are dropped, and
 authors of reference-free tweets stay in the graph as isolated nodes.
 
-A graph is its CSR adjacency over the sorted user ids.  Derived graphs
-(ablations, the non-isolated core) are induced subgraphs cut from the
-parent's CSR by a boolean keep-mask, so nodes and rows keep their order.
+A graph is its CSR adjacency over the sorted user ids, built from every
+tweet it is given: the caller chooses the time span (filter_corpus keeps
+the study window's tweets, daily_graphs splits them by local day).
+Derived graphs (ablations, the non-isolated core) are induced subgraphs
+cut from the parent's CSR by a boolean keep-mask, so nodes and rows keep
+their order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -21,27 +24,24 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import TweetRecord, utc_bounds
-
-Window = tuple[datetime, datetime]
+from .corpus import TweetRecord, by_local_date
 
 
 @dataclass(eq=False)
 class InteractionGraph:
-    """Immutable-by-convention simple graph for one time window.
+    """Immutable-by-convention simple graph.
 
     nodes are the ascending user ids; row i of the symmetric CSR adjacency
     (indptr, indices) lists the neighbours of nodes[i] in ascending order.
     Every downstream array (opinion vectors, solves) is aligned to nodes.
     """
 
-    window: Window
     nodes: tuple[str, ...]
     indptr: np.ndarray
     indices: np.ndarray
 
     @classmethod
-    def from_edges(cls, window: Window, nodes: Sequence[str],
+    def from_edges(cls, nodes: Sequence[str],
                    edges: Collection[tuple[str, str]]) -> "InteractionGraph":
         """Graph on the sorted nodes from distinct (u, v) pairs, u != v."""
         index = {u: i for i, u in enumerate(nodes)}
@@ -49,7 +49,7 @@ class InteractionGraph:
         iv = np.fromiter((index[v] for _, v in edges), np.int64, len(edges))
         rows, cols = np.concatenate([iu, iv]), np.concatenate([iv, iu])
         row_len = np.bincount(rows, minlength=len(nodes))
-        return cls(window, tuple(nodes), _indptr(row_len),
+        return cls(tuple(nodes), _indptr(row_len),
                    cols[np.lexsort((cols, rows))])
 
     @property
@@ -85,10 +85,8 @@ class InteractionGraph:
         kept = np.repeat(keep, self.degrees) & keep[self.indices]
         before = _indptr(kept)  # kept entries before each CSR position
         row_len = (before[self.indptr[1:]] - before[self.indptr[:-1]])[keep]
-        return InteractionGraph(self.window,
-                                tuple(compress(self.nodes, keep.tolist())),
-                                _indptr(row_len),
-                                new_id[self.indices[kept]])
+        return InteractionGraph(tuple(compress(self.nodes, keep.tolist())),
+                                _indptr(row_len), new_id[self.indices[kept]])
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -96,14 +94,11 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-def build_graph(tweets: Iterable[TweetRecord], window: Window) -> InteractionGraph:
-    """Graph of all interactions with timestamp in [window.start, window.end)."""
-    start, end = window
+def build_graph(tweets: Iterable[TweetRecord]) -> InteractionGraph:
+    """Graph of the interactions of all the given tweets."""
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     for t in tweets:
-        if not (start <= t.timestamp < end):
-            continue
         u = t.author_id
         nodes.add(u)
         for ref in t.referenced_user_ids:
@@ -111,23 +106,14 @@ def build_graph(tweets: Iterable[TweetRecord], window: Window) -> InteractionGra
                 continue
             nodes.add(ref)
             edges.add((u, ref) if u < ref else (ref, u))
-    return InteractionGraph.from_edges(window, sorted(nodes), edges)
-
-
-def day_window(d: date, offset_minutes: int = 0) -> Window:
-    """UTC window covering local calendar date d under a fixed offset."""
-    return utc_bounds(d, d, offset_minutes)
+    return InteractionGraph.from_edges(sorted(nodes), edges)
 
 
 def daily_graphs(tweets: Sequence[TweetRecord],
                  offset_minutes: int = 0) -> list[tuple[date, InteractionGraph]]:
     """One graph per calendar date (under the offset) that has any tweet."""
-    shift = timedelta(minutes=offset_minutes)
-    by_date: dict[date, list[TweetRecord]] = {}
-    for t in tweets:
-        by_date.setdefault((t.timestamp + shift).date(), []).append(t)
-    return [(d, build_graph(by_date[d], day_window(d, offset_minutes)))
-            for d in sorted(by_date)]
+    return [(d, build_graph(group))
+            for d, group in by_local_date(tweets, offset_minutes)]
 
 
 def remove_nodes(g: InteractionGraph, victims: set[str],

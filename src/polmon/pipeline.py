@@ -5,29 +5,30 @@ Everything here is glue around the other modules; the one piece of real
 policy is the rounding rule for percentage tables (round-half-even to one
 decimal, remainder pinned onto the largest share so rows always total
 100.0) and the tokenizer used for word/phrase counts (unicode letter runs,
-case/accent-folded, contiguous bigrams as phrases).
+case/accent-folded, contiguous bigrams as phrases).  The stats stage
+computes what the bundle reads of it: counts per local day for
+stats_daily.csv, and whole-window counters for the summary's top tables.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import heapq
 import json
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from datetime import date, datetime, timedelta
+from datetime import date
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import __version__
 from .corpus import (Category, FilterReport, Kind, RuleSet, TweetRecord,
-                     default_rule_set, filter_corpus, fold_text,
-                     load_annotations, load_follows, load_rule_set,
-                     load_tweets, tweet_to_obj)
+                     by_local_date, default_rule_set, filter_corpus,
+                     fold_text, load_annotations, load_follows,
+                     load_rule_set, load_tweets, tweet_to_obj)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import PolarizationResult, compute_pi
@@ -58,112 +59,55 @@ class StageError(RuntimeError):
 
 @dataclass
 class DailyStats:
-    date: date | None  # None = aggregate over the whole input
+    date: date
     n_posts: int
     n_by_kind: dict[str, int]
     n_users: int
     n_hashtags: int
     n_urls: int
-    top: dict[str, list[tuple[str, int]]]
 
 
 def tokenize(text: str) -> list[str]:
     return [fold_text(w) for w in _WORD_RE.findall(text)]
 
 
-def _top(counter: Counter, k: int) -> list[tuple[str, int]]:
-    return heapq.nsmallest(k, counter.items(), key=lambda kv: (-kv[1], kv[0]))
+def compute_stats(tweets: Sequence[TweetRecord], stopwords: Iterable[str] = (),
+                  offset_minutes: int = 0
+                  ) -> tuple[list[DailyStats], dict[str, Counter]]:
+    """Counts per local day (ascending date), and whole-window counters.
 
-
-def _stats_for(group: Sequence[TweetRecord], day: date | None, top_k: int,
-               stopwords: frozenset[str], folds: dict[str, str],
-               totals: dict[str, Counter] | None) -> DailyStats:
-    """Stats of one group; folds maps word -> fold_text(word) and grows."""
-    by_kind = {k.value: 0 for k in Kind}
-    users: set[str] = set()
-    hashtags = Counter()
-    urls = Counter()
-    images = Counter()
-    videos = Counter()
-    mentioned = Counter()
-    active = Counter()
-    words = Counter()
-    phrases = Counter()
-    for t in group:
-        by_kind[t.kind.value] += 1
-        users.add(t.author_id)
-        active[t.author_id] += 1
-        for h in t.hashtags:
-            hashtags[h] += 1
-        for u in t.urls:
-            urls[u] += 1
-        for m in t.media:
-            (images if m.kind.value == "image" else videos)[m.url] += 1
-        for ref in t.referenced_user_ids:
-            mentioned[ref] += 1
+    The counters are keyed hashtags, words, phrases, mentioned_users and
+    active_users.  Words are those of ``tokenize`` minus the stopwords,
+    each distinct word folded once per call; phrases are the bigrams of a
+    tweet's remaining words.
+    """
+    rows = []
+    hashtags, mentioned, active = Counter(), Counter(), Counter()
+    for day, group in by_local_date(tweets, offset_minutes):
+        kinds = Counter(t.kind for t in group)
+        authors = [t.author_id for t in group]
+        tags = [h for t in group for h in t.hashtags]
+        hashtags.update(tags)
+        mentioned.update(r for t in group for r in t.referenced_user_ids)
+        active.update(authors)
+        rows.append(DailyStats(
+            day, len(group), {k.value: kinds[k] for k in Kind},
+            len(set(authors)), len(set(tags)),
+            len({u for t in group for u in t.urls})))
+    stop = frozenset(stopwords)
+    folds: dict[str, str] = {}
+    words, phrases = Counter(), Counter()
+    for t in tweets:
         raw_words = _WORD_RE.findall(t.text)
         for w in raw_words:
             if w not in folds:
                 folds[w] = fold_text(w)
         tokens = [f for f in map(folds.__getitem__, raw_words)
-                  if f not in stopwords]
+                  if f not in stop]
         words.update(tokens)
         phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-    top = {
-        "liked_tweets": _top(Counter({t.tweet_id: t.like_count
-                                      for t in group}), top_k),
-        "retweeted_tweets": _top(Counter({t.tweet_id: t.retweet_count
-                                          for t in group}), top_k),
-        "replied_tweets": _top(Counter({t.tweet_id: t.reply_count
-                                        for t in group}), top_k),
-        "mentioned_users": _top(mentioned, top_k),
-        "active_users": _top(active, top_k),
-        "shared_urls": _top(urls, top_k),
-        "shared_images": _top(images, top_k),
-        "shared_videos": _top(videos, top_k),
-        "words": _top(words, top_k),
-        "phrases": _top(phrases, top_k),
-        "hashtags": _top(hashtags, top_k),
-    }
-    if totals is not None:
-        for key, counter in (("hashtags", hashtags), ("words", words),
-                             ("phrases", phrases),
-                             ("mentioned_users", mentioned),
-                             ("active_users", active)):
-            totals.setdefault(key, Counter()).update(counter)
-    return DailyStats(date=day, n_posts=len(group), n_by_kind=by_kind,
-                      n_users=len(users), n_hashtags=len(hashtags),
-                      n_urls=len(urls), top=top)
-
-
-def compute_stats(tweets: Sequence[TweetRecord], per_day: bool = True,
-                  top_k: int = 10, stopwords: Iterable[str] = (),
-                  offset_minutes: int = 0,
-                  totals: dict[str, Counter] | None = None) -> list[DailyStats]:
-    """Per-day statistics (ascending date), or one aggregate row.
-
-    Words are those of ``tokenize``; each distinct word is folded once per
-    call.  When ``totals`` is given, the full hashtags, words, phrases,
-    mentioned_users and active_users counters of every row are added into
-    it under those keys as the row is built, so ``window_top(totals)``
-    gives the tables of the aggregate row without a second pass.
-    """
-    stop = frozenset(stopwords)
-    folds: dict[str, str] = {}
-    if not per_day:
-        return [_stats_for(list(tweets), None, top_k, stop, folds, totals)]
-    shift = timedelta(minutes=offset_minutes)
-    by_date: dict[date, list[TweetRecord]] = {}
-    for t in tweets:
-        by_date.setdefault((t.timestamp + shift).date(), []).append(t)
-    return [_stats_for(by_date[d], d, top_k, stop, folds, totals)
-            for d in sorted(by_date)]
-
-
-def window_top(totals: Mapping[str, Counter],
-               top_k: int) -> dict[str, list[tuple[str, int]]]:
-    """The top_k entries of each counter that compute_stats summed."""
-    return {key: _top(counter, top_k) for key, counter in totals.items()}
+    return rows, {"hashtags": hashtags, "words": words, "phrases": phrases,
+                  "mentioned_users": mentioned, "active_users": active}
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +324,9 @@ class RunConfig:
         """Load a JSON run config; paths resolve against its directory.
 
         Every value must have its field's JSON type (bool is neither an
-        integer nor a number here) and every key must be a field or one of
-        RETIRED_CONFIG_KEYS; otherwise a ValueError names the key.
+        integer nor a number here), tol must be positive and finite, and
+        every key must be a field or one of RETIRED_CONFIG_KEYS; otherwise
+        a ValueError names the key.
         """
         path = Path(path)
         with path.open("r", encoding="utf-8") as fh:
@@ -426,6 +371,10 @@ class RunConfig:
         if any(type(t) not in (int, float) for t in thresholds):
             raise ValueError("'sweep_thresholds' must be a list of numbers, "
                              f"got {thresholds!r}")
+        tol = number("tol", 1e-10)
+        if not 0.0 < tol < float("inf"):
+            raise ValueError(
+                f"'tol' must be a positive finite number, got {tol!r}")
 
         return cls(
             tweets=respath("tweets"),
@@ -438,7 +387,7 @@ class RunConfig:
             k=integer("k", 500),
             drop_isolated=flag("drop_isolated", True),
             include_isolated=flag("include_isolated", True),
-            tol=number("tol", 1e-10),
+            tol=tol,
             top_k=integer("top_k", 10),
             stopwords=respath("stopwords"),
             date_from=day("date_from"),
@@ -479,8 +428,6 @@ class Runner:
         self.config = config
         self._cache: dict[str, object] = {}
         self.load_errors: list = []
-        # whole-window counters, set by the stats stage (compute_stats totals)
-        self.window_counts: dict[str, Counter] = {}
 
     def _get(self, key: str, builder: Callable):
         if key not in self._cache:
@@ -534,13 +481,8 @@ class Runner:
                                               self.annotations))
 
     @property
-    def window(self) -> tuple[datetime, datetime]:
-        return self.rule_set.utc_window()
-
-    @property
     def full_graph(self) -> InteractionGraph:
-        return self._get("graph",
-                         lambda: build_graph(self.filtered[0], self.window))
+        return self._get("graph", lambda: build_graph(self.filtered[0]))
 
     @property
     def daily(self) -> list[tuple[date, InteractionGraph]]:
@@ -622,23 +564,15 @@ class Runner:
             if g.n == 0:
                 return None
             partition = louvain(g)
-            decompose_communities(partition, self.stances,
-                                  top_n=len(partition.per_community))
+            decompose_communities(partition, self.stances)
             return partition
         return self._get("communities", build)
 
     @property
-    def stats(self) -> list[DailyStats]:
-        def build():
-            totals: dict[str, Counter] = {}
-            rows = compute_stats(
-                self.filtered[0], per_day=True, top_k=self.config.top_k,
-                stopwords=self.stopword_set,
-                offset_minutes=self.rule_set.date_offset_minutes,
-                totals=totals)
-            self.window_counts = totals
-            return rows
-        return self._get("stats", build)
+    def stats(self) -> tuple[list[DailyStats], dict[str, Counter]]:
+        return self._get("stats", lambda: compute_stats(
+            self.filtered[0], self.stopword_set,
+            self.rule_set.date_offset_minutes))
 
     @property
     def shares(self) -> StanceShares:
@@ -682,7 +616,7 @@ class Runner:
              "n_hashtags", "n_urls"],
             ([row.date.isoformat(), row.n_posts,
               *(row.n_by_kind[k] for k in kinds), row.n_users,
-              row.n_hashtags, row.n_urls] for row in self.stats))
+              row.n_hashtags, row.n_urls] for row in self.stats[0]))
 
     def write_stance(self) -> Path:
         path = self.config.out_dir / "stance.csv"
@@ -730,8 +664,7 @@ class Runner:
 
     def write_communities(self) -> Path:
         partition = self.communities
-        ranked = [] if partition is None else sorted(
-            partition.per_community, key=lambda p: (-p.size, p.community_id))
+        ranked = [] if partition is None else partition.per_community
         return self._write_csv(
             "communities.csv",
             ["community_id", "size", "n_left", "n_right", "n_center",

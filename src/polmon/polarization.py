@@ -57,7 +57,6 @@ class SolverInfo:
 @dataclass
 class PolarizationResult:
     pi: float
-    z: np.ndarray
     solver: SolverInfo
     n: int
     m: int
@@ -101,7 +100,10 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
     (z, iterations, residual, converged), where residual is the max-norm
     of (I + L) z - s recomputed from z, never the recursively updated one:
     when the recursion claims tol but the true residual misses it, CG
-    restarts from the true residual.
+    restarts from the true residual.  A breakdown, where p.Ap is not a
+    positive finite number (the recursion has underflowed), ends the solve
+    with the true residual of the last finite z, instead of iterating on
+    NaN.
     """
     diag = 1.0 + np.diff(indptr)
     adj = _adjacency(indptr, indices)
@@ -109,13 +111,18 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
     r = s.copy()
     residual = float(np.max(np.abs(r))) if len(r) else 0.0
     iters = 0
-    while residual > tol and iters < max_iter:
+    broke_down = False
+    while residual > tol and iters < max_iter and not broke_down:
         y = r / diag
         p = y
         ry = r @ y
         while iters < max_iter:
             ap = diag * p - adj(p)
-            alpha = ry / (p @ ap)
+            pap = p @ ap
+            broke_down = not 0.0 < pap < np.inf
+            if broke_down:
+                break
+            alpha = ry / pap
             z += alpha * p
             r -= alpha * ap
             iters += 1
@@ -165,8 +172,11 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
     infinity norm is 1 and a residual <= tol guarantees
     ||z - z*||_inf <= tol for the exact solution z*.  The direct route
     cannot fail on valid input (I + L is symmetric positive definite) and
-    reports its residual without checking it against tol.
+    reports its residual without checking it against tol.  tol must be a
+    positive finite number.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if len(s) != g.n:
         raise ValueError(f"opinion vector has length {len(s)}, graph has {g.n}")
     if g.n and np.max(np.abs(s)) > 1.0 + 1e-12:
@@ -218,5 +228,5 @@ def compute_pi(g: InteractionGraph,
     log.debug("FJ solve: n=%d m=%d method=%s iterations=%d residual=%.3e",
               work.n, work.m, info.method.value, info.iterations,
               info.residual)
-    return PolarizationResult(pi=polarization_index(z), z=z, solver=info,
+    return PolarizationResult(pi=polarization_index(z), solver=info,
                               n=work.n, m=work.m)

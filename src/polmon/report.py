@@ -10,6 +10,7 @@ import html
 from typing import Sequence
 
 from . import __version__
+from .corpus import _top
 
 _W, _H = 720, 240
 _PAD = 40
@@ -121,9 +122,9 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def render_summary(runner) -> str:
     """Assemble summary.html from an (already computed) pipeline Runner."""
-    from .pipeline import ABLATION_CATEGORIES, window_top
+    from .pipeline import ABLATION_CATEGORIES
     report = runner.filtered[1]
-    stats = runner.stats
+    stats, window_counts = runner.stats
     shares = runner.shares
     dates = [row.date.isoformat() for row in stats]
 
@@ -184,8 +185,6 @@ def render_summary(runner) -> str:
 
     partition = runner.communities
     if partition is not None:
-        top10 = sorted(partition.per_community,
-                       key=lambda p: (-p.size, p.community_id))[:10]
         sections.append("<h2>Communities</h2>")
         sections.append(
             f"<p>{partition.n_communities} communities, modularity "
@@ -194,16 +193,16 @@ def render_summary(runner) -> str:
             ["community", "size", "Left", "Right", "Center", "Neutral",
              "lean"],
             [[p.community_id, p.size, p.n_left, p.n_right, p.n_center,
-              p.n_neutral, _fmt(p.lean)] for p in top10]))
+              p.n_neutral, _fmt(p.lean)]
+             for p in partition.per_community[:10]]))
 
     if stats:
         sections.append("<h2>Top content (full window)</h2>")
-        total = window_top(runner.window_counts, runner.config.top_k)
         for key, label in (("hashtags", "Hashtags"), ("words", "Words"),
                            ("phrases", "Phrases"),
                            ("mentioned_users", "Mentioned users"),
                            ("active_users", "Active users")):
-            entries = total[key]
+            entries = _top(window_counts[key], runner.config.top_k)
             if entries:
                 sections.append(f"<h3>{label}</h3>")
                 sections.append(_table(["value", "count"], entries))

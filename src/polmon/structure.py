@@ -43,8 +43,6 @@ _MIN_GAIN = 1e-12
 class ShieldRanking:
     selected: list[str]
     shield_scores: list[float]
-    lam: float
-    eigvec: np.ndarray
 
 
 @dataclass
@@ -127,9 +125,8 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
     """
     if k < 0 or k > g.n:
         raise ValueError(f"k must lie in [0, {g.n}], got {k}")
-    if g.n == 0 or k == 0:
-        lam, u = (0.0, np.zeros(g.n)) if g.n == 0 else leading_eigenpair(g)
-        return ShieldRanking([], [], lam, u)
+    if k == 0:
+        return ShieldRanking([], [])
     lam, u = leading_eigenpair(g)
     indptr, indices = g.indptr, g.indices
     b = np.zeros(g.n)
@@ -143,8 +140,7 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
         scores.append(float(score[best]))
         picked[best] = True
         b[indices[indptr[best]:indptr[best + 1]]] += u[best]
-    return ShieldRanking(selected=selected, shield_scores=scores,
-                         lam=lam, eigvec=u)
+    return ShieldRanking(selected=selected, shield_scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +312,12 @@ def louvain(g: InteractionGraph, resolution: float = 1.0) -> CommunityPartition:
 
 
 def decompose_communities(partition: CommunityPartition,
-                          stances: Mapping[str, StanceAssignment],
-                          top_n: int = 10) -> list[CommunityProfile]:
-    """Stance tallies and lean for the top_n largest communities.
+                          stances: Mapping[str, StanceAssignment]) -> None:
+    """Fill in each community's stance tallies, and rank the communities.
 
-    Users missing from the stance map count as Neutral.  Ordered by size
-    descending, community id ascending on ties; the partition's own
-    per_community list is refreshed with the tallies as a side effect.
+    Users missing from the stance map count as Neutral.  The partition's
+    per_community list is sorted in place by size descending, community id
+    ascending on ties, so its first entries are the largest communities.
     """
     by_id: dict[int, CommunityProfile] = {}
     for profile in partition.per_community:
@@ -341,6 +336,4 @@ def decompose_communities(partition: CommunityPartition,
             profile.n_center += 1
         else:
             profile.n_neutral += 1
-    ranked = sorted(partition.per_community,
-                    key=lambda p: (-p.size, p.community_id))
-    return ranked[:top_n]
+    partition.per_community.sort(key=lambda p: (-p.size, p.community_id))

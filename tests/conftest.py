@@ -1,5 +1,5 @@
 import sys
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -12,22 +12,19 @@ sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
 DATA = Path(__file__).parent / "data"
 
-WINDOW = (datetime(2022, 8, 1, tzinfo=timezone.utc),
-          datetime(2022, 9, 1, tzinfo=timezone.utc))
 
-
-def graph_of(edges, isolated=(), window=WINDOW) -> InteractionGraph:
+def graph_of(edges, isolated=()) -> InteractionGraph:
     """Small-graph literal: edge pairs plus extra isolated nodes."""
     nodes = set(isolated)
     cleaned = set()
     for u, v in edges:
         nodes.update((u, v))
         cleaned.add((u, v) if u < v else (v, u))
-    return InteractionGraph.from_edges(window, sorted(nodes), cleaned)
+    return InteractionGraph.from_edges(sorted(nodes), cleaned)
 
 
-def random_graph(rng: np.random.Generator, n: int, p: float,
-                 window=WINDOW) -> InteractionGraph:
+def random_graph(rng: np.random.Generator, n: int, p: float
+                 ) -> InteractionGraph:
     names = [f"n{i:03d}" for i in range(n)]
     edges = [(names[i], names[j])
              for i in range(n) for j in range(i + 1, n)

@@ -8,14 +8,19 @@ Louvain's community collapse.  The corpus oracles are the plain archive
 loader, follow-list loader and text fold that the package's ingest path
 must reproduce: ``json.loads`` per line, ``csv.DictReader`` rows, and a
 whole-string NFD -> strip marks -> NFC -> casefold fold of every text.
+The stats oracle tallies the bundle's daily counts and the summary's
+whole-window counters one tweet at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 import unicodedata
 import xml.etree.ElementTree as ET
+from collections import Counter
+from datetime import timedelta
 from itertools import combinations
 from pathlib import Path
 
@@ -388,3 +393,41 @@ def load_follows_reference(path, annotations=None) -> list[FollowRecord]:
                         f"{where}: followed id {pair[1]!r} is not political")
             records.append(FollowRecord(*pair))
     return records
+
+
+# ---------------------------------------------------------------------------
+# stats reference
+# ---------------------------------------------------------------------------
+
+
+def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):
+    """(rows, counters) as compute_stats reports them, tallied per tweet.
+
+    rows are (date, n_posts, n_by_kind, n_users, n_hashtags, n_urls) in
+    ascending date, a tweet's date being that of its timestamp shifted by
+    the offset; counters hold the whole input's hashtags, words, phrases,
+    mentioned_users and active_users.  Words are the letter runs of the
+    text, each folded by fold_text_reference, minus the stopwords.
+    """
+    shift = timedelta(minutes=offset_minutes)
+    days: dict = {}
+    counters = {key: Counter() for key in ("hashtags", "words", "phrases",
+                                           "mentioned_users", "active_users")}
+    for t in tweets:
+        days.setdefault((t.timestamp + shift).date(), []).append(t)
+        counters["hashtags"].update(t.hashtags)
+        counters["mentioned_users"].update(t.referenced_user_ids)
+        counters["active_users"][t.author_id] += 1
+        words = [w for w in map(fold_text_reference,
+                                re.findall(r"[^\W\d_]+", t.text))
+                 if w not in stopwords]
+        counters["words"].update(words)
+        counters["phrases"].update(
+            f"{a} {b}" for a, b in zip(words, words[1:]))
+    rows = [(d, len(day),
+             {k.value: sum(t.kind is k for t in day) for k in Kind},
+             len({t.author_id for t in day}),
+             len({h for t in day for h in t.hashtags}),
+             len({u for t in day for u in t.urls}))
+            for d, day in sorted(days.items())]
+    return rows, counters

@@ -161,6 +161,20 @@ def test_config_value_must_have_field_type(key, value, fixture_paths,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tol", [0, 0.0, -1.0, float("nan"), float("inf")])
+def test_config_tol_must_be_positive_and_finite(tol, fixture_paths, tmp_path,
+                                                capsys):
+    # no solve can meet a tol of 0: each would run its whole iteration budget
+    config = _load_with(fixture_paths, tmp_path, tol=tol)
+    with pytest.raises(ValueError, match="'tol' must be a positive finite"):
+        RunConfig.from_file(config)
+    rc = main(["run-all", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "'tol'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_unknown_key_rejected(fixture_paths, tmp_path, capsys):
     config = _load_with(fixture_paths, tmp_path, treshold=0.7)
     rc = main(["stats", "--config", str(config),
@@ -204,7 +218,7 @@ from polmon.graphkit import InteractionGraph
 
 rc = main(["run-all", "--config", sys.argv[1], "--out", sys.argv[2]])
 loaded_by_run = "scipy" in sys.modules
-g = InteractionGraph.from_edges(None, ("a", "b", "c"), [("a", "b")])
+g = InteractionGraph.from_edges(("a", "b", "c"), [("a", "b")])
 z, info = fj_equilibrium(g, np.array([1.0, -1.0, 1.0]),
                          method=SolverMethod.DIRECT)
 print(json.dumps({"rc": rc, "loaded_by_run": loaded_by_run,

@@ -13,7 +13,7 @@ from polmon import corpus
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            FilterRule, FollowRecord, Kind, MatchMode,
                            MediaItem, MediaKind, RuleSet, Side,
-                           default_rule_set, filter_corpus, fold_text,
+                           by_local_date, default_rule_set, filter_corpus, fold_text,
                            load_annotations, load_follows, load_tweets,
                            matches, normalize_hashtag, prevalent_users,
                            rule_set_from_dict, tweet_to_obj, parse_tweet)
@@ -497,6 +497,22 @@ def test_utc_window_agrees_with_local_date(ts, ends, offset):
     start, end = rule_set.utc_window()
     d = rule_set.local_date(ts)
     assert (start <= ts < end) == (d is not None and lo <= d <= hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(minutes=st.lists(st.integers(0, 6 * 24 * 60), max_size=30),
+       offset=st.sampled_from([0, 180, -420]) | st.integers(-1439, 1439))
+def test_by_local_date_groups_by_rule_set_local_date(minutes, offset):
+    rule_set = RuleSet(rules=[FilterRule("x", MatchMode.KEYWORD_SUBSTRING)],
+                       date_offset_minutes=offset)
+    start = datetime(2022, 8, 1, tzinfo=timezone.utc)
+    tweets = [tweet(f"t{i}", ts=(start + timedelta(minutes=m)).isoformat())
+              for i, m in enumerate(minutes)]
+    groups = by_local_date(tweets, offset)
+    days = [rule_set.local_date(t.timestamp) for t in tweets]
+    assert [d for d, _ in groups] == sorted(set(days))
+    for d, group in groups:  # input order kept inside a day
+        assert group == [t for t, day in zip(tweets, days) if day == d]
 
 
 # the reference path: each active rule on its own, term and text folded

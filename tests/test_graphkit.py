@@ -1,16 +1,14 @@
-from datetime import datetime, timedelta, timezone
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmon.corpus import AccountAnnotation, Category, Kind
-from polmon.graphkit import (build_graph, daily_graphs, day_window,
-                             export_graph, remove_nodes)
+from polmon.graphkit import (build_graph, daily_graphs, export_graph,
+                             remove_nodes)
 from polmon.stance import Stance, StanceAssignment
 
-from conftest import WINDOW, graph_of, tweet
+from conftest import graph_of, tweet
 from oracles import (csr_reference, export_graph_reference,
                      remove_nodes_reference)
 
@@ -21,7 +19,7 @@ def test_bidirectional_interactions_single_edge():
         tweet("t2", author="B", kind=Kind.ORIGINAL, refs=["A"],
               text="γεια @A υποκλοπές"),
     ]
-    g = build_graph(tweets, WINDOW)
+    g = build_graph(tweets)
     assert g.nodes == ("A", "B")
     assert g.edges == (("A", "B"),)
 
@@ -30,30 +28,21 @@ def test_repeated_interactions_collapse():
     tweets = [tweet(f"t{i}", author="A", kind=Kind.RETWEET, refs=["B"])
               for i in range(3)]
     tweets.append(tweet("t9", author="A", kind=Kind.QUOTE, refs=["B"]))
-    g = build_graph(tweets, WINDOW)
+    g = build_graph(tweets)
     assert g.edges == (("A", "B"),)
     assert g.m == 1
 
 
 def test_reference_free_tweet_gives_isolated_node():
-    g = build_graph([tweet("t1", author="A")], WINDOW)
+    g = build_graph([tweet("t1", author="A")])
     assert g.nodes == ("A",)
     assert g.edges == ()
 
 
 def test_self_reply_drops_self_loop():
-    g = build_graph([tweet("t1", author="A", kind=Kind.REPLY, refs=["A"])],
-                    WINDOW)
+    g = build_graph([tweet("t1", author="A", kind=Kind.REPLY, refs=["A"])])
     assert g.nodes == ("A",)
     assert g.edges == ()
-
-
-def test_window_is_half_open():
-    start, end = day_window(datetime(2022, 8, 5, tzinfo=timezone.utc).date())
-    inside = tweet("t1", author="A", ts="2022-08-05T23:59:59Z")
-    outside = tweet("t2", author="B", ts="2022-08-06T00:00:01Z")
-    g = build_graph([inside, outside], (start, end))
-    assert g.nodes == ("A",)
 
 
 def test_daily_graphs_bucketing():
@@ -75,7 +64,7 @@ def test_daily_graphs_single_date_equals_full_build():
     ]
     days = daily_graphs(tweets)
     assert len(days) == 1
-    full = build_graph(tweets, WINDOW)
+    full = build_graph(tweets)
     assert days[0][1].nodes == full.nodes
     assert days[0][1].edges == full.edges
 
@@ -90,7 +79,7 @@ def test_daily_union_covers_full_window_edges():
               ts="2022-08-06T10:00:00Z"),
     ]
     days = [g for _, g in daily_graphs(tweets)]
-    full = build_graph(tweets, WINDOW)
+    full = build_graph(tweets)
     assert set().union(*(g.edges for g in days)) == set(full.edges)
     assert set().union(*(g.nodes for g in days)) == set(full.nodes)
 
@@ -106,8 +95,8 @@ def test_build_graph_order_invariant(order):
         tweet("t4", author="C", kind=Kind.RETWEET, refs=["B"]),
         tweet("t5", author="E", kind=Kind.REPLY, refs=["A"]),
     ]
-    reference = build_graph(base, WINDOW)
-    shuffled = build_graph([base[i] for i in order], WINDOW)
+    reference = build_graph(base)
+    shuffled = build_graph([base[i] for i in order])
     assert shuffled.nodes == reference.nodes
     assert shuffled.edges == reference.edges
 
@@ -129,20 +118,17 @@ USERS = ["a", "b", "c", "d", "e", "f"]
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(USERS),
-                          st.lists(st.sampled_from(USERS), max_size=3),
-                          st.integers(-48, 31 * 24 + 48)), max_size=25))
+                          st.lists(st.sampled_from(USERS), max_size=3)),
+                max_size=25))
 def test_build_graph_edges_equal_pairs_from_tweets(specs):
-    start, end = WINDOW
-    tweets = [tweet(f"t{i}", author=author, refs=refs,
-                    ts=(start + timedelta(hours=h)).isoformat())
-              for i, (author, refs, h) in enumerate(specs)]
-    inside = [t for t in tweets if start <= t.timestamp < end]
-    nodes = {t.author_id for t in inside}.union(
-        *(t.referenced_user_ids for t in inside))
+    tweets = [tweet(f"t{i}", author=author, refs=refs)
+              for i, (author, refs) in enumerate(specs)]
+    nodes = {t.author_id for t in tweets}.union(
+        *(t.referenced_user_ids for t in tweets))
     pairs = {tuple(sorted((t.author_id, r)))
-             for t in inside for r in t.referenced_user_ids
+             for t in tweets for r in t.referenced_user_ids
              if r != t.author_id}
-    g = build_graph(tweets, WINDOW)
+    g = build_graph(tweets)
     assert g.nodes == tuple(sorted(nodes))
     assert g.edges == tuple(sorted(pairs))
     indptr, indices = csr_reference(g.nodes, sorted(pairs))
@@ -175,7 +161,6 @@ def test_remove_nodes_equals_reference(case, drop_isolated):
     assert out.indptr.tolist() == indptr
     assert out.indices.tolist() == indices
     assert out.indptr.dtype == out.indices.dtype == np.int64
-    assert out.window == g.window
 
 
 def test_node_index_is_sorted_dense():

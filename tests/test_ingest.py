@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polmon import corpus, pipeline
+from polmon import corpus
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            FollowRecord, Side, fold_text, load_follows,
                            load_tweets)
@@ -174,5 +174,4 @@ def test_follow_loader_reads_repeated_column_like_dictreader(tmp_path):
 def test_top_k_equals_sorted_prefix(counts, k):
     counter = Counter(counts)
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    assert pipeline._top(counter, k) == ranked
-    assert corpus._top_ids(counter, k) == [key for key, _ in ranked]
+    assert corpus._top(counter, k) == ranked

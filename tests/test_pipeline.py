@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
@@ -10,16 +13,18 @@ import pytest
 
 from polmon import pipeline
 from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
-                           Side, load_tweets, matches, tweet_to_obj)
+                           Side, _top, load_tweets, matches, tweet_to_obj)
+from polmon.graphkit import daily_graphs
 from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig,
                              Runner, ablation, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
-                             threshold_sweep, tokenize, window_top)
+                             threshold_sweep, tokenize)
 from polmon.report import _table
 from polmon.polarization import SolverMethod
 from polmon.stance import Stance, StanceAssignment, stance_map
 
 from conftest import graph_of, tweet
+from oracles import stats_reference
 
 
 def _stances(mapping):
@@ -34,10 +39,15 @@ def _stances(mapping):
 # ---------------------------------------------------------------------------
 
 
+def _as_tuples(rows):
+    return [(r.date, r.n_posts, r.n_by_kind, r.n_users, r.n_hashtags,
+             r.n_urls) for r in rows]
+
+
 def test_stats_counts_unique_users():
     tweets = [tweet("t1", author="a"), tweet("t2", author="a"),
               tweet("t3", author="b")]
-    rows = compute_stats(tweets, per_day=False)
+    rows, _ = compute_stats(tweets)
     assert rows[0].n_users == 2
     assert rows[0].n_posts == 3
 
@@ -49,7 +59,7 @@ def test_stats_kind_counts_sum():
         tweet("t3", author="b", kind=Kind.REPLY, refs=["a"]),
         tweet("t4", author="c", kind=Kind.QUOTE, refs=["a"]),
     ]
-    row = compute_stats(tweets, per_day=False)[0]
+    row = compute_stats(tweets)[0][0]
     assert sum(row.n_by_kind.values()) == row.n_posts == 4
     assert row.n_by_kind == {"original": 1, "retweet": 1, "quote": 1,
                              "reply": 1}
@@ -68,24 +78,24 @@ def test_stats_hand_tally_ten_tweets():
         tweet("t09", author="d", like_count=7),
         tweet("t10", author="e", urls=["u3"]),
     ]
-    row = compute_stats(tweets, per_day=False, top_k=3)[0]
+    rows, window = compute_stats(tweets)
+    assert len(rows) == 1  # one day
+    row = rows[0]
     assert row.n_posts == 10
     assert row.n_users == 5
     assert row.n_hashtags == 2  # distinct: x, y
     assert row.n_urls == 3      # distinct: u1, u2, u3
     assert row.n_by_kind == {"original": 6, "retweet": 1, "quote": 1,
                              "reply": 2}
-    assert row.top["active_users"] == [("b", 3), ("a", 2), ("c", 2)]
-    assert row.top["mentioned_users"] == [("a", 3), ("b", 1)]
-    assert row.top["liked_tweets"][0] == ("t09", 7)
-    assert row.top["shared_urls"] == [("u1", 2), ("u2", 1), ("u3", 1)]
-    assert row.top["hashtags"] == [("x", 2), ("y", 2)]
+    assert _top(window["active_users"], 3) == [("b", 3), ("a", 2), ("c", 2)]
+    assert _top(window["mentioned_users"], 3) == [("a", 3), ("b", 1)]
+    assert _top(window["hashtags"], 3) == [("x", 2), ("y", 2)]
 
 
 def test_stats_per_day_buckets():
     tweets = [tweet("t1", author="a", ts="2022-08-05T10:00:00Z"),
               tweet("t2", author="b", ts="2022-08-06T10:00:00Z")]
-    rows = compute_stats(tweets)
+    rows, _ = compute_stats(tweets)
     assert [r.date.isoformat() for r in rows] == ["2022-08-05", "2022-08-06"]
 
 
@@ -95,17 +105,15 @@ def test_tokenizer_folds_and_splits():
 
 
 def test_stats_phrases_are_bigrams():
-    row = compute_stats([tweet("t1", text="alpha beta gamma")],
-                        per_day=False)[0]
-    assert ("alpha beta", 1) in row.top["phrases"]
-    assert ("beta gamma", 1) in row.top["phrases"]
+    _, window = compute_stats([tweet("t1", text="alpha beta gamma")])
+    assert window["phrases"] == Counter({"alpha beta": 1, "beta gamma": 1})
 
 
 def test_stats_stopwords_removed():
-    row = compute_stats([tweet("t1", text="alpha beta alpha")],
-                        per_day=False, stopwords={"beta"})[0]
-    assert row.top["words"] == [("alpha", 2)]
-    assert row.top["phrases"] == [("alpha alpha", 1)]
+    _, window = compute_stats([tweet("t1", text="alpha beta alpha")],
+                              stopwords={"beta"})
+    assert window["words"] == Counter({"alpha": 2})
+    assert window["phrases"] == Counter({"alpha alpha": 1})
 
 
 _VOCAB = ("Υποκλοπές", "ΥΠΟΚΛΟΠΕΣ", "υποκλοπες", "Ανδρουλάκης", "ΕΥΠ",
@@ -135,39 +143,39 @@ def _synthetic_tweets(seed: int, n: int = 400, days: int = 6):
     return out
 
 
-def _reference_words_phrases(tweets, stopwords, offset_minutes):
-    """Per-day word and bigram counters through plain ``tokenize``."""
-    shift = timedelta(minutes=offset_minutes)
-    by_day = {}
-    for t in tweets:
-        words, phrases = by_day.setdefault((t.timestamp + shift).date(),
-                                           (Counter(), Counter()))
-        tokens = [w for w in tokenize(t.text) if w not in stopwords]
-        words.update(tokens)
-        phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-    return by_day
-
-
 @pytest.mark.parametrize("offset", [0, 180, -420])
 @pytest.mark.parametrize("stopwords", [(), ("το", "και", "cafe")])
 def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
     fixture = list(load_tweets(fixture_paths["tweets"]))
     for tweets in (fixture, _synthetic_tweets(seed=7)):
-        everything = 10 ** 6  # top_k above every distinct count
-        rows = compute_stats(tweets, top_k=everything, stopwords=stopwords,
-                             offset_minutes=offset)
-        ref = _reference_words_phrases(tweets, frozenset(stopwords), offset)
-        assert [r.date for r in rows] == sorted(ref)
-        for row in rows:
-            words, phrases = ref[row.date]
-            assert dict(row.top["words"]) == words
-            assert dict(row.top["phrases"]) == phrases
-        # the truncated, tie-broken tables agree as well
-        for row, small in zip(rows, compute_stats(
-                tweets, top_k=3, stopwords=stopwords, offset_minutes=offset)):
-            words, phrases = ref[row.date]
-            assert small.top["words"] == pipeline._top(words, 3)
-            assert small.top["phrases"] == pipeline._top(phrases, 3)
+        words, phrases = Counter(), Counter()
+        for t in tweets:
+            tokens = [w for w in tokenize(t.text) if w not in stopwords]
+            words.update(tokens)
+            phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+        _, window = compute_stats(tweets, stopwords, offset)
+        assert window["words"] == words
+        assert window["phrases"] == phrases
+
+
+@pytest.mark.parametrize("offset", [0, 180, -420, 1439])
+@pytest.mark.parametrize("stopwords", [(), ("το", "και", "cafe")])
+def test_stats_equal_reference(fixture_paths, offset, stopwords):
+    fixture = list(load_tweets(fixture_paths["tweets"]))
+    for tweets in (fixture, _synthetic_tweets(seed=11)):
+        rows, window = compute_stats(tweets, stopwords, offset)
+        ref_rows, ref_window = stats_reference(tweets, frozenset(stopwords),
+                                               offset)
+        assert _as_tuples(rows) == ref_rows
+        assert window == ref_window
+
+
+def test_stats_days_are_the_daily_graphs_days():
+    tweets = _synthetic_tweets(seed=13)
+    for offset in (0, 180, -420):
+        rows, _ = compute_stats(tweets, offset_minutes=offset)
+        assert [r.date for r in rows] == [
+            d for d, _ in daily_graphs(tweets, offset)]
 
 
 def test_stats_folds_each_distinct_word_once(monkeypatch):
@@ -183,16 +191,6 @@ def test_stats_folds_each_distinct_word_once(monkeypatch):
 
 _WINDOW_KEYS = ("hashtags", "words", "phrases", "mentioned_users",
                 "active_users")
-
-
-def test_window_totals_equal_aggregate_row():
-    tweets = _synthetic_tweets(seed=11)
-    totals = {}
-    compute_stats(tweets, top_k=4, stopwords={"ο"}, offset_minutes=180,
-                  totals=totals)
-    whole = compute_stats(tweets, per_day=False, top_k=4, stopwords={"ο"})[0]
-    assert window_top(totals, 4) == {key: whole.top[key]
-                                     for key in _WINDOW_KEYS}
 
 
 def _synthetic_run(tmp_path, fixture_paths, offset: int) -> RunConfig:
@@ -224,22 +222,19 @@ def test_summary_tables_equal_whole_window_stats(corpus, fixture_paths,
     calls = []
     real = pipeline.compute_stats
     monkeypatch.setattr(pipeline, "compute_stats",
-                        lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+                        lambda *a: calls.append(a) or real(*a))
     bundle = run_all(config)
-    assert [kw["per_day"] for kw in calls] == [True]  # no second corpus walk
+    assert len(calls) == 1  # no second corpus walk
 
     runner = Runner(config)
     kept = runner.filtered[0]
     assert len({runner.rule_set.local_date(t.timestamp) for t in kept}) > 1
-    whole = real(kept, per_day=False, top_k=config.top_k,
-                 stopwords=runner.stopword_set)[0]
-    runner.stats
-    assert window_top(runner.window_counts, config.top_k) == {
-        key: whole.top[key] for key in _WINDOW_KEYS}
+    _, window = stats_reference(kept, runner.stopword_set)
     html = bundle["summary.html"].read_text(encoding="utf-8")
     for key in _WINDOW_KEYS:
-        assert whole.top[key]
-        assert _table(["value", "count"], whole.top[key]) in html
+        table = _top(window[key], config.top_k)
+        assert table
+        assert _table(["value", "count"], table) in html
 
 
 def test_stage_start_and_end_logged(fixture_paths, tmp_path, caplog):
@@ -699,3 +694,23 @@ def test_runner_stage_error_tags_stage(tmp_path):
     from polmon.pipeline import StageError
     with pytest.raises(StageError, match=r"\[filter\]"):
         runner.filtered
+
+
+_INSTALL_TRACER = """
+import json
+from tracer import Tracer
+print(json.dumps(Tracer().install()))
+"""
+
+
+def test_benchmark_tracer_finds_every_entry_point():
+    # the benchmark's per-layer trace wraps pipeline, structure and report
+    # names and Runner stages by name; a name it cannot find reads as zero
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _INSTALL_TRACER], env=env,
+                          cwd=root, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

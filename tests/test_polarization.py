@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from polmon.polarization import (ConvergenceError, SolverMethod, _adjacency,
-                                 compute_pi, fj_equilibrium,
-                                 polarization_index)
+                                 compute_pi, default_max_iter,
+                                 fj_equilibrium, polarization_index)
 from polmon.stance import Stance, StanceAssignment
 
 from conftest import graph_of, random_graph
@@ -118,6 +118,33 @@ def test_cg_nonconvergence_raises_with_residual_and_iterations():
                        method=SolverMethod.CG, max_iter=1, tol=1e-15)
     assert err.value.residual > 1e-15
     assert err.value.iterations == 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("method", list(SolverMethod))
+def test_tol_must_be_positive_and_finite(tol, method):
+    g = graph_of([("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="tol must be a positive finite"):
+        fj_equilibrium(g, np.array([1.0, -1.0, 1.0]), tol=tol, method=method)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cg_stops_at_breakdown(seed):
+    # no floating-point residual reaches 1e-300: the recursion underflows
+    # first, and CG must stop there instead of iterating on NaN
+    rng = np.random.default_rng(seed)
+    g = (graph_of([("a", "b"), ("b", "c")]) if seed == 0
+         else random_graph(rng, 40, 0.1))
+    s = rng.uniform(-1.0, 1.0, g.n)
+    budget = default_max_iter(g.n)
+    try:
+        _, info = fj_equilibrium(g, s, tol=1e-300)
+        residual, iterations = info.residual, info.iterations
+    except ConvergenceError as err:
+        residual, iterations = err.residual, err.iterations
+    assert np.isfinite(residual)
+    assert residual < 1e-12
+    assert iterations < budget // 2
 
 
 def test_opinion_bounds_validated():

@@ -476,7 +476,8 @@ def test_lean_fifty_percent_more_left():
     # force one community for the check
     partition.assignment = {u: 0 for u in g.nodes}
     partition.per_community = [type(partition.per_community[0])(0, g.n)]
-    top = decompose_communities(partition, _stances(members))
+    decompose_communities(partition, _stances(members))
+    top = partition.per_community
     assert top[0].lean == pytest.approx(0.2)
     assert (top[0].n_left, top[0].n_right) == (15, 10)
 
@@ -484,7 +485,8 @@ def test_lean_fifty_percent_more_left():
 def test_lean_all_neutral_zero():
     g = graph_of([("a", "b")])
     partition = louvain(g)
-    top = decompose_communities(partition, _stances({"a": "N", "b": "N"}))
+    decompose_communities(partition, _stances({"a": "N", "b": "N"}))
+    top = partition.per_community
     assert top[0].lean == 0.0
     assert top[0].n_neutral == 2
 
@@ -492,17 +494,21 @@ def test_lean_all_neutral_zero():
 def test_empty_stance_map_defaults_neutral():
     g = graph_of([("a", "b"), ("x", "y")])
     partition = louvain(g)
-    top = decompose_communities(partition, {})
-    assert all(p.n_neutral == p.size for p in top)
-    assert all(p.lean == 0.0 for p in top)
+    decompose_communities(partition, {})
+    assert all(p.n_neutral == p.size for p in partition.per_community)
+    assert all(p.lean == 0.0 for p in partition.per_community)
 
 
 def test_top_n_ordering():
+    # cliques named so that ascending node order meets them as c0..c3
     edges = []
-    for b, size in enumerate((5, 3, 4)):
+    for b, size in enumerate((3, 5, 4, 5)):
         names = [f"c{b}_{i}" for i in range(size)]
         edges.extend((names[i], names[j]) for i in range(size)
                      for j in range(i + 1, size))
     partition = louvain(graph_of(edges))
-    top2 = decompose_communities(partition, {}, top_n=2)
-    assert [p.size for p in top2] == [5, 4]
+    assert [p.size for p in partition.per_community] == [3, 5, 4, 5]
+    decompose_communities(partition, {})
+    # size descending, community id ascending on ties
+    assert [(p.size, p.community_id) for p in partition.per_community] == [
+        (5, 1), (5, 3), (4, 2), (3, 0)]
