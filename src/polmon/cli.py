@@ -30,7 +30,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="stance threshold override")
     sub.add_argument("--drop-isolated", type=_parse_bool, metavar="BOOL",
                      help="drop newly isolated nodes in ablations")
-    sub.add_argument("--k", type=int, help="NetShield selection size")
+    sub.add_argument("--k", type=_non_negative, metavar="K",
+                     help="NetShield selection size")
     sub.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -41,6 +42,16 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise argparse.ArgumentTypeError(f"not a boolean: {raw!r}")
+
+
+def _non_negative(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {bundle[name]}")
             return 0
         runner = Runner(config)
+        runner.rule_set  # an empty study window fails before any input
         actions = {
             "filter": runner.write_filtered,
             "graph": runner.write_graphml,

@@ -16,6 +16,13 @@ File formats (all consumed here, all documented in the README):
 
 A default rule set (the tracked keyword/hashtag list with its per-term
 activation windows) ships as package data; ``default_rule_set()`` loads it.
+
+``filter_corpus`` is the one production pass over an archive: it decodes
+and checks every line as ``load_tweets`` does (both share one loop), tests
+language, window and rules on the checked fields, and builds a
+``TweetRecord`` only for a tweet it keeps.  Rules are matched by lookup:
+a dict from hashtag term to rule keys per local date, and keyword terms
+tested against the text folded word by word.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -269,11 +276,13 @@ def parse_tweet(obj: dict) -> TweetRecord:
     a non-original post without a referenced user).  A missing or null
     count or list means 0 or empty.  The record keeps obj's lists.
     """
-    return _parse_tweet(obj, {})
+    fields = _check_tweet(obj)
+    return _record(obj, fields, list(map(normalize_hashtag, fields[2])))
 
 
-def _parse_tweet(obj: dict, tags: dict[str, str]) -> TweetRecord:
-    """parse_tweet, with tags memoising normalize_hashtag across calls."""
+def _check_tweet(obj: dict) -> tuple:
+    """parse_tweet's checks: (kind, timestamp, raw hashtags, urls,
+    referenced users, counts, media) of obj, or CorpusFormatError."""
     for name in _REQUIRED_FIELDS:
         if obj.get(name) is None:
             raise CorpusFormatError(f"missing field {name!r}")
@@ -325,15 +334,24 @@ def _parse_tweet(obj: dict, tags: dict[str, str]) -> TweetRecord:
                                    str(item["url"])))
         except (KeyError, ValueError, TypeError):
             raise CorpusFormatError(f"bad media item {item!r}") from None
+    return kind, ts, hashtags, urls, refs, counts, media
 
+
+def _record(obj: dict, fields: tuple, hashtags: list[str]) -> TweetRecord:
+    """The TweetRecord of a checked obj, given its normalised hashtags;
+    it cannot fail."""
+    kind, ts, _, urls, refs, counts, media = fields
     ref_tweet = obj.get("referenced_tweet_id")
     return TweetRecord(
         str(obj["tweet_id"]), str(obj["author_id"]), ts, str(obj["text"]),
-        str(obj["lang"]), kind,
-        [tags[h] if h in tags else tags.setdefault(h, normalize_hashtag(h))
-         for h in hashtags],
-        urls, media, refs, None if ref_tweet is None else str(ref_tweet),
-        *counts)
+        str(obj["lang"]), kind, hashtags, urls, media, refs,
+        None if ref_tweet is None else str(ref_tweet), *counts)
+
+
+def _normalized(hashtags: list[str], tags: dict[str, str]) -> list[str]:
+    """normalize_hashtag of each, memoised in tags."""
+    return [tags[h] if h in tags else tags.setdefault(h, normalize_hashtag(h))
+            for h in hashtags]
 
 
 def tweet_to_obj(t: TweetRecord) -> dict:
@@ -362,17 +380,13 @@ _decode = json.JSONDecoder().raw_decode
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800 to \uDFFF
 
 
-def load_tweets(path: str | Path, schema_strict: bool = False,
-                error_log: list | None = None) -> Iterator[TweetRecord]:
-    """Stream validated TweetRecords from a line-delimited JSON archive.
+def _checked_lines(path: Path, schema_strict: bool,
+                   error_log: list | None) -> Iterator[tuple[dict, tuple]]:
+    """(object, _check_tweet fields) of each valid line of the archive.
 
-    Malformed lines are skipped with a warning (collected into error_log as
-    ``(line_number, message)`` when a list is passed); with schema_strict
-    they raise instead.  Bytes that are not UTF-8 and escaped lone
-    surrogates make a line malformed.  An unreadable file always raises.
+    Every line is decoded and checked, whatever its date.  A malformed line
+    is logged and skipped, or raises under schema_strict.
     """
-    path = Path(path)
-    tags: dict[str, str] = {}
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -386,9 +400,9 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
                     raise json.JSONDecodeError("Extra data", line, end)
                 if not isinstance(obj, dict):
                     raise CorpusFormatError("line is not an object")
-                record = _parse_tweet(obj, tags)
+                fields = _check_tweet(obj)
                 if _SURROGATE_ESCAPE.search(line):  # fails on a lone one
-                    json.dumps(tweet_to_obj(record),
+                    json.dumps(tweet_to_obj(parse_tweet(obj)),
                                ensure_ascii=False).encode("utf-8")
             except (ValueError, TypeError) as exc:
                 # CorpusFormatError, JSONDecodeError, UnicodeError, and any
@@ -401,7 +415,24 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
                 log.warning("%s:%d: skipping malformed line (%s)",
                             path, lineno, exc)
                 continue
-            yield record
+            yield obj, fields
+
+
+def load_tweets(path: str | Path, schema_strict: bool = False,
+                error_log: list | None = None) -> Iterator[TweetRecord]:
+    """Stream a TweetRecord for every valid line of a line-delimited JSON
+    archive.
+
+    Malformed lines are skipped with a warning (collected into error_log as
+    ``(line_number, message)`` when a list is passed); with schema_strict
+    they raise instead.  Bytes that are not UTF-8 and escaped lone
+    surrogates make a line malformed.  An unreadable file always raises.
+    filter_corpus runs the same checks and builds records only for the
+    tweets it keeps.
+    """
+    tags: dict[str, str] = {}
+    for obj, fields in _checked_lines(Path(path), schema_strict, error_log):
+        yield _record(obj, fields, _normalized(fields[2], tags))
 
 
 # ---------------------------------------------------------------------------
@@ -436,41 +467,83 @@ class FilterReport:
         }
 
 
-def filter_corpus(rule_set: RuleSet,
-                  tweets: Iterable[TweetRecord]) -> tuple[list[TweetRecord], FilterReport]:
-    """Order-preserving filter by ``matches`` with per-rule hit accounting."""
+def _rule_matcher(rule_set: RuleSet
+                  ) -> Callable[[datetime, str, list[str]], list[str]]:
+    """hits(timestamp, text, hashtags): the keys of the rules a tweet
+    inside the study window matches, one per matching rule.
+
+    Per local date, the active hashtag rules are a dict from term to keys,
+    looked up once per distinct hashtag, and the active keyword rules are
+    substring tests on the folded text.  The text is folded token by token
+    (split on spaces), each distinct token once per matcher: fold_text
+    commutes with joining on a space, as NFD reordering and NFC
+    composition never cross a starter that composes with nothing, and
+    the rest of the fold acts on each character alone.
+    """
+    days: dict[date, tuple[dict[str, list[str]], list[tuple[str, str]]]] = {}
+    folds: dict[str, str] = {}
+
+    def hits(ts: datetime, text: str, hashtags: list[str]) -> list[str]:
+        d = rule_set.local_date(ts)
+        if d not in days:
+            by_tag: dict[str, list[str]] = {}
+            keywords = []
+            for rule in rule_set.rules:
+                if rule.window_contains(d):
+                    key = f"{rule.mode.value}:{rule.term}"
+                    if rule.mode is MatchMode.HASHTAG_EXACT:
+                        by_tag.setdefault(rule.term, []).append(key)
+                    else:
+                        keywords.append((rule.folded_term, key))
+            days[d] = by_tag, keywords
+        by_tag, keywords = days[d]
+        keys = []
+        for h in dict.fromkeys(hashtags):
+            if h in by_tag:
+                keys += by_tag[h]
+        if keywords:
+            folded = " ".join([folds[w] if w in folds
+                               else folds.setdefault(w, fold_text(w))
+                               for w in text.split(" ")])
+            keys += [key for term, key in keywords if term in folded]
+        return keys
+
+    return hits
+
+
+def filter_corpus(rule_set: RuleSet, path: str | Path,
+                  schema_strict: bool = False, error_log: list | None = None
+                  ) -> tuple[list[TweetRecord], FilterReport]:
+    """The archive's kept tweets, in file order, and the pass's counters.
+
+    One pass: each line is decoded and checked as load_tweets does, so a
+    malformed line is counted (or raises under schema_strict) whatever its
+    date.  A valid tweet is then tested for language, study window and
+    rules, and a TweetRecord is built only for a tweet that matches at
+    least one rule; each matching rule counts one hit.  Rule windows are
+    inclusive local dates.
+    """
     kept: list[TweetRecord] = []
     report = FilterReport()
+    languages = rule_set.language_whitelist
     start, end = rule_set.utc_window()
-    active_on: dict[date, list[tuple[FilterRule, str]]] = {}
-    for t in tweets:
+    hits = _rule_matcher(rule_set)
+    tags: dict[str, str] = {}
+    for obj, fields in _checked_lines(Path(path), schema_strict, error_log):
         report.total += 1
-        if t.lang not in rule_set.language_whitelist:
+        if str(obj["lang"]) not in languages:
             report.dropped_lang += 1
             continue
-        if not start <= t.timestamp < end:
+        ts = fields[1]
+        if not start <= ts < end:
             report.dropped_window += 1
             continue
-        d = rule_set.local_date(t.timestamp)
-        if d not in active_on:
-            active_on[d] = [(rule, f"{rule.mode.value}:{rule.term}")
-                            for rule in rule_set.rules
-                            if rule.window_contains(d)]
-        hit, folded = False, None  # the text is folded at most once
-        for rule, key in active_on[d]:
-            if rule.mode is MatchMode.HASHTAG_EXACT:
-                if rule.term not in t.hashtags:
-                    continue
-            else:
-                if folded is None:
-                    folded = fold_text(t.text)
-                if rule.folded_term not in folded:
-                    continue
-            report.rule_hits[key] += 1
-            hit = True
-        if hit:
+        hashtags = _normalized(fields[2], tags)
+        keys = hits(ts, str(obj["text"]), hashtags)
+        if keys:
+            report.rule_hits.update(keys)
             report.kept += 1
-            kept.append(t)
+            kept.append(_record(obj, fields, hashtags))
         else:
             report.dropped_no_rule += 1
     return kept, report
@@ -479,9 +552,14 @@ def filter_corpus(rule_set: RuleSet,
 def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
     """True iff the tweet passes language, study window and at least one rule.
 
-    Pure predicate; date windows are inclusive on both bounds.
+    Pure predicate, by filter_corpus's matcher; date windows are inclusive
+    on both bounds.
     """
-    return bool(filter_corpus(rule_set, (t,))[0])
+    start, end = rule_set.utc_window()
+    return (t.lang in rule_set.language_whitelist
+            and start <= t.timestamp < end
+            and bool(_rule_matcher(rule_set)(t.timestamp, t.text,
+                                             t.hashtags)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import __version__
 from .corpus import (Category, FilterReport, Kind, RuleSet, TweetRecord,
                      by_local_date, default_rule_set, filter_corpus,
                      fold_text, load_annotations, load_follows,
-                     load_rule_set, load_tweets, tweet_to_obj)
+                     load_rule_set, tweet_to_obj)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import PolarizationResult, compute_pi
@@ -324,9 +324,10 @@ class RunConfig:
         """Load a JSON run config; paths resolve against its directory.
 
         Every value must have its field's JSON type (bool is neither an
-        integer nor a number here), tol must be positive and finite, and
-        every key must be a field or one of RETIRED_CONFIG_KEYS; otherwise
-        a ValueError names the key.
+        integer nor a number here), tol must be positive and finite, k
+        must be non-negative, top_k positive, and every key must be a
+        field or one of RETIRED_CONFIG_KEYS; otherwise a ValueError names
+        the key.
         """
         path = Path(path)
         with path.open("r", encoding="utf-8") as fh:
@@ -360,8 +361,12 @@ class RunConfig:
         def flag(key, default: bool) -> bool:
             return typed(key, default, (bool,), "true or false")
 
-        def integer(key, default: int) -> int:
-            return typed(key, default, (int,), "an integer")
+        def integer(key, default: int, least: int) -> int:
+            value = typed(key, default, (int,), "an integer")
+            if value < least:
+                raise ValueError(
+                    f"{key!r} must be at least {least}, got {value!r}")
+            return value
 
         def number(key, default: float) -> float:
             return float(typed(key, default, (int, float), "a number"))
@@ -384,11 +389,11 @@ class RunConfig:
             rules=respath("rules"),
             threshold=number("threshold", 0.0),
             sweep_thresholds=tuple(thresholds),
-            k=integer("k", 500),
+            k=integer("k", 500, 0),
             drop_isolated=flag("drop_isolated", True),
             include_isolated=flag("include_isolated", True),
             tol=tol,
-            top_k=integer("top_k", 10),
+            top_k=integer("top_k", 10, 1),
             stopwords=respath("stopwords"),
             date_from=day("date_from"),
             date_to=day("date_to"),
@@ -448,6 +453,8 @@ class Runner:
 
     @property
     def rule_set(self) -> RuleSet:
+        """The rule set with its study window clamped by date_from and
+        date_to; a clamp that leaves no day raises, naming both ends."""
         def build():
             rs = (load_rule_set(self.config.rules) if self.config.rules
                   else default_rule_set())
@@ -456,18 +463,19 @@ class Runner:
                 lo = max(lo, self.config.date_from)
             if self.config.date_to:
                 hi = min(hi, self.config.date_to)
+            if lo > hi:
+                raise ValueError(f"empty study window: it would start on "
+                                 f"{lo} and end on {hi}")
             rs.study_window = (lo, hi)
             return rs
         return self._get("rules", build)
 
     @property
     def filtered(self) -> tuple[list[TweetRecord], FilterReport]:
-        def build():
-            tweets = load_tweets(self.config.tweets,
-                                 schema_strict=self.config.schema_strict,
-                                 error_log=self.load_errors)
-            return filter_corpus(self.rule_set, tweets)
-        return self._get("filter", build)
+        return self._get("filter", lambda: filter_corpus(
+            self.rule_set, self.config.tweets,
+            schema_strict=self.config.schema_strict,
+            error_log=self.load_errors))
 
     @property
     def annotations(self):

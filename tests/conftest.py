@@ -1,11 +1,14 @@
+import json
 import sys
+import tempfile
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polmon.corpus import Kind, TweetRecord
+from polmon.corpus import (FilterReport, Kind, RuleSet, TweetRecord,
+                           filter_corpus, tweet_to_obj)
 from polmon.graphkit import InteractionGraph
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
@@ -40,6 +43,19 @@ def tweet(tweet_id="t1", author="a", ts="2022-08-05T12:00:00Z",
         timestamp=datetime.fromisoformat(ts.replace("Z", "+00:00")),
         text=text, lang=lang, kind=kind, hashtags=list(hashtags),
         referenced_user_ids=list(refs), **kwargs)
+
+
+def filter_records(rule_set: RuleSet, records
+                   ) -> tuple[list[TweetRecord], FilterReport]:
+    """filter_corpus over an archive of the records, written by
+    tweet_to_obj; a record with normalised hashtags and a UTC timestamp
+    reads back equal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tweets.jsonl"
+        path.write_text("".join(
+            json.dumps(tweet_to_obj(t), ensure_ascii=False) + "\n"
+            for t in records), encoding="utf-8")
+        return filter_corpus(rule_set, path)
 
 
 @pytest.fixture

@@ -5,9 +5,11 @@ plain enumeration), deliberately avoiding the package's CSR kernels, sparse
 solves and greedy code paths.  Two kernels that the package computes with
 numpy alone keep their scipy.sparse forms here: the adjacency matvec and
 Louvain's community collapse.  The corpus oracles are the plain archive
-loader, follow-list loader and text fold that the package's ingest path
-must reproduce: ``json.loads`` per line, ``csv.DictReader`` rows, and a
-whole-string NFD -> strip marks -> NFC -> casefold fold of every text.
+loader, record filter, follow-list loader and text fold that the
+package's ingest path must reproduce: ``json.loads`` per line, a full
+record per valid line filtered by walking every active rule,
+``csv.DictReader`` rows, and a whole-string NFD -> strip marks -> NFC ->
+casefold fold of every text.
 The stats oracle tallies the bundle's daily counts and the summary's
 whole-window counters one tweet at a time.
 """
@@ -20,16 +22,18 @@ import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
-from datetime import timedelta
+from datetime import date, timedelta
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from polmon.corpus import (Category, CorpusFormatError, FollowRecord, Kind,
-                           MediaItem, MediaKind, TweetRecord,
-                           _parse_timestamp, normalize_hashtag)
+from polmon.corpus import (Category, CorpusFormatError, FilterReport,
+                           FilterRule, FollowRecord, Kind, MatchMode,
+                           MediaItem, MediaKind, RuleSet, TweetRecord,
+                           _parse_timestamp, fold_text, normalize_hashtag)
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -365,6 +369,46 @@ def load_tweets_reference(path, schema_strict: bool = False,
                     error_log.append((lineno, str(exc)))
                 continue
             yield record
+
+
+def filter_corpus_reference(rule_set: RuleSet,
+                            tweets: Iterable[TweetRecord]) -> tuple[list[TweetRecord], FilterReport]:
+    """Order-preserving filter by ``matches`` with per-rule hit accounting."""
+    kept: list[TweetRecord] = []
+    report = FilterReport()
+    start, end = rule_set.utc_window()
+    active_on: dict[date, list[tuple[FilterRule, str]]] = {}
+    for t in tweets:
+        report.total += 1
+        if t.lang not in rule_set.language_whitelist:
+            report.dropped_lang += 1
+            continue
+        if not start <= t.timestamp < end:
+            report.dropped_window += 1
+            continue
+        d = rule_set.local_date(t.timestamp)
+        if d not in active_on:
+            active_on[d] = [(rule, f"{rule.mode.value}:{rule.term}")
+                            for rule in rule_set.rules
+                            if rule.window_contains(d)]
+        hit, folded = False, None  # the text is folded at most once
+        for rule, key in active_on[d]:
+            if rule.mode is MatchMode.HASHTAG_EXACT:
+                if rule.term not in t.hashtags:
+                    continue
+            else:
+                if folded is None:
+                    folded = fold_text(t.text)
+                if rule.folded_term not in folded:
+                    continue
+            report.rule_hits[key] += 1
+            hit = True
+        if hit:
+            report.kept += 1
+            kept.append(t)
+        else:
+            report.dropped_no_rule += 1
+    return kept, report
 
 
 def load_follows_reference(path, annotations=None) -> list[FollowRecord]:

@@ -201,6 +201,86 @@ def test_config_numbers_accept_json_ints(fixture_paths, tmp_path):
     assert loaded.sweep_thresholds == (0, 0.5)
 
 
+@pytest.mark.parametrize("key,value", [("k", -5), ("k", -1), ("top_k", -3),
+                                       ("top_k", 0)])
+def test_config_rejects_out_of_range_counts(key, value, fixture_paths,
+                                            tmp_path, capsys):
+    config = _load_with(fixture_paths, tmp_path, **{key: value})
+    with pytest.raises(ValueError, match=f"^{key!r} must be at least"):
+        RunConfig.from_file(config)
+    rc = main(["run-all", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_k_zero_loads(fixture_paths, tmp_path):
+    config = _load_with(fixture_paths, tmp_path, k=0, top_k=1)
+    loaded = RunConfig.from_file(config)
+    assert (loaded.k, loaded.top_k) == (0, 1)
+
+
+@pytest.mark.parametrize("raw", ["-1", "-500", "x", "2.5"])
+def test_k_flag_rejects_bad_value_when_parsing(raw, fixture_paths, tmp_path,
+                                               capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["influencers", "--config", str(fixture_paths["config"]),
+              "--out", str(tmp_path / "out"), "--k", raw])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["polarize", "stance", "run-all"])
+@pytest.mark.parametrize("dates,lo,hi", [
+    (["--from", "2022-08-10", "--to", "2022-08-01"], "2022-08-10",
+     "2022-08-01"),
+    (["--from", "2030-01-01"], "2030-01-01", "2023-01-14"),
+])
+def test_empty_study_window_is_an_error(command, dates, lo, hi,
+                                        fixture_paths, tmp_path, capsys):
+    rc = main([command, "--config", str(fixture_paths["config"]),
+               "--out", str(tmp_path / "out"), *dates])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[rules] empty study window" in err
+    assert lo in err and hi in err
+    assert not (tmp_path / "out").exists()
+
+
+_HASH_SEED_RUN = """
+import sys
+from polmon.cli import main
+config, out = sys.argv[1:]
+for command in ("run-all", "filter"):
+    assert main([command, "--config", config, "--out", out]) == 0
+"""
+
+
+def test_bundle_does_not_depend_on_the_hash_seed(fixture_paths, tmp_path):
+    # each run is a fresh interpreter with its own string hash seed, into
+    # the same output path, so the manifest's out_dir is the same too
+    src = str(Path(polmon.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    files = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_RUN,
+             str(fixture_paths["config"]), str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        for p in out.iterdir():
+            p.unlink()
+    assert len(files[0]) == 12  # the bundle, filtered.jsonl, filter_report
+    assert files[0] == files[1]
+
+
 def test_config_must_be_object(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text("[1, 2]", encoding="utf-8")

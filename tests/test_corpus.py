@@ -18,7 +18,7 @@ from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            matches, normalize_hashtag, prevalent_users,
                            rule_set_from_dict, tweet_to_obj, parse_tweet)
 
-from conftest import tweet
+from conftest import filter_records, tweet
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,7 @@ def test_type_confused_line_does_not_abort_filter(tmp_path):
     obj["like_count"] = "abc"
     path = _write(tmp_path, [GOOD_LINE, json.dumps(obj), GOOD_LINE])
     errors = []
-    kept, report = filter_corpus(default_rule_set(),
-                                 load_tweets(path, error_log=errors))
+    kept, report = filter_corpus(default_rule_set(), path, error_log=errors)
     assert (len(kept), report.total, len(errors)) == (2, 2, 1)
 
 
@@ -402,7 +401,7 @@ def test_matches_is_pure(seed):
 
 
 def test_filter_empty_corpus(rules):
-    kept, report = filter_corpus(rules, [])
+    kept, report = filter_records(rules, [])
     assert kept == []
     assert report.total == 0
     assert report.kept == 0
@@ -411,7 +410,7 @@ def test_filter_empty_corpus(rules):
 def test_filter_all_match(rules):
     tweets = [tweet(f"t{i}", text="υποκλοπές", ts="2022-08-05T09:00:00Z")
               for i in range(4)]
-    kept, report = filter_corpus(rules, tweets)
+    kept, report = filter_records(rules, tweets)
     assert kept == tweets
     assert report.kept == report.total == 4
 
@@ -426,7 +425,7 @@ def test_filter_mixed_matches_recheck(rules):
               ts="2022-08-05T09:00:00Z"),
         tweet("t5", text="υποκλοπές", ts="2023-03-05T09:00:00Z"),
     ]
-    kept, report = filter_corpus(rules, tweets)
+    kept, report = filter_records(rules, tweets)
     oracle = [t for t in tweets if matches(rules, t)]
     assert kept == oracle
     assert report.kept == len(oracle)
@@ -440,8 +439,8 @@ def test_filter_idempotent(rules):
         tweet("t1", text="υποκλοπές", ts="2022-08-05T09:00:00Z"),
         tweet("t2", text="no", ts="2022-08-05T09:00:00Z"),
     ]
-    kept, _ = filter_corpus(rules, tweets)
-    again, report = filter_corpus(rules, kept)
+    kept, _ = filter_records(rules, tweets)
+    again, report = filter_records(rules, kept)
     assert again == kept
     assert report.kept == report.total
 
@@ -460,8 +459,8 @@ def test_date_overflow_counts_as_out_of_window(tmp_path, ts, offset):
         "date_offset_minutes": offset,
     })
     errors = []
-    tweets = list(load_tweets(path, error_log=errors))
-    kept, report = filter_corpus(rule_set, tweets)
+    tweets = list(load_tweets(path))
+    kept, report = filter_corpus(rule_set, path, error_log=errors)
     assert errors == []
     assert [t.tweet_id for t in kept] == ["t1"]
     assert (report.total, report.kept, report.dropped_window) == (2, 1, 1)
@@ -596,39 +595,45 @@ def test_filter_equals_per_rule_reference(rules, tweets, offset):
     rule_set = RuleSet(rules=rules,
                        study_window=(date(2022, 8, 1), date(2022, 8, 5)),
                        date_offset_minutes=offset)
-    kept, report = filter_corpus(rule_set, tweets)
+    kept, report = filter_records(rule_set, tweets)
     ref_kept, ref_hits = _filter_reference(rule_set, tweets)
     assert kept == ref_kept
     assert report.rule_hits == ref_hits
     assert kept == [t for t in tweets if matches(rule_set, t)]
 
 
-def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
+def test_match_folds_each_token_once_and_terms_never(monkeypatch, rules):
+    texts = ("ΥΠΟΚΛΟΠΈΣ  και predator", "predator και ok", "ok",
+             "άσχετο και ΥΠΟΚΛΟΠΈΣ", "ज्ञान predator")
     tweets = [tweet(f"t{i}", text=text, ts="2022-08-05T09:00:00Z")
-              for i, text in enumerate(("ΥΠΟΚΛΟΠΈΣ", "predator", "ok",
-                                        "άσχετο"))]
+              for i, text in enumerate(texts)]
     tweets.append(tweet("t9", text="x", hashtags=["pega"],
                         ts="2022-08-05T09:00:00Z"))
     folded = []
     real = corpus.fold_text
     monkeypatch.setattr(corpus, "fold_text",
                         lambda s: folded.append(s) or real(s))
-    kept, report = filter_corpus(rules, tweets)
-    # the default set's four keyword rules are active on every date
-    assert folded == [t.text for t in tweets]
-    assert [t.tweet_id for t in kept] == ["t0", "t1", "t9"]
+    kept, report = filter_records(rules, tweets)
+    # the default set's four keyword rules are active on every date: each
+    # distinct space-split token is folded once in the pass, and no rule
+    # term is folded
+    assert folded == ["ΥΠΟΚΛΟΠΈΣ", "", "και", "predator", "ok", "άσχετο",
+                      "ज्ञान", "x"]
+    assert [t.tweet_id for t in kept] == ["t0", "t1", "t3", "t4", "t9"]
     folded.clear()
-    assert [matches(rules, t) for t in tweets] == [True, True, False, False,
-                                                    True]
-    assert folded == [t.text for t in tweets]
+    assert [matches(rules, t) for t in tweets] == [True, True, False, True,
+                                                    True, True]
+    # matches folds within its own call
+    assert folded == [w for text in (*texts, "x")
+                      for w in dict.fromkeys(text.split(" "))]
 
 
 def test_rule_term_folded_once_and_kept():
     rule = FilterRule("Υποκλοπές", MatchMode.KEYWORD_SUBSTRING)
     assert rule.term == "Υποκλοπές"
     assert rule.folded_term == fold_text("Υποκλοπές")
-    _, report = filter_corpus(RuleSet(rules=[rule]),
-                              [tweet(text="ΥΠΟΚΛΟΠΕΣ")])
+    _, report = filter_records(RuleSet(rules=[rule]),
+                               [tweet(text="ΥΠΟΚΛΟΠΕΣ")])
     assert report.to_dict()["rule_hits"] == {"keyword:Υποκλοπές": 1}
 
 

@@ -1,9 +1,11 @@
 """The archive ingest path against the plain references in oracles.py.
 
 The loader decodes with a reused raw decoder, memoises hashtag
-normalisation and keeps the decoded lists; fold_text folds text below
-U+0900 character by character; load_follows reads rows by column index.
-Each must give exactly what the reference gives.
+normalisation and keeps the decoded lists; filter_corpus checks every line
+as the loader does but builds records only for the tweets it keeps, and
+matches rules by lookup on space-split folded tokens; fold_text folds text
+below U+0900 character by character; load_follows reads rows by column
+index.  Each must give exactly what the reference gives.
 """
 
 import csv
@@ -11,19 +13,21 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from datetime import date, datetime, timedelta
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polmon import corpus
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
-                           FollowRecord, Side, fold_text, load_follows,
-                           load_tweets)
+                           FilterRule, FollowRecord, MatchMode, RuleSet, Side,
+                           default_rule_set, filter_corpus, fold_text,
+                           load_follows, load_tweets)
 
-from oracles import (fold_text_reference, load_follows_reference,
-                     load_tweets_reference)
-from test_corpus import GOOD_LINE, _archive_object
+from oracles import (filter_corpus_reference, fold_text_reference,
+                     load_follows_reference, load_tweets_reference)
+from test_corpus import _BASES, GOOD_LINE, _archive_object, _rule, _variant
 
 _FS = [HealthCheck.function_scoped_fixture]
 
@@ -87,6 +91,101 @@ def test_loader_shares_hashtag_normalisation_within_a_file(tmp_path,
 
 
 # ---------------------------------------------------------------------------
+# one-pass filter
+# ---------------------------------------------------------------------------
+
+# words the rules may match, off-topic words, text at or above U+0900
+_WORD = (_variant(_BASES + ("καφες", "ΤΟ"))
+         | st.sampled_from(["", "άσχετο", "ज्ञान", "\u0b47\u0b3e", "x1",
+                            unicodedata.normalize("NFD", "Υποκλοπές")])
+         | st.text(max_size=4))
+_TAG = _variant() | st.sampled_from(["#Predator", "PREDATOR", "#ΥΠΟΚΛΟΠΕΣ",
+                                     "Υποκλοπές", "#pega", "PEGA"])
+_BAD_VALUES = [("like_count", "abc"), ("hashtags", "abc"), ("kind", "x"),
+               ("timestamp", "2022-08-02T25:00:00Z"), ("media", 5),
+               ("referenced_user_ids", [1]), ("text", None)]
+
+
+@st.composite
+def _filter_line(draw) -> str:
+    """An archive line for the filter: mostly valid, Greek or not, inside
+    the 2022-08-01..05 window or a day or two off either side, with texts
+    of several words split by runs of spaces and repeated hashtags; some
+    lines are truncated, type-confused or arbitrary."""
+    words = draw(st.lists(_WORD, min_size=1, max_size=5))
+    text = words[0]
+    for w in words[1:]:
+        text += draw(st.sampled_from([" ", " ", "  ", "   ", ""])) + w
+    tags = draw(st.lists(_TAG, max_size=3))
+    tags += tags[:draw(st.integers(0, len(tags)))]
+    ts = datetime(2022, 8, 1) + timedelta(
+        minutes=draw(st.integers(-2 * 24 * 60, 7 * 24 * 60)))
+    obj = dict(json.loads(GOOD_LINE), text=text, hashtags=tags,
+               tweet_id=draw(st.sampled_from(["t1", "t2", "t3"])),
+               timestamp=ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
+               lang=draw(st.sampled_from(["el", "el", "el", "en"])))
+    if draw(st.booleans()):
+        obj.update(kind="reply", referenced_user_ids=["b", "c"])
+    how = draw(st.integers(0, 9))
+    if how == 1:
+        obj.update([draw(st.sampled_from(_BAD_VALUES))])
+    elif how == 2:
+        obj = draw(_archive_object())
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    if how == 0:
+        return line[:draw(st.integers(0, len(line) - 1))]
+    return line
+
+
+def _filtered(run, strict):
+    errors = []
+    try:
+        kept, report = run(strict, errors)
+    except CorpusFormatError as exc:
+        return type(exc), re.match(r".*?:\d+:", str(exc)).group(0)
+    return kept, report, [lineno for lineno, _ in errors]
+
+
+@st.composite
+def _filter_rule(draw) -> FilterRule:
+    """A rule of test_corpus's kind, or a keyword rule spanning two words."""
+    rule = draw(_rule())
+    if draw(st.integers(0, 3)):
+        return rule
+    return FilterRule(" ".join(draw(st.lists(st.sampled_from(_BASES),
+                                             min_size=2, max_size=2))),
+                      MatchMode.KEYWORD_SUBSTRING, rule.active_from,
+                      rule.active_until)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=_FS)
+@example(rules=[FilterRule("pred κλοπ", MatchMode.KEYWORD_SUBSTRING)],
+         lines=[GOOD_LINE.replace("υποκλοπές", "Pred  κλοπ"),
+                GOOD_LINE.replace("υποκλοπές", "PRED κλοπ")], offset=0)
+@given(rules=st.lists(_filter_rule(), min_size=1, max_size=6)
+       | st.just(default_rule_set().rules),
+       lines=st.lists(_filter_line(), min_size=1, max_size=10),
+       offset=st.sampled_from((0, 180, -300)))
+def test_filter_pass_equals_reference(tmp_path, rules, lines, offset):
+    rule_set = RuleSet(rules=rules,
+                       study_window=(date(2022, 8, 1), date(2022, 8, 5)),
+                       date_offset_minutes=offset)
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def one_pass(strict, errors):
+        return filter_corpus(rule_set, path, schema_strict=strict,
+                             error_log=errors)
+
+    def reference(strict, errors):
+        return filter_corpus_reference(rule_set, load_tweets_reference(
+            path, schema_strict=strict, error_log=errors))
+
+    for strict in (False, True):
+        assert _filtered(one_pass, strict) == _filtered(reference, strict)
+
+
+# ---------------------------------------------------------------------------
 # fold
 # ---------------------------------------------------------------------------
 
@@ -108,6 +207,13 @@ _TEXT = st.lists(_PIECES | st.text(max_size=6), max_size=8).map("".join)
 @given(_TEXT | st.text())
 def test_fold_equals_whole_string_reference(s):
     assert fold_text(s) == fold_text_reference(s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TEXT | st.text(), max_size=5))
+def test_fold_commutes_with_joining_on_a_space(tokens):
+    # filter_corpus's matcher folds a text token by token
+    assert fold_text(" ".join(tokens)) == " ".join(map(fold_text, tokens))
 
 
 def test_fold_covers_every_code_point_below_u0900():

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,8 +16,8 @@ from polmon import pipeline
 from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
                            Side, _top, load_tweets, matches, tweet_to_obj)
 from polmon.graphkit import daily_graphs
-from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig,
-                             Runner, ablation, compute_stats, pi_series,
+from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig, Runner,
+                             StageError, ablation, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
                              threshold_sweep, tokenize)
 from polmon.report import _table
@@ -529,6 +530,36 @@ def _config(fixture_paths, out_dir) -> RunConfig:
     config = RunConfig.from_file(fixture_paths["config"])
     config.out_dir = out_dir
     return config
+
+
+def test_malformed_lines_outside_the_window_are_counted(fixture_paths,
+                                                       tmp_path):
+    # a truncated and a type-confused line before, inside and after the
+    # window: each is counted, whatever its date
+    good = {"tweet_id": "t", "author_id": "a", "text": "υποκλοπές",
+            "lang": "el", "kind": "original"}
+    lines = []
+    for day in ("2022-08-01", "2022-08-05", "2022-08-09"):
+        obj = dict(good, timestamp=f"{day}T10:00:00Z")
+        line = json.dumps(obj, ensure_ascii=False)
+        lines += [line, line[:-9], json.dumps(dict(obj, like_count="abc"))]
+    archive = tmp_path / "tweets.jsonl"
+    archive.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = replace(_config(fixture_paths, tmp_path / "out"),
+                     tweets=archive, date_from=date(2022, 8, 4),
+                     date_to=date(2022, 8, 6))
+    runner = Runner(config)
+    kept, report = runner.filtered
+    assert len(runner.load_errors) == 6
+    assert [lineno for lineno, _ in runner.load_errors] == [2, 3, 5, 6, 8, 9]
+    assert (len(kept), report.total, report.dropped_window) == (1, 3, 2)
+    runner.write_filtered()
+    payload = json.loads((tmp_path / "out" / "filter_report.json")
+                         .read_text(encoding="utf-8"))
+    assert payload["malformed_lines"] == 6
+    strict = Runner(replace(config, schema_strict=True))
+    with pytest.raises(StageError, match=f"{re.escape(str(archive))}:2: "):
+        strict.filtered
 
 
 @pytest.mark.parametrize("offset", [60, -60])
