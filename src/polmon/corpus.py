@@ -22,7 +22,7 @@ and checks every line as ``load_tweets`` does (both share one loop), tests
 language, window and rules on the checked fields, and builds a
 ``TweetRecord`` only for a tweet it keeps.  Rules are matched by lookup:
 a dict from hashtag term to rule keys per local date, and keyword terms
-tested against the text folded word by word.
+tested against the folded text.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -277,12 +277,23 @@ def parse_tweet(obj: dict) -> TweetRecord:
     count or list means 0 or empty.  The record keeps obj's lists.
     """
     fields = _check_tweet(obj)
-    return _record(obj, fields, list(map(normalize_hashtag, fields[2])))
+    return _record(obj, fields, list(map(normalize_hashtag, fields.hashtags)))
 
 
-def _check_tweet(obj: dict) -> tuple:
-    """parse_tweet's checks: (kind, timestamp, raw hashtags, urls,
-    referenced users, counts, media) of obj, or CorpusFormatError."""
+class _Checked(NamedTuple):
+    """The fields of an archive object that _check_tweet checks."""
+    kind: Kind
+    timestamp: datetime
+    hashtags: list[str]  # as in the object, not normalised
+    urls: list[str]
+    refs: list[str]
+    counts: list[int]  # like, retweet, reply
+    media: list[MediaItem]
+
+
+def _check_tweet(obj: dict) -> _Checked:
+    """parse_tweet's checks: the checked fields of obj, or
+    CorpusFormatError."""
     for name in _REQUIRED_FIELDS:
         if obj.get(name) is None:
             raise CorpusFormatError(f"missing field {name!r}")
@@ -334,18 +345,18 @@ def _check_tweet(obj: dict) -> tuple:
                                    str(item["url"])))
         except (KeyError, ValueError, TypeError):
             raise CorpusFormatError(f"bad media item {item!r}") from None
-    return kind, ts, hashtags, urls, refs, counts, media
+    return _Checked(kind, ts, hashtags, urls, refs, counts, media)
 
 
-def _record(obj: dict, fields: tuple, hashtags: list[str]) -> TweetRecord:
+def _record(obj: dict, fields: _Checked, hashtags: list[str]) -> TweetRecord:
     """The TweetRecord of a checked obj, given its normalised hashtags;
     it cannot fail."""
-    kind, ts, _, urls, refs, counts, media = fields
     ref_tweet = obj.get("referenced_tweet_id")
     return TweetRecord(
-        str(obj["tweet_id"]), str(obj["author_id"]), ts, str(obj["text"]),
-        str(obj["lang"]), kind, hashtags, urls, media, refs,
-        None if ref_tweet is None else str(ref_tweet), *counts)
+        str(obj["tweet_id"]), str(obj["author_id"]), fields.timestamp,
+        str(obj["text"]), str(obj["lang"]), fields.kind, hashtags,
+        fields.urls, fields.media, fields.refs,
+        None if ref_tweet is None else str(ref_tweet), *fields.counts)
 
 
 def _normalized(hashtags: list[str], tags: dict[str, str]) -> list[str]:
@@ -381,7 +392,7 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800 to \uDFFF
 
 
 def _checked_lines(path: Path, schema_strict: bool,
-                   error_log: list | None) -> Iterator[tuple[dict, tuple]]:
+                   error_log: list | None) -> Iterator[tuple[dict, _Checked]]:
     """(object, _check_tweet fields) of each valid line of the archive.
 
     Every line is decoded and checked, whatever its date.  A malformed line
@@ -432,7 +443,7 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
     """
     tags: dict[str, str] = {}
     for obj, fields in _checked_lines(Path(path), schema_strict, error_log):
-        yield _record(obj, fields, _normalized(fields[2], tags))
+        yield _record(obj, fields, _normalized(fields.hashtags, tags))
 
 
 # ---------------------------------------------------------------------------
@@ -467,48 +478,55 @@ class FilterReport:
         }
 
 
-def _rule_matcher(rule_set: RuleSet
-                  ) -> Callable[[datetime, str, list[str]], list[str]]:
-    """hits(timestamp, text, hashtags): the keys of the rules a tweet
-    inside the study window matches, one per matching rule.
+class _Matcher:
+    """The keep-or-drop rule of a rule set, shared by filter_corpus and
+    matches.
 
     Per local date, the active hashtag rules are a dict from term to keys,
     looked up once per distinct hashtag, and the active keyword rules are
-    substring tests on the folded text.  The text is folded token by token
-    (split on spaces), each distinct token once per matcher: fold_text
-    commutes with joining on a space, as NFD reordering and NFC
-    composition never cross a starter that composes with nothing, and
-    the rest of the fold acts on each character alone.
+    substring tests on the folded text.
     """
-    days: dict[date, tuple[dict[str, list[str]], list[tuple[str, str]]]] = {}
-    folds: dict[str, str] = {}
 
-    def hits(ts: datetime, text: str, hashtags: list[str]) -> list[str]:
-        d = rule_set.local_date(ts)
-        if d not in days:
+    def __init__(self, rule_set: RuleSet):
+        self.rule_set = rule_set
+        self.languages = rule_set.language_whitelist
+        self.start, self.end = rule_set.utc_window()
+        self.days: dict[date, tuple[dict[str, list[str]],
+                                    list[tuple[str, str]]]] = {}
+
+    def drop_reason(self, lang: str, ts: datetime) -> str | None:
+        """"lang" for a language off the whitelist, "window" for a time
+        outside the study window, None for a tweet inside both."""
+        if lang not in self.languages:
+            return "lang"
+        if not self.start <= ts < self.end:
+            return "window"
+        return None
+
+    def hits(self, ts: datetime, text: str, hashtags: list[str]) -> list[str]:
+        """The keys of the rules a tweet inside the study window matches,
+        one per matching rule."""
+        d = self.rule_set.local_date(ts)
+        if d not in self.days:
             by_tag: dict[str, list[str]] = {}
             keywords = []
-            for rule in rule_set.rules:
+            for rule in self.rule_set.rules:
                 if rule.window_contains(d):
                     key = f"{rule.mode.value}:{rule.term}"
                     if rule.mode is MatchMode.HASHTAG_EXACT:
                         by_tag.setdefault(rule.term, []).append(key)
                     else:
                         keywords.append((rule.folded_term, key))
-            days[d] = by_tag, keywords
-        by_tag, keywords = days[d]
+            self.days[d] = by_tag, keywords
+        by_tag, keywords = self.days[d]
         keys = []
         for h in dict.fromkeys(hashtags):
             if h in by_tag:
                 keys += by_tag[h]
         if keywords:
-            folded = " ".join([folds[w] if w in folds
-                               else folds.setdefault(w, fold_text(w))
-                               for w in text.split(" ")])
+            folded = fold_text(text)
             keys += [key for term, key in keywords if term in folded]
         return keys
-
-    return hits
 
 
 def filter_corpus(rule_set: RuleSet, path: str | Path,
@@ -525,21 +543,19 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
     """
     kept: list[TweetRecord] = []
     report = FilterReport()
-    languages = rule_set.language_whitelist
-    start, end = rule_set.utc_window()
-    hits = _rule_matcher(rule_set)
+    matcher = _Matcher(rule_set)
     tags: dict[str, str] = {}
     for obj, fields in _checked_lines(Path(path), schema_strict, error_log):
         report.total += 1
-        if str(obj["lang"]) not in languages:
+        reason = matcher.drop_reason(str(obj["lang"]), fields.timestamp)
+        if reason == "lang":
             report.dropped_lang += 1
             continue
-        ts = fields[1]
-        if not start <= ts < end:
+        if reason == "window":
             report.dropped_window += 1
             continue
-        hashtags = _normalized(fields[2], tags)
-        keys = hits(ts, str(obj["text"]), hashtags)
+        hashtags = _normalized(fields.hashtags, tags)
+        keys = matcher.hits(fields.timestamp, str(obj["text"]), hashtags)
         if keys:
             report.rule_hits.update(keys)
             report.kept += 1
@@ -555,11 +571,9 @@ def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
     Pure predicate, by filter_corpus's matcher; date windows are inclusive
     on both bounds.
     """
-    start, end = rule_set.utc_window()
-    return (t.lang in rule_set.language_whitelist
-            and start <= t.timestamp < end
-            and bool(_rule_matcher(rule_set)(t.timestamp, t.text,
-                                             t.hashtags)))
+    matcher = _Matcher(rule_set)
+    return (matcher.drop_reason(t.lang, t.timestamp) is None
+            and bool(matcher.hits(t.timestamp, t.text, t.hashtags)))
 
 
 # ---------------------------------------------------------------------------

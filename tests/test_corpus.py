@@ -602,11 +602,10 @@ def test_filter_equals_per_rule_reference(rules, tweets, offset):
     assert kept == [t for t in tweets if matches(rule_set, t)]
 
 
-def test_match_folds_each_token_once_and_terms_never(monkeypatch, rules):
-    texts = ("ΥΠΟΚΛΟΠΈΣ  και predator", "predator και ok", "ok",
-             "άσχετο και ΥΠΟΚΛΟΠΈΣ", "ज्ञान predator")
+def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
     tweets = [tweet(f"t{i}", text=text, ts="2022-08-05T09:00:00Z")
-              for i, text in enumerate(texts)]
+              for i, text in enumerate(("ΥΠΟΚΛΟΠΈΣ", "predator", "ok",
+                                        "άσχετο"))]
     tweets.append(tweet("t9", text="x", hashtags=["pega"],
                         ts="2022-08-05T09:00:00Z"))
     folded = []
@@ -614,18 +613,13 @@ def test_match_folds_each_token_once_and_terms_never(monkeypatch, rules):
     monkeypatch.setattr(corpus, "fold_text",
                         lambda s: folded.append(s) or real(s))
     kept, report = filter_records(rules, tweets)
-    # the default set's four keyword rules are active on every date: each
-    # distinct space-split token is folded once in the pass, and no rule
-    # term is folded
-    assert folded == ["ΥΠΟΚΛΟΠΈΣ", "", "και", "predator", "ok", "άσχετο",
-                      "ज्ञान", "x"]
-    assert [t.tweet_id for t in kept] == ["t0", "t1", "t3", "t4", "t9"]
+    # the default set's four keyword rules are active on every date
+    assert folded == [t.text for t in tweets]
+    assert [t.tweet_id for t in kept] == ["t0", "t1", "t9"]
     folded.clear()
-    assert [matches(rules, t) for t in tweets] == [True, True, False, True,
-                                                    True, True]
-    # matches folds within its own call
-    assert folded == [w for text in (*texts, "x")
-                      for w in dict.fromkeys(text.split(" "))]
+    assert [matches(rules, t) for t in tweets] == [True, True, False, False,
+                                                    True]
+    assert folded == [t.text for t in tweets]
 
 
 def test_rule_term_folded_once_and_kept():
