@@ -26,8 +26,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--to", dest="date_to", type=date.fromisoformat,
                      metavar="DATE", help="clamp the study window end")
     sub.add_argument("--out", type=Path, help="output directory override")
-    sub.add_argument("--threshold", type=float,
-                     help="stance threshold override")
+    sub.add_argument("--threshold", type=_unit_interval, metavar="T",
+                     help="stance threshold override, in [0, 1]")
     sub.add_argument("--drop-isolated", type=_parse_bool, metavar="BOOL",
                      help="drop newly isolated nodes in ablations")
     sub.add_argument("--k", type=_non_negative, metavar="K",
@@ -42,6 +42,16 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise argparse.ArgumentTypeError(f"not a boolean: {raw!r}")
+
+
+def _unit_interval(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {raw!r}")
+    return value
 
 
 def _non_negative(raw: str) -> int:

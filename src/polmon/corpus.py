@@ -17,12 +17,14 @@ File formats (all consumed here, all documented in the README):
 A default rule set (the tracked keyword/hashtag list with its per-term
 activation windows) ships as package data; ``default_rule_set()`` loads it.
 
-``filter_corpus`` is the one production pass over an archive: it decodes
+``kept_tweets`` is the one keep-or-drop pass over an archive: it decodes
 and checks every line as ``load_tweets`` does (both share one loop), tests
-language, window and rules on the checked fields, and builds a
-``TweetRecord`` only for a tweet it keeps.  Rules are matched by lookup:
-a dict from hashtag term to rule keys per local date, and keyword terms
-tested against the folded text.
+language, window and rules on the checked fields, and yields each kept
+tweet's fields.  Rules are matched by lookup: a dict from hashtag term to
+rule keys per local date, and keyword terms tested against the folded
+text.  ``filter_corpus`` feeds the kept tweets into a ``Corpus``: numpy
+columns over sorted, interned string tables, which the graph, stats and
+share stages read; no ``TweetRecord`` is built on that path.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import json
 import logging
 import re
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
@@ -40,6 +43,8 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -178,17 +183,6 @@ class RuleSet:
         return start, end
 
 
-def by_local_date(tweets: Iterable[TweetRecord], offset_minutes: int = 0
-                  ) -> list[tuple[date, list[TweetRecord]]]:
-    """Tweets grouped by calendar date under the offset, in ascending date
-    order; each group keeps the input order."""
-    shift = timedelta(minutes=offset_minutes)
-    groups: dict[date, list[TweetRecord]] = {}
-    for t in tweets:
-        groups.setdefault((t.timestamp + shift).date(), []).append(t)
-    return sorted(groups.items())
-
-
 @dataclass
 class AccountAnnotation:
     user_id: str
@@ -204,7 +198,7 @@ class AccountAnnotation:
                 f"non-political account {self.user_id!r} must not carry a side")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FollowRecord:
     follower_id: str
     followed_political_id: str
@@ -257,7 +251,7 @@ def normalize_hashtag(tag: str) -> str:
 _REQUIRED_FIELDS = (
     "tweet_id", "author_id", "timestamp", "text", "lang", "kind",
 )
-_KINDS = {k.value: k for k in Kind}
+_KIND_OF_VALUE = {k.value: k for k in Kind}
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -297,7 +291,7 @@ def _check_tweet(obj: dict) -> _Checked:
     for name in _REQUIRED_FIELDS:
         if obj.get(name) is None:
             raise CorpusFormatError(f"missing field {name!r}")
-    kind = _KINDS.get(str(obj["kind"]).lower())
+    kind = _KIND_OF_VALUE.get(str(obj["kind"]).lower())
     if kind is None:
         raise CorpusFormatError(f"unknown kind {obj['kind']!r}")
     try:
@@ -503,10 +497,9 @@ class _Matcher:
             return "window"
         return None
 
-    def hits(self, ts: datetime, text: str, hashtags: list[str]) -> list[str]:
-        """The keys of the rules a tweet inside the study window matches,
-        one per matching rule."""
-        d = self.rule_set.local_date(ts)
+    def hits(self, d: date, text: str, hashtags: list[str]) -> list[str]:
+        """The keys of the rules a tweet of local date d matches, one per
+        matching rule."""
         if d not in self.days:
             by_tag: dict[str, list[str]] = {}
             keywords = []
@@ -529,20 +522,19 @@ class _Matcher:
         return keys
 
 
-def filter_corpus(rule_set: RuleSet, path: str | Path,
-                  schema_strict: bool = False, error_log: list | None = None
-                  ) -> tuple[list[TweetRecord], FilterReport]:
-    """The archive's kept tweets, in file order, and the pass's counters.
+def kept_tweets(rule_set: RuleSet, path: str | Path, report: FilterReport,
+                schema_strict: bool = False, error_log: list | None = None
+                ) -> Iterator[tuple[dict, _Checked, list[str], date]]:
+    """The archive's kept tweets, in file order: each one's object, checked
+    fields, normalised hashtags and local date.
 
     One pass: each line is decoded and checked as load_tweets does, so a
     malformed line is counted (or raises under schema_strict) whatever its
     date.  A valid tweet is then tested for language, study window and
-    rules, and a TweetRecord is built only for a tweet that matches at
-    least one rule; each matching rule counts one hit.  Rule windows are
-    inclusive local dates.
+    rules, and kept if it matches at least one rule; each matching rule
+    counts one hit.  Rule windows are inclusive local dates.  report
+    counts the pass as it goes.
     """
-    kept: list[TweetRecord] = []
-    report = FilterReport()
     matcher = _Matcher(rule_set)
     tags: dict[str, str] = {}
     for obj, fields in _checked_lines(Path(path), schema_strict, error_log):
@@ -554,15 +546,29 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
         if reason == "window":
             report.dropped_window += 1
             continue
+        d = rule_set.local_date(fields.timestamp)
         hashtags = _normalized(fields.hashtags, tags)
-        keys = matcher.hits(fields.timestamp, str(obj["text"]), hashtags)
+        keys = matcher.hits(d, str(obj["text"]), hashtags)
         if keys:
             report.rule_hits.update(keys)
             report.kept += 1
-            kept.append(_record(obj, fields, hashtags))
+            yield obj, fields, hashtags, d
         else:
             report.dropped_no_rule += 1
-    return kept, report
+
+
+def filter_corpus(rule_set: RuleSet, path: str | Path,
+                  schema_strict: bool = False, error_log: list | None = None
+                  ) -> tuple[Corpus, FilterReport]:
+    """The archive's kept tweets as a Corpus, and the pass's counters; see
+    kept_tweets."""
+    report = FilterReport()
+    corpus = Corpus.from_rows(
+        (str(obj["author_id"]), fields.kind, d, fields.refs, hashtags,
+         fields.urls, str(obj["text"]))
+        for obj, fields, hashtags, d in kept_tweets(
+            rule_set, path, report, schema_strict, error_log))
+    return corpus, report
 
 
 def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
@@ -573,7 +579,98 @@ def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
     """
     matcher = _Matcher(rule_set)
     return (matcher.drop_reason(t.lang, t.timestamp) is None
-            and bool(matcher.hits(t.timestamp, t.text, t.hashtags)))
+            and bool(matcher.hits(rule_set.local_date(t.timestamp), t.text,
+                                  t.hashtags)))
+
+
+# ---------------------------------------------------------------------------
+# the kept tweets as columns
+# ---------------------------------------------------------------------------
+
+KINDS = tuple(Kind)  # a kind code is an index into KINDS
+_KIND_CODES = {k: i for i, k in enumerate(KINDS)}
+
+
+class Ragged(NamedTuple):
+    """An id list per tweet: tweet i's ids are ids[ptr[i]:ptr[i + 1]]."""
+    ptr: np.ndarray
+    ids: np.ndarray
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tweet, id) of every entry, in order."""
+        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr)), \
+            self.ids
+
+
+class _Table(dict):
+    """key -> id, numbered in the order the keys are first met; a dict
+    keeps that order whatever the hash seed."""
+
+    def __missing__(self, key) -> int:
+        self[key] = len(self)
+        return len(self) - 1
+
+
+def _sorted(table: _Table) -> tuple[tuple, np.ndarray]:
+    """The table's keys in ascending order, and the rank of each id among
+    them."""
+    keys = sorted(table)
+    rank = np.empty(len(keys), np.int64)
+    rank[list(map(table.__getitem__, keys))] = np.arange(len(keys))
+    return tuple(keys), rank
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Kept tweets as columns, in file order.
+
+    users (authors and referenced users), hashtags (normalised) and urls
+    are string tables, each sorted once, so id order is string order.  Per
+    tweet: day is the local date's ordinal, kind a code into KINDS, author
+    a user id, and ref_ids, tag_ids and url_ids are Ragged ids into users,
+    hashtags and urls.
+    """
+
+    users: tuple[str, ...]
+    hashtags: tuple[str, ...]
+    urls: tuple[str, ...]
+    day: np.ndarray
+    kind: np.ndarray
+    author: np.ndarray
+    ref_ids: Ragged
+    tag_ids: Ragged
+    url_ids: Ragged
+    texts: list[str]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, Kind, date, Sequence[str],
+                                             Sequence[str], Sequence[str],
+                                             str]]) -> "Corpus":
+        """Columns of (author, kind, local date, referenced users,
+        normalised hashtags, urls, text) rows."""
+        tables = users, hashtags, urls = _Table(), _Table(), _Table()
+        ptrs = refs_at, tags_at, urls_at = [array("q", [0]) for _ in tables]
+        ids = ref_ids, tag_ids, url_ids = [array("q") for _ in tables]
+        day, kind, author, texts = array("q"), array("b"), array("q"), []
+        for user, k, d, refs, tags, links, text in rows:
+            day.append(d.toordinal())
+            kind.append(_KIND_CODES[k])
+            author.append(users[user])
+            ref_ids.extend(map(users.__getitem__, refs))
+            refs_at.append(len(ref_ids))
+            tag_ids.extend(map(hashtags.__getitem__, tags))
+            tags_at.append(len(tag_ids))
+            url_ids.extend(map(urls.__getitem__, links))
+            urls_at.append(len(url_ids))
+            texts.append(text)
+        tables = [_sorted(table) for table in tables]
+        ragged = [Ragged(np.asarray(ptr, np.int64),
+                         rank[np.asarray(column, np.int64)])
+                  for ptr, column, (_, rank) in zip(ptrs, ids, tables)]
+        user_rank = tables[0][1]
+        return cls(*(keys for keys, _ in tables), np.asarray(day, np.int64),
+                   np.asarray(kind, np.int8),
+                   user_rank[np.asarray(author, np.int64)], *ragged, texts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ An edge joins a tweet's author to every distinct user it references
 kind collapse into the single edge, self-interactions are dropped, and
 authors of reference-free tweets stay in the graph as isolated nodes.
 
-A graph is its CSR adjacency over the sorted user ids, built from every
-tweet it is given: the caller chooses the time span (filter_corpus keeps
-the study window's tweets, daily_graphs splits them by local day).
-Derived graphs (ablations, the non-isolated core) are induced subgraphs
-cut from the parent's CSR by a boolean keep-mask, so nodes and rows keep
-their order.
+A graph is its CSR adjacency over the sorted user ids.  build_graph
+builds it from a Corpus's id columns with array operations, over every
+tweet of the corpus (filter_corpus keeps the study window's tweets);
+daily_graphs builds one per local day.  Derived graphs (ablations, the
+non-isolated core) are induced subgraphs cut from the parent's CSR by a
+boolean keep-mask, so nodes and rows keep their order.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from datetime import date
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import TweetRecord, by_local_date
+from .corpus import Corpus
 
 
 @dataclass(eq=False)
@@ -41,12 +41,10 @@ class InteractionGraph:
     indices: np.ndarray
 
     @classmethod
-    def from_edges(cls, nodes: Sequence[str],
-                   edges: Collection[tuple[str, str]]) -> "InteractionGraph":
-        """Graph on the sorted nodes from distinct (u, v) pairs, u != v."""
-        index = {u: i for i, u in enumerate(nodes)}
-        iu = np.fromiter((index[u] for u, _ in edges), np.int64, len(edges))
-        iv = np.fromiter((index[v] for _, v in edges), np.int64, len(edges))
+    def from_pairs(cls, nodes: Sequence[str], iu: np.ndarray,
+                   iv: np.ndarray) -> "InteractionGraph":
+        """Graph on the sorted nodes with an edge between nodes iu[k] and
+        iv[k] for each k; the pairs are distinct and iu[k] != iv[k]."""
         rows, cols = np.concatenate([iu, iv]), np.concatenate([iv, iu])
         row_len = np.bincount(rows, minlength=len(nodes))
         return cls(tuple(nodes), _indptr(row_len),
@@ -94,26 +92,44 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-def build_graph(tweets: Iterable[TweetRecord]) -> InteractionGraph:
-    """Graph of the interactions of all the given tweets."""
-    nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    for t in tweets:
-        u = t.author_id
-        nodes.add(u)
-        for ref in t.referenced_user_ids:
-            if ref == u:
-                continue
-            nodes.add(ref)
-            edges.add((u, ref) if u < ref else (ref, u))
-    return InteractionGraph.from_edges(sorted(nodes), edges)
+def _graph(users: Sequence[str], authors: np.ndarray, src: np.ndarray,
+           dst: np.ndarray) -> InteractionGraph:
+    """Graph on the authors and referenced users, with an edge for each
+    (src, dst) pair of user ids that are not equal."""
+    other = src != dst
+    lo, hi = np.minimum(src, dst)[other], np.maximum(src, dst)[other]
+    ids = np.unique(np.concatenate([authors, dst]))
+    width = len(users)
+    pairs = np.unique(lo * width + hi)
+    return InteractionGraph.from_pairs(
+        tuple(map(users.__getitem__, ids.tolist())),
+        np.searchsorted(ids, pairs // width),
+        np.searchsorted(ids, pairs % width))
 
 
-def daily_graphs(tweets: Sequence[TweetRecord],
-                 offset_minutes: int = 0) -> list[tuple[date, InteractionGraph]]:
-    """One graph per calendar date (under the offset) that has any tweet."""
-    return [(d, build_graph(group))
-            for d, group in by_local_date(tweets, offset_minutes)]
+def build_graph(corpus: Corpus) -> InteractionGraph:
+    """Graph of the interactions of all the corpus's tweets."""
+    rows, refs = corpus.ref_ids.pairs()
+    return _graph(corpus.users, corpus.author, corpus.author[rows], refs)
+
+
+def daily_graphs(corpus: Corpus) -> list[tuple[date, InteractionGraph]]:
+    """One graph per local date that has any tweet, in ascending order."""
+    days, day_of = np.unique(corpus.day, return_inverse=True)
+    rows, refs = corpus.ref_ids.pairs()
+    authors, = _split_by_day(day_of, len(days), corpus.author)
+    src, dst = _split_by_day(day_of[rows], len(days), corpus.author[rows],
+                             refs)
+    return [(date.fromordinal(d), _graph(corpus.users, *columns))
+            for d, *columns in zip(days.tolist(), authors, src, dst)]
+
+
+def _split_by_day(day_of: np.ndarray, n_days: int, *columns: np.ndarray
+                  ) -> list[list[np.ndarray]]:
+    """Each column cut into one piece per day, by the day index day_of."""
+    order = np.argsort(day_of, kind="stable")
+    cuts = np.cumsum(np.bincount(day_of, minlength=n_days))[:-1]
+    return [np.split(column[order], cuts) for column in columns]
 
 
 def remove_nodes(g: InteractionGraph, victims: set[str],

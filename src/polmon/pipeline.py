@@ -5,9 +5,10 @@ Everything here is glue around the other modules; the one piece of real
 policy is the rounding rule for percentage tables (round-half-even to one
 decimal, remainder pinned onto the largest share so rows always total
 100.0) and the tokenizer used for word/phrase counts (unicode letter runs,
-case/accent-folded, contiguous bigrams as phrases).  The stats stage
-computes what the bundle reads of it: counts per local day for
-stats_daily.csv, and whole-window counters for the summary's top tables.
+case/accent-folded, contiguous bigrams as phrases).  The stats and share
+stages work on the Corpus's id columns with array operations, and compute
+what the bundle reads: counts per local day for stats_daily.csv, and
+whole-window counters for the summary's top tables.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import json
 import logging
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from datetime import date
@@ -24,10 +26,12 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
-from .corpus import (Category, FilterReport, Kind, RuleSet, TweetRecord,
-                     by_local_date, default_rule_set, filter_corpus,
-                     fold_text, load_annotations, load_follows,
+from .corpus import (KINDS, Category, Corpus, FilterReport, Ragged, RuleSet,
+                     _record, _Table, default_rule_set, filter_corpus,
+                     fold_text, kept_tweets, load_annotations, load_follows,
                      load_rule_set, tweet_to_obj)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
@@ -71,8 +75,7 @@ def tokenize(text: str) -> list[str]:
     return [fold_text(w) for w in _WORD_RE.findall(text)]
 
 
-def compute_stats(tweets: Sequence[TweetRecord], stopwords: Iterable[str] = (),
-                  offset_minutes: int = 0
+def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
                   ) -> tuple[list[DailyStats], dict[str, Counter]]:
     """Counts per local day (ascending date), and whole-window counters.
 
@@ -81,33 +84,68 @@ def compute_stats(tweets: Sequence[TweetRecord], stopwords: Iterable[str] = (),
     each distinct word folded once per call; phrases are the bigrams of a
     tweet's remaining words.
     """
-    rows = []
-    hashtags, mentioned, active = Counter(), Counter(), Counter()
-    for day, group in by_local_date(tweets, offset_minutes):
-        kinds = Counter(t.kind for t in group)
-        authors = [t.author_id for t in group]
-        tags = [h for t in group for h in t.hashtags]
-        hashtags.update(tags)
-        mentioned.update(r for t in group for r in t.referenced_user_ids)
-        active.update(authors)
-        rows.append(DailyStats(
-            day, len(group), {k.value: kinds[k] for k in Kind},
-            len(set(authors)), len(set(tags)),
-            len({u for t in group for u in t.urls})))
-    stop = frozenset(stopwords)
-    folds: dict[str, str] = {}
-    words, phrases = Counter(), Counter()
-    for t in tweets:
-        raw_words = _WORD_RE.findall(t.text)
-        for w in raw_words:
-            if w not in folds:
-                folds[w] = fold_text(w)
-        tokens = [f for f in map(folds.__getitem__, raw_words)
-                  if f not in stop]
-        words.update(tokens)
-        phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-    return rows, {"hashtags": hashtags, "words": words, "phrases": phrases,
-                  "mentioned_users": mentioned, "active_users": active}
+    days, day_of = np.unique(corpus.day, return_inverse=True)
+    n = len(days)
+    kinds = np.bincount(day_of * len(KINDS) + corpus.kind,
+                        minlength=n * len(KINDS)).reshape(n, len(KINDS))
+    tag_rows, tags = corpus.tag_ids.pairs()
+    url_rows, urls = corpus.url_ids.pairs()
+    distinct = (_distinct_per_day(d, ids, len(table), n).tolist()
+                for d, ids, table in (
+                    (day_of, corpus.author, corpus.users),
+                    (day_of[tag_rows], tags, corpus.hashtags),
+                    (day_of[url_rows], urls, corpus.urls)))
+    rows = [DailyStats(date.fromordinal(d), posts,
+                       {k.value: c for k, c in zip(KINDS, by_kind)}, *counts)
+            for d, posts, by_kind, *counts in zip(
+                days.tolist(), np.bincount(day_of, minlength=n).tolist(),
+                kinds.tolist(), *distinct)]
+    words, phrases = _word_counts(corpus.texts, frozenset(stopwords))
+    return rows, {"hashtags": _counter(corpus.hashtags, tags),
+                  "words": words, "phrases": phrases,
+                  "mentioned_users": _counter(corpus.users,
+                                              corpus.ref_ids.ids),
+                  "active_users": _counter(corpus.users, corpus.author)}
+
+
+def _distinct_per_day(day_of: np.ndarray, ids: np.ndarray, width: int,
+                      n_days: int) -> np.ndarray:
+    """The number of distinct ids on each day; ids lie below width."""
+    keys = np.unique(day_of * width + ids)
+    return np.bincount(keys // max(width, 1), minlength=n_days)
+
+
+def _counter(names: Sequence[str], ids: np.ndarray) -> Counter:
+    """How often each name's id occurs in ids."""
+    counts = np.bincount(ids, minlength=len(names)).tolist()
+    return Counter({name: c for name, c in zip(names, counts) if c})
+
+
+def _word_counts(texts: Sequence[str], stop: frozenset[str]
+                 ) -> tuple[Counter, Counter]:
+    """Counters of the words of the texts that are not stopwords, and of
+    the pairs of such words that follow each other in one text."""
+    folds, fold_ids = _Table(), {}  # raw word -> id of its fold in folds
+    ids, ptr = array("q"), array("q", [0])
+    for text in texts:
+        raw = _WORD_RE.findall(text)
+        for w in raw:
+            if w not in fold_ids:
+                fold_ids[w] = folds[fold_text(w)]
+        ids.extend(map(fold_ids.__getitem__, raw))
+        ptr.append(len(ids))
+    names = list(folds)
+    rows, ids = Ragged(np.asarray(ptr, np.int64),
+                       np.asarray(ids, np.int64)).pairs()
+    kept = ~np.array([w in stop for w in names], bool)[ids]
+    rows, ids = rows[kept], ids[kept]
+    width = len(names)
+    follows = rows[1:] == rows[:-1]
+    pairs, counts = np.unique(ids[:-1][follows] * width + ids[1:][follows],
+                              return_counts=True)
+    return _counter(names, ids), Counter({
+        f"{names[p // width]} {names[p % width]}": c
+        for p, c in zip(pairs.tolist(), counts.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +178,19 @@ class StanceShares:
     user_pct: dict[str, float]
 
 
-def stance_shares(tweets: Sequence[TweetRecord],
+def stance_shares(corpus: Corpus,
                   stances: Mapping[str, StanceAssignment]) -> StanceShares:
     """Tweet volume and unique-author shares per stance label."""
-    tweet_counts = {s.value: 0 for s in Stance}
-    user_counts = {s.value: 0 for s in Stance}
-    seen: set[str] = set()
-    for t in tweets:
-        entry = stances.get(t.author_id)
-        label = entry.stance.value if entry else Stance.NEUTRAL.value
-        tweet_counts[label] += 1
-        if t.author_id not in seen:
-            seen.add(t.author_id)
-            user_counts[label] += 1
+    code = {s: i for i, s in enumerate(Stance)}
+    values = [s.value for s in Stance]
+    authors, tweet_author = np.unique(corpus.author, return_inverse=True)
+    label = np.array([
+        code[entry.stance] if (entry := stances.get(corpus.users[a]))
+        else code[Stance.NEUTRAL] for a in authors.tolist()], np.int64)
+    tweet_counts = dict(zip(values, np.bincount(
+        label[tweet_author], minlength=len(values)).tolist()))
+    user_counts = dict(zip(values, np.bincount(
+        label, minlength=len(values)).tolist()))
     return StanceShares(tweet_counts=tweet_counts, user_counts=user_counts,
                         tweet_pct=rounded_percentages(tweet_counts),
                         user_pct=rounded_percentages(user_counts))
@@ -324,10 +362,11 @@ class RunConfig:
         """Load a JSON run config; paths resolve against its directory.
 
         Every value must have its field's JSON type (bool is neither an
-        integer nor a number here), tol must be positive and finite, k
-        must be non-negative, top_k positive, and every key must be a
-        field or one of RETIRED_CONFIG_KEYS; otherwise a ValueError names
-        the key.
+        integer nor a number here), dates must be ISO dates, threshold
+        and each sweep threshold must lie in [0, 1], tol must be positive
+        and finite, k must be non-negative, top_k positive, and every key
+        must be a field or one of RETIRED_CONFIG_KEYS; otherwise a
+        ValueError names the key.
         """
         path = Path(path)
         with path.open("r", encoding="utf-8") as fh:
@@ -356,7 +395,11 @@ class RunConfig:
 
         def day(key) -> date | None:
             value = text(key)
-            return date.fromisoformat(value) if value else None
+            try:
+                return date.fromisoformat(value) if value else None
+            except ValueError:
+                raise ValueError(
+                    f"{key!r} must be an ISO date, got {value!r}") from None
 
         def flag(key, default: bool) -> bool:
             return typed(key, default, (bool,), "true or false")
@@ -373,9 +416,14 @@ class RunConfig:
 
         thresholds = typed("sweep_thresholds", [0.0, 0.5, 0.7], (list,),
                            "a list of numbers")
-        if any(type(t) not in (int, float) for t in thresholds):
-            raise ValueError("'sweep_thresholds' must be a list of numbers, "
-                             f"got {thresholds!r}")
+        if any(type(t) not in (int, float) or not 0.0 <= t <= 1.0
+               for t in thresholds):
+            raise ValueError("'sweep_thresholds' must be a list of numbers "
+                             f"in [0, 1], got {thresholds!r}")
+        threshold = number("threshold", 0.0)
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(
+                f"'threshold' must lie in [0, 1], got {threshold!r}")
         tol = number("tol", 1e-10)
         if not 0.0 < tol < float("inf"):
             raise ValueError(
@@ -387,7 +435,7 @@ class RunConfig:
             follows=respath("follows"),
             out_dir=respath("out_dir") or (base / "out").resolve(),
             rules=respath("rules"),
-            threshold=number("threshold", 0.0),
+            threshold=threshold,
             sweep_thresholds=tuple(thresholds),
             k=integer("k", 500, 0),
             drop_isolated=flag("drop_isolated", True),
@@ -471,7 +519,7 @@ class Runner:
         return self._get("rules", build)
 
     @property
-    def filtered(self) -> tuple[list[TweetRecord], FilterReport]:
+    def filtered(self) -> tuple[Corpus, FilterReport]:
         return self._get("filter", lambda: filter_corpus(
             self.rule_set, self.config.tweets,
             schema_strict=self.config.schema_strict,
@@ -494,8 +542,7 @@ class Runner:
 
     @property
     def daily(self) -> list[tuple[date, InteractionGraph]]:
-        return self._get("daily", lambda: daily_graphs(
-            self.filtered[0], self.rule_set.date_offset_minutes))
+        return self._get("daily", lambda: daily_graphs(self.filtered[0]))
 
     @property
     def stances(self) -> dict[str, StanceAssignment]:
@@ -579,8 +626,7 @@ class Runner:
     @property
     def stats(self) -> tuple[list[DailyStats], dict[str, Counter]]:
         return self._get("stats", lambda: compute_stats(
-            self.filtered[0], self.stopword_set,
-            self.rule_set.date_offset_minutes))
+            self.filtered[0], self.stopword_set))
 
     @property
     def shares(self) -> StanceShares:
@@ -595,14 +641,25 @@ class Runner:
                                                  newline="")
 
     def write_filtered(self) -> Path:
-        kept, report = self.filtered
-        with self._open("filtered.jsonl") as fh:
-            for t in kept:
-                fh.write(json.dumps(tweet_to_obj(t), ensure_ascii=False,
-                                    sort_keys=True) + "\n")
+        """filtered.jsonl and filter_report.json, from a filter pass of
+        their own that writes each kept tweet as it meets it; the filter
+        stage's load_errors are left as they are."""
+        rule_set, report, errors = self.rule_set, FilterReport(), []
+        path = self.config.out_dir / "filtered.jsonl"
+        try:
+            with self._open("filtered.jsonl") as fh:
+                for obj, fields, hashtags, _ in kept_tweets(
+                        rule_set, self.config.tweets, report,
+                        self.config.schema_strict, errors):
+                    fh.write(json.dumps(
+                        tweet_to_obj(_record(obj, fields, hashtags)),
+                        ensure_ascii=False, sort_keys=True) + "\n")
+        except Exception as exc:
+            path.unlink(missing_ok=True)
+            raise StageError("filter", exc) from exc
         with self._open("filter_report.json") as fh:
             payload = report.to_dict()
-            payload["malformed_lines"] = len(self.load_errors)
+            payload["malformed_lines"] = len(errors)
             json.dump(payload, fh, indent=2, sort_keys=True,
                       ensure_ascii=False)
             fh.write("\n")

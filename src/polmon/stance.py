@@ -33,7 +33,7 @@ class MissingAnnotationError(KeyError):
     """A followed account has no Political annotation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StanceAssignment:
     user_id: str
     stance: Stance

@@ -1,14 +1,16 @@
 import json
 import sys
 import tempfile
-from datetime import datetime
+import unicodedata
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from polmon.corpus import (FilterReport, Kind, RuleSet, TweetRecord,
-                           filter_corpus, tweet_to_obj)
+from polmon.corpus import (KINDS, Corpus, FilterReport, Kind, RuleSet,
+                           TweetRecord, filter_corpus, tweet_to_obj)
 from polmon.graphkit import InteractionGraph
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
@@ -23,7 +25,10 @@ def graph_of(edges, isolated=()) -> InteractionGraph:
     for u, v in edges:
         nodes.update((u, v))
         cleaned.add((u, v) if u < v else (v, u))
-    return InteractionGraph.from_edges(sorted(nodes), cleaned)
+    index = {u: i for i, u in enumerate(sorted(nodes))}
+    return InteractionGraph.from_pairs(
+        sorted(nodes), np.array([index[u] for u, _ in cleaned], np.int64),
+        np.array([index[v] for _, v in cleaned], np.int64))
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float
@@ -45,17 +50,78 @@ def tweet(tweet_id="t1", author="a", ts="2022-08-05T12:00:00Z",
         referenced_user_ids=list(refs), **kwargs)
 
 
+def rows_of(records, offset_minutes: int = 0) -> list[tuple]:
+    """What a Corpus holds of each record, under the date offset: author,
+    kind, local date, referenced users, hashtags, urls and text."""
+    shift = timedelta(minutes=offset_minutes)
+    return [(t.author_id, t.kind, (t.timestamp + shift).date(),
+             tuple(t.referenced_user_ids), tuple(t.hashtags), tuple(t.urls),
+             t.text) for t in records]
+
+
+def corpus_of(records, offset_minutes: int = 0) -> Corpus:
+    """The records as columns, through the builder filter_corpus uses."""
+    return Corpus.from_rows(rows_of(records, offset_minutes))
+
+
+def corpus_rows(corpus: Corpus) -> list[tuple]:
+    """rows_of read back from the columns."""
+    def lists(ragged, table):
+        ptr, ids = ragged.ptr.tolist(), ragged.ids.tolist()
+        return [tuple(table[j] for j in ids[a:b])
+                for a, b in zip(ptr, ptr[1:])]
+    return list(zip(
+        (corpus.users[i] for i in corpus.author.tolist()),
+        (KINDS[k] for k in corpus.kind.tolist()),
+        map(date.fromordinal, corpus.day.tolist()),
+        lists(corpus.ref_ids, corpus.users),
+        lists(corpus.tag_ids, corpus.hashtags),
+        lists(corpus.url_ids, corpus.urls), corpus.texts))
+
+
 def filter_records(rule_set: RuleSet, records
-                   ) -> tuple[list[TweetRecord], FilterReport]:
+                   ) -> tuple[list[tuple], FilterReport]:
     """filter_corpus over an archive of the records, written by
-    tweet_to_obj; a record with normalised hashtags and a UTC timestamp
-    reads back equal."""
+    tweet_to_obj, with the kept tweets as corpus_rows; a record with
+    normalised hashtags and a UTC timestamp reads back as its rows_of."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "tweets.jsonl"
         path.write_text("".join(
             json.dumps(tweet_to_obj(t), ensure_ascii=False) + "\n"
             for t in records), encoding="utf-8")
-        return filter_corpus(rule_set, path)
+        kept, report = filter_corpus(rule_set, path)
+        return corpus_rows(kept), report
+
+
+# ids whose string order differs from their first-met order; words in
+# composed and decomposed (NFD) forms, stopwords among them
+_USERS = ("b", "a", "Ά", "a10", "a9", "c")
+_WORDS = ("Υποκλοπές", unicodedata.normalize("NFD", "Υποκλοπές"),
+          "ΥΠΟΚΛΟΠΕΣ", "predator", "Café",
+          unicodedata.normalize("NFD", "Café"), "το", "και", "x1y", "ΐ")
+OFFSETS = (0, 180, -420, 1439)
+
+
+@st.composite
+def records(draw, max_size: int = 12) -> list[TweetRecord]:
+    """Tweets over four UTC days, with self-references, repeated references,
+    repeated hashtags and urls, and NFD text; possibly none."""
+    out = []
+    for i in range(draw(st.integers(0, max_size))):
+        refs = draw(st.lists(st.sampled_from(_USERS), max_size=4))
+        kind = draw(st.sampled_from(list(Kind))) if refs else Kind.ORIGINAL
+        minute = draw(st.integers(0, 4 * 24 * 60 - 1))
+        ts = datetime(2022, 8, 1) + timedelta(minutes=minute)
+        out.append(tweet(
+            f"t{i}", author=draw(st.sampled_from(_USERS)),
+            ts=ts.isoformat() + "Z", kind=kind, refs=refs,
+            text=draw(st.sampled_from((" ", ", ", "-"))).join(
+                draw(st.lists(st.sampled_from(_WORDS), max_size=8))),
+            hashtags=draw(st.lists(st.sampled_from(
+                ("υποκλοπες", "pega", "άλλο")), max_size=3)),
+            urls=draw(st.lists(st.sampled_from(("u2", "u1", "u10")),
+                               max_size=3))))
+    return out
 
 
 @pytest.fixture

@@ -11,7 +11,10 @@ record per valid line filtered by walking every active rule,
 ``csv.DictReader`` rows, and a whole-string NFD -> strip marks -> NFC ->
 casefold fold of every text.
 The stats oracle tallies the bundle's daily counts and the summary's
-whole-window counters one tweet at a time.
+whole-window counters one tweet at a time.  The graph and share oracles
+are the record loops the package ran before it held the kept tweets as
+columns: sets of user ids and id pairs per tweet, tweets grouped by local
+date, and a stance label looked up per tweet.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from polmon.corpus import (Category, CorpusFormatError, FilterReport,
                            FilterRule, FollowRecord, Kind, MatchMode,
                            MediaItem, MediaKind, RuleSet, TweetRecord,
                            _parse_timestamp, fold_text, normalize_hashtag)
+from polmon.graphkit import InteractionGraph
+from polmon.pipeline import StanceShares, rounded_percentages
+from polmon.stance import Stance
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -475,3 +481,59 @@ def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):
              len({u for t in day for u in t.urls}))
             for d, day in sorted(days.items())]
     return rows, counters
+
+
+# ---------------------------------------------------------------------------
+# record-path references for the graph and share stages
+# ---------------------------------------------------------------------------
+
+
+def by_local_date_reference(tweets, offset_minutes: int = 0):
+    """Tweets grouped by calendar date under the offset, in ascending date
+    order; each group keeps the input order."""
+    shift = timedelta(minutes=offset_minutes)
+    groups: dict = {}
+    for t in tweets:
+        groups.setdefault((t.timestamp + shift).date(), []).append(t)
+    return sorted(groups.items())
+
+
+def build_graph_reference(tweets) -> InteractionGraph:
+    """Graph of the tweets' interactions, from sets of ids and id pairs."""
+    nodes: set[str] = set()
+    edges: set[tuple[str, str]] = set()
+    for t in tweets:
+        u = t.author_id
+        nodes.add(u)
+        for ref in t.referenced_user_ids:
+            if ref == u:
+                continue
+            nodes.add(ref)
+            edges.add((u, ref) if u < ref else (ref, u))
+    ordered = sorted(nodes)
+    indptr, indices = csr_reference(ordered, sorted(edges))
+    return InteractionGraph(tuple(ordered), np.array(indptr, np.int64),
+                            np.array(indices, np.int64))
+
+
+def daily_graphs_reference(tweets, offset_minutes: int = 0):
+    """build_graph_reference of each local day's tweets."""
+    return [(d, build_graph_reference(group))
+            for d, group in by_local_date_reference(tweets, offset_minutes)]
+
+
+def stance_shares_reference(tweets, stances) -> StanceShares:
+    """Shares from a stance label looked up for every tweet."""
+    tweet_counts = {s.value: 0 for s in Stance}
+    user_counts = {s.value: 0 for s in Stance}
+    seen: set[str] = set()
+    for t in tweets:
+        entry = stances.get(t.author_id)
+        label = entry.stance.value if entry else Stance.NEUTRAL.value
+        tweet_counts[label] += 1
+        if t.author_id not in seen:
+            seen.add(t.author_id)
+            user_counts[label] += 1
+    return StanceShares(tweet_counts=tweet_counts, user_counts=user_counts,
+                        tweet_pct=rounded_percentages(tweet_counts),
+                        user_pct=rounded_percentages(user_counts))

@@ -215,6 +215,43 @@ def test_config_rejects_out_of_range_counts(key, value, fixture_paths,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("threshold", -0.1), ("threshold", 1.5), ("threshold", float("nan")),
+    ("sweep_thresholds", [0.0, 2.0]), ("sweep_thresholds", [-0.5]),
+    ("date_from", "2022-13-01"), ("date_to", "2022-02-30"),
+])
+def test_config_rejects_out_of_range_values(key, value, fixture_paths,
+                                            tmp_path, capsys):
+    # checked at load: a bad sweep threshold used to fail only at [sweep],
+    # after five bundle files were written
+    config = _load_with(fixture_paths, tmp_path, **{key: value})
+    with pytest.raises(ValueError, match=f"^{key!r} must"):
+        RunConfig.from_file(config)
+    rc = main(["run-all", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_thresholds_at_the_ends_load(fixture_paths, tmp_path):
+    config = _load_with(fixture_paths, tmp_path, threshold=1,
+                        sweep_thresholds=[0, 1.0])
+    loaded = RunConfig.from_file(config)
+    assert (loaded.threshold, loaded.sweep_thresholds) == (1.0, (0, 1.0))
+
+
+@pytest.mark.parametrize("raw", ["-0.1", "1.5", "nan", "x"])
+def test_threshold_flag_rejects_bad_value_when_parsing(raw, fixture_paths,
+                                                       tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stance", "--config", str(fixture_paths["config"]),
+              "--out", str(tmp_path / "out"), "--threshold", raw])
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_k_zero_loads(fixture_paths, tmp_path):
     config = _load_with(fixture_paths, tmp_path, k=0, top_k=1)
     loaded = RunConfig.from_file(config)
@@ -298,7 +335,7 @@ from polmon.graphkit import InteractionGraph
 
 rc = main(["run-all", "--config", sys.argv[1], "--out", sys.argv[2]])
 loaded_by_run = "scipy" in sys.modules
-g = InteractionGraph.from_edges(("a", "b", "c"), [("a", "b")])
+g = InteractionGraph.from_pairs(("a", "b", "c"), np.array([0]), np.array([1]))
 z, info = fj_equilibrium(g, np.array([1.0, -1.0, 1.0]),
                          method=SolverMethod.DIRECT)
 print(json.dumps({"rc": rc, "loaded_by_run": loaded_by_run,

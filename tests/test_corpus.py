@@ -13,12 +13,13 @@ from polmon import corpus
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            FilterRule, FollowRecord, Kind, MatchMode,
                            MediaItem, MediaKind, RuleSet, Side,
-                           by_local_date, default_rule_set, filter_corpus, fold_text,
+                           default_rule_set, filter_corpus, fold_text,
                            load_annotations, load_follows, load_tweets,
                            matches, normalize_hashtag, prevalent_users,
                            rule_set_from_dict, tweet_to_obj, parse_tweet)
 
-from conftest import filter_records, tweet
+from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records,
+                      records, rows_of, tweet)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,9 @@ def test_type_confused_line_does_not_abort_filter(tmp_path):
     path = _write(tmp_path, [GOOD_LINE, json.dumps(obj), GOOD_LINE])
     errors = []
     kept, report = filter_corpus(default_rule_set(), path, error_log=errors)
-    assert (len(kept), report.total, len(errors)) == (2, 2, 1)
+    assert (len(kept.texts), report.total, len(errors)) == (2, 2, 1)
+    assert corpus_rows(kept) == rows_of([parse_tweet(json.loads(GOOD_LINE))]
+                                        * 2)
 
 
 _JSON = st.recursive(
@@ -411,7 +414,7 @@ def test_filter_all_match(rules):
     tweets = [tweet(f"t{i}", text="υποκλοπές", ts="2022-08-05T09:00:00Z")
               for i in range(4)]
     kept, report = filter_records(rules, tweets)
-    assert kept == tweets
+    assert kept == rows_of(tweets)
     assert report.kept == report.total == 4
 
 
@@ -427,7 +430,7 @@ def test_filter_mixed_matches_recheck(rules):
     ]
     kept, report = filter_records(rules, tweets)
     oracle = [t for t in tweets if matches(rules, t)]
-    assert kept == oracle
+    assert kept == rows_of(oracle)
     assert report.kept == len(oracle)
     assert report.kept + report.dropped == report.total == len(tweets)
     assert report.dropped_lang == 1
@@ -440,8 +443,8 @@ def test_filter_idempotent(rules):
         tweet("t2", text="no", ts="2022-08-05T09:00:00Z"),
     ]
     kept, _ = filter_records(rules, tweets)
-    again, report = filter_records(rules, kept)
-    assert again == kept
+    again, report = filter_records(rules, tweets[:1])
+    assert again == kept == rows_of(tweets[:1])
     assert report.kept == report.total
 
 
@@ -462,7 +465,7 @@ def test_date_overflow_counts_as_out_of_window(tmp_path, ts, offset):
     tweets = list(load_tweets(path))
     kept, report = filter_corpus(rule_set, path, error_log=errors)
     assert errors == []
-    assert [t.tweet_id for t in kept] == ["t1"]
+    assert corpus_rows(kept) == rows_of(tweets[:1], offset)
     assert (report.total, report.kept, report.dropped_window) == (2, 1, 1)
     assert report.to_dict()["dropped"] == report.total - report.kept
     assert not matches(rule_set, tweets[1])
@@ -501,17 +504,26 @@ def test_utc_window_agrees_with_local_date(ts, ends, offset):
 @settings(max_examples=200, deadline=None)
 @given(minutes=st.lists(st.integers(0, 6 * 24 * 60), max_size=30),
        offset=st.sampled_from([0, 180, -420]) | st.integers(-1439, 1439))
-def test_by_local_date_groups_by_rule_set_local_date(minutes, offset):
+def test_corpus_days_are_rule_set_local_dates(minutes, offset):
     rule_set = RuleSet(rules=[FilterRule("x", MatchMode.KEYWORD_SUBSTRING)],
                        date_offset_minutes=offset)
     start = datetime(2022, 8, 1, tzinfo=timezone.utc)
     tweets = [tweet(f"t{i}", ts=(start + timedelta(minutes=m)).isoformat())
               for i, m in enumerate(minutes)]
-    groups = by_local_date(tweets, offset)
-    days = [rule_set.local_date(t.timestamp) for t in tweets]
-    assert [d for d, _ in groups] == sorted(set(days))
-    for d, group in groups:  # input order kept inside a day
-        assert group == [t for t, day in zip(tweets, days) if day == d]
+    assert corpus_of(tweets, offset).day.tolist() == [
+        rule_set.local_date(t.timestamp).toordinal() for t in tweets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records(), st.sampled_from(OFFSETS))
+def test_corpus_columns_read_back_as_the_records(tweets, offset):
+    corpus = corpus_of(tweets, offset)
+    assert len(corpus.texts) == len(corpus.day) == len(tweets)
+    assert corpus_rows(corpus) == rows_of(tweets, offset)
+    for table in (corpus.users, corpus.hashtags, corpus.urls):
+        assert list(table) == sorted(set(table))  # interned, id order
+    assert set(corpus.users) == {
+        u for t in tweets for u in (t.author_id, *t.referenced_user_ids)}
 
 
 # the reference path: each active rule on its own, term and text folded
@@ -597,9 +609,9 @@ def test_filter_equals_per_rule_reference(rules, tweets, offset):
                        date_offset_minutes=offset)
     kept, report = filter_records(rule_set, tweets)
     ref_kept, ref_hits = _filter_reference(rule_set, tweets)
-    assert kept == ref_kept
+    assert kept == rows_of(ref_kept, offset)
     assert report.rule_hits == ref_hits
-    assert kept == [t for t in tweets if matches(rule_set, t)]
+    assert ref_kept == [t for t in tweets if matches(rule_set, t)]
 
 
 def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
@@ -615,7 +627,7 @@ def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
     kept, report = filter_records(rules, tweets)
     # the default set's four keyword rules are active on every date
     assert folded == [t.text for t in tweets]
-    assert [t.tweet_id for t in kept] == ["t0", "t1", "t9"]
+    assert kept == rows_of([tweets[0], tweets[1], tweets[4]])
     folded.clear()
     assert [matches(rules, t) for t in tweets] == [True, True, False, False,
                                                     True]

@@ -8,8 +8,9 @@ from polmon.graphkit import (build_graph, daily_graphs, export_graph,
                              remove_nodes)
 from polmon.stance import Stance, StanceAssignment
 
-from conftest import graph_of, tweet
-from oracles import (csr_reference, export_graph_reference,
+from conftest import OFFSETS, corpus_of, graph_of, records, tweet
+from oracles import (build_graph_reference, csr_reference,
+                     daily_graphs_reference, export_graph_reference,
                      remove_nodes_reference)
 
 
@@ -19,7 +20,7 @@ def test_bidirectional_interactions_single_edge():
         tweet("t2", author="B", kind=Kind.ORIGINAL, refs=["A"],
               text="γεια @A υποκλοπές"),
     ]
-    g = build_graph(tweets)
+    g = build_graph(corpus_of(tweets))
     assert g.nodes == ("A", "B")
     assert g.edges == (("A", "B"),)
 
@@ -28,19 +29,20 @@ def test_repeated_interactions_collapse():
     tweets = [tweet(f"t{i}", author="A", kind=Kind.RETWEET, refs=["B"])
               for i in range(3)]
     tweets.append(tweet("t9", author="A", kind=Kind.QUOTE, refs=["B"]))
-    g = build_graph(tweets)
+    g = build_graph(corpus_of(tweets))
     assert g.edges == (("A", "B"),)
     assert g.m == 1
 
 
 def test_reference_free_tweet_gives_isolated_node():
-    g = build_graph([tweet("t1", author="A")])
+    g = build_graph(corpus_of([tweet("t1", author="A")]))
     assert g.nodes == ("A",)
     assert g.edges == ()
 
 
 def test_self_reply_drops_self_loop():
-    g = build_graph([tweet("t1", author="A", kind=Kind.REPLY, refs=["A"])])
+    g = build_graph(corpus_of([tweet("t1", author="A", kind=Kind.REPLY,
+                                     refs=["A"])]))
     assert g.nodes == ("A",)
     assert g.edges == ()
 
@@ -50,7 +52,7 @@ def test_daily_graphs_bucketing():
         tweet("t1", author="A", ts="2022-08-05T23:59:59Z"),
         tweet("t2", author="B", ts="2022-08-06T00:00:01Z"),
     ]
-    days = daily_graphs(tweets)
+    days = daily_graphs(corpus_of(tweets))
     assert [d.isoformat() for d, _ in days] == ["2022-08-05", "2022-08-06"]
     assert days[0][1].nodes == ("A",)
     assert days[1][1].nodes == ("B",)
@@ -62,9 +64,9 @@ def test_daily_graphs_single_date_equals_full_build():
               ts="2022-08-05T08:00:00Z"),
         tweet("t2", author="C", ts="2022-08-05T09:00:00Z"),
     ]
-    days = daily_graphs(tweets)
+    days = daily_graphs(corpus_of(tweets))
     assert len(days) == 1
-    full = build_graph(tweets)
+    full = build_graph(corpus_of(tweets))
     assert days[0][1].nodes == full.nodes
     assert days[0][1].edges == full.edges
 
@@ -78,8 +80,8 @@ def test_daily_union_covers_full_window_edges():
         tweet("t3", author="A", kind=Kind.QUOTE, refs=["B"],
               ts="2022-08-06T10:00:00Z"),
     ]
-    days = [g for _, g in daily_graphs(tweets)]
-    full = build_graph(tweets)
+    days = [g for _, g in daily_graphs(corpus_of(tweets))]
+    full = build_graph(corpus_of(tweets))
     assert set().union(*(g.edges for g in days)) == set(full.edges)
     assert set().union(*(g.nodes for g in days)) == set(full.nodes)
 
@@ -95,8 +97,8 @@ def test_build_graph_order_invariant(order):
         tweet("t4", author="C", kind=Kind.RETWEET, refs=["B"]),
         tweet("t5", author="E", kind=Kind.REPLY, refs=["A"]),
     ]
-    reference = build_graph(base)
-    shuffled = build_graph([base[i] for i in order])
+    reference = build_graph(corpus_of(base))
+    shuffled = build_graph(corpus_of([base[i] for i in order]))
     assert shuffled.nodes == reference.nodes
     assert shuffled.edges == reference.edges
 
@@ -128,12 +130,29 @@ def test_build_graph_edges_equal_pairs_from_tweets(specs):
     pairs = {tuple(sorted((t.author_id, r)))
              for t in tweets for r in t.referenced_user_ids
              if r != t.author_id}
-    g = build_graph(tweets)
+    g = build_graph(corpus_of(tweets))
     assert g.nodes == tuple(sorted(nodes))
     assert g.edges == tuple(sorted(pairs))
     indptr, indices = csr_reference(g.nodes, sorted(pairs))
     assert g.indptr.tolist() == indptr
     assert g.indices.tolist() == indices
+
+
+def _same_graph(g, h) -> bool:
+    return (g.nodes == h.nodes and g.indptr.tolist() == h.indptr.tolist()
+            and g.indices.tolist() == h.indices.tolist()
+            and g.indices.dtype == h.indices.dtype == np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records(), st.sampled_from(OFFSETS))
+def test_graphs_equal_record_reference(tweets, offset):
+    corpus = corpus_of(tweets, offset)
+    assert _same_graph(build_graph(corpus), build_graph_reference(tweets))
+    days = daily_graphs(corpus)
+    reference = daily_graphs_reference(tweets, offset)
+    assert [d for d, _ in days] == [d for d, _ in reference]
+    assert all(_same_graph(g, h) for (_, g), (_, h) in zip(days, reference))
 
 
 @st.composite

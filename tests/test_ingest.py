@@ -2,8 +2,8 @@
 
 The loader decodes with a reused raw decoder, memoises hashtag
 normalisation and keeps the decoded lists; filter_corpus checks every line
-as the loader does but builds records only for the tweets it keeps, and
-matches rules by lookup on the folded text; fold_text folds text
+as the loader does but builds no records: it holds the tweets it keeps as
+columns, and matches rules by lookup on the folded text; fold_text folds text
 below U+0900 character by character; load_follows reads rows by column
 index.  Each must give exactly what the reference gives.
 """
@@ -25,6 +25,7 @@ from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            default_rule_set, filter_corpus, fold_text,
                            load_follows, load_tweets)
 
+from conftest import corpus_rows, rows_of
 from oracles import (filter_corpus_reference, fold_text_reference,
                      load_follows_reference, load_tweets_reference)
 from test_corpus import _BASES, GOOD_LINE, _archive_object, _rule, _variant
@@ -110,8 +111,9 @@ _BAD_VALUES = [("like_count", "abc"), ("hashtags", "abc"), ("kind", "x"),
 def _filter_line(draw) -> str:
     """An archive line for the filter: mostly valid, Greek or not, inside
     the 2022-08-01..05 window or a day or two off either side, with texts
-    of several words split by runs of spaces and repeated hashtags; some
-    lines are truncated, type-confused or arbitrary."""
+    of several words split by runs of spaces, repeated hashtags and urls,
+    and replies that may reference their author; some lines are
+    truncated, type-confused or arbitrary."""
     words = draw(st.lists(_WORD, min_size=1, max_size=5))
     text = words[0]
     for w in words[1:]:
@@ -122,6 +124,9 @@ def _filter_line(draw) -> str:
         minutes=draw(st.integers(-2 * 24 * 60, 7 * 24 * 60)))
     obj = dict(json.loads(GOOD_LINE), text=text, hashtags=tags,
                tweet_id=draw(st.sampled_from(["t1", "t2", "t3"])),
+               author_id=draw(st.sampled_from(["a", "b", "Ά"])),
+               urls=draw(st.lists(st.sampled_from(["u2", "u1"]),
+                                  max_size=3)),
                timestamp=ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
                lang=draw(st.sampled_from(["el", "el", "el", "en"])))
     if draw(st.booleans()):
@@ -174,12 +179,14 @@ def test_filter_pass_equals_reference(tmp_path, rules, lines, offset):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def one_pass(strict, errors):
-        return filter_corpus(rule_set, path, schema_strict=strict,
-                             error_log=errors)
+        kept, report = filter_corpus(rule_set, path, schema_strict=strict,
+                                     error_log=errors)
+        return corpus_rows(kept), report
 
     def reference(strict, errors):
-        return filter_corpus_reference(rule_set, load_tweets_reference(
+        kept, report = filter_corpus_reference(rule_set, load_tweets_reference(
             path, schema_strict=strict, error_log=errors))
+        return rows_of(kept, offset), report
 
     for strict in (False, True):
         assert _filtered(one_pass, strict) == _filtered(reference, strict)

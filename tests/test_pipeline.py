@@ -11,11 +11,14 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polmon import pipeline
 from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
-                           Side, _top, load_tweets, matches, tweet_to_obj)
-from polmon.graphkit import daily_graphs
+                           Side, _top, default_rule_set, filter_corpus,
+                           load_tweets, matches, tweet_to_obj)
+from polmon.graphkit import build_graph, daily_graphs
 from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig, Runner,
                              StageError, ablation, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
@@ -24,8 +27,10 @@ from polmon.report import _table
 from polmon.polarization import SolverMethod
 from polmon.stance import Stance, StanceAssignment, stance_map
 
-from conftest import graph_of, tweet
-from oracles import stats_reference
+from conftest import (OFFSETS, corpus_of, corpus_rows, graph_of, records,
+                      rows_of, tweet)
+from oracles import (build_graph_reference, stance_shares_reference,
+                     stats_reference)
 
 
 def _stances(mapping):
@@ -48,7 +53,7 @@ def _as_tuples(rows):
 def test_stats_counts_unique_users():
     tweets = [tweet("t1", author="a"), tweet("t2", author="a"),
               tweet("t3", author="b")]
-    rows, _ = compute_stats(tweets)
+    rows, _ = compute_stats(corpus_of(tweets))
     assert rows[0].n_users == 2
     assert rows[0].n_posts == 3
 
@@ -60,7 +65,7 @@ def test_stats_kind_counts_sum():
         tweet("t3", author="b", kind=Kind.REPLY, refs=["a"]),
         tweet("t4", author="c", kind=Kind.QUOTE, refs=["a"]),
     ]
-    row = compute_stats(tweets)[0][0]
+    row = compute_stats(corpus_of(tweets))[0][0]
     assert sum(row.n_by_kind.values()) == row.n_posts == 4
     assert row.n_by_kind == {"original": 1, "retweet": 1, "quote": 1,
                              "reply": 1}
@@ -79,7 +84,7 @@ def test_stats_hand_tally_ten_tweets():
         tweet("t09", author="d", like_count=7),
         tweet("t10", author="e", urls=["u3"]),
     ]
-    rows, window = compute_stats(tweets)
+    rows, window = compute_stats(corpus_of(tweets))
     assert len(rows) == 1  # one day
     row = rows[0]
     assert row.n_posts == 10
@@ -96,7 +101,7 @@ def test_stats_hand_tally_ten_tweets():
 def test_stats_per_day_buckets():
     tweets = [tweet("t1", author="a", ts="2022-08-05T10:00:00Z"),
               tweet("t2", author="b", ts="2022-08-06T10:00:00Z")]
-    rows, _ = compute_stats(tweets)
+    rows, _ = compute_stats(corpus_of(tweets))
     assert [r.date.isoformat() for r in rows] == ["2022-08-05", "2022-08-06"]
 
 
@@ -106,13 +111,14 @@ def test_tokenizer_folds_and_splits():
 
 
 def test_stats_phrases_are_bigrams():
-    _, window = compute_stats([tweet("t1", text="alpha beta gamma")])
+    _, window = compute_stats(
+        corpus_of([tweet("t1", text="alpha beta gamma")]))
     assert window["phrases"] == Counter({"alpha beta": 1, "beta gamma": 1})
 
 
 def test_stats_stopwords_removed():
-    _, window = compute_stats([tweet("t1", text="alpha beta alpha")],
-                              stopwords={"beta"})
+    _, window = compute_stats(
+        corpus_of([tweet("t1", text="alpha beta alpha")]), stopwords={"beta"})
     assert window["words"] == Counter({"alpha": 2})
     assert window["phrases"] == Counter({"alpha alpha": 1})
 
@@ -154,7 +160,7 @@ def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
             tokens = [w for w in tokenize(t.text) if w not in stopwords]
             words.update(tokens)
             phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        _, window = compute_stats(tweets, stopwords, offset)
+        _, window = compute_stats(corpus_of(tweets, offset), stopwords)
         assert window["words"] == words
         assert window["phrases"] == phrases
 
@@ -164,7 +170,7 @@ def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
 def test_stats_equal_reference(fixture_paths, offset, stopwords):
     fixture = list(load_tweets(fixture_paths["tweets"]))
     for tweets in (fixture, _synthetic_tweets(seed=11)):
-        rows, window = compute_stats(tweets, stopwords, offset)
+        rows, window = compute_stats(corpus_of(tweets, offset), stopwords)
         ref_rows, ref_window = stats_reference(tweets, frozenset(stopwords),
                                                offset)
         assert _as_tuples(rows) == ref_rows
@@ -174,9 +180,41 @@ def test_stats_equal_reference(fixture_paths, offset, stopwords):
 def test_stats_days_are_the_daily_graphs_days():
     tweets = _synthetic_tweets(seed=13)
     for offset in (0, 180, -420):
-        rows, _ = compute_stats(tweets, offset_minutes=offset)
-        assert [r.date for r in rows] == [
-            d for d, _ in daily_graphs(tweets, offset)]
+        corpus = corpus_of(tweets, offset)
+        rows, _ = compute_stats(corpus)
+        assert [r.date for r in rows] == [d for d, _ in daily_graphs(corpus)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records(), st.sampled_from(OFFSETS),
+       st.sampled_from([(), ("το", "και", "cafe")]))
+def test_stats_equal_reference_on_any_archive(tweets, offset, stopwords):
+    rows, window = compute_stats(corpus_of(tweets, offset), stopwords)
+    ref_rows, ref_window = stats_reference(tweets, frozenset(stopwords),
+                                           offset)
+    assert _as_tuples(rows) == ref_rows
+    assert window == ref_window
+
+
+def test_stages_on_an_all_dropped_corpus(tmp_path):
+    # one tweet off the language list, one out of the window, one that
+    # matches no rule: the pass keeps nothing, and every stage still runs
+    tweets = [tweet("t1", lang="en"), tweet("t2", ts="2021-01-01T00:00:00Z"),
+              tweet("t3", author="a", kind=Kind.REPLY, refs=["b"],
+                    text="άσχετο", hashtags=["x"], urls=["u"])]
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("".join(json.dumps(tweet_to_obj(t)) + "\n"
+                            for t in tweets), encoding="utf-8")
+    corpus, report = filter_corpus(default_rule_set(), path)
+    assert (report.total, report.kept, report.dropped) == (3, 0, 3)
+    assert corpus_rows(corpus) == []
+    g = build_graph(corpus)
+    assert (g.nodes, g.indptr.tolist()) == (
+        build_graph_reference([]).nodes, [0])
+    assert daily_graphs(corpus) == []
+    rows, window = compute_stats(corpus, ("το",))
+    assert (_as_tuples(rows), window) == stats_reference([], ("το",))
+    assert stance_shares(corpus, {}) == stance_shares_reference([], {})
 
 
 def test_stats_folds_each_distinct_word_once(monkeypatch):
@@ -185,7 +223,7 @@ def test_stats_folds_each_distinct_word_once(monkeypatch):
     real = pipeline.fold_text
     monkeypatch.setattr(pipeline, "fold_text",
                         lambda s: folded.append(s) or real(s))
-    compute_stats(tweets)
+    compute_stats(corpus_of(tweets))
     assert sorted(folded) == sorted({w for t in tweets
                                      for w in pipeline._WORD_RE.findall(t.text)})
 
@@ -228,8 +266,9 @@ def test_summary_tables_equal_whole_window_stats(corpus, fixture_paths,
     assert len(calls) == 1  # no second corpus walk
 
     runner = Runner(config)
-    kept = runner.filtered[0]
-    assert len({runner.rule_set.local_date(t.timestamp) for t in kept}) > 1
+    kept = [t for t in load_tweets(config.tweets)
+            if matches(runner.rule_set, t)]
+    assert len(set(runner.filtered[0].day.tolist())) > 1
     _, window = stats_reference(kept, runner.stopword_set)
     html = bundle["summary.html"].read_text(encoding="utf-8")
     for key in _WINDOW_KEYS:
@@ -277,7 +316,7 @@ def test_rounded_percentages_exact_split():
 
 def test_shares_single_left_author():
     tweets = [tweet("t1", author="a"), tweet("t2", author="a")]
-    shares = stance_shares(tweets, _stances({"a": "L"}))
+    shares = stance_shares(corpus_of(tweets), _stances({"a": "L"}))
     assert shares.tweet_pct["Left"] == 100.0
     assert shares.user_pct["Left"] == 100.0
 
@@ -285,14 +324,23 @@ def test_shares_single_left_author():
 def test_shares_three_to_one():
     tweets = [tweet(f"t{i}", author="l") for i in range(3)]
     tweets.append(tweet("t9", author="r"))
-    shares = stance_shares(tweets, _stances({"l": "L", "r": "R"}))
+    shares = stance_shares(corpus_of(tweets), _stances({"l": "L", "r": "R"}))
     assert shares.tweet_pct["Left"] == 75.0
     assert shares.tweet_pct["Right"] == 25.0
     assert shares.user_counts["Left"] == shares.user_counts["Right"] == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(records(), st.dictionaries(st.sampled_from(["a", "b", "Ά", "a9"]),
+                                  st.sampled_from("LRCN")))
+def test_shares_equal_record_reference(tweets, labels):
+    stances = _stances(labels)
+    assert (stance_shares(corpus_of(tweets), stances)
+            == stance_shares_reference(tweets, stances))
+
+
 def test_shares_unknown_author_counts_neutral():
-    shares = stance_shares([tweet("t1", author="ghost")], {})
+    shares = stance_shares(corpus_of([tweet("t1", author="ghost")]), {})
     assert shares.tweet_counts["Neutral"] == 1
 
 
@@ -552,14 +600,41 @@ def test_malformed_lines_outside_the_window_are_counted(fixture_paths,
     kept, report = runner.filtered
     assert len(runner.load_errors) == 6
     assert [lineno for lineno, _ in runner.load_errors] == [2, 3, 5, 6, 8, 9]
-    assert (len(kept), report.total, report.dropped_window) == (1, 3, 2)
+    assert (len(kept.texts), report.total, report.dropped_window) == (
+        1, 3, 2)
     runner.write_filtered()
     payload = json.loads((tmp_path / "out" / "filter_report.json")
                          .read_text(encoding="utf-8"))
+    # the writer's own pass counts each malformed line once, and leaves
+    # the filter stage's count as it was
     assert payload["malformed_lines"] == 6
-    strict = Runner(replace(config, schema_strict=True))
+    assert len(runner.load_errors) == 6
+    assert (payload["kept"], payload["total"]) == (1, 3)
+    strict = Runner(replace(config, schema_strict=True,
+                            out_dir=tmp_path / "strict"))
     with pytest.raises(StageError, match=f"{re.escape(str(archive))}:2: "):
         strict.filtered
+    with pytest.raises(StageError,
+                       match=re.escape(f"[filter] {archive}:2: ")):
+        strict.write_filtered()
+    assert not (tmp_path / "strict" / "filtered.jsonl").exists()
+
+
+def test_write_filtered_writes_each_kept_record(fixture_paths, tmp_path):
+    runner = Runner(_config(fixture_paths, tmp_path / "out"))
+    path = runner.write_filtered()
+    kept = [t for t in load_tweets(runner.config.tweets)
+            if matches(runner.rule_set, t)]
+    assert len(kept) > 100
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps(tweet_to_obj(t), ensure_ascii=False, sort_keys=True)
+        + "\n" for t in kept)
+
+
+def _first_kept(runner: Runner) -> dict:
+    """The first object runner.write_filtered writes."""
+    path = runner.write_filtered()
+    return json.loads(path.read_text(encoding="utf-8").splitlines()[0])
 
 
 @pytest.mark.parametrize("offset", [60, -60])
@@ -572,7 +647,7 @@ def test_run_all_over_the_whole_calendar(fixture_paths, tmp_path, offset):
     plain = _config(fixture_paths, tmp_path / "plain")
     # a kept tweet copied into the first and the last UTC hour: one of the
     # two falls on the calendar's first or last local day, the other off it
-    kept = tweet_to_obj(Runner(plain).filtered[0][0])
+    kept = _first_kept(Runner(plain))
     edges = [json.dumps(dict(kept, tweet_id=f"edge{i}", timestamp=ts))
              for i, ts in enumerate(["0001-01-01T00:30:00Z",
                                      "9999-12-31T23:30:00Z"])]
@@ -584,9 +659,9 @@ def test_run_all_over_the_whole_calendar(fixture_paths, tmp_path, offset):
     bundle = run_all(config)
     assert "pi_series.csv" in bundle
     runner = Runner(config)
-    kept = runner.filtered[0]
-    assert kept == [t for t in load_tweets(config.tweets)
-                    if matches(runner.rule_set, t)]
+    kept = [t for t in load_tweets(config.tweets)
+            if matches(runner.rule_set, t)]
+    assert corpus_rows(runner.filtered[0]) == rows_of(kept, offset)
     assert [t.tweet_id for t in kept if t.tweet_id.startswith("edge")] == (
         ["edge0"] if offset > 0 else ["edge1"])
     assert ((runner.daily[0][0] == date.min) if offset > 0
@@ -598,9 +673,7 @@ def test_run_all_over_the_whole_calendar(fixture_paths, tmp_path, offset):
 def test_write_filtered_counts_undecodable_lines_as_malformed(fixture_paths,
                                                                tmp_path):
     plain = _config(fixture_paths, tmp_path / "plain")
-    runner = Runner(plain)
-    runner.write_filtered()
-    kept = tweet_to_obj(runner.filtered[0][0])  # both copies would be kept
+    kept = _first_kept(Runner(plain))  # both copies would be kept
     bad_bytes = json.dumps(dict(kept, tweet_id="x1"), ensure_ascii=False) \
         .encode("utf-8").replace(b'"x1"', b'"x1\xff\xfe"')
     lone = json.dumps(dict(kept, tweet_id="x2", text=kept["text"] + "\ud800"))
@@ -745,3 +818,53 @@ def test_benchmark_tracer_finds_every_entry_point():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+_RUN_GATE = """
+import json, sys
+from pathlib import Path
+import run
+from gate import check_bundle
+from polmon import pipeline
+
+workload, run_dir = sys.argv[1], Path(sys.argv[2])
+spec = run.write_config(run_dir, workload, 0, fixture=True)
+runners = []  # run_all builds its own Runner, as in the benchmark's child
+
+
+class Runner(pipeline.Runner):
+    def __init__(self, config):
+        super().__init__(config)
+        runners.append(self)
+
+
+pipeline.Runner = Runner
+config = pipeline.RunConfig.from_file(spec["config"])
+if spec["actions"] == ["run_all"]:
+    pipeline.run_all(config)
+else:
+    runner = Runner(config)
+    for action in spec["actions"]:
+        getattr(runner, action)()
+gate = check_bundle(runners[-1], Path(config.out_dir),
+                    spec["expected_malformed"])
+print(json.dumps({"checks": gate.checks, "failures": gate.failures}))
+"""
+
+
+@pytest.mark.parametrize("workload", ["full-report", "daily-series",
+                                      "monitor-window"])
+def test_benchmark_gate_passes_on_the_fixture(workload, tmp_path):
+    # the benchmark's correctness gate, on each workload's actions over the
+    # shipped fixture: PIs against an independent CG from each graph's
+    # nodes and edges, one output row per daily graph, the malformed count
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _RUN_GATE, workload,
+                           str(tmp_path)], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["checks"] > 0
+    assert result["failures"] == []
