@@ -30,7 +30,6 @@ share stages read; no ``TweetRecord`` is built on that path.
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import logging
 import re
@@ -671,50 +670,6 @@ class Corpus:
         return cls(*(keys for keys, _ in tables), np.asarray(day, np.int64),
                    np.asarray(kind, np.int8),
                    user_rank[np.asarray(author, np.int64)], *ragged, texts)
-
-
-# ---------------------------------------------------------------------------
-# prevalent users
-# ---------------------------------------------------------------------------
-
-
-def _top(counts: Counter, k: int) -> list[tuple[str, int]]:
-    """The k most frequent (key, count) pairs; ties by ascending key."""
-    return heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def prevalent_users(tweets: Sequence[TweetRecord],
-                    influencer_ranking: Sequence[str] = (),
-                    top_k: int = 500) -> set[str]:
-    """Union of the top_k users per activity category.
-
-    Categories: original tweets posted, replies posted, quotes posted,
-    times quoted by others (first referenced id of each quote, self-quotes
-    excluded), and the supplied influencer ranking.  Ties inside a category
-    break by ascending user_id.
-    """
-    if top_k <= 0:
-        raise ValueError("top_k must be positive")
-    posted = Counter()
-    replied = Counter()
-    quoted_posts = Counter()
-    quoted_by_others = Counter()
-    for t in tweets:
-        if t.kind is Kind.ORIGINAL:
-            posted[t.author_id] += 1
-        elif t.kind is Kind.REPLY:
-            replied[t.author_id] += 1
-        elif t.kind is Kind.QUOTE:
-            quoted_posts[t.author_id] += 1
-            if t.referenced_user_ids:
-                target = t.referenced_user_ids[0]
-                if target != t.author_id:
-                    quoted_by_others[target] += 1
-    selected: set[str] = set()
-    for counts in (posted, replied, quoted_posts, quoted_by_others):
-        selected.update(uid for uid, _ in _top(counts, top_k))
-    selected.update(influencer_ranking[:top_k])
-    return selected
 
 
 # ---------------------------------------------------------------------------

@@ -254,27 +254,6 @@ def _pis_without(reduced: Mapping[str, InteractionGraph],
     return pi_without
 
 
-def ablation(g: InteractionGraph,
-             stances: Mapping[str, StanceAssignment],
-             annotations: Mapping,
-             influencer_set: Iterable[str],
-             drop_isolated: bool = True,
-             result_date: date | None = None,
-             **pi_kwargs) -> AblationResult:
-    """PI of g and of g without each connector category.
-
-    Removing a category absent from the graph is a no-op and reproduces
-    pi_full; removing everything raises (the index is undefined on an
-    empty graph) with the offending category named.
-    """
-    victims = ablation_victims(annotations, influencer_set)
-    reduced = _reduced_graphs(g, victims, drop_isolated)
-    pi_full = compute_pi(g, stances, **pi_kwargs).pi
-    return AblationResult(result_date, pi_full,
-                          _pis_without(reduced, stances, **pi_kwargs),
-                          drop_isolated)
-
-
 @dataclass
 class ThresholdSweepEntry:
     threshold: float
@@ -293,10 +272,9 @@ class ThresholdSweepResult:
 def threshold_sweep(g: InteractionGraph,
                     stances: Mapping[str, StanceAssignment],
                     annotations: Mapping,
+                    influencer_set: Iterable[str],
                     thresholds: Sequence[float] = (0.0, 0.5, 0.7),
-                    influencer_set: Iterable[str] | None = None,
                     drop_isolated: bool = True,
-                    k: int = 500,
                     **pi_kwargs) -> ThresholdSweepResult:
     """Relabel stances and redo every ablation PI at each threshold.
 
@@ -306,8 +284,6 @@ def threshold_sweep(g: InteractionGraph,
     threshold relabels g's users from their tallies with classify, and
     the solves run per threshold.
     """
-    if influencer_set is None:
-        influencer_set = netshield(g, min(k, g.n)).selected
     reduced = _reduced_graphs(g, ablation_victims(annotations, influencer_set),
                               drop_isolated)
     users = [stances[u] for u in g.nodes if u in stances]
@@ -695,7 +671,7 @@ class Runner:
             ["date", "n", "m", "pi", "method", "iterations", "residual"],
             ([d.isoformat(), "", "", "", "gap", "", ""] if result is None
              else [d.isoformat(), result.n, result.m, _fmt(result.pi),
-                   result.solver.method.value, result.solver.iterations,
+                   "CG", result.solver.iterations,
                    format(result.solver.residual, ".3e")]
              for d, result in self.series))
 

@@ -10,20 +10,15 @@ equilibrium opinion, which lives in [0, 1]: 0 for an unopinionated
 population, 1 exactly when every connected component is internally
 unanimous at +/-1.
 
-Three solvers are provided.  CG runs Jacobi-preconditioned conjugate
-gradients on the SPD system and is the one every pipeline run uses.
-DirectSolve factorizes the system and serves as the small-graph
-reference; FixedPoint runs the Jacobi iteration above and is the
-independent verification oracle.  These two are reached only through
-the ``method`` argument.  CG and FixedPoint need numpy alone; only
-DirectSolve imports scipy, when it is called, so a run never loads it.
+The one solver is Jacobi-preconditioned conjugate gradients (CG) on the
+SPD system, in numpy alone; the tests check it against a dense solve and
+against the Jacobi iteration above.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Mapping
 
 import numpy as np
@@ -32,12 +27,6 @@ from .graphkit import InteractionGraph
 from .stance import opinion_vector
 
 log = logging.getLogger(__name__)
-
-
-class SolverMethod(Enum):
-    CG = "CG"
-    DIRECT = "DirectSolve"
-    FIXED_POINT = "FixedPoint"
 
 
 class ConvergenceError(RuntimeError):
@@ -49,7 +38,6 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SolverInfo:
-    method: SolverMethod
     iterations: int
     residual: float
 
@@ -63,8 +51,7 @@ class PolarizationResult:
 
 
 def default_max_iter(n: int) -> int:
-    # Jacobi contracts like deg/(1+deg) per sweep; generous cap so dense
-    # graphs do not trip false non-convergence.
+    # generous cap so dense graphs do not trip false non-convergence
     return 10 * n + 1000
 
 
@@ -74,22 +61,13 @@ def _adjacency(indptr: np.ndarray, indices: np.ndarray
 
     bincount starts each row at 0.0 and adds the row's entries in CSR
     order, as scipy's CSR matvec does, so the product is bit-identical to
-    ``csr_matrix @ x``; the solvers' last bits depend on that order.
+    ``csr_matrix @ x``; the solver's last bits depend on that order.
     (bincount returns integers when there are no entries at all.)
     """
     n = len(indptr) - 1
     rows = np.repeat(np.arange(n), np.diff(indptr))
     return lambda x: np.bincount(rows, weights=x.take(indices),
                                  minlength=n).astype(np.float64, copy=False)
-
-
-def _system(indptr: np.ndarray, indices: np.ndarray):
-    """I + L as a scipy CSC matrix, for DirectSolve's factorization."""
-    import scipy.sparse as sp
-    n = len(indptr) - 1
-    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                        shape=(n, n))
-    return (sp.diags(1.0 + np.diff(indptr)) - adj).tocsc()
 
 
 def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
@@ -136,43 +114,18 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
     return z, iters, residual, residual <= tol
 
 
-def _fixed_point(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray,
-                 tol: float, max_iter: int
-                 ) -> tuple[np.ndarray, int, float, bool]:
-    """Jacobi iteration z <- (s + A z) / (1 + deg) for (I + L) z = s.
-
-    Starts from z = s.  Returns (z, iterations, residual, converged); one
-    adjacency product per sweep serves both the max-norm residual of the
-    returned iterate and the update.
-    """
-    diag = 1.0 + np.diff(indptr)
-    adj = _adjacency(indptr, indices)
-    z = s.copy()
-    for it in range(max_iter + 1):
-        az = adj(z)
-        residual = float(np.max(np.abs(diag * z - az - s))) if len(s) else 0.0
-        if residual <= tol:
-            return z, it, residual, True
-        if it < max_iter:
-            z = (s + az) / diag
-    return z, max_iter, residual, False
-
-
 def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
                    tol: float = 1e-10,
-                   max_iter: int | None = None,
-                   method: SolverMethod = SolverMethod.CG
+                   max_iter: int | None = None
                    ) -> tuple[np.ndarray, SolverInfo]:
-    """Solve (I + L) z = s on g; returns (z, solver info).
+    """Solve (I + L) z = s on g by CG; returns (z, solver info).
 
-    CG and FixedPoint stop once the max-norm residual ||(I + L) z - s||
-    is at most tol, and raise ConvergenceError carrying the last residual
-    and the iteration count if max_iter iterations do not get there.
+    CG stops once the max-norm residual ||(I + L) z - s|| is at most tol,
+    and raises ConvergenceError carrying the last residual and the
+    iteration count if max_iter iterations do not get there.
     (I + L)^-1 is entrywise nonnegative with unit row sums, so its
     infinity norm is 1 and a residual <= tol guarantees
-    ||z - z*||_inf <= tol for the exact solution z*.  The direct route
-    cannot fail on valid input (I + L is symmetric positive definite) and
-    reports its residual without checking it against tol.  tol must be a
+    ||z - z*||_inf <= tol for the exact solution z*.  tol must be a
     positive finite number.
     """
     if not 0.0 < tol < np.inf:
@@ -182,26 +135,14 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
     if g.n and np.max(np.abs(s)) > 1.0 + 1e-12:
         raise ValueError("innate opinions must lie in [-1, 1]")
     s = np.asarray(s, dtype=np.float64)
-    indptr, indices = g.indptr, g.indices
     if max_iter is None:
         max_iter = default_max_iter(g.n)
-
-    if method is SolverMethod.DIRECT:
-        if g.n == 0:
-            return np.zeros(0), SolverInfo(SolverMethod.DIRECT, 0, 0.0)
-        from scipy.sparse.linalg import spsolve
-        system = _system(indptr, indices)
-        z = np.atleast_1d(spsolve(system, s))
-        residual = float(np.max(np.abs(system @ z - s)))
-        return z, SolverInfo(SolverMethod.DIRECT, 1, residual)
-
-    solve = _cg if method is SolverMethod.CG else _fixed_point
-    z, iters, residual, converged = solve(indptr, indices, s, tol, max_iter)
+    z, iters, residual, converged = _cg(g.indptr, g.indices, s, tol, max_iter)
     if not converged:
         raise ConvergenceError(
-            f"{method.value} stalled at residual {residual:.3e} "
-            f"after {iters} iterations", residual, iters)
-    return z, SolverInfo(method, iters, residual)
+            f"CG stalled at residual {residual:.3e} after {iters} iterations",
+            residual, iters)
+    return z, SolverInfo(iters, residual)
 
 
 def polarization_index(z: np.ndarray) -> float:
@@ -213,9 +154,7 @@ def polarization_index(z: np.ndarray) -> float:
 
 def compute_pi(g: InteractionGraph,
                stances: Mapping,
-               method: SolverMethod = SolverMethod.CG,
                tol: float = 1e-10,
-               max_iter: int | None = None,
                include_isolated: bool = True) -> PolarizationResult:
     """opinion_vector -> fj_equilibrium -> polarization_index, composed.
 
@@ -224,9 +163,8 @@ def compute_pi(g: InteractionGraph,
     """
     work = g if include_isolated else g.subgraph(g.degrees > 0)
     s = opinion_vector(work, stances)
-    z, info = fj_equilibrium(work, s, tol=tol, max_iter=max_iter, method=method)
-    log.debug("FJ solve: n=%d m=%d method=%s iterations=%d residual=%.3e",
-              work.n, work.m, info.method.value, info.iterations,
-              info.residual)
+    z, info = fj_equilibrium(work, s, tol=tol)
+    log.debug("FJ solve: n=%d m=%d method=CG iterations=%d residual=%.3e",
+              work.n, work.m, info.iterations, info.residual)
     return PolarizationResult(pi=polarization_index(z), solver=info,
                               n=work.n, m=work.m)

@@ -6,11 +6,12 @@ renderer metadata, no font rasterization)."""
 
 from __future__ import annotations
 
+import heapq
 import html
+from collections import Counter
 from typing import Sequence
 
 from . import __version__
-from .corpus import _top
 
 _W, _H = 720, 240
 _PAD = 40
@@ -19,6 +20,11 @@ _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
 
 def _fmt(x: float) -> str:
     return format(x, ".4g")
+
+
+def _top(counts: Counter, k: int) -> list[tuple[str, int]]:
+    """The k most frequent (key, count) pairs; ties by ascending key."""
+    return heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def svg_line_chart(series: Sequence[tuple[str, list[float | None]]],

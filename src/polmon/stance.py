@@ -103,17 +103,6 @@ def _assign(user_id: str, tally: Sequence[int],
                             n_left, n_right, n_center, threshold)
 
 
-def infer_stance(user_id: str,
-                 follows: Iterable[FollowRecord | str],
-                 annotations: Mapping[str, AccountAnnotation],
-                 threshold: float = 0.0) -> StanceAssignment:
-    """Stance for one user from their follow records (or followed ids)."""
-    followed = (f.followed_political_id if isinstance(f, FollowRecord) else f
-                for f in follows)
-    counts = _tallies(((user_id, f) for f in followed), annotations)
-    return _assign(user_id, counts.get(user_id, (0, 0, 0)), threshold)
-
-
 def stance_map(all_follows: Iterable[FollowRecord],
                annotations: Mapping[str, AccountAnnotation],
                threshold: float = 0.0,

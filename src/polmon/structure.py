@@ -148,7 +148,7 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
 # ---------------------------------------------------------------------------
 
 
-def _louvain_level(indptr, indices, weights, k_arr, m, resolution):
+def _louvain_level(indptr, indices, weights, k_arr, m):
     """Queue-driven local moves on one level; returns (comm, visits, moves).
 
     Every node is queued once in ascending order; a node that moves to
@@ -159,7 +159,7 @@ def _louvain_level(indptr, indices, weights, k_arr, m, resolution):
     nodes that would flip back and forth between equal-looking communities
     are not swept again and again.  Gains are kept scaled by m: for node i
     and community c,
-        g(c) = w(i->c) - resolution * tot(c) * k_i / (2m)
+        g(c) = w(i->c) - tot(c) * k_i / (2m)
     and i moves only when the best candidate beats staying put by more
     than _MIN_GAIN * m.  Candidates are scanned in first-touch order (the
     insertion order of the weight dict), which the sorted CSR makes
@@ -193,11 +193,11 @@ def _louvain_level(indptr, indices, weights, k_arr, m, resolution):
             cw[c] = cw.get(c, 0.0) + wj
         scale = ki / two_m
         best_c = c_old
-        best_g = cw.get(c_old, 0.0) - resolution * tot[c_old] * scale
+        best_g = cw.get(c_old, 0.0) - tot[c_old] * scale
         for c, wc in cw.items():
             if c == c_old:
                 continue
-            gain = wc - resolution * tot[c] * scale
+            gain = wc - tot[c] * scale
             if gain > best_g + threshold:
                 best_g = gain
                 best_c = c
@@ -236,8 +236,7 @@ def _aggregate(indptr, indices, weights, self_w, comm):
             new_self, dense)
 
 
-def _assignment_modularity(indptr, indices, weights, self_w, comm,
-                           resolution) -> float:
+def _assignment_modularity(indptr, indices, weights, self_w, comm) -> float:
     k_arr = np.bincount(
         np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
         weights=weights, minlength=len(indptr) - 1) + 2.0 * self_w
@@ -251,10 +250,10 @@ def _assignment_modularity(indptr, indices, weights, self_w, comm,
                       minlength=nc) / 2.0
     e_c += np.bincount(comm, weights=self_w, minlength=nc)
     d_c = np.bincount(comm, weights=k_arr, minlength=nc)
-    return float(np.sum(e_c / m - resolution * (d_c / (2.0 * m)) ** 2))
+    return float(np.sum(e_c / m - (d_c / (2.0 * m)) ** 2))
 
 
-def louvain(g: InteractionGraph, resolution: float = 1.0) -> CommunityPartition:
+def louvain(g: InteractionGraph) -> CommunityPartition:
     """Deterministic Louvain partition with recomputed modularity.
 
     An edgeless graph degenerates to singleton communities with Q = 0.
@@ -277,13 +276,13 @@ def louvain(g: InteractionGraph, resolution: float = 1.0) -> CommunityPartition:
                 np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
                 weights=weights, minlength=len(indptr) - 1) + 2.0 * level_self
             comm, visits, moves = _louvain_level(indptr, indices, weights,
-                                                 k_arr, float(m), resolution)
+                                                 k_arr, float(m))
             if log.isEnabledFor(logging.DEBUG):
                 log.debug(
                     "louvain level %d: n=%d m=%d visits=%d moves=%d Q=%.6f",
                     level, len(indptr) - 1, len(indices) // 2, visits, moves,
                     _assignment_modularity(indptr, indices, weights,
-                                           level_self, comm, resolution))
+                                           level_self, comm))
             if not moves:
                 break
             # dense[i] is the aggregated node id of level node i, so the
@@ -304,7 +303,7 @@ def louvain(g: InteractionGraph, resolution: float = 1.0) -> CommunityPartition:
         final[i] = remap[c]
         assignment[uid] = remap[c]
     q = _assignment_modularity(indptr0, indices0, weights0,
-                               np.zeros(g.n), final, resolution)
+                               np.zeros(g.n), final)
     profiles = [CommunityProfile(community_id=c, size=int(count))
                 for c, count in enumerate(np.bincount(final, minlength=len(remap)))]
     return CommunityPartition(assignment=assignment, modularity=q,

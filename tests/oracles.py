@@ -3,8 +3,9 @@
 The graph oracles work from a graph's node/edge lists with dense numpy (or
 plain enumeration), deliberately avoiding the package's CSR kernels, sparse
 solves and greedy code paths.  Two kernels that the package computes with
-numpy alone keep their scipy.sparse forms here: the adjacency matvec and
-Louvain's community collapse.  The corpus oracles are the plain archive
+numpy alone keep their scipy.sparse forms here: the adjacency matvec, which
+also drives the Jacobi-iteration FJ oracle, and Louvain's community
+collapse.  The corpus oracles are the plain archive
 loader, record filter, follow-list loader and text fold that the
 package's ingest path must reproduce: ``json.loads`` per line, a full
 record per valid line filtered by walking every active rule,
@@ -126,12 +127,16 @@ def csr_reference(nodes, edges) -> tuple[list[int], list[int]]:
     return indptr, indices
 
 
+def adjacency_scipy(indptr, indices) -> sp.csr_matrix:
+    """The CSR's 0/1 adjacency matrix A as a ``scipy.sparse.csr_matrix``."""
+    n = len(indptr) - 1
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                         shape=(n, n))
+
+
 def adjacency_matvec_scipy(indptr, indices, x: np.ndarray) -> np.ndarray:
     """A x through ``scipy.sparse.csr_matrix``, A the CSR's 0/1 adjacency."""
-    n = len(indptr) - 1
-    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                        shape=(n, n))
-    return adj @ x
+    return adjacency_scipy(indptr, indices) @ x
 
 
 def aggregate_scipy(indptr, indices, weights, self_w, comm):
@@ -162,6 +167,30 @@ def dense_fj(g, s: np.ndarray) -> np.ndarray:
     A = dense_adjacency(g)
     L = np.diag(A.sum(axis=1)) - A
     return np.linalg.solve(np.eye(g.n) + L, np.asarray(s, dtype=float))
+
+
+def fixed_point_fj(g, s: np.ndarray, tol: float = 1e-10,
+                   max_iter: int | None = None) -> np.ndarray:
+    """Solve (I + L) z = s by the Jacobi iteration z <- (s + A z) / (1 + deg).
+
+    Starts from z = s and returns the first iterate whose max-norm
+    residual is at most tol; the adjacency product goes through
+    ``scipy.sparse``.  Fails the calling test if max_iter sweeps (default
+    10 n + 1000) do not get there.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    adj = adjacency_scipy(g.indptr, g.indices)
+    diag = 1.0 + np.diff(g.indptr)
+    if max_iter is None:
+        max_iter = 10 * g.n + 1000
+    z = s.copy()
+    for _ in range(max_iter + 1):
+        az = adj @ z
+        if np.max(np.abs(diag * z - az - s), initial=0.0) <= tol:
+            return z
+        z = (s + az) / diag
+    raise AssertionError(f"Jacobi iteration did not reach {tol} "
+                         f"in {max_iter} sweeps")
 
 
 def leading_eigenpair_dense(g) -> tuple[float, np.ndarray]:
@@ -195,8 +224,8 @@ def best_shield_subset(g, k: int, lam: float, u: np.ndarray):
     return best, best_value
 
 
-def modularity_of(g, assignment: dict[str, int], resolution: float = 1.0) -> float:
-    """Q = sum_c [e_c/m - resolution * (d_c/(2m))^2] from raw edge lists."""
+def modularity_of(g, assignment: dict[str, int]) -> float:
+    """Q = sum_c [e_c/m - (d_c/(2m))^2] from raw edge lists."""
     m = g.m
     if m == 0:
         return 0.0
@@ -210,11 +239,11 @@ def modularity_of(g, assignment: dict[str, int], resolution: float = 1.0) -> flo
         members = {u for u in g.nodes if assignment[u] == c}
         e_c = sum(1 for u, v in g.edges if u in members and v in members)
         d_c = sum(degrees[u] for u in members)
-        q += e_c / m - resolution * (d_c / (2.0 * m)) ** 2
+        q += e_c / m - (d_c / (2.0 * m)) ** 2
     return q
 
 
-def sweep_louvain_level(indptr, indices, weights, k_arr, m, resolution):
+def sweep_louvain_level(indptr, indices, weights, k_arr, m):
     """Louvain local moves swept to a fixpoint: the schedule before the queue.
 
     Same gains, first-touch candidate order, strict ``> best + 1e-12 * m``
@@ -240,10 +269,10 @@ def sweep_louvain_level(indptr, indices, weights, k_arr, m, resolution):
                 cw[comm[j]] = cw.get(comm[j], 0.0) + wj
             scale = k[i] / (2.0 * m)
             best_c = c_old
-            best_g = cw.get(c_old, 0.0) - resolution * tot[c_old] * scale
+            best_g = cw.get(c_old, 0.0) - tot[c_old] * scale
             for c, wc in cw.items():
                 if c != c_old:
-                    gain = wc - resolution * tot[c] * scale
+                    gain = wc - tot[c] * scale
                     if gain > best_g + threshold:
                         best_c, best_g = c, gain
             comm[i] = best_c

@@ -328,23 +328,16 @@ def test_config_must_be_object(tmp_path, capsys):
 
 _RUN_WITHOUT_SCIPY = """
 import json, sys
-import numpy as np
-from polmon.cli import main
-from polmon.polarization import SolverMethod, fj_equilibrium
-from polmon.graphkit import InteractionGraph
+import polmon.cli, polmon.corpus, polmon.graphkit, polmon.pipeline
+import polmon.polarization, polmon.report, polmon.stance, polmon.structure
 
-rc = main(["run-all", "--config", sys.argv[1], "--out", sys.argv[2]])
-loaded_by_run = "scipy" in sys.modules
-g = InteractionGraph.from_pairs(("a", "b", "c"), np.array([0]), np.array([1]))
-z, info = fj_equilibrium(g, np.array([1.0, -1.0, 1.0]),
-                         method=SolverMethod.DIRECT)
-print(json.dumps({"rc": rc, "loaded_by_run": loaded_by_run,
-                  "z": z.tolist(), "method": info.method.value}))
+rc = polmon.cli.main(["run-all", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"rc": rc, "scipy_loaded": "scipy" in sys.modules}))
 """
 
 
 def test_run_all_does_not_load_scipy(fixture_paths, tmp_path):
-    # scipy only backs the DirectSolve reference; a run needs numpy alone
+    # the package needs numpy alone; scipy is a test dependency
     src = str(Path(polmon.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -357,7 +350,4 @@ def test_run_all_does_not_load_scipy(fixture_paths, tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0
     assert (tmp_path / "out" / "run_manifest.json").exists()
-    assert not result["loaded_by_run"]
-    # (I + L) z = s on the edge a-b plus the isolated c
-    assert result["method"] == "DirectSolve"
-    assert result["z"] == pytest.approx([1 / 3, -1 / 3, 1.0], abs=1e-12)
+    assert not result["scipy_loaded"]

@@ -15,8 +15,8 @@ from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            MediaItem, MediaKind, RuleSet, Side,
                            default_rule_set, filter_corpus, fold_text,
                            load_annotations, load_follows, load_tweets,
-                           matches, normalize_hashtag, prevalent_users,
-                           rule_set_from_dict, tweet_to_obj, parse_tweet)
+                           matches, normalize_hashtag, rule_set_from_dict,
+                           tweet_to_obj, parse_tweet)
 
 from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records,
                       records, rows_of, tweet)
@@ -641,64 +641,6 @@ def test_rule_term_folded_once_and_kept():
     _, report = filter_records(RuleSet(rules=[rule]),
                                [tweet(text="ΥΠΟΚΛΟΠΕΣ")])
     assert report.to_dict()["rule_hits"] == {"keyword:Υποκλοπές": 1}
-
-
-# ---------------------------------------------------------------------------
-# prevalent users
-# ---------------------------------------------------------------------------
-
-
-def test_prevalent_small_corpus_keeps_everyone():
-    tweets = [tweet("t1", author="a"), tweet("t2", author="b"),
-              tweet("t3", author="c", kind=Kind.REPLY, refs=["a"])]
-    assert prevalent_users(tweets) == {"a", "b", "c"}
-
-
-def test_prevalent_rejects_bad_k():
-    with pytest.raises(ValueError):
-        prevalent_users([], top_k=0)
-
-
-def test_prevalent_union_matches_hand_count():
-    tweets = [
-        # originals: a x3, b x1
-        tweet("t1", author="a"), tweet("t2", author="a"),
-        tweet("t3", author="a"), tweet("t4", author="b"),
-        # replies: c x2, d x1
-        tweet("t5", author="c", kind=Kind.REPLY, refs=["a"]),
-        tweet("t6", author="c", kind=Kind.REPLY, refs=["b"]),
-        tweet("t7", author="d", kind=Kind.REPLY, refs=["a"]),
-        # quotes: e x2 (quoting a), b x1 (quoting e)
-        tweet("t8", author="e", kind=Kind.QUOTE, refs=["a"]),
-        tweet("t9", author="e", kind=Kind.QUOTE, refs=["a"]),
-        tweet("t10", author="b", kind=Kind.QUOTE, refs=["e"]),
-    ]
-    # k=1 per category: posted->a, replied->c, quotes->e (2>1, ties none),
-    # quoted-by-others->a (2 vs e 1), influencers->given ranking head
-    got = prevalent_users(tweets, influencer_ranking=["z", "y"], top_k=1)
-    assert got == {"a", "c", "e", "z"}
-
-
-def test_prevalent_tie_breaks_ascending_id():
-    tweets = [tweet("t1", author="b"), tweet("t2", author="a")]
-    got = prevalent_users(tweets, top_k=1)
-    assert got == {"a"}
-
-
-def test_prevalent_order_invariant():
-    tweets = [
-        tweet("t1", author="b"), tweet("t2", author="a"),
-        tweet("t3", author="c", kind=Kind.QUOTE, refs=["b"]),
-    ]
-    assert prevalent_users(tweets, top_k=2) == \
-        prevalent_users(list(reversed(tweets)), top_k=2)
-
-
-def test_prevalent_self_quote_not_counted():
-    tweets = [tweet("t1", author="a", kind=Kind.QUOTE, refs=["a", "b"])]
-    got = prevalent_users(tweets, top_k=1)
-    assert "a" in got  # via quotes-posted, not via quoted-by-others
-    assert "b" not in got
 
 
 # ---------------------------------------------------------------------------

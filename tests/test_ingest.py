@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from polmon import corpus
+from polmon import corpus, report
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            FilterRule, FollowRecord, MatchMode, RuleSet, Side,
                            default_rule_set, filter_corpus, fold_text,
@@ -280,4 +280,4 @@ def test_follow_loader_reads_repeated_column_like_dictreader(tmp_path):
 def test_top_k_equals_sorted_prefix(counts, k):
     counter = Counter(counts)
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    assert corpus._top(counter, k) == ranked
+    assert report._top(counter, k) == ranked

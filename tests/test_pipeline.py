@@ -16,16 +16,17 @@ from hypothesis import strategies as st
 
 from polmon import pipeline
 from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
-                           Side, _top, default_rule_set, filter_corpus,
+                           Side, default_rule_set, filter_corpus,
                            load_tweets, matches, tweet_to_obj)
-from polmon.graphkit import build_graph, daily_graphs
-from polmon.pipeline import (ABLATION_CATEGORIES, RunConfig, Runner,
-                             StageError, ablation, compute_stats, pi_series,
+from polmon.graphkit import build_graph, daily_graphs, remove_nodes
+from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
+                             Runner, StageError, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
                              threshold_sweep, tokenize)
-from polmon.report import _table
-from polmon.polarization import SolverMethod
+from polmon.polarization import compute_pi
+from polmon.report import _table, _top
 from polmon.stance import Stance, StanceAssignment, stance_map
+from polmon.structure import ShieldRanking
 
 from conftest import (OFFSETS, corpus_of, corpus_rows, graph_of, records,
                       rows_of, tweet)
@@ -392,6 +393,37 @@ def test_pi_series_flags_gap_and_continues():
 # ---------------------------------------------------------------------------
 
 
+def _ablation_reference(g, stances, annotations, influencer_set,
+                        drop_isolated=True, **pi_kwargs):
+    """(pi_full, pi_without): g and g without each connector category,
+    each removed with remove_nodes and solved with compute_pi."""
+    victims = {"Political": set(), "MediaJournalist": set(),
+               "Influencers": set(influencer_set)}
+    for uid, ann in annotations.items():
+        if ann.category is Category.POLITICAL:
+            victims["Political"].add(uid)
+        elif ann.category is Category.MEDIA_JOURNALIST:
+            victims["MediaJournalist"].add(uid)
+    return compute_pi(g, stances, **pi_kwargs).pi, {
+        name: compute_pi(remove_nodes(g, victims[name], drop_isolated),
+                         stances, **pi_kwargs).pi
+        for name in ABLATION_CATEGORIES}
+
+
+def _ablation_row(g, stances, annotations, influencer_set,
+                  drop_isolated=True):
+    """The ablation stage's row for one day whose graph is g."""
+    day = date(2022, 3, 1)
+    runner = Runner(RunConfig(tweets=Path("unused"), annotations=Path("unused"),
+                              follows=Path("unused"), out_dir=Path("unused"),
+                              drop_isolated=drop_isolated))
+    runner._cache.update(daily=[(day, g)], stance=stances,
+                         annotations=annotations, polarize=[(day, None)],
+                         influencers=ShieldRanking(list(influencer_set), []))
+    [row] = runner.ablation_rows
+    return row
+
+
 @pytest.fixture
 def bridge_setup():
     left = [(f"l{i}", f"l{j}") for i in range(3) for j in range(i + 1, 3)]
@@ -406,8 +438,7 @@ def bridge_setup():
 
 def test_ablation_absent_category_is_noop(bridge_setup):
     g, stances, annotations = bridge_setup
-    result = ablation(g, stances, annotations, influencer_set=[],
-                      drop_isolated=True)
+    result = _ablation_row(g, stances, annotations, influencer_set=[])
     # no Political annotations at all -> removal is a no-op
     assert result.pi_without["Political"] == pytest.approx(result.pi_full,
                                                            abs=1e-12)
@@ -417,8 +448,7 @@ def test_ablation_absent_category_is_noop(bridge_setup):
 
 def test_ablation_bridge_removal_raises_pi(bridge_setup):
     g, stances, annotations = bridge_setup
-    result = ablation(g, stances, annotations, influencer_set=[],
-                      drop_isolated=True)
+    result = _ablation_row(g, stances, annotations, influencer_set=[])
     assert result.pi_without["MediaJournalist"] == pytest.approx(1.0,
                                                                  abs=1e-12)
     assert result.pi_full < 1.0
@@ -428,14 +458,14 @@ def test_ablation_remove_everything_errors(bridge_setup):
     g, stances, _ = bridge_setup
     annotations = {u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
                    for u in g.nodes}
-    with pytest.raises(ValueError, match="MediaJournalist"):
-        ablation(g, stances, annotations, influencer_set=[],
-                 drop_isolated=True)
+    # the stage records the day as a gap, naming the category
+    _, message = _ablation_row(g, stances, annotations, influencer_set=[])
+    assert message.startswith("removing MediaJournalist nodes")
 
 
 def test_ablation_category_keys_fixed(bridge_setup):
     g, stances, annotations = bridge_setup
-    result = ablation(g, stances, annotations, influencer_set=["m0"])
+    result = _ablation_row(g, stances, annotations, influencer_set=["m0"])
     assert tuple(result.pi_without) == ABLATION_CATEGORIES
     assert all(0.0 <= v <= 1.0 for v in result.pi_without.values())
 
@@ -469,9 +499,9 @@ def test_sweep_threshold_zero_matches_default(sweep_setup):
     stances = stance_map(follows, annotations, 0.0, ensure_users=g.nodes)
     result = threshold_sweep(g, stances, annotations, thresholds=(0.0,),
                              influencer_set=[])
-    reference = ablation(g, stances, annotations, influencer_set=[])
-    assert result.entries[0].pi_full == reference.pi_full
-    assert result.entries[0].pi_without == reference.pi_without
+    pi_full, pi_without = _ablation_reference(g, stances, annotations, [])
+    assert result.entries[0].pi_full == pi_full
+    assert result.entries[0].pi_without == pi_without
 
 
 def test_sweep_counts_non_increasing(sweep_setup):
@@ -496,12 +526,11 @@ def test_sweep_all_neutral_graph(sweep_setup):
                    for e in result.entries)
 
 
-@pytest.mark.parametrize("method", [SolverMethod.CG, SolverMethod.DIRECT])
 @pytest.mark.parametrize("drop_isolated", [True, False])
-def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path, method,
+def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path,
                                              drop_isolated):
     # the sweep builds its reduced graphs once; rebuilding them per
-    # threshold through ablation must give identical entries
+    # threshold from a fresh stance map must give identical entries
     config = RunConfig.from_file(fixture_paths["config"])
     config.out_dir = tmp_path
     runner = Runner(config)
@@ -512,15 +541,15 @@ def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path, method,
     tallies = stance_map(follows, annotations, ensure_users=g.nodes)
     result = threshold_sweep(g, tallies, annotations, thresholds=thresholds,
                              influencer_set=influencers,
-                             drop_isolated=drop_isolated, method=method)
+                             drop_isolated=drop_isolated)
     assert [e.threshold for e in result.entries] == list(thresholds)
     for entry in result.entries:
         stances = stance_map(follows, annotations, threshold=entry.threshold,
                              ensure_users=g.nodes)
-        reference = ablation(g, stances, annotations, influencers,
-                             drop_isolated=drop_isolated, method=method)
-        assert entry.pi_full == reference.pi_full
-        assert entry.pi_without == reference.pi_without
+        pi_full, pi_without = _ablation_reference(
+            g, stances, annotations, influencers, drop_isolated)
+        assert entry.pi_full == pi_full
+        assert entry.pi_without == pi_without
 
 
 def test_run_all_tallies_follows_once(fixture_paths, tmp_path, monkeypatch):
@@ -779,10 +808,10 @@ def test_ablation_reuses_series_solves(fixture_paths, tmp_path, monkeypatch):
     assert not any(g is h for g in solved for h in full_graphs[1:])
     assert len(solved) == 2 + 2 * len(ABLATION_CATEGORIES) * len(full_graphs)
     monkeypatch.setattr(pipeline, "compute_pi", real_compute_pi)
-    expected = [ablation(g, runner.stances, runner.annotations,
-                         runner.influencer_ranking.selected,
-                         drop_isolated=drop, result_date=d,
-                         **runner._pi_kwargs())
+    expected = [AblationResult(d, *_ablation_reference(
+                    g, runner.stances, runner.annotations,
+                    runner.influencer_ranking.selected, drop,
+                    **runner._pi_kwargs()), drop)
                 for d, g in runner.daily for drop in (True, False)]
     assert rows == expected
     assert [row.pi_full for row in rows[::2]] == [series[d].pi

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from polmon.polarization import (ConvergenceError, SolverMethod, _adjacency,
-                                 compute_pi, default_max_iter,
-                                 fj_equilibrium, polarization_index)
+from polmon.polarization import (ConvergenceError, _adjacency, compute_pi,
+                                 default_max_iter, fj_equilibrium,
+                                 polarization_index)
 from polmon.stance import Stance, StanceAssignment
 
 from conftest import graph_of, random_graph
-from oracles import adjacency_matvec_scipy, dense_adjacency, dense_fj
+from oracles import adjacency_matvec_scipy, dense_fj, fixed_point_fj
 
 
 def _stance(uid, value):
@@ -45,8 +45,8 @@ def test_single_edge_hand_solved():
     s = np.array([1.0, -1.0])
     z, _ = fj_equilibrium(g, s)
     np.testing.assert_allclose(z, [1 / 3, -1 / 3], atol=1e-12)
-    z_fp, _ = fj_equilibrium(g, s, method=SolverMethod.FIXED_POINT)
-    np.testing.assert_allclose(z_fp, [1 / 3, -1 / 3], atol=1e-9)
+    np.testing.assert_allclose(fixed_point_fj(g, s), [1 / 3, -1 / 3],
+                               atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -63,8 +63,8 @@ def test_solver_equivalence(seed):
     rng = np.random.default_rng(100 + seed)
     g = random_graph(rng, 60, 0.1)
     s = rng.choice([-1.0, 0.0, 1.0], size=g.n)
-    z_direct, _ = fj_equilibrium(g, s, method=SolverMethod.DIRECT)
-    z_fixed, _ = fj_equilibrium(g, s, method=SolverMethod.FIXED_POINT)
+    z_direct = dense_fj(g, s)
+    z_fixed = fixed_point_fj(g, s)
     assert np.max(np.abs(z_direct - z_fixed)) <= 1e-8
 
 
@@ -76,56 +76,33 @@ def test_maximum_principle():
     assert np.max(np.abs(z)) <= 1.0 + 1e-12
 
 
-def test_fixed_point_nonconvergence_raises_with_residual():
-    g = graph_of([("a", "b"), ("b", "c"), ("a", "c")])
-    with pytest.raises(ConvergenceError) as err:
-        fj_equilibrium(g, np.array([1.0, -1.0, 0.0]),
-                       method=SolverMethod.FIXED_POINT, max_iter=1,
-                       tol=1e-15)
-    assert err.value.residual > 0
-
-
-def test_fixed_point_reports_honest_residual():
+def test_cg_reports_honest_residual():
+    # the residual of the returned z, recomputed with a bit-equal matvec,
+    # not the one the CG recursion carries
     rng = np.random.default_rng(7)
     g = random_graph(rng, 30, 0.2)
     s = rng.choice([-1.0, 1.0], size=g.n)
-    z, info = fj_equilibrium(g, s, tol=1e-10, max_iter=10_000,
-                             method=SolverMethod.FIXED_POINT)
-    A = dense_adjacency(g)
-    system = np.eye(g.n) + np.diag(A.sum(axis=1)) - A
-    assert info.method is SolverMethod.FIXED_POINT
+    z, info = fj_equilibrium(g, s, tol=1e-10)
+    az = adjacency_matvec_scipy(g.indptr, g.indices, z)
     assert info.iterations > 0
-    assert info.residual == pytest.approx(np.max(np.abs(system @ z - s)),
-                                          abs=1e-14)
+    assert info.residual == np.max(np.abs((1.0 + g.degrees) * z - az - s))
     assert info.residual <= 1e-10
-
-
-def test_fixed_point_nonconvergence_reports_iterations():
-    rng = np.random.default_rng(8)
-    g = random_graph(rng, 30, 0.3)
-    s = rng.choice([-1.0, 1.0], size=g.n)
-    with pytest.raises(ConvergenceError, match="FixedPoint") as err:
-        fj_equilibrium(g, s, method=SolverMethod.FIXED_POINT, max_iter=2,
-                       tol=1e-14)
-    assert err.value.residual > 1e-14
-    assert err.value.iterations == 2
 
 
 def test_cg_nonconvergence_raises_with_residual_and_iterations():
     g = graph_of([("a", "b"), ("b", "c"), ("c", "d")])
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(ConvergenceError, match="CG") as err:
         fj_equilibrium(g, np.array([1.0, -1.0, 0.0, 1.0]),
-                       method=SolverMethod.CG, max_iter=1, tol=1e-15)
+                       max_iter=1, tol=1e-15)
     assert err.value.residual > 1e-15
     assert err.value.iterations == 1
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("method", list(SolverMethod))
-def test_tol_must_be_positive_and_finite(tol, method):
+def test_tol_must_be_positive_and_finite(tol):
     g = graph_of([("a", "b"), ("b", "c")])
     with pytest.raises(ValueError, match="tol must be a positive finite"):
-        fj_equilibrium(g, np.array([1.0, -1.0, 1.0]), tol=tol, method=method)
+        fj_equilibrium(g, np.array([1.0, -1.0, 1.0]), tol=tol)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -283,7 +260,7 @@ def test_bridge_damping():
 
 
 # ---------------------------------------------------------------------------
-# CG oracle: CG against DirectSolve and the FixedPoint oracle
+# CG against the dense solve and the Jacobi-iteration oracle
 # ---------------------------------------------------------------------------
 
 
@@ -296,10 +273,9 @@ def _named_random_graph(rng, prefix, n, p):
 
 
 def _cg_matches_oracles(g, s):
-    z_cg, info = fj_equilibrium(g, s, method=SolverMethod.CG)
-    z_direct, _ = fj_equilibrium(g, s, method=SolverMethod.DIRECT)
-    z_fixed, _ = fj_equilibrium(g, s, method=SolverMethod.FIXED_POINT)
-    assert info.method is SolverMethod.CG
+    z_cg, info = fj_equilibrium(g, s)
+    z_direct = dense_fj(g, s)
+    z_fixed = fixed_point_fj(g, s)
     assert info.residual <= 1e-10
     return (float(np.max(np.abs(z_cg - z_direct), initial=0.0)),
             float(np.max(np.abs(z_cg - z_fixed), initial=0.0)))
@@ -349,8 +325,7 @@ def test_cg_oracle_equivalence_corner_cases(case):
 def test_cg_empty_graph():
     z, info = fj_equilibrium(graph_of([]), np.zeros(0))
     assert len(z) == 0
-    assert (info.method, info.iterations, info.residual) == (
-        SolverMethod.CG, 0, 0.0)
+    assert (info.iterations, info.residual) == (0, 0.0)
 
 
 def test_cg_matches_direct_on_3k_node_graph():
@@ -361,9 +336,7 @@ def test_cg_matches_direct_on_3k_node_graph():
                  isolated=names)
     s = rng.choice([-1.0, 0.0, 1.0], size=g.n)
     z_cg, info = fj_equilibrium(g, s)
-    z_direct, _ = fj_equilibrium(g, s, method=SolverMethod.DIRECT)
-    assert info.method is SolverMethod.CG
-    assert np.max(np.abs(z_cg - z_direct)) <= 1e-8
+    assert np.max(np.abs(z_cg - dense_fj(g, s))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

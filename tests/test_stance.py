@@ -5,10 +5,15 @@ from hypothesis import strategies as st
 
 from polmon.corpus import AccountAnnotation, Category, FollowRecord, Side
 from polmon.stance import (MissingAnnotationError, Stance, classify,
-                           infer_stance, opinion_vector, stance_map,
-                           write_stance_csv)
+                           opinion_vector, stance_map, write_stance_csv)
 
 from conftest import graph_of
+
+
+def _stance_of(followed, annotations, threshold=0.0):
+    """The stance of a user "u" who follows the ids in followed."""
+    follows = [FollowRecord("u", f) for f in followed]
+    return stance_map(follows, annotations, threshold, ensure_users=["u"])["u"]
 
 
 @pytest.fixture
@@ -23,74 +28,71 @@ def annotations():
 
 
 def test_plurality_left(annotations):
-    a = infer_stance("u", ["L0", "L1", "R0"], annotations)
+    a = _stance_of(["L0", "L1", "R0"], annotations)
     assert a.stance is Stance.LEFT
     assert (a.n_left, a.n_right, a.n_center) == (2, 1, 0)
 
 
 def test_equal_left_right_is_center(annotations):
-    assert infer_stance("u", ["L0", "R0"], annotations).stance is Stance.CENTER
+    assert _stance_of(["L0", "R0"], annotations).stance is Stance.CENTER
 
 
 def test_no_follows_is_neutral(annotations):
-    a = infer_stance("u", [], annotations)
+    a = _stance_of([], annotations)
     assert a.stance is Stance.NEUTRAL
     assert a.total_follows == 0
 
 
 def test_center_majority_is_center(annotations):
-    a = infer_stance("u", ["C0", "C1", "C2"], annotations)
+    a = _stance_of(["C0", "C1", "C2"], annotations)
     assert a.stance is Stance.CENTER
 
 
 def test_plurality_beats_center_count(annotations):
     # strict Left plurality wins even with more Center follows
-    a = infer_stance("u", ["L0", "L1", "R0", "C0", "C1", "C2"], annotations)
+    a = _stance_of(["L0", "L1", "R0", "C0", "C1", "C2"], annotations)
     assert a.stance is Stance.LEFT
 
 
 def test_threshold_three_of_four(annotations):
-    a = infer_stance("u", ["L0", "L1", "L2", "R0"], annotations,
-                     threshold=0.75)
+    a = _stance_of(["L0", "L1", "L2", "R0"], annotations, threshold=0.75)
     assert a.stance is Stance.LEFT
 
 
 def test_threshold_split_falls_to_center(annotations):
-    a = infer_stance("u", ["L0", "L1", "R0", "R1"], annotations,
-                     threshold=0.75)
+    a = _stance_of(["L0", "L1", "R0", "R1"], annotations, threshold=0.75)
     assert a.stance is Stance.CENTER
 
 
 def test_threshold_below_cut_is_center_not_neutral(annotations):
-    a = infer_stance("u", ["L0", "L1", "R0"], annotations, threshold=0.75)
+    a = _stance_of(["L0", "L1", "R0"], annotations, threshold=0.75)
     assert a.stance is Stance.CENTER
 
 
 def test_threshold_denominator_includes_center(annotations):
     # 2 of 4 political follows are Left -> 0.5 < 0.6 even though only one
     # Right follow opposes
-    a = infer_stance("u", ["L0", "L1", "R0", "C0"], annotations,
-                     threshold=0.6)
+    a = _stance_of(["L0", "L1", "R0", "C0"], annotations, threshold=0.6)
     assert a.stance is Stance.CENTER
 
 
 def test_threshold_validated(annotations):
     with pytest.raises(ValueError):
-        infer_stance("u", [], annotations, threshold=1.5)
+        _stance_of(["L0"], annotations, threshold=1.5)
 
 
 def test_missing_annotation_names_id(annotations):
     with pytest.raises(MissingAnnotationError, match="ghost"):
-        infer_stance("u", ["ghost"], annotations)
+        _stance_of(["ghost"], annotations)
 
 
 def test_non_political_follow_rejected(annotations):
     with pytest.raises(MissingAnnotationError, match="media"):
-        infer_stance("u", ["media"], annotations)
+        _stance_of(["media"], annotations)
 
 
 def test_follow_records_accepted(annotations):
-    a = infer_stance("u", [FollowRecord("u", "L0")], annotations)
+    a = stance_map([FollowRecord("u", "L0")], annotations)["u"]
     assert a.stance is Stance.LEFT
 
 
@@ -174,15 +176,15 @@ def test_assignment_rederivable_from_counts(followed, threshold):
         out[f"L{i}"] = AccountAnnotation(f"L{i}", Category.POLITICAL, Side.LEFT)
         out[f"R{i}"] = AccountAnnotation(f"R{i}", Category.POLITICAL, Side.RIGHT)
         out[f"C{i}"] = AccountAnnotation(f"C{i}", Category.POLITICAL, Side.CENTER)
-    a = infer_stance("u", followed, out, threshold)
+    a = _stance_of(followed, out, threshold)
     assert classify(a.n_left, a.n_right, a.n_center, a.threshold_used) is a.stance
     assert (a.stance is Stance.NEUTRAL) == (a.total_follows == 0)
 
 
 def test_follow_order_irrelevant(annotations):
     follows = ["L0", "R0", "L1", "C0"]
-    a = infer_stance("u", follows, annotations)
-    b = infer_stance("u", list(reversed(follows)), annotations)
+    a = _stance_of(follows, annotations)
+    b = _stance_of(list(reversed(follows)), annotations)
     assert a == b
 
 

@@ -434,7 +434,7 @@ def test_aggregate_matches_scipy_oracle(seed, partition):
             k_arr = np.bincount(np.repeat(np.arange(n), np.diff(indptr)),
                                 weights=weights, minlength=n) + 2.0 * self_w
             comm = structure._louvain_level(indptr, indices, weights, k_arr,
-                                            float(g.m), 1.0)[0]
+                                            float(g.m))[0]
         elif partition == "random":  # labels with gaps, as Louvain leaves
             comm = 3 * rng.integers(0, max(1, n // 4), n)
         else:
