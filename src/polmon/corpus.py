@@ -17,14 +17,16 @@ File formats (all consumed here, all documented in the README):
 A default rule set (the tracked keyword/hashtag list with its per-term
 activation windows) ships as package data; ``default_rule_set()`` loads it.
 
-``kept_tweets`` is the one keep-or-drop pass over an archive: it decodes
-and checks every line as ``load_tweets`` does (both share one loop), tests
-language, window and rules on the checked fields, and yields each kept
-tweet's fields.  Rules are matched by lookup: a dict from hashtag term to
+A tweet is held as its decoded object and its ``Checked`` fields:
+``load_tweets`` decodes and checks every line of an archive and yields the
+two for each valid one.  ``kept_tweets`` is the one keep-or-drop pass over
+it: it tests language, window and rules on the checked fields and yields
+each kept tweet.  Rules are matched by lookup: a dict from hashtag term to
 rule keys per local date, and keyword terms tested against the folded
 text.  ``filter_corpus`` feeds the kept tweets into a ``Corpus``: numpy
 columns over sorted, interned string tables, which the graph, stats and
-share stages read; no ``TweetRecord`` is built on that path.
+share stages read.  ``archive_obj`` gives the object that filtered.jsonl
+holds for a kept tweet.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ class Kind(Enum):
     REPLY = "reply"
 
 
-class MediaKind(Enum):
-    IMAGE = "image"
-    VIDEO = "video"
-
-
 class MatchMode(Enum):
     HASHTAG_EXACT = "hashtag"
     KEYWORD_SUBSTRING = "keyword"
@@ -86,30 +83,6 @@ class Side(Enum):
     LEFT = "Left"
     RIGHT = "Right"
     CENTER = "Center"
-
-
-@dataclass
-class MediaItem:
-    kind: MediaKind
-    url: str
-
-
-@dataclass
-class TweetRecord:
-    tweet_id: str
-    author_id: str
-    timestamp: datetime  # tz-aware UTC
-    text: str
-    lang: str
-    kind: Kind
-    hashtags: list[str] = field(default_factory=list)
-    urls: list[str] = field(default_factory=list)
-    media: list[MediaItem] = field(default_factory=list)
-    referenced_user_ids: list[str] = field(default_factory=list)
-    referenced_tweet_id: str | None = None
-    like_count: int = 0
-    retweet_count: int = 0
-    reply_count: int = 0
 
 
 @dataclass
@@ -260,33 +233,26 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def parse_tweet(obj: dict) -> TweetRecord:
-    """Build a validated TweetRecord from one decoded archive object.
+class Checked(NamedTuple):
+    """The fields of an archive object that _check_tweet checks."""
+    kind: Kind
+    timestamp: datetime  # UTC
+    hashtags: list[str]  # as in the object, not normalised
+    urls: list[str]
+    refs: list[str]
+    counts: list[int]  # like, retweet, reply
+    media: list[dict]  # {"kind": "image" or "video", "url": str}
+
+
+def _check_tweet(obj: dict) -> Checked:
+    """The checked fields of one decoded archive object.
 
     Raises CorpusFormatError on any violated invariant (missing field,
     bad enum value, a count that is not a non-negative integer, a
     hashtags/urls/referenced_user_ids value that is not a list of strings,
     a non-original post without a referenced user).  A missing or null
-    count or list means 0 or empty.  The record keeps obj's lists.
+    count or list means 0 or empty.  The fields keep obj's lists.
     """
-    fields = _check_tweet(obj)
-    return _record(obj, fields, list(map(normalize_hashtag, fields.hashtags)))
-
-
-class _Checked(NamedTuple):
-    """The fields of an archive object that _check_tweet checks."""
-    kind: Kind
-    timestamp: datetime
-    hashtags: list[str]  # as in the object, not normalised
-    urls: list[str]
-    refs: list[str]
-    counts: list[int]  # like, retweet, reply
-    media: list[MediaItem]
-
-
-def _check_tweet(obj: dict) -> _Checked:
-    """parse_tweet's checks: the checked fields of obj, or
-    CorpusFormatError."""
     for name in _REQUIRED_FIELDS:
         if obj.get(name) is None:
             raise CorpusFormatError(f"missing field {name!r}")
@@ -334,22 +300,39 @@ def _check_tweet(obj: dict) -> _Checked:
         raise CorpusFormatError(f"media is not a list: {items!r}")
     for item in items or ():
         try:
-            media.append(MediaItem(MediaKind(str(item["kind"]).lower()),
-                                   str(item["url"])))
+            media_kind = str(item["kind"]).lower()
+            if media_kind not in ("image", "video"):
+                raise ValueError
+            media.append({"kind": media_kind, "url": str(item["url"])})
         except (KeyError, ValueError, TypeError):
             raise CorpusFormatError(f"bad media item {item!r}") from None
-    return _Checked(kind, ts, hashtags, urls, refs, counts, media)
+    return Checked(kind, ts, hashtags, urls, refs, counts, media)
 
 
-def _record(obj: dict, fields: _Checked, hashtags: list[str]) -> TweetRecord:
-    """The TweetRecord of a checked obj, given its normalised hashtags;
-    it cannot fail."""
+def archive_obj(obj: dict, fields: Checked, hashtags: list[str]) -> dict:
+    """The object filtered.jsonl holds for a checked obj and its hashtags:
+    ids, text and language as strings, and the timestamp in UTC with a Z
+    and with microseconds only when they are not zero."""
+    ts = fields.timestamp.isoformat(
+        timespec="microseconds" if fields.timestamp.microsecond else "seconds")
     ref_tweet = obj.get("referenced_tweet_id")
-    return TweetRecord(
-        str(obj["tweet_id"]), str(obj["author_id"]), fields.timestamp,
-        str(obj["text"]), str(obj["lang"]), fields.kind, hashtags,
-        fields.urls, fields.media, fields.refs,
-        None if ref_tweet is None else str(ref_tweet), *fields.counts)
+    like, retweet, reply = fields.counts
+    return {
+        "tweet_id": str(obj["tweet_id"]),
+        "author_id": str(obj["author_id"]),
+        "timestamp": ts.replace("+00:00", "Z"),
+        "text": str(obj["text"]),
+        "lang": str(obj["lang"]),
+        "kind": fields.kind.value,
+        "hashtags": hashtags,
+        "urls": fields.urls,
+        "media": fields.media,
+        "referenced_user_ids": fields.refs,
+        "referenced_tweet_id": None if ref_tweet is None else str(ref_tweet),
+        "like_count": like,
+        "retweet_count": retweet,
+        "reply_count": reply,
+    }
 
 
 def _normalized(hashtags: list[str], tags: dict[str, str]) -> list[str]:
@@ -358,39 +341,23 @@ def _normalized(hashtags: list[str], tags: dict[str, str]) -> list[str]:
             for h in hashtags]
 
 
-def tweet_to_obj(t: TweetRecord) -> dict:
-    """Inverse of parse_tweet, for writing archives back out."""
-    ts = t.timestamp.isoformat(
-        timespec="microseconds" if t.timestamp.microsecond else "seconds")
-    return {
-        "tweet_id": t.tweet_id,
-        "author_id": t.author_id,
-        "timestamp": ts.replace("+00:00", "Z"),
-        "text": t.text,
-        "lang": t.lang,
-        "kind": t.kind.value,
-        "hashtags": list(t.hashtags),
-        "urls": list(t.urls),
-        "media": [{"kind": m.kind.value, "url": m.url} for m in t.media],
-        "referenced_user_ids": list(t.referenced_user_ids),
-        "referenced_tweet_id": t.referenced_tweet_id,
-        "like_count": t.like_count,
-        "retweet_count": t.retweet_count,
-        "reply_count": t.reply_count,
-    }
-
-
 _decode = json.JSONDecoder().raw_decode
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800 to \uDFFF
 
 
-def _checked_lines(path: Path, schema_strict: bool,
-                   error_log: list | None) -> Iterator[tuple[dict, _Checked]]:
-    """(object, _check_tweet fields) of each valid line of the archive.
+def load_tweets(path: str | Path, schema_strict: bool = False,
+                error_log: list | None = None
+                ) -> Iterator[tuple[dict, Checked]]:
+    """Stream (object, checked fields) for every valid line of a
+    line-delimited JSON archive, whatever its date.
 
-    Every line is decoded and checked, whatever its date.  A malformed line
-    is logged and skipped, or raises under schema_strict.
+    Malformed lines are skipped with a warning (collected into error_log as
+    ``(line_number, message)`` when a list is passed); with schema_strict
+    they raise instead.  Bytes that are not UTF-8 make a line malformed,
+    and so does a lone surrogate escape in what archive_obj would write of
+    it.  An unreadable file always raises.
     """
+    path = Path(path)
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -406,7 +373,8 @@ def _checked_lines(path: Path, schema_strict: bool,
                     raise CorpusFormatError("line is not an object")
                 fields = _check_tweet(obj)
                 if _SURROGATE_ESCAPE.search(line):  # fails on a lone one
-                    json.dumps(tweet_to_obj(parse_tweet(obj)),
+                    # normalising a hashtag keeps or drops no surrogate
+                    json.dumps(archive_obj(obj, fields, fields.hashtags),
                                ensure_ascii=False).encode("utf-8")
             except (ValueError, TypeError) as exc:
                 # CorpusFormatError, JSONDecodeError, UnicodeError, and any
@@ -420,23 +388,6 @@ def _checked_lines(path: Path, schema_strict: bool,
                             path, lineno, exc)
                 continue
             yield obj, fields
-
-
-def load_tweets(path: str | Path, schema_strict: bool = False,
-                error_log: list | None = None) -> Iterator[TweetRecord]:
-    """Stream a TweetRecord for every valid line of a line-delimited JSON
-    archive.
-
-    Malformed lines are skipped with a warning (collected into error_log as
-    ``(line_number, message)`` when a list is passed); with schema_strict
-    they raise instead.  Bytes that are not UTF-8 and escaped lone
-    surrogates make a line malformed.  An unreadable file always raises.
-    filter_corpus runs the same checks and builds records only for the
-    tweets it keeps.
-    """
-    tags: dict[str, str] = {}
-    for obj, fields in _checked_lines(Path(path), schema_strict, error_log):
-        yield _record(obj, fields, _normalized(fields.hashtags, tags))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +423,7 @@ class FilterReport:
 
 
 class _Matcher:
-    """The keep-or-drop rule of a rule set, shared by filter_corpus and
-    matches.
+    """The keep-or-drop rule of a rule set.
 
     Per local date, the active hashtag rules are a dict from term to keys,
     looked up once per distinct hashtag, and the active keyword rules are
@@ -523,20 +473,19 @@ class _Matcher:
 
 def kept_tweets(rule_set: RuleSet, path: str | Path, report: FilterReport,
                 schema_strict: bool = False, error_log: list | None = None
-                ) -> Iterator[tuple[dict, _Checked, list[str], date]]:
+                ) -> Iterator[tuple[dict, Checked, list[str], date]]:
     """The archive's kept tweets, in file order: each one's object, checked
     fields, normalised hashtags and local date.
 
-    One pass: each line is decoded and checked as load_tweets does, so a
-    malformed line is counted (or raises under schema_strict) whatever its
-    date.  A valid tweet is then tested for language, study window and
-    rules, and kept if it matches at least one rule; each matching rule
-    counts one hit.  Rule windows are inclusive local dates.  report
-    counts the pass as it goes.
+    One pass over load_tweets, so a malformed line is counted (or raises
+    under schema_strict) whatever its date.  A valid tweet is then tested
+    for language, study window and rules, and kept if it matches at least
+    one rule; each matching rule counts one hit.  Rule windows are
+    inclusive local dates.  report counts the pass as it goes.
     """
     matcher = _Matcher(rule_set)
     tags: dict[str, str] = {}
-    for obj, fields in _checked_lines(Path(path), schema_strict, error_log):
+    for obj, fields in load_tweets(path, schema_strict, error_log):
         report.total += 1
         reason = matcher.drop_reason(str(obj["lang"]), fields.timestamp)
         if reason == "lang":
@@ -568,18 +517,6 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
         for obj, fields, hashtags, d in kept_tweets(
             rule_set, path, report, schema_strict, error_log))
     return corpus, report
-
-
-def matches(rule_set: RuleSet, t: TweetRecord) -> bool:
-    """True iff the tweet passes language, study window and at least one rule.
-
-    Pure predicate, by filter_corpus's matcher; date windows are inclusive
-    on both bounds.
-    """
-    matcher = _Matcher(rule_set)
-    return (matcher.drop_reason(t.lang, t.timestamp) is None
-            and bool(matcher.hits(rule_set.local_date(t.timestamp), t.text,
-                                  t.hashtags)))
 
 
 # ---------------------------------------------------------------------------

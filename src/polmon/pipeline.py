@@ -30,9 +30,9 @@ import numpy as np
 
 from . import __version__
 from .corpus import (KINDS, Category, Corpus, FilterReport, Ragged, RuleSet,
-                     _record, _Table, default_rule_set, filter_corpus,
+                     _Table, archive_obj, default_rule_set, filter_corpus,
                      fold_text, kept_tweets, load_annotations, load_follows,
-                     load_rule_set, tweet_to_obj)
+                     load_rule_set)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import PolarizationResult, compute_pi
@@ -627,9 +627,9 @@ class Runner:
                 for obj, fields, hashtags, _ in kept_tweets(
                         rule_set, self.config.tweets, report,
                         self.config.schema_strict, errors):
-                    fh.write(json.dumps(
-                        tweet_to_obj(_record(obj, fields, hashtags)),
-                        ensure_ascii=False, sort_keys=True) + "\n")
+                    fh.write(json.dumps(archive_obj(obj, fields, hashtags),
+                                        ensure_ascii=False, sort_keys=True)
+                             + "\n")
         except Exception as exc:
             path.unlink(missing_ok=True)
             raise StageError("filter", exc) from exc
@@ -639,7 +639,7 @@ class Runner:
             json.dump(payload, fh, indent=2, sort_keys=True,
                       ensure_ascii=False)
             fh.write("\n")
-        return self.config.out_dir / "filtered.jsonl"
+        return path
 
     def _write_csv(self, name: str, header: Sequence[str],
                    rows: Iterable[Sequence]) -> Path:

@@ -112,6 +112,8 @@ def stance_map(all_follows: Iterable[FollowRecord],
     Corpus users absent from the follow data land on Neutral with zero
     tallies, which is what ensure_users is for.
     """
+    if not 0.0 <= threshold <= 1.0:  # classify sees only users with follows
+        raise ValueError("threshold must lie in [0, 1]")
     counts = _tallies(((f.follower_id, f.followed_political_id)
                        for f in all_follows), annotations)
     out = {uid: _assign(uid, counts[uid], threshold)

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import strategies as st
 
 from polmon.corpus import (KINDS, Corpus, FilterReport, Kind, RuleSet,
-                           TweetRecord, filter_corpus, tweet_to_obj)
+                           filter_corpus)
 from polmon.graphkit import InteractionGraph
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
+
+from oracles import TweetRecord, tweet_to_obj  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,18 +81,28 @@ def corpus_rows(corpus: Corpus) -> list[tuple]:
         lists(corpus.url_ids, corpus.urls), corpus.texts))
 
 
+def write_archive(path: Path, records) -> Path:
+    """An archive of the records, one tweet_to_obj line each."""
+    path.write_text("".join(
+        json.dumps(tweet_to_obj(t), ensure_ascii=False) + "\n"
+        for t in records), encoding="utf-8")
+    return path
+
+
 def filter_records(rule_set: RuleSet, records
                    ) -> tuple[list[tuple], FilterReport]:
-    """filter_corpus over an archive of the records, written by
-    tweet_to_obj, with the kept tweets as corpus_rows; a record with
-    normalised hashtags and a UTC timestamp reads back as its rows_of."""
+    """filter_corpus over an archive of the records, with the kept tweets
+    as corpus_rows; a record with normalised hashtags and a UTC timestamp
+    reads back as its rows_of."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tweets.jsonl"
-        path.write_text("".join(
-            json.dumps(tweet_to_obj(t), ensure_ascii=False) + "\n"
-            for t in records), encoding="utf-8")
+        path = write_archive(Path(tmp) / "tweets.jsonl", records)
         kept, report = filter_corpus(rule_set, path)
         return corpus_rows(kept), report
+
+
+def keeps(rule_set: RuleSet, record) -> bool:
+    """Whether filter_corpus keeps the record, as a one-line archive."""
+    return filter_records(rule_set, [record])[1].kept == 1
 
 
 # ids whose string order differs from their first-met order; words in

@@ -8,9 +8,13 @@ also drives the Jacobi-iteration FJ oracle, and Louvain's community
 collapse.  The corpus oracles are the plain archive
 loader, record filter, follow-list loader and text fold that the
 package's ingest path must reproduce: ``json.loads`` per line, a full
-record per valid line filtered by walking every active rule,
+``TweetRecord`` per valid line filtered by walking every active rule,
 ``csv.DictReader`` rows, and a whole-string NFD -> strip marks -> NFC ->
-casefold fold of every text.
+casefold fold of every text.  The package holds a tweet only as its
+decoded object and checked fields, so the record types live here, with
+``tweet_to_obj``, which writes a record as an archive object: the tests
+build their archives from records, and what ``filtered.jsonl`` holds of a
+kept line is ``tweet_to_obj`` of its reference record.
 The stats oracle tallies the bundle's daily counts and the summary's
 whole-window counters one tweet at a time.  The graph and share oracles
 are the record loops the package ran before it held the kept tweets as
@@ -26,7 +30,9 @@ import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
-from datetime import date, timedelta
+from dataclasses import dataclass, field
+from datetime import date, datetime, timedelta
+from enum import Enum
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable
@@ -36,8 +42,8 @@ import scipy.sparse as sp
 
 from polmon.corpus import (Category, CorpusFormatError, FilterReport,
                            FilterRule, FollowRecord, Kind, MatchMode,
-                           MediaItem, MediaKind, RuleSet, TweetRecord,
-                           _parse_timestamp, fold_text, normalize_hashtag)
+                           RuleSet, _parse_timestamp, fold_text,
+                           normalize_hashtag)
 from polmon.graphkit import InteractionGraph
 from polmon.pipeline import StanceShares, rounded_percentages
 from polmon.stance import Stance
@@ -310,6 +316,57 @@ def best_partition_modularity(g) -> float:
 # ---------------------------------------------------------------------------
 
 
+class MediaKind(Enum):
+    IMAGE = "image"
+    VIDEO = "video"
+
+
+@dataclass
+class MediaItem:
+    kind: MediaKind
+    url: str
+
+
+@dataclass
+class TweetRecord:
+    tweet_id: str
+    author_id: str
+    timestamp: datetime  # tz-aware UTC
+    text: str
+    lang: str
+    kind: Kind
+    hashtags: list[str] = field(default_factory=list)
+    urls: list[str] = field(default_factory=list)
+    media: list[MediaItem] = field(default_factory=list)
+    referenced_user_ids: list[str] = field(default_factory=list)
+    referenced_tweet_id: str | None = None
+    like_count: int = 0
+    retweet_count: int = 0
+    reply_count: int = 0
+
+
+def tweet_to_obj(t: TweetRecord) -> dict:
+    """The archive object of a record: inverse of parse_tweet_reference."""
+    ts = t.timestamp.isoformat(
+        timespec="microseconds" if t.timestamp.microsecond else "seconds")
+    return {
+        "tweet_id": t.tweet_id,
+        "author_id": t.author_id,
+        "timestamp": ts.replace("+00:00", "Z"),
+        "text": t.text,
+        "lang": t.lang,
+        "kind": t.kind.value,
+        "hashtags": list(t.hashtags),
+        "urls": list(t.urls),
+        "media": [{"kind": m.kind.value, "url": m.url} for m in t.media],
+        "referenced_user_ids": list(t.referenced_user_ids),
+        "referenced_tweet_id": t.referenced_tweet_id,
+        "like_count": t.like_count,
+        "retweet_count": t.retweet_count,
+        "reply_count": t.reply_count,
+    }
+
+
 def fold_text_reference(s: str) -> str:
     """Casefold and strip accents, folding the whole string at once."""
     decomposed = unicodedata.normalize("NFD", s)
@@ -383,7 +440,9 @@ def load_tweets_reference(path, schema_strict: bool = False,
     """Records of a line-delimited archive, by json.loads per line.
 
     Reads strict UTF-8, so a file that is not UTF-8 raises
-    UnicodeDecodeError here.
+    UnicodeDecodeError here.  A line whose record cannot be written back
+    out as UTF-8 (a lone surrogate escape in a field it keeps) is
+    malformed.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -396,6 +455,8 @@ def load_tweets_reference(path, schema_strict: bool = False,
                 if not isinstance(obj, dict):
                     raise CorpusFormatError("line is not an object")
                 record = parse_tweet_reference(obj)
+                json.dumps(tweet_to_obj(record),
+                           ensure_ascii=False).encode("utf-8")
             except (ValueError, TypeError) as exc:
                 if schema_strict:
                     raise CorpusFormatError(
@@ -408,7 +469,7 @@ def load_tweets_reference(path, schema_strict: bool = False,
 
 def filter_corpus_reference(rule_set: RuleSet,
                             tweets: Iterable[TweetRecord]) -> tuple[list[TweetRecord], FilterReport]:
-    """Order-preserving filter by ``matches`` with per-rule hit accounting."""
+    """Order-preserving rule filter with per-rule hit accounting."""
     kept: list[TweetRecord] = []
     report = FilterReport()
     start, end = rule_set.utc_window()

@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 
 from polmon import corpus
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
-                           FilterRule, FollowRecord, Kind, MatchMode,
-                           MediaItem, MediaKind, RuleSet, Side,
-                           default_rule_set, filter_corpus, fold_text,
-                           load_annotations, load_follows, load_tweets,
-                           matches, normalize_hashtag, rule_set_from_dict,
-                           tweet_to_obj, parse_tweet)
+                           FilterRule, FollowRecord, Kind, MatchMode, RuleSet,
+                           Side, archive_obj, default_rule_set, filter_corpus,
+                           fold_text, load_annotations, load_follows,
+                           load_tweets, normalize_hashtag, rule_set_from_dict)
 
-from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records,
+from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records, keeps,
                       records, rows_of, tweet)
+from oracles import (filter_corpus_reference, parse_tweet_reference,
+                     tweet_to_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -73,84 +73,110 @@ def test_load_missing_file_raises(tmp_path):
         list(load_tweets(tmp_path / "nope.jsonl"))
 
 
-def test_retweet_without_reference_is_malformed():
+def _load_one(tmp_path, obj) -> tuple:
+    """The (object, checked fields) that load_tweets, strict, yields for a
+    one-line archive of obj."""
+    [loaded] = load_tweets(_write(tmp_path, [json.dumps(obj)]),
+                           schema_strict=True)
+    return loaded
+
+
+def _error(tmp_path, obj) -> str:
+    """load_tweets' strict error for a one-line archive of obj, after its
+    path:line."""
+    path = _write(tmp_path, [json.dumps(obj)])
+    with pytest.raises(CorpusFormatError) as info:
+        list(load_tweets(path, schema_strict=True))
+    where, _, message = str(info.value).partition(":1: ")
+    assert where == str(path)
+    return message
+
+
+def _written(obj, fields) -> dict:
+    """archive_obj with the hashtags normalised, as filtered.jsonl has it."""
+    return archive_obj(obj, fields, list(map(normalize_hashtag,
+                                             fields.hashtags)))
+
+
+def test_retweet_without_reference_is_malformed(tmp_path):
     obj = json.loads(GOOD_LINE)
     obj["kind"] = "retweet"
-    with pytest.raises(CorpusFormatError, match="reference"):
-        parse_tweet(obj)
+    assert "must reference" in _error(tmp_path, obj)
 
 
-def test_negative_count_is_malformed():
+def test_negative_count_is_malformed(tmp_path):
     obj = json.loads(GOOD_LINE)
     obj["like_count"] = -1
-    with pytest.raises(CorpusFormatError, match="negative"):
-        parse_tweet(obj)
+    assert "non-negative" in _error(tmp_path, obj)
 
 
-def test_hashtags_normalized_on_load():
+def test_hashtags_normalized_on_load(tmp_path):
     obj = json.loads(GOOD_LINE)
     obj["hashtags"] = ["#ΥΠΟΚΛΟΠΕΣ", "Predator"]
-    record = parse_tweet(obj)
+    path = _write(tmp_path, [json.dumps(obj)])
+    kept, _ = filter_corpus(default_rule_set(), path, schema_strict=True)
     # lower() keeps the context-sensitive final sigma, matching how the
     # tracked hashtags are written
-    assert record.hashtags == ["υποκλοπες", "predator"]
+    assert corpus_rows(kept)[0][4] == ("υποκλοπες", "predator")
 
 
-def test_tweet_round_trip():
+def test_tweet_round_trip(tmp_path):
     obj = json.loads(GOOD_LINE)
     obj["kind"] = "quote"
     obj["referenced_user_ids"] = ["b"]
-    obj["media"] = [{"kind": "video", "url": "https://v"}]
-    record = parse_tweet(obj)
-    assert parse_tweet(tweet_to_obj(record)) == record
+    obj["media"] = [{"kind": "VIDEO", "url": "https://v"}]
+    obj["hashtags"] = ["#Predator"]
+    written = _written(*_load_one(tmp_path, obj))
+    assert written == tweet_to_obj(parse_tweet_reference(obj))
+    assert written["media"] == [{"kind": "video", "url": "https://v"}]
+    assert _written(*_load_one(tmp_path, written)) == written
 
 
-def test_round_trip_keeps_sub_second_and_early_timestamps():
+def test_round_trip_keeps_sub_second_and_early_timestamps(tmp_path):
     for raw in ("2022-08-05T10:00:00.250000Z", "0999-01-02T03:04:05Z"):
         obj = json.loads(GOOD_LINE)
         obj["timestamp"] = raw
-        record = parse_tweet(obj)
-        assert tweet_to_obj(record)["timestamp"] == raw
-        assert parse_tweet(tweet_to_obj(record)) == record
+        written = _written(*_load_one(tmp_path, obj))
+        assert written["timestamp"] == raw
+        assert written == tweet_to_obj(parse_tweet_reference(obj))
+        assert _written(*_load_one(tmp_path, written)) == written
 
 
 @pytest.mark.parametrize("name", ["like_count", "retweet_count",
                                   "reply_count"])
 @pytest.mark.parametrize("value", ["abc", "3", 1.7, 2.0, True, False, [1],
                                    {"n": 1}])
-def test_count_must_be_json_integer(name, value):
+def test_count_must_be_json_integer(tmp_path, name, value):
     obj = json.loads(GOOD_LINE)
     obj[name] = value
-    with pytest.raises(CorpusFormatError, match=name):
-        parse_tweet(obj)
+    assert _error(tmp_path, obj).startswith(name)
 
 
-def test_missing_or_null_count_is_zero():
+def test_missing_or_null_count_is_zero(tmp_path):
     obj = json.loads(GOOD_LINE)
     del obj["like_count"]
     obj["retweet_count"] = None
-    record = parse_tweet(obj)
-    assert (record.like_count, record.retweet_count) == (0, 0)
+    obj["reply_count"] = 4
+    _, fields = _load_one(tmp_path, obj)
+    assert fields.counts == [0, 0, 4]
 
 
 @pytest.mark.parametrize("name", ["hashtags", "urls", "referenced_user_ids"])
 @pytest.mark.parametrize("value", ["u22", "", 7, {"a": "b"}, ["a", 2],
                                    ["a", None], [["a"]]])
-def test_list_field_must_be_list_of_strings(name, value):
+def test_list_field_must_be_list_of_strings(tmp_path, name, value):
     obj = json.loads(GOOD_LINE)
     obj["kind"] = "reply"
     obj["referenced_user_ids"] = ["b"]
     obj[name] = value
-    with pytest.raises(CorpusFormatError, match=name):
-        parse_tweet(obj)
+    assert _error(tmp_path, obj).startswith(name)
 
 
 @pytest.mark.parametrize("value", ["abc", 3, {"kind": "image", "url": "u"}])
-def test_media_must_be_list(value):
+def test_media_must_be_list(tmp_path, value):
     obj = json.loads(GOOD_LINE)
     obj["media"] = value
-    with pytest.raises(CorpusFormatError, match="media"):
-        parse_tweet(obj)
+    assert _error(tmp_path, obj).startswith("media is not a list")
 
 
 def test_type_confused_lines_are_skipped_and_counted(tmp_path):
@@ -181,7 +207,7 @@ def test_undecodable_bytes_are_a_malformed_line(tmp_path):
         good.replace(b'"t1"', b'"t3"')]) + b"\n")
     errors = []
     records = list(load_tweets(path, error_log=errors))
-    assert [r.tweet_id for r in records] == ["t1", "t3"]
+    assert [obj["tweet_id"] for obj, _ in records] == ["t1", "t3"]
     assert [lineno for lineno, _ in errors] == [2]
     with pytest.raises(CorpusFormatError, match="tweets.jsonl:2: "):
         list(load_tweets(path, schema_strict=True))
@@ -191,13 +217,14 @@ def test_lone_surrogate_escape_is_malformed_but_a_pair_loads(tmp_path):
     lone = GOOD_LINE.replace("υποκλοπές", "υποκλοπές \\ud800")
     pair = GOOD_LINE.replace("υποκλοπές", "υποκλοπές \\ud83d\\ude00") \
         .replace('"t1"', '"t2"')
-    # the check is on the record: a lone surrogate in an unused key is fine
+    # the check is on what would be written: a lone surrogate in an unused
+    # key is fine
     odd_key = '{"x\\udc00": 1, ' + GOOD_LINE[1:].replace('"t1"', '"t3"')
     path = _write(tmp_path, [lone, pair, odd_key])
     errors = []
     records = list(load_tweets(path, error_log=errors))
-    assert [r.tweet_id for r in records] == ["t2", "t3"]
-    assert records[0].text == "υποκλοπές \U0001F600"
+    assert [obj["tweet_id"] for obj, _ in records] == ["t2", "t3"]
+    assert records[0][0]["text"] == "υποκλοπές \U0001F600"
     assert [lineno for lineno, _ in errors] == [1]
     with pytest.raises(CorpusFormatError, match="tweets.jsonl:1: "):
         list(load_tweets(path, schema_strict=True))
@@ -210,8 +237,8 @@ def test_type_confused_line_does_not_abort_filter(tmp_path):
     errors = []
     kept, report = filter_corpus(default_rule_set(), path, error_log=errors)
     assert (len(kept.texts), report.total, len(errors)) == (2, 2, 1)
-    assert corpus_rows(kept) == rows_of([parse_tweet(json.loads(GOOD_LINE))]
-                                        * 2)
+    assert corpus_rows(kept) == rows_of(
+        [parse_tweet_reference(json.loads(GOOD_LINE))] * 2)
 
 
 _JSON = st.recursive(
@@ -263,24 +290,27 @@ def _archive_object(draw) -> dict:
     return obj
 
 
-def _assert_invariants(r):
+def _assert_invariants(w):
+    """What filtered.jsonl holds of a valid line."""
     for name in ("tweet_id", "author_id", "text", "lang"):
-        assert type(getattr(r, name)) is str
-    assert r.timestamp.utcoffset() == timedelta(0)
-    assert isinstance(r.kind, Kind)
+        assert type(w[name]) is str
+    assert w["timestamp"].endswith("Z")
+    assert datetime.fromisoformat(w["timestamp"][:-1]).tzinfo is None
+    assert w["kind"] in {k.value for k in Kind}
     for name in ("hashtags", "urls", "referenced_user_ids"):
-        values = getattr(r, name)
+        values = w[name]
         assert type(values) is list
         assert all(type(v) is str for v in values)
-    assert all(normalize_hashtag(h) == h for h in r.hashtags)
-    assert all(type(m) is MediaItem and isinstance(m.kind, MediaKind)
-               and type(m.url) is str for m in r.media)
+    assert all(normalize_hashtag(h) == h for h in w["hashtags"])
+    assert all(m.keys() == {"kind", "url"} and m["kind"] in ("image", "video")
+               and type(m["url"]) is str for m in w["media"])
     for name in ("like_count", "retweet_count", "reply_count"):
-        value = getattr(r, name)
+        value = w[name]
         assert type(value) is int and value >= 0
-    if r.kind is not Kind.ORIGINAL:
-        assert r.referenced_user_ids
-    assert r.referenced_tweet_id is None or type(r.referenced_tweet_id) is str
+    if w["kind"] != Kind.ORIGINAL.value:
+        assert w["referenced_user_ids"]
+    assert (w["referenced_tweet_id"] is None
+            or type(w["referenced_tweet_id"]) is str)
 
 
 @settings(max_examples=200, deadline=None,
@@ -291,9 +321,10 @@ def test_non_strict_load_never_raises_and_keeps_invariants(tmp_path, objs):
     errors = []
     records = list(load_tweets(path, error_log=errors))
     assert len(records) + len(errors) == len(objs)
-    for r in records:
-        _assert_invariants(r)
-        assert parse_tweet(tweet_to_obj(r)) == r
+    for obj, fields in records:
+        written = _written(obj, fields)
+        _assert_invariants(written)
+        assert written == tweet_to_obj(parse_tweet_reference(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +355,25 @@ def rules() -> RuleSet:
 def test_matches_wiretap_hashtag(rules):
     t = tweet(text="σκέψεις #υποκλοπες", hashtags=["υποκλοπες"],
               ts="2022-08-05T09:00:00Z")
-    assert matches(rules, t)
+    assert keeps(rules, t)
 
 
 def test_matches_person_rule_not_yet_active(rules):
     t = tweet(text="για τον Ανδρουλάκη", hashtags=["ανδρουλακης"],
               ts="2022-07-01T09:00:00Z")
-    assert not matches(rules, t)
+    assert not keeps(rules, t)
 
 
 def test_matches_person_rule_expired(rules):
     t = tweet(text="#κουκακη", hashtags=["κουκακη"],
               ts="2022-12-01T09:00:00Z")
-    assert not matches(rules, t)
+    assert not keeps(rules, t)
 
 
 def test_matches_rejects_non_greek(rules):
     t = tweet(text="the predator story", lang="en",
               ts="2022-08-05T09:00:00Z")
-    assert not matches(rules, t)
+    assert not keeps(rules, t)
 
 
 def test_matches_window_bounds_inclusive():
@@ -354,30 +385,30 @@ def test_matches_window_bounds_inclusive():
     on_until = tweet(text="πεδιο", ts="2022-11-28T23:59:59Z")
     before = tweet(text="πεδιο", ts="2022-07-19T23:59:59Z")
     after = tweet(text="πεδιο", ts="2022-11-29T00:00:00Z")
-    assert matches(rs, on_from)
-    assert matches(rs, on_until)
-    assert not matches(rs, before)
-    assert not matches(rs, after)
+    assert keeps(rs, on_from)
+    assert keeps(rs, on_until)
+    assert not keeps(rs, before)
+    assert not keeps(rs, after)
 
 
 def test_matches_study_window(rules):
     t = tweet(text="υποκλοπές", ts="2023-02-01T09:00:00Z")
-    assert not matches(rules, t)
+    assert not keeps(rules, t)
 
 
 def test_matches_keyword_accent_folded(rules):
     t = tweet(text="ΟΙ ΥΠΟΚΛΟΠΕΣ ΣΥΝΕΧΙΖΟΝΤΑΙ", ts="2022-08-05T09:00:00Z")
-    assert matches(rules, t)
+    assert keeps(rules, t)
 
 
 def test_matches_hashtag_is_exact_not_folded(rules):
     # the unaccented and accented hashtags are separate rules; a made-up
     # accented variant of a keyword-only term must not match via hashtags
     rs = RuleSet(rules=[FilterRule("pega", MatchMode.HASHTAG_EXACT)])
-    assert matches(rs, tweet(text="x", hashtags=["pega"],
-                             ts="2022-08-05T09:00:00Z"))
-    assert not matches(rs, tweet(text="x", hashtags=["pegasus"],
-                                 ts="2022-08-05T09:00:00Z"))
+    assert keeps(rs, tweet(text="x", hashtags=["pega"],
+                           ts="2022-08-05T09:00:00Z"))
+    assert not keeps(rs, tweet(text="x", hashtags=["pegasus"],
+                               ts="2022-08-05T09:00:00Z"))
 
 
 def test_date_offset_shifts_bucketing():
@@ -385,9 +416,9 @@ def test_date_offset_shifts_bucketing():
                       active_until=date(2022, 11, 28))
     rs = RuleSet(rules=[rule], date_offset_minutes=180)  # Athens summer time
     late_utc = tweet(text="οροι", ts="2022-11-28T22:30:00Z")
-    assert not matches(rs, late_utc)  # 2022-11-29 01:30 local
+    assert not keeps(rs, late_utc)  # 2022-11-29 01:30 local
     rs_utc = RuleSet(rules=[rule])
-    assert matches(rs_utc, late_utc)
+    assert keeps(rs_utc, late_utc)
 
 
 @settings(max_examples=30, deadline=None)
@@ -395,7 +426,7 @@ def test_date_offset_shifts_bucketing():
 def test_matches_is_pure(seed):
     rules = default_rule_set()
     t = tweet(text="υποκλοπές", ts="2022-08-05T09:00:00Z")
-    assert matches(rules, t) == matches(rules, t)
+    assert keeps(rules, t) == keeps(rules, t)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +460,10 @@ def test_filter_mixed_matches_recheck(rules):
         tweet("t5", text="υποκλοπές", ts="2023-03-05T09:00:00Z"),
     ]
     kept, report = filter_records(rules, tweets)
-    oracle = [t for t in tweets if matches(rules, t)]
+    oracle, ref_report = filter_corpus_reference(rules, tweets)
     assert kept == rows_of(oracle)
-    assert report.kept == len(oracle)
+    assert report == ref_report
+    assert report.kept == len(oracle) == 2
     assert report.kept + report.dropped == report.total == len(tweets)
     assert report.dropped_lang == 1
     assert report.dropped_window == 1
@@ -462,13 +494,13 @@ def test_date_overflow_counts_as_out_of_window(tmp_path, ts, offset):
         "date_offset_minutes": offset,
     })
     errors = []
-    tweets = list(load_tweets(path))
+    good, edge = map(parse_tweet_reference, (json.loads(GOOD_LINE), obj))
     kept, report = filter_corpus(rule_set, path, error_log=errors)
     assert errors == []
-    assert corpus_rows(kept) == rows_of(tweets[:1], offset)
+    assert corpus_rows(kept) == rows_of([good], offset)
     assert (report.total, report.kept, report.dropped_window) == (2, 1, 1)
     assert report.to_dict()["dropped"] == report.total - report.kept
-    assert not matches(rule_set, tweets[1])
+    assert not keeps(rule_set, edge)
 
 
 # timestamps in the first and last representable days, the ends included
@@ -611,7 +643,7 @@ def test_filter_equals_per_rule_reference(rules, tweets, offset):
     ref_kept, ref_hits = _filter_reference(rule_set, tweets)
     assert kept == rows_of(ref_kept, offset)
     assert report.rule_hits == ref_hits
-    assert ref_kept == [t for t in tweets if matches(rule_set, t)]
+    assert ref_kept == filter_corpus_reference(rule_set, tweets)[0]
 
 
 def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
@@ -629,8 +661,8 @@ def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
     assert folded == [t.text for t in tweets]
     assert kept == rows_of([tweets[0], tweets[1], tweets[4]])
     folded.clear()
-    assert [matches(rules, t) for t in tweets] == [True, True, False, False,
-                                                    True]
+    assert [keeps(rules, t) for t in tweets] == [True, True, False, False,
+                                                  True]
     assert folded == [t.text for t in tweets]
 
 

@@ -1,11 +1,14 @@
 """The archive ingest path against the plain references in oracles.py.
 
-The loader decodes with a reused raw decoder, memoises hashtag
-normalisation and keeps the decoded lists; filter_corpus checks every line
-as the loader does but builds no records: it holds the tweets it keeps as
-columns, and matches rules by lookup on the folded text; fold_text folds text
+The loader decodes with a reused raw decoder and yields each valid line's
+object and checked fields, keeping the decoded lists; filter_corpus reads
+the loader's lines, memoises hashtag normalisation, matches rules by
+lookup on the folded text and holds the tweets it keeps as columns;
+write_filtered writes each kept line as archive_obj; fold_text folds text
 below U+0900 character by character; load_follows reads rows by column
-index.  Each must give exactly what the reference gives.
+index.  Each must give exactly what the reference gives: the references
+build a TweetRecord per line, and what filtered.jsonl holds of a kept line
+is tweet_to_obj of its record.
 """
 
 import csv
@@ -24,11 +27,14 @@ from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            FilterRule, FollowRecord, MatchMode, RuleSet, Side,
                            default_rule_set, filter_corpus, fold_text,
                            load_follows, load_tweets)
+from polmon.pipeline import RunConfig, Runner
 
 from conftest import corpus_rows, rows_of
 from oracles import (filter_corpus_reference, fold_text_reference,
-                     load_follows_reference, load_tweets_reference)
-from test_corpus import _BASES, GOOD_LINE, _archive_object, _rule, _variant
+                     load_follows_reference, load_tweets_reference,
+                     tweet_to_obj)
+from test_corpus import (_BASES, GOOD_LINE, _archive_object, _rule, _variant,
+                         _written)
 
 _FS = [HealthCheck.function_scoped_fixture]
 
@@ -58,13 +64,15 @@ def _archive_line(draw) -> str:
     return text
 
 
-def _load(loader, path, strict=False):
+def _load(loader, written, path, strict=False):
+    """What would be written of each accepted line, and the error line
+    numbers; or the strict failure's type and path:line."""
     errors = []
     try:
-        records = list(loader(path, schema_strict=strict, error_log=errors))
+        lines = list(loader(path, schema_strict=strict, error_log=errors))
     except CorpusFormatError as exc:
         return type(exc), re.match(r".*?:\d+:", str(exc)).group(0)
-    return records, [lineno for lineno, _ in errors]
+    return list(map(written, lines)), [lineno for lineno, _ in errors]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=_FS)
@@ -73,21 +81,23 @@ def test_loader_equals_reference(tmp_path, lines):
     path = tmp_path / "tweets.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for strict in (False, True):
-        assert (_load(load_tweets, path, strict)
-                == _load(load_tweets_reference, path, strict))
+        assert (_load(load_tweets, lambda line: _written(*line), path, strict)
+                == _load(load_tweets_reference, tweet_to_obj, path, strict))
 
 
-def test_loader_shares_hashtag_normalisation_within_a_file(tmp_path,
+def test_filter_shares_hashtag_normalisation_within_a_file(tmp_path,
                                                           monkeypatch):
     obj = dict(json.loads(GOOD_LINE), hashtags=["#Υποκλοπές", "#PEGA"])
     path = tmp_path / "tweets.jsonl"
     path.write_text((json.dumps(obj) + "\n") * 3, encoding="utf-8")
+    rule_set = default_rule_set()
     calls = Counter()
     real = corpus.normalize_hashtag
     monkeypatch.setattr(corpus, "normalize_hashtag",
                         lambda h: calls.update([h]) or real(h))
-    records = list(load_tweets(path))
-    assert [r.hashtags for r in records] == [["υποκλοπές", "pega"]] * 3
+    kept, _ = filter_corpus(rule_set, path)
+    assert [tags for *_, tags, _, _ in corpus_rows(kept)] == [
+        ("υποκλοπές", "pega")] * 3
     assert calls == Counter({"#Υποκλοπές": 1, "#PEGA": 1})
 
 
@@ -190,6 +200,109 @@ def test_filter_pass_equals_reference(tmp_path, rules, lines, offset):
 
     for strict in (False, True):
         assert _filtered(one_pass, strict) == _filtered(reference, strict)
+
+
+# ---------------------------------------------------------------------------
+# filtered.jsonl
+# ---------------------------------------------------------------------------
+
+# two lone surrogates and a pair; a line that carries one is written with
+# ensure_ascii, so each is a \u escape there
+_SURROGATES = ("\ud800", "\udfff", "\U0001F600")
+_IDS = st.sampled_from([7, 10 ** 20, -1.5, True, ["x"], {"k": "v"}, "t9"])
+_MEDIA = st.lists(st.fixed_dictionaries({
+    "kind": st.sampled_from(["image", "VIDEO", "image", "gif"]),
+    "url": st.sampled_from(["m1", "https://v"])}), min_size=1, max_size=2)
+
+
+@st.composite
+def _written_line(draw) -> str:
+    """A _filter_line that may also carry media items, a sub-second or
+    year-999 timestamp, a tweet_id and referenced_tweet_id that are not
+    strings, and lone or paired surrogate escapes in the text, a media
+    url, a hashtag and an unused key."""
+    line = draw(_filter_line())
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return line
+    if type(obj) is not dict or draw(st.integers(0, 3)) == 0:
+        return line
+    if draw(st.booleans()):
+        obj["media"] = draw(_MEDIA)
+    if draw(st.booleans()) and type(obj.get("timestamp")) is str:
+        obj["timestamp"] = draw(st.sampled_from([
+            obj["timestamp"].replace("Z", ".250000Z"),
+            obj["timestamp"].replace("Z", ".000001+00:00"),
+            "0999-01-02T03:04:05Z"]))
+    if draw(st.booleans()):
+        obj["tweet_id"] = draw(_IDS)
+        obj["referenced_tweet_id"] = draw(st.none() | _IDS)
+    for where in draw(st.lists(st.sampled_from(["text", "url", "hashtag",
+                                                "key"]), max_size=2)):
+        s = draw(st.sampled_from(_SURROGATES))
+        media = obj.get("media")
+        if where == "text" and type(obj.get("text")) is str:
+            obj["text"] += s
+        elif (where == "url" and type(media) is list and media
+              and type(media[0]) is dict and type(media[0].get("url")) is str):
+            media[0]["url"] += s
+        elif where == "hashtag" and type(obj.get("hashtags")) is list:
+            obj["hashtags"].append("#x" + s)
+        else:
+            obj["unused" + s] = s
+    return json.dumps(obj)
+
+
+def _surrogate_line(**fields) -> str:
+    return json.dumps(dict(json.loads(GOOD_LINE), **fields))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=_FS)
+@example(rules=default_rule_set().rules, lines=[
+    _surrogate_line(text="υποκλοπές \ud800"),
+    _surrogate_line(media=[{"kind": "image", "url": "m\udfff"}]),
+    _surrogate_line(hashtags=["#x\ud800"]),
+    _surrogate_line(**{"x\udc00": "\ud800", "tweet_id": 7}),
+    _surrogate_line(text="υποκλοπές \U0001F600",
+                    hashtags=["#x\U0001F600"],
+                    media=[{"kind": "VIDEO", "url": "m\U0001F600"}],
+                    timestamp="2022-08-03T10:00:00.250000Z",
+                    referenced_tweet_id=1.5)],
+         wide=False, offset=0)
+@given(rules=st.lists(_filter_rule(), min_size=1, max_size=6)
+       | st.just(default_rule_set().rules),
+       lines=st.lists(_written_line(), min_size=1, max_size=10),
+       wide=st.booleans(), offset=st.sampled_from((0, 180, -300)))
+def test_write_filtered_equals_reference(tmp_path, rules, lines, wide,
+                                         offset):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "rules.json").write_text(json.dumps({
+        "rules": [{"term": r.term, "mode": r.mode.value,
+                   "active_from": r.active_from and str(r.active_from),
+                   "active_until": r.active_until and str(r.active_until)}
+                  for r in rules],
+        "study_window": (["0001-01-01", "9999-12-31"] if wide
+                         else ["2022-08-01", "2022-08-05"]),
+        "date_offset_minutes": offset}), encoding="utf-8")
+    runner = Runner(RunConfig(
+        tweets=path, annotations=tmp_path / "unused.csv",
+        follows=tmp_path / "unused.csv", out_dir=tmp_path / "out",
+        rules=tmp_path / "rules.json"))
+    written = runner.write_filtered().read_text(encoding="utf-8")
+
+    errors = []
+    kept, report = filter_corpus_reference(runner.rule_set,
+                                           load_tweets_reference(
+                                               path, error_log=errors))
+    # split on "\n" alone: str.splitlines also splits at U+0085 and U+2028
+    assert written.split("\n") == [
+        json.dumps(tweet_to_obj(t), ensure_ascii=False, sort_keys=True)
+        for t in kept] + [""]
+    assert json.loads((tmp_path / "out" / "filter_report.json").read_text(
+        encoding="utf-8")) == dict(report.to_dict(),
+                                   malformed_lines=len(errors))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import logging
 import os
@@ -16,8 +17,7 @@ from hypothesis import strategies as st
 
 from polmon import pipeline
 from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
-                           Side, default_rule_set, filter_corpus,
-                           load_tweets, matches, tweet_to_obj)
+                           Side, default_rule_set, filter_corpus)
 from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              Runner, StageError, compute_stats, pi_series,
@@ -29,9 +29,10 @@ from polmon.stance import Stance, StanceAssignment, stance_map
 from polmon.structure import ShieldRanking
 
 from conftest import (OFFSETS, corpus_of, corpus_rows, graph_of, records,
-                      rows_of, tweet)
-from oracles import (build_graph_reference, stance_shares_reference,
-                     stats_reference)
+                      rows_of, tweet, write_archive)
+from oracles import (build_graph_reference, filter_corpus_reference,
+                     load_tweets_reference, stance_shares_reference,
+                     stats_reference, tweet_to_obj)
 
 
 def _stances(mapping):
@@ -154,7 +155,7 @@ def _synthetic_tweets(seed: int, n: int = 400, days: int = 6):
 @pytest.mark.parametrize("offset", [0, 180, -420])
 @pytest.mark.parametrize("stopwords", [(), ("το", "και", "cafe")])
 def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
-    fixture = list(load_tweets(fixture_paths["tweets"]))
+    fixture = list(load_tweets_reference(fixture_paths["tweets"]))
     for tweets in (fixture, _synthetic_tweets(seed=7)):
         words, phrases = Counter(), Counter()
         for t in tweets:
@@ -169,7 +170,7 @@ def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
 @pytest.mark.parametrize("offset", [0, 180, -420, 1439])
 @pytest.mark.parametrize("stopwords", [(), ("το", "και", "cafe")])
 def test_stats_equal_reference(fixture_paths, offset, stopwords):
-    fixture = list(load_tweets(fixture_paths["tweets"]))
+    fixture = list(load_tweets_reference(fixture_paths["tweets"]))
     for tweets in (fixture, _synthetic_tweets(seed=11)):
         rows, window = compute_stats(corpus_of(tweets, offset), stopwords)
         ref_rows, ref_window = stats_reference(tweets, frozenset(stopwords),
@@ -203,9 +204,7 @@ def test_stages_on_an_all_dropped_corpus(tmp_path):
     tweets = [tweet("t1", lang="en"), tweet("t2", ts="2021-01-01T00:00:00Z"),
               tweet("t3", author="a", kind=Kind.REPLY, refs=["b"],
                     text="άσχετο", hashtags=["x"], urls=["u"])]
-    path = tmp_path / "tweets.jsonl"
-    path.write_text("".join(json.dumps(tweet_to_obj(t)) + "\n"
-                            for t in tweets), encoding="utf-8")
+    path = write_archive(tmp_path / "tweets.jsonl", tweets)
     corpus, report = filter_corpus(default_rule_set(), path)
     assert (report.total, report.kept, report.dropped) == (3, 0, 3)
     assert corpus_rows(corpus) == []
@@ -234,10 +233,7 @@ _WINDOW_KEYS = ("hashtags", "words", "phrases", "mentioned_users",
 
 
 def _synthetic_run(tmp_path, fixture_paths, offset: int) -> RunConfig:
-    lines = [json.dumps(tweet_to_obj(t), ensure_ascii=False)
-             for t in _synthetic_tweets(seed=5)]
-    (tmp_path / "tweets.jsonl").write_text("\n".join(lines) + "\n",
-                                           encoding="utf-8")
+    write_archive(tmp_path / "tweets.jsonl", _synthetic_tweets(seed=5))
     (tmp_path / "rules.json").write_text(json.dumps({
         "rules": [{"term": "predator", "mode": "hashtag"}],
         "study_window": ["2022-08-01", "2022-08-05"],
@@ -267,8 +263,8 @@ def test_summary_tables_equal_whole_window_stats(corpus, fixture_paths,
     assert len(calls) == 1  # no second corpus walk
 
     runner = Runner(config)
-    kept = [t for t in load_tweets(config.tweets)
-            if matches(runner.rule_set, t)]
+    kept, _ = filter_corpus_reference(runner.rule_set,
+                                      load_tweets_reference(config.tweets))
     assert len(set(runner.filtered[0].day.tolist())) > 1
     _, window = stats_reference(kept, runner.stopword_set)
     html = bundle["summary.html"].read_text(encoding="utf-8")
@@ -652,8 +648,8 @@ def test_malformed_lines_outside_the_window_are_counted(fixture_paths,
 def test_write_filtered_writes_each_kept_record(fixture_paths, tmp_path):
     runner = Runner(_config(fixture_paths, tmp_path / "out"))
     path = runner.write_filtered()
-    kept = [t for t in load_tweets(runner.config.tweets)
-            if matches(runner.rule_set, t)]
+    kept, _ = filter_corpus_reference(
+        runner.rule_set, load_tweets_reference(runner.config.tweets))
     assert len(kept) > 100
     assert path.read_text(encoding="utf-8") == "".join(
         json.dumps(tweet_to_obj(t), ensure_ascii=False, sort_keys=True)
@@ -688,8 +684,8 @@ def test_run_all_over_the_whole_calendar(fixture_paths, tmp_path, offset):
     bundle = run_all(config)
     assert "pi_series.csv" in bundle
     runner = Runner(config)
-    kept = [t for t in load_tweets(config.tweets)
-            if matches(runner.rule_set, t)]
+    kept, _ = filter_corpus_reference(runner.rule_set,
+                                      load_tweets_reference(config.tweets))
     assert corpus_rows(runner.filtered[0]) == rows_of(kept, offset)
     assert [t.tweet_id for t in kept if t.tweet_id.startswith("edge")] == (
         ["edge0"] if offset > 0 else ["edge1"])
@@ -897,3 +893,18 @@ def test_benchmark_gate_passes_on_the_fixture(workload, tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["checks"] > 0
     assert result["failures"] == []
+
+
+def test_make_fixture_reproduces_the_shipped_fixture(fixture_paths, tmp_path,
+                                                     monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_fixture", root / "scripts" / "make_fixture.py")
+    make_fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixture)
+    monkeypatch.setattr(make_fixture, "OUT", tmp_path)
+    make_fixture.main()
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        path.name for path in fixture_paths.values())
+    for path in fixture_paths.values():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes()

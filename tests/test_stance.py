@@ -81,6 +81,13 @@ def test_threshold_validated(annotations):
         _stance_of(["L0"], annotations, threshold=1.5)
 
 
+@pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+def test_threshold_validated_without_political_follows(annotations,
+                                                       threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        stance_map([], annotations, threshold=threshold, ensure_users=["u"])
+
+
 def test_missing_annotation_names_id(annotations):
     with pytest.raises(MissingAnnotationError, match="ghost"):
         _stance_of(["ghost"], annotations)
