@@ -170,12 +170,6 @@ class AccountAnnotation:
                 f"non-political account {self.user_id!r} must not carry a side")
 
 
-@dataclass(frozen=True, slots=True)
-class FollowRecord:
-    follower_id: str
-    followed_political_id: str
-
-
 # ---------------------------------------------------------------------------
 # text normalization
 # ---------------------------------------------------------------------------
@@ -655,44 +649,75 @@ def load_annotations(path: str | Path,
     return annotations
 
 
+class Follows(NamedTuple):
+    """A follow list's distinct pairs as columns: followers[follower[k]]
+    follows accounts[account[k]].  Both tables are sorted, and the pairs
+    are in ascending (follower, account) order."""
+    followers: tuple[str, ...]
+    accounts: tuple[str, ...]
+    follower: np.ndarray
+    account: np.ndarray
+
+
 def load_follows(path: str | Path,
                  annotations: dict[str, AccountAnnotation] | None = None,
-                 delimiter: str = ",") -> list[FollowRecord]:
-    """Read follow records; duplicates collapse with a warning.
+                 delimiter: str = ",") -> Follows:
+    """Read a follow list; a duplicate pair collapses with a warning that
+    names its line.
 
     When annotations are given, every followed id must be annotated
-    Political.  A bad header or row raises CorpusFormatError at path:line.
+    Political.  A bad header or row raises CorpusFormatError at path:line,
+    after the warnings for the duplicates above it.
     """
     path = Path(path)
     political = None if annotations is None else {
         u for u, a in annotations.items() if a.category is Category.POLITICAL}
-    seen: set[tuple[str, str]] = set()
-    records: list[FollowRecord] = []
+    followers, accounts = _Table(), _Table()
+    src, dst, line_of = array("q"), array("q"), array("q")
     reader = csv.reader(_csv_lines(path), delimiter=delimiter)
     # a repeated name means its last column, as in csv.DictReader
     columns = {name: i for i, name in enumerate(next(reader, None) or ())}
     if "follower_id" not in columns or "followed_political_id" not in columns:
         raise CorpusFormatError(f"{path}:1: bad follow-list header")
     a, b = columns["follower_id"], columns["followed_political_id"]
-    for row in reader:
-        if not row:  # a blank line
-            continue
-        pair = ((row[a] if a < len(row) else "").strip(),
-                (row[b] if b < len(row) else "").strip())
-        if not pair[0] or not pair[1]:
-            raise CorpusFormatError(
-                f"{path}:{reader.line_num}: incomplete follow row {row}")
-        if pair in seen:
-            log.warning("%s:%d: duplicate follow pair %s", path,
-                        reader.line_num, pair)
-            continue
-        seen.add(pair)
-        if political is not None and pair[1] not in political:
-            raise CorpusFormatError(
-                f"{path}:{reader.line_num}: followed id {pair[1]!r} is "
-                "not an annotated political account")
-        records.append(FollowRecord(*pair))
-    return records
+    error = None
+    try:
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            pair = ((row[a] if a < len(row) else "").strip(),
+                    (row[b] if b < len(row) else "").strip())
+            if not pair[0] or not pair[1]:
+                raise CorpusFormatError(
+                    f"{path}:{reader.line_num}: incomplete follow row {row}")
+            # a duplicate's followed id passed this check on its first row
+            if political is not None and pair[1] not in political:
+                raise CorpusFormatError(
+                    f"{path}:{reader.line_num}: followed id {pair[1]!r} is "
+                    "not an annotated political account")
+            src.append(followers[pair[0]])
+            dst.append(accounts[pair[1]])
+            line_of.append(reader.line_num)
+    except Exception as exc:  # raised once the duplicates above it are named
+        error = exc
+    (follower_table, follower_rank), (account_table, account_rank) = (
+        _sorted(followers), _sorted(accounts))
+    width = max(len(account_table), 1)
+    keys = (follower_rank[np.asarray(src, np.int64)] * width
+            + account_rank[np.asarray(dst, np.int64)])
+    pairs = np.unique(keys)
+    if len(pairs) < len(keys):  # name each row that repeats a pair
+        first = np.unique(keys, return_index=True)[1]
+        for k in np.setdiff1d(np.arange(len(keys)), first).tolist():
+            log.warning("%s:%d: duplicate follow pair %s", path, line_of[k],
+                        (follower_table[keys[k] // width],
+                         account_table[keys[k] % width]))
+    if error is not None:
+        raise error
+    log.debug("%s: %d follow pairs read, %d duplicates collapsed, %d "
+              "distinct followers", path, len(keys), len(keys) - len(pairs),
+              len(follower_table))
+    return Follows(follower_table, account_table, *np.divmod(pairs, width))
 
 
 def _csv_lines(path: Path) -> Iterator[str]:

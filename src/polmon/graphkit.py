@@ -5,12 +5,14 @@ An edge joins a tweet's author to every distinct user it references
 kind collapse into the single edge, self-interactions are dropped, and
 authors of reference-free tweets stay in the graph as isolated nodes.
 
-A graph is its CSR adjacency over the sorted user ids.  build_graph
-builds it from a Corpus's id columns with array operations, over every
-tweet of the corpus (filter_corpus keeps the study window's tweets);
-daily_graphs builds one per local day.  Derived graphs (ablations, the
-non-isolated core) are induced subgraphs cut from the parent's CSR by a
-boolean keep-mask, so nodes and rows keep their order.
+A graph is its CSR adjacency and ids, its nodes' ascending ids into a
+sorted user table (a Corpus's users) that gives the node strings on
+demand.  build_graph builds it from a Corpus's id columns with array
+operations, over every tweet of the corpus, so its nodes are all the
+corpus's users; daily_graphs builds one per local day.  Derived graphs
+(ablations, the non-isolated core) are induced subgraphs cut by a boolean
+keep-mask.  Arrays over the user table (stance labels, removal masks)
+apply to every one of these graphs by indexing with ids.
 """
 
 from __future__ import annotations
@@ -18,41 +20,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import compress
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus
+from .stance import STANCES, StanceMap
 
 
 @dataclass(eq=False)
 class InteractionGraph:
     """Immutable-by-convention simple graph.
 
-    nodes are the ascending user ids; row i of the symmetric CSR adjacency
-    (indptr, indices) lists the neighbours of nodes[i] in ascending order.
-    Every downstream array (opinion vectors, solves) is aligned to nodes.
+    users is a sorted user table and ids the ascending ids of the nodes
+    in it; row i of the symmetric CSR adjacency (indptr, indices) lists
+    the neighbours of node i in ascending order.  Every downstream array
+    (opinion vectors, solves) is aligned to the nodes.
     """
 
-    nodes: tuple[str, ...]
+    users: tuple[str, ...]
+    ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
 
     @classmethod
-    def from_pairs(cls, nodes: Sequence[str], iu: np.ndarray,
-                   iv: np.ndarray) -> "InteractionGraph":
-        """Graph on the sorted nodes with an edge between nodes iu[k] and
-        iv[k] for each k; the pairs are distinct and iu[k] != iv[k]."""
+    def from_pairs(cls, users: tuple[str, ...], ids: np.ndarray,
+                   iu: np.ndarray, iv: np.ndarray) -> "InteractionGraph":
+        """Graph whose nodes have the ids into users, with an edge between
+        nodes iu[k] and iv[k] for each k; the pairs are distinct and
+        iu[k] != iv[k]."""
         rows, cols = np.concatenate([iu, iv]), np.concatenate([iv, iu])
-        row_len = np.bincount(rows, minlength=len(nodes))
-        return cls(tuple(nodes), _indptr(row_len),
+        row_len = np.bincount(rows, minlength=len(ids))
+        return cls(users, ids, _indptr(row_len),
                    cols[np.lexsort((cols, rows))])
+
+    @cached_property
+    def nodes(self) -> tuple[str, ...]:
+        """The ascending user ids of the nodes."""
+        return tuple(map(self.users.__getitem__, self.ids.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
     @property
     def m(self) -> int:
@@ -83,8 +93,8 @@ class InteractionGraph:
         kept = np.repeat(keep, self.degrees) & keep[self.indices]
         before = _indptr(kept)  # kept entries before each CSR position
         row_len = (before[self.indptr[1:]] - before[self.indptr[:-1]])[keep]
-        return InteractionGraph(tuple(compress(self.nodes, keep.tolist())),
-                                _indptr(row_len), new_id[self.indices[kept]])
+        return InteractionGraph(self.users, self.ids[keep], _indptr(row_len),
+                                new_id[self.indices[kept]])
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -92,7 +102,7 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-def _graph(users: Sequence[str], authors: np.ndarray, src: np.ndarray,
+def _graph(users: tuple[str, ...], authors: np.ndarray, src: np.ndarray,
            dst: np.ndarray) -> InteractionGraph:
     """Graph on the authors and referenced users, with an edge for each
     (src, dst) pair of user ids that are not equal."""
@@ -102,8 +112,7 @@ def _graph(users: Sequence[str], authors: np.ndarray, src: np.ndarray,
     width = len(users)
     pairs = np.unique(lo * width + hi)
     return InteractionGraph.from_pairs(
-        tuple(map(users.__getitem__, ids.tolist())),
-        np.searchsorted(ids, pairs // width),
+        users, ids, np.searchsorted(ids, pairs // width),
         np.searchsorted(ids, pairs % width))
 
 
@@ -132,17 +141,17 @@ def _split_by_day(day_of: np.ndarray, n_days: int, *columns: np.ndarray
     return [np.split(column[order], cuts) for column in columns]
 
 
-def remove_nodes(g: InteractionGraph, victims: set[str],
+def remove_nodes(g: InteractionGraph, victims: np.ndarray,
                  drop_isolated: bool = False) -> InteractionGraph:
-    """Induced subgraph on nodes minus victims.
+    """Induced subgraph on the nodes that the boolean mask victims, over
+    g's user table, does not hold; g itself when the mask holds no one.
 
     With drop_isolated, nodes whose degree fell to zero *because of* the
     removal are dropped too; nodes that were already isolated are kept.
     """
-    if not victims:
+    if not victims.any():
         return g
-    keep = np.fromiter((u not in victims for u in g.nodes), dtype=bool,
-                       count=g.n)
+    keep = ~victims[g.ids]
     if drop_isolated:
         kept = _indptr(keep[g.indices])  # kept neighbours before each entry
         keep &= (kept[g.indptr[1:]] > kept[g.indptr[:-1]]) | (g.degrees == 0)
@@ -163,15 +172,16 @@ _TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def export_graph(g: InteractionGraph, path: str | Path,
-                 stances: dict | None = None,
+                 stances: StanceMap | None = None,
                  annotations: dict | None = None) -> None:
     """Write GraphML with user_id, stance and category node attributes.
 
-    stance values come from a stance map (objects with a .stance attribute
-    or plain strings); categories from account annotations.  Missing entries
-    default to Neutral / Individual.  The file is streamed line by line in
-    the layout ElementTree writes after ET.indent: two-space indentation,
-    " />" empty tags, no newline after the root.
+    stances is a stance map over g's user table, else every node is
+    Neutral; categories come from account annotations, Individual where
+    missing.
+    The file is streamed line by line in the layout ElementTree writes
+    after ET.indent: two-space indentation, " />" empty tags, no newline
+    after the root.
     """
     ids = [u.translate(_ATTR_ESCAPES) for u in g.nodes]
     # ElementTree.write opens the file the same way: platform newlines, and
@@ -188,11 +198,12 @@ def export_graph(g: InteractionGraph, path: str | Path,
             fh.write(graph_tag + " />\n</graphml>")
             return
         fh.write(graph_tag + ">\n")
-        for u, uid in zip(g.nodes, ids):
-            stance = _label(stances.get(u) if stances else None, "stance",
-                            "Neutral")
-            category = _label(annotations.get(u) if annotations else None,
-                              "category", "Individual")
+        names = [s.value for s in STANCES]
+        stance_of = (map(names.__getitem__, stances.over(g.users)[g.ids])
+                     if stances is not None else repeat("Neutral"))
+        for u, uid, stance in zip(g.nodes, ids, stance_of):
+            entry = annotations.get(u) if annotations else None
+            category = entry.category.value if entry else "Individual"
             fh.write(f'    <node id="{uid}">\n'
                      + _data_line("d0", u) + _data_line("d1", stance)
                      + _data_line("d2", category) + "    </node>\n")
@@ -207,11 +218,3 @@ def _data_line(key_id: str, text: str) -> str:
         return f'      <data key="{key_id}" />\n'
     return (f'      <data key="{key_id}">{text.translate(_TEXT_ESCAPES)}'
             '</data>\n')
-
-
-def _label(entry, attr: str, default: str) -> str:
-    """entry.attr's enum value, or entry itself as a string."""
-    if entry is None:
-        return default
-    value = getattr(entry, attr, entry)
-    return getattr(value, "value", None) or str(value)

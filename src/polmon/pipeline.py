@@ -20,7 +20,7 @@ import logging
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from time import perf_counter
@@ -36,8 +36,7 @@ from .corpus import (KINDS, Category, Corpus, FilterReport, Ragged, RuleSet,
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import PolarizationResult, compute_pi
-from .stance import (Stance, StanceAssignment, classify, stance_map,
-                     write_stance_csv)
+from .stance import STANCES, StanceMap, stance_map, write_stance_csv
 from .structure import decompose_communities, louvain, netshield
 
 log = logging.getLogger(__name__)
@@ -178,19 +177,14 @@ class StanceShares:
     user_pct: dict[str, float]
 
 
-def stance_shares(corpus: Corpus,
-                  stances: Mapping[str, StanceAssignment]) -> StanceShares:
-    """Tweet volume and unique-author shares per stance label."""
-    code = {s: i for i, s in enumerate(Stance)}
-    values = [s.value for s in Stance]
-    authors, tweet_author = np.unique(corpus.author, return_inverse=True)
-    label = np.array([
-        code[entry.stance] if (entry := stances.get(corpus.users[a]))
-        else code[Stance.NEUTRAL] for a in authors.tolist()], np.int64)
+def stance_shares(corpus: Corpus, stances: StanceMap) -> StanceShares:
+    """Tweet volume and unique-author shares per stance label; stances is
+    a stance map over corpus.users."""
+    values, label = [s.value for s in STANCES], stances.over(corpus.users)
     tweet_counts = dict(zip(values, np.bincount(
-        label[tweet_author], minlength=len(values)).tolist()))
+        label[corpus.author], minlength=len(values)).tolist()))
     user_counts = dict(zip(values, np.bincount(
-        label, minlength=len(values)).tolist()))
+        label[np.unique(corpus.author)], minlength=len(values)).tolist()))
     return StanceShares(tweet_counts=tweet_counts, user_counts=user_counts,
                         tweet_pct=rounded_percentages(tweet_counts),
                         user_pct=rounded_percentages(user_counts))
@@ -202,7 +196,7 @@ def stance_shares(corpus: Corpus,
 
 
 def pi_series(graphs: Sequence[tuple[date, InteractionGraph]],
-              stances: Mapping[str, StanceAssignment],
+              stances: StanceMap,
               **pi_kwargs) -> list[tuple[date, PolarizationResult | None]]:
     """compute_pi per day; a failing day becomes a flagged gap (None)."""
     out = []
@@ -223,18 +217,19 @@ class AblationResult:
     drop_isolated: bool
 
 
-def ablation_victims(annotations: Mapping,
-                     influencer_set: Iterable[str]) -> dict[str, set[str]]:
-    """The nodes each of ABLATION_CATEGORIES removes."""
-    victims = {"Political": set(), "MediaJournalist": set(),
-               "Influencers": set(influencer_set)}
-    for uid, ann in annotations.items():
-        if ann.category in (Category.POLITICAL, Category.MEDIA_JOURNALIST):
-            victims[ann.category.value].add(uid)  # keys are Category values
-    return victims
+def ablation_victims(annotations: Mapping, influencer_set: Iterable[str],
+                     users: Sequence[str]) -> dict[str, np.ndarray]:
+    """The users each of ABLATION_CATEGORIES removes, as a boolean mask
+    over the user table users."""
+    category = np.array([getattr(annotations.get(u), "category", None)
+                         for u in users], object)
+    chosen = set(influencer_set)
+    return {"Political": category == Category.POLITICAL,
+            "MediaJournalist": category == Category.MEDIA_JOURNALIST,
+            "Influencers": np.array([u in chosen for u in users], bool)}
 
 
-def _reduced_graphs(g: InteractionGraph, victims: Mapping[str, set[str]],
+def _reduced_graphs(g: InteractionGraph, victims: Mapping[str, np.ndarray],
                     drop_isolated: bool) -> dict[str, InteractionGraph]:
     """g without each connector category, keyed by ABLATION_CATEGORIES."""
     return {name: remove_nodes(g, victims[name], drop_isolated)
@@ -242,7 +237,7 @@ def _reduced_graphs(g: InteractionGraph, victims: Mapping[str, set[str]],
 
 
 def _pis_without(reduced: Mapping[str, InteractionGraph],
-                 stances: Mapping[str, StanceAssignment],
+                 stances: StanceMap,
                  **pi_kwargs) -> dict[str, float]:
     """pi of each reduced graph, naming an emptied category."""
     pi_without = {}
@@ -269,32 +264,29 @@ class ThresholdSweepResult:
     entries: list[ThresholdSweepEntry]
 
 
-def threshold_sweep(g: InteractionGraph,
-                    stances: Mapping[str, StanceAssignment],
-                    annotations: Mapping,
-                    influencer_set: Iterable[str],
+def threshold_sweep(g: InteractionGraph, stances: StanceMap,
+                    annotations: Mapping, influencer_set: Iterable[str],
                     thresholds: Sequence[float] = (0.0, 0.5, 0.7),
-                    drop_isolated: bool = True,
-                    **pi_kwargs) -> ThresholdSweepResult:
+                    drop_isolated: bool = True, **pi_kwargs
+                    ) -> ThresholdSweepResult:
     """Relabel stances and redo every ablation PI at each threshold.
 
-    stances carries the follow tallies of g's users (a stance_map at any
-    threshold); a user missing from it counts as Neutral.  Neither the
-    tallies nor the reduced graphs depend on the threshold, so each
-    threshold relabels g's users from their tallies with classify, and
-    the solves run per threshold.
+    stances is a stance map over g's user table, at any threshold.
+    Neither its tallies nor the reduced graphs depend on the threshold, so
+    the reduced graphs are cut once, and each threshold relabels the
+    tallies (StanceMap.at), counts the camps among g's nodes and runs the
+    solves.
     """
-    reduced = _reduced_graphs(g, ablation_victims(annotations, influencer_set),
-                              drop_isolated)
-    users = [stances[u] for u in g.nodes if u in stances]
+    reduced = _reduced_graphs(
+        g, ablation_victims(annotations, influencer_set, g.users),
+        drop_isolated)
     entries = []
     for t in thresholds:
-        relabelled = {a.user_id: replace(a, threshold_used=t, stance=classify(
-            a.n_left, a.n_right, a.n_center, t)) for a in users}
+        relabelled = stances.at(t)
         pi_full = compute_pi(g, relabelled, **pi_kwargs).pi
         pi_without = _pis_without(reduced, relabelled, **pi_kwargs)
-        labels = Counter(a.stance for a in relabelled.values())
-        n_left, n_right = labels[Stance.LEFT], labels[Stance.RIGHT]
+        camps = np.bincount(relabelled.over(g.users)[g.ids], minlength=2)
+        n_left, n_right = camps[:2].tolist()
         entries.append(ThresholdSweepEntry(
             threshold=t, pi_full=pi_full, pi_without=pi_without,
             n_left_users=n_left, n_right_users=n_right))
@@ -521,10 +513,10 @@ class Runner:
         return self._get("daily", lambda: daily_graphs(self.filtered[0]))
 
     @property
-    def stances(self) -> dict[str, StanceAssignment]:
+    def stances(self) -> StanceMap:
         return self._get("stance", lambda: stance_map(
             self.follows, self.annotations, threshold=self.config.threshold,
-            ensure_users=self.full_graph.nodes))
+            users=self.filtered[0].users))
 
     @property
     def influencer_ranking(self):
@@ -559,7 +551,8 @@ class Runner:
             stances = self.stances
             pi_kwargs = self._pi_kwargs()
             victims = ablation_victims(self.annotations,
-                                       self.influencer_ranking.selected)
+                                       self.influencer_ranking.selected,
+                                       self.full_graph.users)
             # the series stage already solved each day's full graph with
             # these arguments; only its gap days are solved again, to
             # reproduce their error
@@ -595,7 +588,7 @@ class Runner:
             if g.n == 0:
                 return None
             partition = louvain(g)
-            decompose_communities(partition, self.stances)
+            decompose_communities(partition, self.stances.over(g.users)[g.ids])
             return partition
         return self._get("communities", build)
 

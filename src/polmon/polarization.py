@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .graphkit import InteractionGraph
-from .stance import opinion_vector
+from .stance import StanceMap, opinion_vector
 
 log = logging.getLogger(__name__)
 
@@ -152,9 +152,7 @@ def polarization_index(z: np.ndarray) -> float:
     return float(np.dot(z, z) / len(z))
 
 
-def compute_pi(g: InteractionGraph,
-               stances: Mapping,
-               tol: float = 1e-10,
+def compute_pi(g: InteractionGraph, stances: StanceMap, tol: float = 1e-10,
                include_isolated: bool = True) -> PolarizationResult:
     """opinion_vector -> fj_equilibrium -> polarization_index, composed.
 

@@ -7,19 +7,30 @@ follows give Neutral.  An optional threshold additionally requires the
 winning side to hold at least that fraction of *all* the user's political
 follows before a Left/Right label is granted; users failing it fall back to
 Center (never Neutral, which is reserved for the no-follows case).
+
+A StanceMap holds arrays over a user table: the corpus's users in order,
+then the followers outside the corpus, sorted.  Row i is user i's
+[left, right, center] tally, from one bincount over the follow list's
+id columns, and its label code into STANCES.  classify is the rule;
+labels applies it to a whole tally array with the same comparisons.
+Graphs carry their nodes' ids into the corpus's users; StanceMap.over
+checks that a graph's table begins the map's before those ids index it.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AccountAnnotation, Category, FollowRecord, Side
+from .corpus import AccountAnnotation, Category, Follows, Side
+
+log = logging.getLogger(__name__)
 
 
 class Stance(Enum):
@@ -29,22 +40,11 @@ class Stance(Enum):
     NEUTRAL = "Neutral"
 
 
+STANCES = tuple(Stance)  # a label code is an index into STANCES
+
+
 class MissingAnnotationError(KeyError):
     """A followed account has no Political annotation."""
-
-
-@dataclass(frozen=True, slots=True)
-class StanceAssignment:
-    user_id: str
-    stance: Stance
-    n_left: int
-    n_right: int
-    n_center: int
-    threshold_used: float
-
-    @property
-    def total_follows(self) -> int:
-        return self.n_left + self.n_right + self.n_center
 
 
 def _side_of(followed_id: str,
@@ -56,11 +56,15 @@ def _side_of(followed_id: str,
     return ann.side
 
 
+def _check(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
+
+
 def classify(n_left: int, n_right: int, n_center: int,
              threshold: float = 0.0) -> Stance:
     """The stance rule on raw tallies (order matters; see module docstring)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
+    _check(threshold)
     total = n_left + n_right + n_center
     if total == 0:
         return Stance.NEUTRAL
@@ -71,80 +75,85 @@ def classify(n_left: int, n_right: int, n_center: int,
     return Stance.CENTER
 
 
+def labels(tally: np.ndarray, threshold: float) -> np.ndarray:
+    """classify's code for each [left, right, center] row of tally."""
+    _check(threshold)
+    n_left, n_right, n_center = tally.T
+    total = n_left + n_right + n_center
+    least = threshold * total
+    code = np.where((n_left > n_right) & (n_left >= least), 0, 2)
+    code[(n_right > n_left) & (n_right >= least)] = 1
+    code[total == 0] = 3
+    return code.astype(np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class StanceMap:
+    """Row i of tally and label belongs to users[i]; label was computed
+    at threshold."""
+
+    users: tuple[str, ...]
+    tally: np.ndarray
+    label: np.ndarray
+    threshold: float
+
+    def at(self, threshold: float) -> "StanceMap":
+        """The same users and tallies, labelled at threshold."""
+        return StanceMap(self.users, self.tally, labels(self.tally, threshold),
+                         threshold)
+
+    def over(self, users: Sequence[str]) -> np.ndarray:
+        """label, once users is checked to begin this map's user table."""
+        if self.users[:len(users)] != tuple(users):
+            raise ValueError("the stance map is not over this user table")
+        return self.label
+
+
 _SLOT = {Side.LEFT: 0, Side.RIGHT: 1, Side.CENTER: 2}
 
 
-def _tallies(pairs: Iterable[tuple[str, str]],
-             annotations: Mapping[str, AccountAnnotation]
-             ) -> dict[str, list[int]]:
-    """[left, right, center] follow counts per follower, in one pass.
+def stance_map(follows: Follows, annotations: Mapping[str, AccountAnnotation],
+               threshold: float = 0.0, *, users: Sequence[str]) -> StanceMap:
+    """The stances of users (a corpus's user table) and of every follower.
 
-    pairs are (follower id, followed id); each followed id's side is
-    looked up once, so an unannotated one raises at its first follow.
+    Users without follows are Neutral with zero tallies.  A followed
+    account that lacks a Political annotation raises
+    MissingAnnotationError.
     """
-    slot_of: dict[str, int] = {}
-    counts: dict[str, list[int]] = {}
-    for follower, followed in pairs:
-        slot = slot_of.get(followed)
-        if slot is None:
-            slot = slot_of[followed] = _SLOT[_side_of(followed, annotations)]
-        row = counts.get(follower)
-        if row is None:
-            row = counts[follower] = [0, 0, 0]
-        row[slot] += 1
-    return counts
+    _check(threshold)
+    slot = np.array([_SLOT[_side_of(a, annotations)]
+                     for a in follows.accounts], np.int64)
+    index = {u: i for i, u in enumerate(users)}
+    row = np.array([index.get(f, -1) for f in follows.followers], np.int64)
+    outside = np.flatnonzero(row < 0)
+    row[outside] = len(users) + np.arange(len(outside))
+    table = (*users, *map(follows.followers.__getitem__, outside.tolist()))
+    tally = np.bincount(row[follows.follower] * 3 + slot[follows.account],
+                        minlength=3 * len(table)).reshape(len(table), 3)
+    code = labels(tally, threshold)
+    log.debug("stance: %d users, %d followers outside the graph; Left, "
+              "Right, Center, Neutral: %s", len(table), len(outside),
+              np.bincount(code, minlength=len(STANCES)).tolist())
+    return StanceMap(table, tally, code, threshold)
 
 
-def _assign(user_id: str, tally: Sequence[int],
-            threshold: float) -> StanceAssignment:
-    n_left, n_right, n_center = tally
-    return StanceAssignment(user_id, classify(n_left, n_right, n_center,
-                                              threshold),
-                            n_left, n_right, n_center, threshold)
+_OPINION = np.array([-1.0, 1.0, 0.0, 0.0])  # by code: Left, Right, else
 
 
-def stance_map(all_follows: Iterable[FollowRecord],
-               annotations: Mapping[str, AccountAnnotation],
-               threshold: float = 0.0,
-               ensure_users: Iterable[str] = ()) -> dict[str, StanceAssignment]:
-    """Per-user assignments for every follower plus ensure_users.
-
-    Corpus users absent from the follow data land on Neutral with zero
-    tallies, which is what ensure_users is for.
-    """
-    if not 0.0 <= threshold <= 1.0:  # classify sees only users with follows
-        raise ValueError("threshold must lie in [0, 1]")
-    counts = _tallies(((f.follower_id, f.followed_political_id)
-                       for f in all_follows), annotations)
-    out = {uid: _assign(uid, counts[uid], threshold)
-           for uid in sorted(counts)}
-    for uid in ensure_users:
-        if uid not in out:
-            out[uid] = StanceAssignment(uid, Stance.NEUTRAL, 0, 0, 0, threshold)
-    return out
-
-
-_OPINION = {Stance.RIGHT: 1.0, Stance.LEFT: -1.0,
-            Stance.CENTER: 0.0, Stance.NEUTRAL: 0.0}
-
-
-def opinion_vector(g, stances: Mapping[str, StanceAssignment]) -> np.ndarray:
+def opinion_vector(g, stances: StanceMap) -> np.ndarray:
     """Innate opinion s aligned to g.nodes: Right +1, Left -1, else 0."""
-    s = np.zeros(g.n)
-    for i, uid in enumerate(g.nodes):
-        assignment = stances.get(uid)
-        if assignment is not None:
-            s[i] = _OPINION[assignment.stance]
-    return s
+    return _OPINION[stances.over(g.users)[g.ids]]
 
 
-def write_stance_csv(stances: Mapping[str, StanceAssignment],
-                     path: str | Path) -> None:
+def write_stance_csv(stances: StanceMap, path: str | Path) -> None:
+    """One row per user of the stance map, in user id order."""
+    names = [s.value for s in STANCES]
+    threshold = format(stances.threshold, "g")
+    rows = sorted(zip(stances.users, stances.label.tolist(),
+                      stances.tally.tolist()))
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "stance", "n_left", "n_right",
                          "n_center", "threshold"])
-        for uid in sorted(stances):
-            a = stances[uid]
-            writer.writerow([uid, a.stance.value, a.n_left, a.n_right,
-                             a.n_center, format(a.threshold_used, "g")])
+        writer.writerows([uid, names[code], *tally, threshold]
+                         for uid, code, tally in rows)

@@ -26,13 +26,12 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .graphkit import InteractionGraph
 from .polarization import ConvergenceError
-from .stance import Stance, StanceAssignment
+from .stance import STANCES
 
 log = logging.getLogger(__name__)
 
@@ -311,28 +310,21 @@ def louvain(g: InteractionGraph) -> CommunityPartition:
 
 
 def decompose_communities(partition: CommunityPartition,
-                          stances: Mapping[str, StanceAssignment]) -> None:
+                          labels: np.ndarray) -> None:
     """Fill in each community's stance tallies, and rank the communities.
 
-    Users missing from the stance map count as Neutral.  The partition's
-    per_community list is sorted in place by size descending, community id
+    labels[i] is the stance code (an index into STANCES) of the i-th user
+    of partition.assignment, whose order is the graph's node order, as in
+    ``stances.over(g.users)[g.ids]``; ValueError if the lengths differ.
+    per_community is sorted in place by size descending, community id
     ascending on ties, so its first entries are the largest communities.
     """
-    by_id: dict[int, CommunityProfile] = {}
-    for profile in partition.per_community:
-        profile.n_left = profile.n_right = 0
-        profile.n_center = profile.n_neutral = 0
-        by_id[profile.community_id] = profile
-    for uid, c in partition.assignment.items():
-        profile = by_id[c]
-        entry = stances.get(uid)
-        stance = entry.stance if entry is not None else Stance.NEUTRAL
-        if stance is Stance.LEFT:
-            profile.n_left += 1
-        elif stance is Stance.RIGHT:
-            profile.n_right += 1
-        elif stance is Stance.CENTER:
-            profile.n_center += 1
-        else:
-            profile.n_neutral += 1
+    if len(labels) != len(partition.assignment):
+        raise ValueError("one stance label per partitioned user is needed")
+    n = len(partition.per_community)
+    comm = np.fromiter(partition.assignment.values(), np.int64)
+    counts = np.bincount(comm * len(STANCES) + labels,
+                         minlength=n * len(STANCES)).reshape(n, -1).tolist()
+    for p in partition.per_community:
+        p.n_left, p.n_right, p.n_center, p.n_neutral = counts[p.community_id]
     partition.per_community.sort(key=lambda p: (-p.size, p.community_id))

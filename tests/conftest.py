@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from polmon.corpus import (KINDS, Corpus, FilterReport, Kind, RuleSet,
-                           filter_corpus)
+from polmon.corpus import (KINDS, Corpus, FilterReport, Follows, Kind,
+                           RuleSet, filter_corpus)
 from polmon.graphkit import InteractionGraph
+from polmon.stance import STANCES, Stance, StanceMap
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
@@ -20,17 +21,48 @@ from oracles import TweetRecord, tweet_to_obj  # noqa: E402
 DATA = Path(__file__).parent / "data"
 
 
-def graph_of(edges, isolated=()) -> InteractionGraph:
-    """Small-graph literal: edge pairs plus extra isolated nodes."""
+def graph_of(edges, isolated=(), users=None) -> InteractionGraph:
+    """Small-graph literal: edge pairs plus extra isolated nodes, over the
+    sorted user table users (default: the graph's own nodes)."""
     nodes = set(isolated)
     cleaned = set()
     for u, v in edges:
         nodes.update((u, v))
         cleaned.add((u, v) if u < v else (v, u))
-    index = {u: i for i, u in enumerate(sorted(nodes))}
+    users = tuple(sorted(nodes) if users is None else users)
+    position = {u: i for i, u in enumerate(users)}
+    ids = sorted(position[u] for u in nodes)
+    index = {users[i]: k for k, i in enumerate(ids)}
     return InteractionGraph.from_pairs(
-        sorted(nodes), np.array([index[u] for u, _ in cleaned], np.int64),
+        users, np.array(ids, np.int64),
+        np.array([index[u] for u, _ in cleaned], np.int64),
         np.array([index[v] for _, v in cleaned], np.int64))
+
+
+_CODES = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
+          "N": Stance.NEUTRAL}
+
+
+def stances_of(users, labels) -> StanceMap:
+    """A stance map over the user table users with the given labels (a
+    Stance, or its letter L, R, C or N, per user id); users without a
+    label are Neutral, and every tally is zero."""
+    label = [labels.get(u, Stance.NEUTRAL) for u in users]
+    code = [STANCES.index(_CODES.get(x, x)) for x in label]
+    return StanceMap(tuple(users), np.zeros((len(users), 3), np.int64),
+                     np.array(code, np.int8), 0.0)
+
+
+def follows_of(pairs) -> Follows:
+    """Follows of (follower, followed) id pairs, as load_follows holds
+    them: sorted tables, and distinct pairs in ascending order."""
+    pairs = sorted(set(pairs))
+    followers = tuple(sorted({f for f, _ in pairs}))
+    accounts = tuple(sorted({a for _, a in pairs}))
+    return Follows(
+        followers, accounts,
+        np.array([followers.index(f) for f, _ in pairs], np.int64),
+        np.array([accounts.index(a) for _, a in pairs], np.int64))
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float
@@ -79,6 +111,12 @@ def corpus_rows(corpus: Corpus) -> list[tuple]:
         lists(corpus.ref_ids, corpus.users),
         lists(corpus.tag_ids, corpus.hashtags),
         lists(corpus.url_ids, corpus.urls), corpus.texts))
+
+
+def follow_pairs(follows: Follows) -> list[tuple[str, str]]:
+    """The (follower, followed) id pairs of follows, in its order."""
+    return [(follows.followers[f], follows.accounts[a]) for f, a in
+            zip(follows.follower.tolist(), follows.account.tolist())]
 
 
 def write_archive(path: Path, records) -> Path:

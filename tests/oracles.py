@@ -10,7 +10,10 @@ loader, record filter, follow-list loader and text fold that the
 package's ingest path must reproduce: ``json.loads`` per line, a full
 ``TweetRecord`` per valid line filtered by walking every active rule,
 ``csv.DictReader`` rows, and a whole-string NFD -> strip marks -> NFC ->
-casefold fold of every text.  The package holds a tweet only as its
+casefold fold of every text.  The stance oracles are the record forms
+the package ran before it held users as integers: a ``FollowRecord`` per
+follow pair, and a ``StanceAssignment`` per user, tallied in a dict and
+looked up per graph node.  The package holds a tweet only as its
 decoded object and checked fields, so the record types live here, with
 ``tweet_to_obj``, which writes a record as an archive object: the tests
 build their archives from records, and what ``filtered.jsonl`` holds of a
@@ -41,12 +44,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from polmon.corpus import (Category, CorpusFormatError, FilterReport,
-                           FilterRule, FollowRecord, Kind, MatchMode,
-                           RuleSet, _parse_timestamp, fold_text,
-                           normalize_hashtag)
+                           FilterRule, Kind, MatchMode, RuleSet,
+                           _parse_timestamp, fold_text, normalize_hashtag)
 from polmon.graphkit import InteractionGraph
 from polmon.pipeline import StanceShares, rounded_percentages
-from polmon.stance import Stance
+from polmon.stance import Stance, classify
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -507,8 +509,22 @@ def filter_corpus_reference(rule_set: RuleSet,
     return kept, report
 
 
-def load_follows_reference(path, annotations=None) -> list[FollowRecord]:
-    """Follow records through csv.DictReader; duplicates collapse."""
+# ---------------------------------------------------------------------------
+# follow and stance references
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FollowRecord:
+    follower_id: str
+    followed_political_id: str
+
+
+def load_follows_reference(path, annotations=None, duplicates=None
+                           ) -> list[FollowRecord]:
+    """Follow records through csv.DictReader; duplicates collapse, and
+    each one's "path:line: duplicate follow pair (follower, followed)"
+    message is appended to the list duplicates when one is given."""
     path = Path(path)
     seen, records = set(), []
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -524,6 +540,8 @@ def load_follows_reference(path, annotations=None) -> list[FollowRecord]:
             if not pair[0] or not pair[1]:
                 raise CorpusFormatError(f"{where}: incomplete follow row")
             if pair in seen:
+                if duplicates is not None:
+                    duplicates.append(f"{where}: duplicate follow pair {pair}")
                 continue
             seen.add(pair)
             if annotations is not None:
@@ -533,6 +551,61 @@ def load_follows_reference(path, annotations=None) -> list[FollowRecord]:
                         f"{where}: followed id {pair[1]!r} is not political")
             records.append(FollowRecord(*pair))
     return records
+
+
+@dataclass(frozen=True)
+class StanceAssignment:
+    user_id: str
+    stance: Stance
+    n_left: int
+    n_right: int
+    n_center: int
+    threshold_used: float
+
+
+_SIDE_SLOT = {"Left": 0, "Right": 1, "Center": 2}
+
+
+def stance_map_reference(follows, annotations, threshold=0.0,
+                         ensure_users=()) -> dict[str, StanceAssignment]:
+    """A StanceAssignment per follower and per user of ensure_users, from
+    a [left, right, center] tally per follower built one record at a
+    time; a followed id without a Political annotation raises KeyError."""
+    counts: dict[str, list[int]] = {}
+    for f in follows:
+        ann = annotations.get(f.followed_political_id)
+        if ann is None or ann.category is not Category.POLITICAL:
+            raise KeyError(f.followed_political_id)
+        counts.setdefault(f.follower_id, [0, 0, 0])[
+            _SIDE_SLOT[ann.side.value]] += 1
+    out = {uid: StanceAssignment(uid, classify(*tally, threshold), *tally,
+                                 threshold)
+           for uid, tally in counts.items()}
+    for uid in ensure_users:
+        if uid not in out:
+            out[uid] = StanceAssignment(uid, classify(0, 0, 0, threshold),
+                                        0, 0, 0, threshold)
+    return out
+
+
+def opinion_vector_reference(g, stances) -> np.ndarray:
+    """+1 for each Right node of g, -1 for each Left one, from a lookup of
+    its user id in the dict stances; 0 otherwise."""
+    sign = {Stance.RIGHT: 1.0, Stance.LEFT: -1.0}
+    return np.array([sign.get(getattr(stances.get(u), "stance", None), 0.0)
+                     for u in g.nodes])
+
+
+def write_stance_csv_reference(stances, path) -> None:
+    """stance.csv from StanceAssignments, one row each in user id order."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["user_id", "stance", "n_left", "n_right",
+                         "n_center", "threshold"])
+        for uid in sorted(stances):
+            a = stances[uid]
+            writer.writerow([uid, a.stance.value, a.n_left, a.n_right,
+                             a.n_center, format(a.threshold_used, "g")])
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +675,8 @@ def build_graph_reference(tweets) -> InteractionGraph:
             edges.add((u, ref) if u < ref else (ref, u))
     ordered = sorted(nodes)
     indptr, indices = csr_reference(ordered, sorted(edges))
-    return InteractionGraph(tuple(ordered), np.array(indptr, np.int64),
+    return InteractionGraph(tuple(ordered), np.arange(len(ordered)),
+                            np.array(indptr, np.int64),
                             np.array(indices, np.int64))
 
 
@@ -613,13 +687,13 @@ def daily_graphs_reference(tweets, offset_minutes: int = 0):
 
 
 def stance_shares_reference(tweets, stances) -> StanceShares:
-    """Shares from a stance label looked up for every tweet."""
+    """Shares from a stance label looked up for every tweet's author in
+    the dict stances (user id -> Stance; Neutral when missing)."""
     tweet_counts = {s.value: 0 for s in Stance}
     user_counts = {s.value: 0 for s in Stance}
     seen: set[str] = set()
     for t in tweets:
-        entry = stances.get(t.author_id)
-        label = entry.stance.value if entry else Stance.NEUTRAL.value
+        label = stances.get(t.author_id, Stance.NEUTRAL).value
         tweet_counts[label] += 1
         if t.author_id not in seen:
             seen.add(t.author_id)

@@ -12,26 +12,21 @@ from datetime import date
 import numpy as np
 import pytest
 
-from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Side,
-                           default_rule_set)
+from polmon.corpus import AccountAnnotation, Category, Side, default_rule_set
 from polmon.graphkit import remove_nodes
 from polmon.pipeline import RunConfig, run_all
 from polmon.polarization import compute_pi, fj_equilibrium, polarization_index
-from polmon.stance import Stance, StanceAssignment, stance_map
+from polmon.stance import STANCES, Stance, stance_map
 from polmon.structure import leading_eigenpair, louvain, netshield
 
-from conftest import graph_of, keeps, random_graph, tweet
+from conftest import (follows_of, graph_of, keeps, random_graph, stances_of,
+                      tweet)
 from oracles import (best_partition_modularity, best_shield_subset, dense_fj,
                      fixed_point_fj, modularity_of, shield_value_dense)
 
 
 def _report(cid: str, name: str, detail: str = "PASS") -> None:
     print(f"[acceptance] {cid} {name}: {detail}")
-
-
-def _stances(mapping):
-    return {u: StanceAssignment(u, s, 0, 0, 0, 0.0)
-            for u, s in mapping.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +224,13 @@ def test_c7_stance_threshold_monotonicity():
             for target in rng.choice(political,
                                      size=int(rng.integers(1, len(political) + 1)),
                                      replace=False):
-                follows.append(FollowRecord(uid, str(target)))
+                follows.append((uid, str(target)))
         labeled = []
         for t in thresholds:
-            stances = stance_map(follows, annotations, threshold=t)
-            labeled.append(sum(1 for a in stances.values()
-                               if a.stance in (Stance.LEFT, Stance.RIGHT)))
+            stances = stance_map(follows_of(follows), annotations,
+                                 threshold=t, users=())
+            labeled.append(sum(1 for c in stances.label.tolist()
+                               if STANCES[c] in (Stance.LEFT, Stance.RIGHT)))
         assert labeled == sorted(labeled, reverse=True), (seed, labeled)
     _report("C7", "stance-threshold-monotonicity",
             "PASS (20 random follow datasets)")
@@ -269,11 +265,12 @@ def test_c8_bridge_ablation_raises_pi():
             for v in rng.choice(100, size=5, replace=False):
                 edges.append((x, block_b[v]))
         g = graph_of(edges, isolated=block_a + block_b + bridges)
-        stances = _stances({**{u: Stance.RIGHT for u in block_a},
-                            **{u: Stance.LEFT for u in block_b},
-                            **{u: Stance.NEUTRAL for u in bridges}})
+        stances = stances_of(g.users, {**{u: Stance.RIGHT for u in block_a},
+                                       **{u: Stance.LEFT for u in block_b},
+                                       **{u: Stance.NEUTRAL for u in bridges}})
         pi_full = compute_pi(g, stances).pi
-        reduced = remove_nodes(g, set(bridges), drop_isolated=True)
+        reduced = remove_nodes(g, np.isin(g.users, bridges),
+                               drop_isolated=True)
         pi_without = compute_pi(reduced, stances).pi
         wins += pi_without > pi_full
     elapsed = time.perf_counter() - started

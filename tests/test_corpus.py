@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from polmon import corpus
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
-                           FilterRule, FollowRecord, Kind, MatchMode, RuleSet,
+                           FilterRule, Kind, MatchMode, RuleSet,
                            Side, archive_obj, default_rule_set, filter_corpus,
                            fold_text, load_annotations, load_follows,
                            load_tweets, normalize_hashtag, rule_set_from_dict)
 
-from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records, keeps,
-                      records, rows_of, tweet)
+from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records,
+                      follow_pairs, keeps, records, rows_of, tweet)
 from oracles import (filter_corpus_reference, parse_tweet_reference,
                      tweet_to_obj)
 
@@ -763,12 +763,12 @@ def test_follow_loader_accepts_or_names_location(tmp_path, rows,
     path = tmp_path / "follows.csv"
     _write_csv(path, ["follower_id", "followed_political_id"], rows)
     try:
-        records = load_follows(path,
-                               annotations if check_targets else None)
+        pairs = follow_pairs(load_follows(
+            path, annotations if check_targets else None))
     except CorpusFormatError as exc:
         assert _located(exc, path), exc
     else:
-        assert len(set(records)) == len(records)
+        assert pairs == sorted(set(pairs))
 
 
 _GOOD_RULES = {
@@ -823,8 +823,8 @@ def test_load_follows_validates_targets(tmp_path):
     path = tmp_path / "follows.csv"
     path.write_text("follower_id,followed_political_id\nu1,p1\nu1,p1\n",
                     encoding="utf-8")
-    records = load_follows(path, annotations)
-    assert records == [FollowRecord("u1", "p1")]  # duplicate collapsed
+    follows = load_follows(path, annotations)
+    assert follow_pairs(follows) == [("u1", "p1")]  # duplicate collapsed
 
     path.write_text("follower_id,followed_political_id\nu1,ghost\n",
                     encoding="utf-8")

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polmon.corpus import AccountAnnotation, Category, Kind
+from polmon.corpus import AccountAnnotation, Category, Kind, Side
 from polmon.graphkit import (build_graph, daily_graphs, export_graph,
                              remove_nodes)
-from polmon.stance import Stance, StanceAssignment
+from polmon.stance import Stance
 
-from conftest import OFFSETS, corpus_of, graph_of, records, tweet
+from conftest import OFFSETS, corpus_of, graph_of, records, stances_of, tweet
 from oracles import (build_graph_reference, csr_reference,
                      daily_graphs_reference, export_graph_reference,
                      remove_nodes_reference)
@@ -155,14 +155,21 @@ def test_graphs_equal_record_reference(tweets, offset):
     assert all(_same_graph(g, h) for (_, g), (_, h) in zip(days, reference))
 
 
+def _mask(g, victims):
+    """The victims as a boolean mask over g's user table."""
+    return np.array([u in victims for u in g.users], bool)
+
+
 @st.composite
 def graph_and_victims(draw):
     n = draw(st.integers(0, 12))
     names = [f"u{i:02d}" for i in range(n)]
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # every name is passed as isolated too, so edgeless names stay as nodes
-    g = graph_of(edges, isolated=names)
+    # every name is passed as isolated too, so edgeless names stay as nodes;
+    # the user table also holds users that are not nodes
+    g = graph_of(edges, isolated=names,
+                 users=sorted(names + ["absent", "u", "zz"]))
     victims = draw(st.sets(st.sampled_from(names + ["absent", "zz"])))
     return g, edges, victims
 
@@ -172,8 +179,11 @@ def graph_and_victims(draw):
 def test_remove_nodes_equals_reference(case, drop_isolated):
     g, edges, victims = case
     assert g.edges == tuple(sorted(edges))
-    out = remove_nodes(g, victims, drop_isolated=drop_isolated)
+    out = remove_nodes(g, _mask(g, victims), drop_isolated=drop_isolated)
     nodes, kept = remove_nodes_reference(g, victims, drop_isolated)
+    # the cut graph's ids name its nodes in the same user table
+    assert out.users is g.users
+    assert [g.users[i] for i in out.ids.tolist()] == list(nodes)
     assert out.nodes == nodes
     assert out.edges == kept
     indptr, indices = csr_reference(nodes, kept)
@@ -192,34 +202,34 @@ def test_node_index_is_sorted_dense():
 
 def test_remove_hub_keep_isolated():
     star = graph_of([("hub", f"s{i}") for i in range(4)])
-    out = remove_nodes(star, {"hub"}, drop_isolated=False)
+    out = remove_nodes(star, _mask(star, {"hub"}), drop_isolated=False)
     assert out.n == 4
     assert out.m == 0
 
 
 def test_remove_hub_drop_isolated():
     star = graph_of([("hub", f"s{i}") for i in range(4)])
-    out = remove_nodes(star, {"hub"}, drop_isolated=True)
+    out = remove_nodes(star, _mask(star, {"hub"}), drop_isolated=True)
     assert out.n == 0
 
 
 def test_remove_preserves_preexisting_isolated():
     g = graph_of([("a", "b")], isolated=["lone"])
-    out = remove_nodes(g, {"a"}, drop_isolated=True)
+    out = remove_nodes(g, _mask(g, {"a"}), drop_isolated=True)
     # b became isolated by the removal (dropped); lone was already isolated
     assert out.nodes == ("lone",)
 
 
 def test_remove_disjoint_victims_is_identity():
-    g = graph_of([("a", "b"), ("b", "c")])
-    out = remove_nodes(g, {"zz"}, drop_isolated=True)
+    g = graph_of([("a", "b"), ("b", "c")], users=("a", "b", "c", "zz"))
+    out = remove_nodes(g, _mask(g, {"zz"}), drop_isolated=True)
     assert out.nodes == g.nodes
     assert out.edges == g.edges
 
 
 def test_remove_empty_victims_returns_same_graph():
     g = graph_of([("a", "b")])
-    assert remove_nodes(g, set()) is g
+    assert remove_nodes(g, _mask(g, set())) is g
 
 
 def _read_graphml(path):
@@ -241,10 +251,8 @@ def test_graphml_round_trip(tmp_path):
 
 
 def test_graphml_attributes(tmp_path):
-    from polmon.corpus import AccountAnnotation, Category, Side
-    from polmon.stance import Stance, StanceAssignment
     g = graph_of([("a", "b")])
-    stances = {"a": StanceAssignment("a", Stance.LEFT, 2, 0, 0, 0.0)}
+    stances = stances_of(g.users, {"a": Stance.LEFT})
     annotations = {"b": AccountAnnotation("b", Category.POLITICAL, Side.RIGHT)}
     path = tmp_path / "g.graphml"
     export_graph(g, path, stances=stances, annotations=annotations)
@@ -273,12 +281,8 @@ def test_graphml_edge_count(tmp_path):
 # neither touches, non-ASCII, and a lone surrogate UTF-8 cannot encode
 _XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\t\r\ud800 aZ"),
                               st.characters()), max_size=6)
-_STANCE = st.one_of(
-    _XML_TEXT, st.sampled_from(Stance),
-    st.builds(StanceAssignment, st.just("u"), st.sampled_from(Stance),
-              st.just(0), st.just(0), st.just(0), st.just(0.0)))
 _CATEGORY = st.one_of(
-    _XML_TEXT, st.sampled_from(Category),
+    st.just(AccountAnnotation("u", Category.POLITICAL, Side.LEFT)),
     st.sampled_from(Category).filter(lambda c: c is not Category.POLITICAL)
     .map(lambda c: AccountAnnotation("u", c)))
 
@@ -288,7 +292,8 @@ def labelled_graphs(draw):
     ids = draw(st.lists(_XML_TEXT, unique=True, max_size=8))
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
-    stances = draw(st.dictionaries(st.sampled_from(ids), _STANCE)) if ids else {}
+    stances = (draw(st.dictionaries(st.sampled_from(ids),
+                                    st.sampled_from(Stance))) if ids else {})
     categories = (draw(st.dictionaries(st.sampled_from(ids), _CATEGORY))
                   if ids else {})
     return graph_of(edges, isolated=ids), stances, categories
@@ -299,9 +304,13 @@ def labelled_graphs(draw):
 @example((graph_of([]), {}, {}), False)  # a self-closed empty <graph />
 def test_graphml_bytes_match_elementtree(tmp_path_factory, case, with_maps):
     g, stances, categories = case
-    maps = (stances, categories) if with_maps else (None, None)
     out = tmp_path_factory.mktemp("graphml")
-    export_graph(g, out / "stream.graphml", *maps)
-    export_graph_reference(g, out / "tree.graphml", *maps)
+    if with_maps:
+        export_graph(g, out / "stream.graphml", stances_of(g.users, stances),
+                     categories)
+        export_graph_reference(g, out / "tree.graphml", stances, categories)
+    else:
+        export_graph(g, out / "stream.graphml")
+        export_graph_reference(g, out / "tree.graphml")
     assert ((out / "stream.graphml").read_bytes()
             == (out / "tree.graphml").read_bytes())

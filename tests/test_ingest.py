@@ -13,6 +13,7 @@ is tweet_to_obj of its record.
 
 import csv
 import json
+import logging
 import re
 import unicodedata
 from collections import Counter
@@ -24,12 +25,12 @@ from hypothesis import strategies as st
 
 from polmon import corpus, report
 from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
-                           FilterRule, FollowRecord, MatchMode, RuleSet, Side,
+                           FilterRule, MatchMode, RuleSet, Side,
                            default_rule_set, filter_corpus, fold_text,
                            load_follows, load_tweets)
 from polmon.pipeline import RunConfig, Runner
 
-from conftest import corpus_rows, rows_of
+from conftest import corpus_rows, follow_pairs, rows_of
 from oracles import (filter_corpus_reference, fold_text_reference,
                      load_follows_reference, load_tweets_reference,
                      tweet_to_obj)
@@ -347,9 +348,11 @@ _ANNOTATIONS = {
 _IDS = st.sampled_from(["u1", "u2", " u1 ", "p1", "p2", "b1", "", "x"])
 
 
-def _follow_result(loader, path, annotations):
+def _follow_result(load):
+    """The follow pairs load() keeps, in ascending order, or the path:line:
+    prefix of its error."""
     try:
-        return loader(path, annotations)
+        return sorted(load())
     except CorpusFormatError as exc:
         return re.match(r".*?:\d+:", str(exc)).group(0)
 
@@ -359,24 +362,35 @@ def _follow_result(loader, path, annotations):
                                "note"]),
        rows=st.lists(st.lists(_IDS, max_size=4), max_size=8),
        check_targets=st.booleans())
-def test_follow_loader_equals_reference(tmp_path, header, rows,
+def test_follow_loader_equals_reference(tmp_path, caplog, header, rows,
                                         check_targets):
+    # the same pairs or the same error line, and a warning for each
+    # duplicate pair above it, in line order
     path = tmp_path / "follows.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     annotations = _ANNOTATIONS if check_targets else None
-    assert (_follow_result(load_follows, path, annotations)
-            == _follow_result(load_follows_reference, path, annotations))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="polmon.corpus"):
+        got = _follow_result(
+            lambda: follow_pairs(load_follows(path, annotations)))
+    duplicates = []
+    assert got == _follow_result(lambda: (
+        (r.follower_id, r.followed_political_id)
+        for r in load_follows_reference(path, annotations, duplicates)))
+    assert [r.getMessage() for r in caplog.records] == duplicates
 
 
 def test_follow_loader_reads_repeated_column_like_dictreader(tmp_path):
     path = tmp_path / "follows.csv"
     header = "follower_id,followed_political_id,follower_id\n"
     path.write_text(header + "a,p1,b\n\nc,p2,d\n", encoding="utf-8")
-    assert load_follows(path) == load_follows_reference(path) == [
-        FollowRecord("b", "p1"), FollowRecord("d", "p2")]
+    assert follow_pairs(load_follows(path)) == [("b", "p1"), ("d", "p2")]
+    assert [(r.follower_id, r.followed_political_id)
+            for r in load_follows_reference(path)] == [("b", "p1"),
+                                                       ("d", "p2")]
     path.write_text(header + "a,p1,b\n\nc,p2\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=f"^{path}:4: "):
         load_follows(path)  # c,p2 has no third column: no follower

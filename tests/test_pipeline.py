@@ -11,13 +11,14 @@ from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polmon import pipeline
-from polmon.corpus import (AccountAnnotation, Category, FollowRecord, Kind,
-                           Side, default_rule_set, filter_corpus)
+from polmon.corpus import (AccountAnnotation, Category, Kind, Side,
+                           default_rule_set, filter_corpus)
 from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              Runner, StageError, compute_stats, pi_series,
@@ -25,21 +26,18 @@ from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              threshold_sweep, tokenize)
 from polmon.polarization import compute_pi
 from polmon.report import _table, _top
-from polmon.stance import Stance, StanceAssignment, stance_map
+from polmon.stance import Stance, stance_map
 from polmon.structure import ShieldRanking
 
-from conftest import (OFFSETS, corpus_of, corpus_rows, graph_of, records,
-                      rows_of, tweet, write_archive)
+from conftest import (OFFSETS, corpus_of, corpus_rows, follows_of, graph_of,
+                      records, rows_of, stances_of, tweet, write_archive)
 from oracles import (build_graph_reference, filter_corpus_reference,
                      load_tweets_reference, stance_shares_reference,
                      stats_reference, tweet_to_obj)
 
 
-def _stances(mapping):
-    v = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
-         "N": Stance.NEUTRAL}
-    return {uid: StanceAssignment(uid, v[x], 0, 0, 0, 0.0)
-            for uid, x in mapping.items()}
+_LETTER = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
+           "N": Stance.NEUTRAL}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +212,8 @@ def test_stages_on_an_all_dropped_corpus(tmp_path):
     assert daily_graphs(corpus) == []
     rows, window = compute_stats(corpus, ("το",))
     assert (_as_tuples(rows), window) == stats_reference([], ("το",))
-    assert stance_shares(corpus, {}) == stance_shares_reference([], {})
+    assert (stance_shares(corpus, stances_of(corpus.users, {}))
+            == stance_shares_reference([], {}))
 
 
 def test_stats_folds_each_distinct_word_once(monkeypatch):
@@ -291,6 +290,24 @@ def test_stage_start_and_end_logged(fixture_paths, tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+def test_follow_and_stance_sizes_logged(fixture_paths, tmp_path, caplog):
+    # with -v, the follows and stance stages say what they hold
+    runner = Runner(_config(fixture_paths, tmp_path / "out"))
+    with caplog.at_level(logging.DEBUG, logger="polmon"):
+        stances = runner.stances
+    messages = [r.getMessage() for r in caplog.records
+                if r.name in ("polmon.corpus", "polmon.stance")]
+    follows = runner.follows
+    counts = np.bincount(stances.label, minlength=4).tolist()
+    assert messages == [
+        f"{runner.config.follows}: {len(follows.follower)} follow pairs "
+        f"read, 0 duplicates collapsed, {len(follows.followers)} distinct "
+        "followers",
+        f"stance: {len(stances.users)} users, "
+        f"{len(stances.users) - len(runner.filtered[0].users)} followers "
+        f"outside the graph; Left, Right, Center, Neutral: {counts}"]
+
+
 # ---------------------------------------------------------------------------
 # rounded percentages / shares
 # ---------------------------------------------------------------------------
@@ -313,7 +330,8 @@ def test_rounded_percentages_exact_split():
 
 def test_shares_single_left_author():
     tweets = [tweet("t1", author="a"), tweet("t2", author="a")]
-    shares = stance_shares(corpus_of(tweets), _stances({"a": "L"}))
+    corpus = corpus_of(tweets)
+    shares = stance_shares(corpus, stances_of(corpus.users, {"a": "L"}))
     assert shares.tweet_pct["Left"] == 100.0
     assert shares.user_pct["Left"] == 100.0
 
@@ -321,7 +339,9 @@ def test_shares_single_left_author():
 def test_shares_three_to_one():
     tweets = [tweet(f"t{i}", author="l") for i in range(3)]
     tweets.append(tweet("t9", author="r"))
-    shares = stance_shares(corpus_of(tweets), _stances({"l": "L", "r": "R"}))
+    corpus = corpus_of(tweets)
+    shares = stance_shares(corpus, stances_of(corpus.users,
+                                              {"l": "L", "r": "R"}))
     assert shares.tweet_pct["Left"] == 75.0
     assert shares.tweet_pct["Right"] == 25.0
     assert shares.user_counts["Left"] == shares.user_counts["Right"] == 1
@@ -331,13 +351,15 @@ def test_shares_three_to_one():
 @given(records(), st.dictionaries(st.sampled_from(["a", "b", "Ά", "a9"]),
                                   st.sampled_from("LRCN")))
 def test_shares_equal_record_reference(tweets, labels):
-    stances = _stances(labels)
-    assert (stance_shares(corpus_of(tweets), stances)
-            == stance_shares_reference(tweets, stances))
+    corpus = corpus_of(tweets)
+    assert (stance_shares(corpus, stances_of(corpus.users, labels))
+            == stance_shares_reference(
+                tweets, {u: _LETTER[x] for u, x in labels.items()}))
 
 
 def test_shares_unknown_author_counts_neutral():
-    shares = stance_shares(corpus_of([tweet("t1", author="ghost")]), {})
+    corpus = corpus_of([tweet("t1", author="ghost")])
+    shares = stance_shares(corpus, stances_of(corpus.users, {}))
     assert shares.tweet_counts["Neutral"] == 1
 
 
@@ -347,18 +369,19 @@ def test_shares_unknown_author_counts_neutral():
 
 
 def test_pi_series_two_days():
+    users = ("a", "b", "c")
     days = [
-        (date(2022, 8, 5), graph_of([("a", "b")])),
-        (date(2022, 8, 6), graph_of([("a", "c")])),
+        (date(2022, 8, 5), graph_of([("a", "b")], users=users)),
+        (date(2022, 8, 6), graph_of([("a", "c")], users=users)),
     ]
-    rows = pi_series(days, _stances({"a": "L", "b": "R", "c": "N"}))
+    rows = pi_series(days, stances_of(users, {"a": "L", "b": "R", "c": "N"}))
     assert len(rows) == 2
     assert rows[0][1].pi == pytest.approx(1 / 9, abs=1e-12)
 
 
 def test_pi_series_neutral_day_zero():
     days = [(date(2022, 8, 5), graph_of([("a", "b")]))]
-    rows = pi_series(days, _stances({"a": "N", "b": "N"}))
+    rows = pi_series(days, stances_of(("a", "b"), {"a": "N", "b": "N"}))
     assert rows[0][1].pi == 0.0
 
 
@@ -366,18 +389,19 @@ def test_pi_series_opposite_cliques_give_one():
     left = [(f"l{i}", f"l{j}") for i in range(3) for j in range(i + 1, 3)]
     right = [(f"r{i}", f"r{j}") for i in range(3) for j in range(i + 1, 3)]
     g = graph_of(left + right)
-    stances = _stances({u: ("L" if u.startswith("l") else "R")
-                        for u in g.nodes})
+    stances = stances_of(g.users, {u: ("L" if u.startswith("l") else "R")
+                                   for u in g.nodes})
     rows = pi_series([(date(2022, 8, 5), g)], stances)
     assert rows[0][1].pi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pi_series_flags_gap_and_continues():
+    users = ("a", "b")
     days = [
-        (date(2022, 8, 5), graph_of([], isolated=["a"])),
-        (date(2022, 8, 6), graph_of([("a", "b")])),
+        (date(2022, 8, 5), graph_of([], isolated=["a"], users=users)),
+        (date(2022, 8, 6), graph_of([("a", "b")], users=users)),
     ]
-    stances = _stances({"a": "L", "b": "R"})
+    stances = stances_of(users, {"a": "L", "b": "R"})
     # exclude isolated nodes: day one becomes empty -> gap, day two fine
     rows = pi_series(days, stances, include_isolated=False)
     assert rows[0][1] is None
@@ -400,8 +424,10 @@ def _ablation_reference(g, stances, annotations, influencer_set,
             victims["Political"].add(uid)
         elif ann.category is Category.MEDIA_JOURNALIST:
             victims["MediaJournalist"].add(uid)
+    masks = {name: np.array([u in victims[name] for u in g.users], bool)
+             for name in ABLATION_CATEGORIES}
     return compute_pi(g, stances, **pi_kwargs).pi, {
-        name: compute_pi(remove_nodes(g, victims[name], drop_isolated),
+        name: compute_pi(remove_nodes(g, masks[name], drop_isolated),
                          stances, **pi_kwargs).pi
         for name in ABLATION_CATEGORIES}
 
@@ -413,7 +439,7 @@ def _ablation_row(g, stances, annotations, influencer_set,
     runner = Runner(RunConfig(tweets=Path("unused"), annotations=Path("unused"),
                               follows=Path("unused"), out_dir=Path("unused"),
                               drop_isolated=drop_isolated))
-    runner._cache.update(daily=[(day, g)], stance=stances,
+    runner._cache.update(graph=g, daily=[(day, g)], stance=stances,
                          annotations=annotations, polarize=[(day, None)],
                          influencers=ShieldRanking(list(influencer_set), []))
     [row] = runner.ablation_rows
@@ -429,7 +455,7 @@ def bridge_setup():
     stance_spec = {u: ("L" if u.startswith("l") else
                        "R" if u.startswith("r") else "N") for u in g.nodes}
     annotations = {"m0": AccountAnnotation("m0", Category.MEDIA_JOURNALIST)}
-    return g, _stances(stance_spec), annotations
+    return g, stances_of(g.users, stance_spec), annotations
 
 
 def test_ablation_absent_category_is_noop(bridge_setup):
@@ -479,20 +505,19 @@ def sweep_setup():
                                                  Side.LEFT)
         annotations[f"R{i}"] = AccountAnnotation(f"R{i}", Category.POLITICAL,
                                                  Side.RIGHT)
-    follows = [
-        FollowRecord("a", "L0"), FollowRecord("a", "L1"),
-        FollowRecord("b", "L0"), FollowRecord("b", "L1"),
-        FollowRecord("b", "R0"),
-        FollowRecord("c", "R0"), FollowRecord("c", "R1"),
-        FollowRecord("d", "R0"), FollowRecord("d", "L0"),
-    ]
+    follows = follows_of([
+        ("a", "L0"), ("a", "L1"),
+        ("b", "L0"), ("b", "L1"), ("b", "R0"),
+        ("c", "R0"), ("c", "R1"),
+        ("d", "R0"), ("d", "L0"),
+    ])
     g = graph_of([("a", "b"), ("c", "d"), ("b", "c")])
     return g, follows, annotations
 
 
 def test_sweep_threshold_zero_matches_default(sweep_setup):
     g, follows, annotations = sweep_setup
-    stances = stance_map(follows, annotations, 0.0, ensure_users=g.nodes)
+    stances = stance_map(follows, annotations, 0.0, users=g.users)
     result = threshold_sweep(g, stances, annotations, thresholds=(0.0,),
                              influencer_set=[])
     pi_full, pi_without = _ablation_reference(g, stances, annotations, [])
@@ -502,7 +527,7 @@ def test_sweep_threshold_zero_matches_default(sweep_setup):
 
 def test_sweep_counts_non_increasing(sweep_setup):
     g, follows, annotations = sweep_setup
-    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
+    tallies = stance_map(follows, annotations, users=g.users)
     result = threshold_sweep(g, tallies, annotations,
                              thresholds=(0.0, 0.5, 0.7, 0.9),
                              influencer_set=[])
@@ -513,13 +538,17 @@ def test_sweep_counts_non_increasing(sweep_setup):
 def test_sweep_all_neutral_graph(sweep_setup):
     _, follows, annotations = sweep_setup
     g = graph_of([("x", "y")])  # nobody in the follow data
-    for tallies in (stance_map(follows, annotations, ensure_users=g.nodes),
-                    stance_map(follows, annotations)):  # x, y missing
-        result = threshold_sweep(g, tallies, annotations,
-                                 thresholds=(0.0, 0.5), influencer_set=[])
-        assert all(e.pi_full == 0.0 for e in result.entries)
-        assert all(e.n_left_users == e.n_right_users == 0
-                   for e in result.entries)
+    tallies = stance_map(follows, annotations, users=g.users)
+    result = threshold_sweep(g, tallies, annotations,
+                             thresholds=(0.0, 0.5), influencer_set=[])
+    assert all(e.pi_full == 0.0 for e in result.entries)
+    assert all(e.n_left_users == e.n_right_users == 0
+               for e in result.entries)
+    # a map whose table lacks x and y would give them the labels of the
+    # followers a and b, so it is rejected
+    with pytest.raises(ValueError, match="user table"):
+        threshold_sweep(g, stance_map(follows, annotations, users=()),
+                        annotations, thresholds=(0.0, 0.5), influencer_set=[])
 
 
 @pytest.mark.parametrize("drop_isolated", [True, False])
@@ -534,14 +563,14 @@ def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path,
                                runner.annotations)
     influencers = runner.influencer_ranking.selected
     thresholds = (0.0, 0.5, 0.7, 0.9)
-    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
+    tallies = stance_map(follows, annotations, users=g.users)
     result = threshold_sweep(g, tallies, annotations, thresholds=thresholds,
                              influencer_set=influencers,
                              drop_isolated=drop_isolated)
     assert [e.threshold for e in result.entries] == list(thresholds)
     for entry in result.entries:
         stances = stance_map(follows, annotations, threshold=entry.threshold,
-                             ensure_users=g.nodes)
+                             users=g.users)
         pi_full, pi_without = _ablation_reference(
             g, stances, annotations, influencers, drop_isolated)
         assert entry.pi_full == pi_full
@@ -563,7 +592,7 @@ def test_sweep_names_category_that_empties_graph(sweep_setup):
     annotations = dict(annotations)
     annotations.update({u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
                         for u in g.nodes})
-    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
+    tallies = stance_map(follows, annotations, users=g.users)
     with pytest.raises(ValueError, match="removing MediaJournalist nodes"):
         threshold_sweep(g, tallies, annotations, thresholds=(0.0, 0.5),
                         influencer_set=[])
@@ -571,7 +600,7 @@ def test_sweep_names_category_that_empties_graph(sweep_setup):
 
 def test_sweep_logs_every_solve(sweep_setup, caplog):
     g, follows, annotations = sweep_setup
-    tallies = stance_map(follows, annotations, ensure_users=g.nodes)
+    tallies = stance_map(follows, annotations, users=g.users)
     caplog.set_level(logging.DEBUG, logger="polmon.polarization")
     threshold_sweep(g, tallies, annotations, thresholds=(0.0, 0.5),
                     influencer_set=["b"])

@@ -4,20 +4,9 @@ import pytest
 from polmon.polarization import (ConvergenceError, _adjacency, compute_pi,
                                  default_max_iter, fj_equilibrium,
                                  polarization_index)
-from polmon.stance import Stance, StanceAssignment
 
-from conftest import graph_of, random_graph
+from conftest import graph_of, random_graph, stances_of
 from oracles import adjacency_matvec_scipy, dense_fj, fixed_point_fj
-
-
-def _stance(uid, value):
-    return StanceAssignment(uid, value, 0, 0, 0, 0.0)
-
-
-def stances_for(mapping):
-    values = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
-              "N": Stance.NEUTRAL}
-    return {uid: _stance(uid, values[v]) for uid, v in mapping.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +158,7 @@ def test_pi_undefined_on_empty():
 
 def test_two_isolated_poles():
     g = graph_of([], isolated=["l", "r"])
-    result = compute_pi(g, stances_for({"l": "L", "r": "R"}))
+    result = compute_pi(g, stances_of(g.users, {"l": "L", "r": "R"}))
     assert result.pi == pytest.approx(1.0, abs=1e-12)
     assert result.n == 2
     assert result.m == 0
@@ -177,19 +166,19 @@ def test_two_isolated_poles():
 
 def test_bridged_poles():
     g = graph_of([("l", "r")])
-    result = compute_pi(g, stances_for({"l": "L", "r": "R"}))
+    result = compute_pi(g, stances_of(g.users, {"l": "L", "r": "R"}))
     assert result.pi == pytest.approx(1 / 9, abs=1e-12)
 
 
 def test_all_neutral_graph():
     g = graph_of([("a", "b"), ("b", "c")])
-    result = compute_pi(g, stances_for({u: "N" for u in "abc"}))
+    result = compute_pi(g, stances_of(g.users, {u: "N" for u in "abc"}))
     assert result.pi == 0.0
 
 
 def test_exclude_isolated_nodes():
     g = graph_of([("l", "r")], isolated=["lone"])
-    stances = stances_for({"l": "L", "r": "R", "lone": "R"})
+    stances = stances_of(g.users, {"l": "L", "r": "R", "lone": "R"})
     with_isolated = compute_pi(g, stances)
     without = compute_pi(g, stances, include_isolated=False)
     assert without.n == 2

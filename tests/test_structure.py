@@ -8,11 +8,10 @@ from scipy.sparse.linalg import eigsh
 
 from polmon import structure
 from polmon.pipeline import RunConfig, Runner
-from polmon.stance import Stance, StanceAssignment
 from polmon.structure import (CommunityPartition, decompose_communities,
                               leading_eigenpair, louvain, netshield)
 
-from conftest import graph_of, random_graph
+from conftest import graph_of, random_graph, stances_of
 from oracles import (aggregate_scipy, best_partition_modularity,
                      best_shield_subset, leading_eigenpair_dense,
                      modularity_of, shield_value_dense, sweep_louvain_level)
@@ -460,11 +459,10 @@ def test_community_ids_dense_and_sized():
 # ---------------------------------------------------------------------------
 
 
-def _stances(mapping):
-    v = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
-         "N": Stance.NEUTRAL}
-    return {uid: StanceAssignment(uid, v[x], 0, 0, 0, 0.0)
-            for uid, x in mapping.items()}
+def _labels(partition, mapping=None):
+    """Stance codes of the partition's users in its order (L, R, C or N by
+    user id in mapping; Neutral when missing)."""
+    return stances_of(tuple(partition.assignment), mapping or {}).label
 
 
 def test_lean_fifty_percent_more_left():
@@ -476,7 +474,7 @@ def test_lean_fifty_percent_more_left():
     # force one community for the check
     partition.assignment = {u: 0 for u in g.nodes}
     partition.per_community = [type(partition.per_community[0])(0, g.n)]
-    decompose_communities(partition, _stances(members))
+    decompose_communities(partition, _labels(partition, members))
     top = partition.per_community
     assert top[0].lean == pytest.approx(0.2)
     assert (top[0].n_left, top[0].n_right) == (15, 10)
@@ -485,7 +483,7 @@ def test_lean_fifty_percent_more_left():
 def test_lean_all_neutral_zero():
     g = graph_of([("a", "b")])
     partition = louvain(g)
-    decompose_communities(partition, _stances({"a": "N", "b": "N"}))
+    decompose_communities(partition, _labels(partition, {"a": "N", "b": "N"}))
     top = partition.per_community
     assert top[0].lean == 0.0
     assert top[0].n_neutral == 2
@@ -494,9 +492,15 @@ def test_lean_all_neutral_zero():
 def test_empty_stance_map_defaults_neutral():
     g = graph_of([("a", "b"), ("x", "y")])
     partition = louvain(g)
-    decompose_communities(partition, {})
+    decompose_communities(partition, _labels(partition))
     assert all(p.n_neutral == p.size for p in partition.per_community)
     assert all(p.lean == 0.0 for p in partition.per_community)
+
+
+def test_labels_of_another_length_rejected():
+    partition = louvain(graph_of([("a", "b"), ("x", "y")]))
+    with pytest.raises(ValueError, match="label"):
+        decompose_communities(partition, _labels(partition)[:3])
 
 
 def test_top_n_ordering():
@@ -508,7 +512,7 @@ def test_top_n_ordering():
                      for j in range(i + 1, size))
     partition = louvain(graph_of(edges))
     assert [p.size for p in partition.per_community] == [3, 5, 4, 5]
-    decompose_communities(partition, {})
+    decompose_communities(partition, _labels(partition))
     # size descending, community id ascending on ties
     assert [(p.size, p.community_id) for p in partition.per_community] == [
         (5, 1), (5, 3), (4, 2), (3, 0)]
