@@ -20,13 +20,14 @@ activation windows) ships as package data; ``default_rule_set()`` loads it.
 A tweet is held as its decoded object and its ``Checked`` fields:
 ``load_tweets`` decodes and checks every line of an archive and yields the
 two for each valid one.  ``kept_tweets`` is the one keep-or-drop pass over
-it: it tests language, window and rules on the checked fields and yields
-each kept tweet.  Rules are matched by lookup: a dict from hashtag term to
-rule keys per local date, and keyword terms tested against the folded
-text.  ``filter_corpus`` feeds the kept tweets into a ``Corpus``: numpy
-columns over sorted, interned string tables, which the graph, stats and
-share stages read.  ``archive_obj`` gives the object that filtered.jsonl
-holds for a kept tweet.
+it: it tests the language, then the study window on the tweet's local
+date (``RuleSet.local_date``), then the rules, and yields each kept
+tweet.  Rules are matched by lookup: a dict from hashtag term to rule
+keys per local date, and keyword terms tested against the folded text.
+``filter_corpus`` feeds the kept tweets into a ``Corpus``: numpy columns
+over sorted, interned string tables, which the graph, stats and share
+stages read.  ``archive_obj`` gives the object that filtered.jsonl holds
+for a kept tweet.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import unicodedata
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -118,6 +119,7 @@ class RuleSet:
     language_whitelist: set[str] = field(default_factory=lambda: {"el"})
     study_window: tuple[date, date] = (date(2022, 4, 1), date(2023, 1, 14))
     date_offset_minutes: int = 0  # shift before taking dates; under a day
+    _shift: timedelta = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.rules:
@@ -128,31 +130,14 @@ class RuleSet:
         if not -1440 < self.date_offset_minutes < 1440:
             raise CorpusFormatError("'date_offset_minutes' must lie within a "
                                     f"day, got {self.date_offset_minutes!r}")
+        self._shift = timedelta(minutes=self.date_offset_minutes)
 
     def local_date(self, ts: datetime) -> date | None:
         """Calendar date of ts under the offset; None past date.min/max."""
         try:
-            return (ts + timedelta(minutes=self.date_offset_minutes)).date()
+            return (ts + self._shift).date()
         except OverflowError:
             return None
-
-    def utc_window(self) -> tuple[datetime, datetime]:
-        """UTC [start, end) of the instants whose local date lies in the
-        study window, clamped at the calendar's ends to agree with
-        local_date."""
-        lo, hi = self.study_window
-        shift = timedelta(minutes=self.date_offset_minutes)
-        try:
-            start = datetime.combine(lo, time.min, tzinfo=timezone.utc) - shift
-        except OverflowError:
-            start = datetime.min.replace(tzinfo=timezone.utc)
-        try:  # the shift is under a day: only hi == date.max overflows
-            end = (datetime.combine(hi, time.min, tzinfo=timezone.utc)
-                   + (timedelta(days=1) - shift))
-        except OverflowError:  # just past datetime.max in UTC
-            end = datetime.max.replace(
-                tzinfo=timezone(-timedelta(microseconds=1)))
-        return start, end
 
 
 @dataclass
@@ -417,7 +402,7 @@ class FilterReport:
 
 
 class _Matcher:
-    """The keep-or-drop rule of a rule set.
+    """The rules of a rule set, by local date.
 
     Per local date, the active hashtag rules are a dict from term to keys,
     looked up once per distinct hashtag, and the active keyword rules are
@@ -426,19 +411,8 @@ class _Matcher:
 
     def __init__(self, rule_set: RuleSet):
         self.rule_set = rule_set
-        self.languages = rule_set.language_whitelist
-        self.start, self.end = rule_set.utc_window()
         self.days: dict[date, tuple[dict[str, list[str]],
                                     list[tuple[str, str]]]] = {}
-
-    def drop_reason(self, lang: str, ts: datetime) -> str | None:
-        """"lang" for a language off the whitelist, "window" for a time
-        outside the study window, None for a tweet inside both."""
-        if lang not in self.languages:
-            return "lang"
-        if not self.start <= ts < self.end:
-            return "window"
-        return None
 
     def hits(self, d: date, text: str, hashtags: list[str]) -> list[str]:
         """The keys of the rules a tweet of local date d matches, one per
@@ -474,21 +448,23 @@ def kept_tweets(rule_set: RuleSet, path: str | Path, report: FilterReport,
     One pass over load_tweets, so a malformed line is counted (or raises
     under schema_strict) whatever its date.  A valid tweet is then tested
     for language, study window and rules, and kept if it matches at least
-    one rule; each matching rule counts one hit.  Rule windows are
-    inclusive local dates.  report counts the pass as it goes.
+    one rule; each matching rule counts one hit.  The study window and the
+    rule windows are inclusive local dates, and a timestamp whose local
+    date falls past the calendar's ends is outside the study window.
+    report counts the pass as it goes.
     """
+    languages, (lo, hi) = rule_set.language_whitelist, rule_set.study_window
     matcher = _Matcher(rule_set)
     tags: dict[str, str] = {}
     for obj, fields in load_tweets(path, schema_strict, error_log):
         report.total += 1
-        reason = matcher.drop_reason(str(obj["lang"]), fields.timestamp)
-        if reason == "lang":
+        if str(obj["lang"]) not in languages:
             report.dropped_lang += 1
             continue
-        if reason == "window":
+        d = rule_set.local_date(fields.timestamp)
+        if d is None or not lo <= d <= hi:
             report.dropped_window += 1
             continue
-        d = rule_set.local_date(fields.timestamp)
         hashtags = _normalized(fields.hashtags, tags)
         keys = matcher.hits(d, str(obj["text"]), hashtags)
         if keys:
@@ -618,15 +594,14 @@ _CATEGORY_ALIASES = {
 }
 
 
-def load_annotations(path: str | Path,
-                     delimiter: str = ",") -> dict[str, AccountAnnotation]:
+def load_annotations(path: str | Path) -> dict[str, AccountAnnotation]:
     """Read the account annotation CSV into a user_id-keyed dict.
 
     A bad header or row raises CorpusFormatError naming path:line.
     """
     annotations: dict[str, AccountAnnotation] = {}
     path = Path(path)
-    reader = csv.DictReader(_csv_lines(path), delimiter=delimiter)
+    reader = csv.DictReader(_csv_lines(path))
     if reader.fieldnames is None or "user_id" not in reader.fieldnames:
         raise CorpusFormatError(f"{path}:1: missing user_id header")
     for row in reader:
@@ -660,8 +635,8 @@ class Follows(NamedTuple):
 
 
 def load_follows(path: str | Path,
-                 annotations: dict[str, AccountAnnotation] | None = None,
-                 delimiter: str = ",") -> Follows:
+                 annotations: dict[str, AccountAnnotation] | None = None
+                 ) -> Follows:
     """Read a follow list; a duplicate pair collapses with a warning that
     names its line.
 
@@ -674,7 +649,7 @@ def load_follows(path: str | Path,
         u for u, a in annotations.items() if a.category is Category.POLITICAL}
     followers, accounts = _Table(), _Table()
     src, dst, line_of = array("q"), array("q"), array("q")
-    reader = csv.reader(_csv_lines(path), delimiter=delimiter)
+    reader = csv.reader(_csv_lines(path))
     # a repeated name means its last column, as in csv.DictReader
     columns = {name: i for i, name in enumerate(next(reader, None) or ())}
     if "follower_id" not in columns or "followed_political_id" not in columns:

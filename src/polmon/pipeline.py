@@ -4,7 +4,7 @@ threshold sweeps, communities, and the deterministic report bundle.
 Everything here is glue around the other modules; the one piece of real
 policy is the rounding rule for percentage tables (round-half-even to one
 decimal, remainder pinned onto the largest share so rows always total
-100.0) and the tokenizer used for word/phrase counts (unicode letter runs,
+100.0) and the words counted by the stats (unicode letter runs,
 case/accent-folded, contiguous bigrams as phrases).  The stats and share
 stages work on the Corpus's id columns with array operations, and compute
 what the bundle reads: counts per local day for stats_daily.csv, and
@@ -35,7 +35,7 @@ from .corpus import (KINDS, Category, Corpus, FilterReport, Ragged, RuleSet,
                      load_rule_set)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
-from .polarization import PolarizationResult, compute_pi
+from .polarization import ConvergenceError, PolarizationResult, compute_pi
 from .stance import STANCES, StanceMap, stance_map, write_stance_csv
 from .structure import decompose_communities, louvain, netshield
 
@@ -70,18 +70,14 @@ class DailyStats:
     n_urls: int
 
 
-def tokenize(text: str) -> list[str]:
-    return [fold_text(w) for w in _WORD_RE.findall(text)]
-
-
 def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
                   ) -> tuple[list[DailyStats], dict[str, Counter]]:
     """Counts per local day (ascending date), and whole-window counters.
 
     The counters are keyed hashtags, words, phrases, mentioned_users and
-    active_users.  Words are those of ``tokenize`` minus the stopwords,
-    each distinct word folded once per call; phrases are the bigrams of a
-    tweet's remaining words.
+    active_users.  Words are the letter runs of each text, folded by
+    fold_text, minus the stopwords; each distinct run is folded once per
+    call.  Phrases are the bigrams of a tweet's remaining words.
     """
     days, day_of = np.unique(corpus.day, return_inverse=True)
     n = len(days)
@@ -260,8 +256,7 @@ class ThresholdSweepEntry:
 
 @dataclass
 class ThresholdSweepResult:
-    thresholds: list[float]
-    entries: list[ThresholdSweepEntry]
+    entries: list[ThresholdSweepEntry | tuple[float, str]]
 
 
 def threshold_sweep(g: InteractionGraph, stances: StanceMap,
@@ -275,7 +270,9 @@ def threshold_sweep(g: InteractionGraph, stances: StanceMap,
     Neither its tallies nor the reduced graphs depend on the threshold, so
     the reduced graphs are cut once, and each threshold relabels the
     tallies (StanceMap.at), counts the camps among g's nodes and runs the
-    solves.
+    solves.  A threshold whose solves fail, say on a graph that a
+    category's removal empties, is a gap: (threshold, cause), logged at
+    WARNING.
     """
     reduced = _reduced_graphs(
         g, ablation_victims(annotations, influencer_set, g.users),
@@ -283,14 +280,20 @@ def threshold_sweep(g: InteractionGraph, stances: StanceMap,
     entries = []
     for t in thresholds:
         relabelled = stances.at(t)
-        pi_full = compute_pi(g, relabelled, **pi_kwargs).pi
-        pi_without = _pis_without(reduced, relabelled, **pi_kwargs)
+        # over() raises before the solves: another table is not a gap
         camps = np.bincount(relabelled.over(g.users)[g.ids], minlength=2)
+        try:
+            pi_full = compute_pi(g, relabelled, **pi_kwargs).pi
+            pi_without = _pis_without(reduced, relabelled, **pi_kwargs)
+        except (ValueError, ConvergenceError) as exc:
+            log.warning("sweep gap at threshold %g: %s", t, exc)
+            entries.append((t, str(exc)))
+            continue
         n_left, n_right = camps[:2].tolist()
         entries.append(ThresholdSweepEntry(
             threshold=t, pi_full=pi_full, pi_without=pi_without,
             n_left_users=n_left, n_right_users=n_right))
-    return ThresholdSweepResult(thresholds=list(thresholds), entries=entries)
+    return ThresholdSweepResult(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +547,10 @@ class Runner:
             self.daily, self.stances, **self._pi_kwargs()))
 
     @property
-    def ablation_rows(self) -> list[AblationResult | tuple[date, str]]:
+    def ablation_rows(self) -> list[AblationResult | tuple[date, bool, str]]:
+        """Per day, one row per ablation variant (drop_isolated True, then
+        False, or the configured one); a gap is (date, drop_isolated,
+        cause)."""
         def build():
             variants = ((True, False) if self.config.ablate_both_variants
                         else (self.config.drop_isolated,))
@@ -568,7 +574,7 @@ class Runner:
                             _pis_without(reduced, stances, **pi_kwargs), drop))
                     except Exception as exc:
                         log.warning("ablation gap on %s: %s", d, exc)
-                        rows.append((d, str(exc)))
+                        rows.append((d, drop, str(exc)))
             return rows
         return self._get("ablate", build)
 
@@ -643,7 +649,7 @@ class Runner:
         return self.config.out_dir / name
 
     def write_stats(self) -> Path:
-        kinds = ("original", "retweet", "quote", "reply")
+        kinds = [k.value for k in KINDS]
         return self._write_csv(
             "stats_daily.csv",
             ["date", "n_posts", *(f"n_{k}" for k in kinds), "n_users",
@@ -692,9 +698,11 @@ class Runner:
             "sweep.csv",
             ["threshold", "pi_full", *_PI_WITHOUT_COLUMNS, "n_left_users",
              "n_right_users"],
-            ([format(e.threshold, "g"), _fmt(e.pi_full),
-              *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
-              e.n_left_users, e.n_right_users] for e in entries))
+            ([format(e[0], "g"), "", "", "", "", "", ""]
+             if isinstance(e, tuple)
+             else [format(e.threshold, "g"), _fmt(e.pi_full),
+                   *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
+                   e.n_left_users, e.n_right_users] for e in entries))
 
     def write_communities(self) -> Path:
         partition = self.communities

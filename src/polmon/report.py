@@ -158,12 +158,14 @@ def render_summary(runner) -> str:
         sections.append("<h2>Polarization</h2>")
         by_date = {d.isoformat(): (r.pi if r else None) for d, r in pi_rows}
         full = [by_date.get(d) for d in dates]
-        without = {}  # date -> pi_without; a later variant's row wins
+        without = {}  # date -> pi_without of the configured variant
         for row in runner.ablation_rows:
-            if isinstance(row, tuple):
-                without[row[0].isoformat()] = None
+            if isinstance(row, tuple):  # a gap
+                d, drop, w = row[0], row[1], None
             else:
-                without[row.date.isoformat()] = row.pi_without
+                d, drop, w = row.date, row.drop_isolated, row.pi_without
+            if drop == runner.config.drop_isolated:
+                without[d.isoformat()] = w
         series = [("full", full)] + [
             (f"without {name}", [w[name] if (w := without.get(d)) else None
                                  for d in dates])
@@ -177,9 +179,11 @@ def render_summary(runner) -> str:
         sections.append(_table(
             ["threshold", "pi full", "w/o Political", "w/o MediaJournalist",
              "w/o Influencers", "Left users", "Right users"],
-            [[format(e.threshold, "g"), _fmt(e.pi_full),
-              *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
-              e.n_left_users, e.n_right_users] for e in sweep.entries]))
+            [[format(e[0], "g"), "", "", "", "", "", ""]
+             if isinstance(e, tuple)
+             else [format(e.threshold, "g"), _fmt(e.pi_full),
+                   *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
+                   e.n_left_users, e.n_right_users] for e in sweep.entries]))
 
     ranking = runner.influencer_ranking
     if ranking.selected:

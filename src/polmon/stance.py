@@ -11,8 +11,9 @@ Center (never Neutral, which is reserved for the no-follows case).
 A StanceMap holds arrays over a user table: the corpus's users in order,
 then the followers outside the corpus, sorted.  Row i is user i's
 [left, right, center] tally, from one bincount over the follow list's
-id columns, and its label code into STANCES.  classify is the rule;
-labels applies it to a whole tally array with the same comparisons.
+id columns, and its label code into STANCES.  labels applies the rule
+to a whole tally array at once; the tests hold it to a per-user form of
+the rule, their oracle classify.
 Graphs carry their nodes' ids into the corpus's users; StanceMap.over
 checks that a graph's table begins the map's before those ids index it.
 """
@@ -61,22 +62,9 @@ def _check(threshold: float) -> None:
         raise ValueError("threshold must lie in [0, 1]")
 
 
-def classify(n_left: int, n_right: int, n_center: int,
-             threshold: float = 0.0) -> Stance:
-    """The stance rule on raw tallies (order matters; see module docstring)."""
-    _check(threshold)
-    total = n_left + n_right + n_center
-    if total == 0:
-        return Stance.NEUTRAL
-    if n_left > n_right and n_left >= threshold * total:
-        return Stance.LEFT
-    if n_right > n_left and n_right >= threshold * total:
-        return Stance.RIGHT
-    return Stance.CENTER
-
-
 def labels(tally: np.ndarray, threshold: float) -> np.ndarray:
-    """classify's code for each [left, right, center] row of tally."""
+    """The label code of each [left, right, center] row of tally, by the
+    rule in the module docstring."""
     _check(threshold)
     n_left, n_right, n_center = tally.T
     total = n_left + n_right + n_center

@@ -5,8 +5,8 @@ NetShield greedily picks the k nodes maximizing the shield value
     Sv(S) = sum_{i in S} 2 lambda u_i^2 - sum_{i,j in S} A_ij u_i u_j
 
 where (lambda, u) is the leading adjacency eigenpair, found by power
-iteration; picking and score updates run in O(n k + m), within the
-O(n k^2 + m) class.
+iteration to a fixed tolerance; picking and score updates run in
+O(n k + m), within the O(n k^2 + m) class.
 
 Louvain is the standard two-phase modularity heuristic: local moves to the
 best positive-gain neighbouring community, then graph aggregation, repeated
@@ -14,7 +14,8 @@ until no move gains more than 1e-12.  The local moves run from a FIFO
 queue: first every node in ascending dense-index order, then only the
 neighbours of nodes that moved (Leiden's fast local move).  All
 randomization is removed, so a given graph always yields the same
-partition.  The local-move loop is plain Python over lists, which is where
+partition, its communities numbered by first appearance in ascending node
+order.  The local-move loop is plain Python over lists, which is where
 the interpreter indexes fastest.  Each level is logged at DEBUG with its
 size, visits, moves and Q.  Modularity is
 Q = sum_c [e_c/m - (d_c/(2m))^2].
@@ -36,6 +37,8 @@ from .stance import STANCES
 log = logging.getLogger(__name__)
 
 _MIN_GAIN = 1e-12
+_EIGEN_TOL = 1e-10
+_EIGEN_MAX_ITER = 100_000
 
 
 @dataclass
@@ -70,7 +73,7 @@ class CommunityPartition:
 
     @property
     def n_communities(self) -> int:
-        return len({c for c in self.assignment.values()})
+        return len(self.per_community)
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +81,14 @@ class CommunityPartition:
 # ---------------------------------------------------------------------------
 
 
-def leading_eigenpair(g: InteractionGraph, tol: float = 1e-10,
-                      max_iter: int = 100_000) -> tuple[float, np.ndarray]:
+def leading_eigenpair(g: InteractionGraph) -> tuple[float, np.ndarray]:
     """Leading adjacency eigenvalue and Perron-oriented unit eigenvector.
 
     Power iteration on A + I (the unit shift keeps bipartite graphs, whose
     spectrum is symmetric, from oscillating between +/- lambda rays) from a
     uniform positive start, so the iterate stays nonnegative; lambda and
     the residual are reported for A itself.  Converged when
-    ||A u - lambda u||_inf <= tol * max(1, lambda).
+    ||A u - lambda u||_inf <= _EIGEN_TOL * max(1, lambda).
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
@@ -99,20 +101,20 @@ def leading_eigenpair(g: InteractionGraph, tol: float = 1e-10,
     starts = indptr[:-1][nonempty]
     au = np.zeros(g.n)
     u = np.full(g.n, 1.0 / np.sqrt(g.n))
-    for it in range(max_iter + 1):
+    for it in range(_EIGEN_MAX_ITER + 1):
         if len(indices):
             au[nonempty] = np.add.reduceat(u[indices], starts)
         lam = float(np.dot(u, au))
         residual = float(np.max(np.abs(au - lam * u)))
-        if residual <= tol * max(1.0, lam):
+        if residual <= _EIGEN_TOL * max(1.0, lam):
             return lam, u
-        if it < max_iter:
+        if it < _EIGEN_MAX_ITER:
             y = au + u
             u = y / np.linalg.norm(y)
     raise ConvergenceError(
         f"power iteration stalled at residual {residual:.3e} after "
-        f"{max_iter} iterations (degenerate leading spectrum?)",
-        residual, max_iter)
+        f"{_EIGEN_MAX_ITER} iterations (degenerate leading spectrum?)",
+        residual, _EIGEN_MAX_ITER)
 
 
 def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
@@ -291,22 +293,17 @@ def louvain(g: InteractionGraph) -> CommunityPartition:
                 indptr, indices, weights, level_self, comm)
             node_comm = dense[node_comm]
 
-    # renumber by first appearance in ascending node order
-    remap: dict[int, int] = {}
-    assignment: dict[str, int] = {}
-    final = np.empty(g.n, dtype=np.int64)
-    for i, uid in enumerate(g.nodes):
-        c = int(node_comm[i])
-        if c not in remap:
-            remap[c] = len(remap)
-        final[i] = remap[c]
-        assignment[uid] = remap[c]
+    # renumber by first appearance in ascending node order: a community's
+    # new id is the rank of its first node among the first nodes
+    _, first, comm = np.unique(node_comm, return_index=True,
+                               return_inverse=True)
+    final = np.argsort(np.argsort(first))[comm]
     q = _assignment_modularity(indptr0, indices0, weights0,
                                np.zeros(g.n), final)
-    profiles = [CommunityProfile(community_id=c, size=int(count))
-                for c, count in enumerate(np.bincount(final, minlength=len(remap)))]
-    return CommunityPartition(assignment=assignment, modularity=q,
-                              per_community=profiles)
+    profiles = [CommunityProfile(community_id=c, size=count)
+                for c, count in enumerate(np.bincount(final).tolist())]
+    return CommunityPartition(assignment=dict(zip(g.nodes, final.tolist())),
+                              modularity=q, per_community=profiles)
 
 
 def decompose_communities(partition: CommunityPartition,

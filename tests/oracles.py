@@ -10,18 +10,20 @@ loader, record filter, follow-list loader and text fold that the
 package's ingest path must reproduce: ``json.loads`` per line, a full
 ``TweetRecord`` per valid line filtered by walking every active rule,
 ``csv.DictReader`` rows, and a whole-string NFD -> strip marks -> NFC ->
-casefold fold of every text.  The stance oracles are the record forms
-the package ran before it held users as integers: a ``FollowRecord`` per
-follow pair, and a ``StanceAssignment`` per user, tallied in a dict and
-looked up per graph node.  The package holds a tweet only as its
+casefold fold of every text; the record filter tests the study window
+on UTC instants where the package tests local dates.  The stance
+oracles are ``classify``, the stance rule on one user's tallies, and the
+record forms the package ran before it held users as integers: a
+``FollowRecord`` per follow pair, and a ``StanceAssignment`` per user,
+tallied in a dict and looked up per graph node.  The package holds a tweet only as its
 decoded object and checked fields, so the record types live here, with
 ``tweet_to_obj``, which writes a record as an archive object: the tests
 build their archives from records, and what ``filtered.jsonl`` holds of a
 kept line is ``tweet_to_obj`` of its reference record.
 The stats oracle tallies the bundle's daily counts and the summary's
-whole-window counters one tweet at a time.  The graph and share oracles
-are the record loops the package ran before it held the kept tweets as
-columns: sets of user ids and id pairs per tweet, tweets grouped by local
+whole-window counters one tweet at a time; ``tokenize`` gives the words
+it counts in one text.  The graph and share oracles are the record loops
+the package ran before it held the kept tweets as columns: sets of user ids and id pairs per tweet, tweets grouped by local
 date, and a stance label looked up per tweet.
 """
 
@@ -34,7 +36,7 @@ import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -48,7 +50,7 @@ from polmon.corpus import (Category, CorpusFormatError, FilterReport,
                            _parse_timestamp, fold_text, normalize_hashtag)
 from polmon.graphkit import InteractionGraph
 from polmon.pipeline import StanceShares, rounded_percentages
-from polmon.stance import Stance, classify
+from polmon.stance import Stance
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -469,12 +471,32 @@ def load_tweets_reference(path, schema_strict: bool = False,
             yield record
 
 
+def _utc_window(rule_set: RuleSet) -> tuple[datetime, datetime]:
+    """UTC [start, end) of the instants whose local date lies in the study
+    window, clamped at the calendar's ends: an instant whose local date
+    falls past date.min or date.max is outside."""
+    lo, hi = rule_set.study_window
+    shift = timedelta(minutes=rule_set.date_offset_minutes)
+    try:
+        start = datetime.combine(lo, time.min, tzinfo=timezone.utc) - shift
+    except OverflowError:
+        start = datetime.min.replace(tzinfo=timezone.utc)
+    try:  # the shift is under a day: only hi == date.max overflows
+        end = (datetime.combine(hi, time.min, tzinfo=timezone.utc)
+               + (timedelta(days=1) - shift))
+    except OverflowError:  # just past datetime.max in UTC
+        end = datetime.max.replace(
+            tzinfo=timezone(-timedelta(microseconds=1)))
+    return start, end
+
+
 def filter_corpus_reference(rule_set: RuleSet,
                             tweets: Iterable[TweetRecord]) -> tuple[list[TweetRecord], FilterReport]:
-    """Order-preserving rule filter with per-rule hit accounting."""
+    """Order-preserving rule filter with per-rule hit accounting; the study
+    window is tested on UTC instants, by _utc_window."""
     kept: list[TweetRecord] = []
     report = FilterReport()
-    start, end = rule_set.utc_window()
+    start, end = _utc_window(rule_set)
     active_on: dict[date, list[tuple[FilterRule, str]]] = {}
     for t in tweets:
         report.total += 1
@@ -563,6 +585,22 @@ class StanceAssignment:
     threshold_used: float
 
 
+def classify(n_left: int, n_right: int, n_center: int,
+             threshold: float = 0.0) -> Stance:
+    """The stance rule on one user's raw tallies, which stance.labels
+    applies to a whole tally array."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
+    total = n_left + n_right + n_center
+    if total == 0:
+        return Stance.NEUTRAL
+    if n_left > n_right and n_left >= threshold * total:
+        return Stance.LEFT
+    if n_right > n_left and n_right >= threshold * total:
+        return Stance.RIGHT
+    return Stance.CENTER
+
+
 _SIDE_SLOT = {"Left": 0, "Right": 1, "Center": 2}
 
 
@@ -611,6 +649,12 @@ def write_stance_csv_reference(stances, path) -> None:
 # ---------------------------------------------------------------------------
 # stats reference
 # ---------------------------------------------------------------------------
+
+
+def tokenize(text: str) -> list[str]:
+    """The words compute_stats counts in a text: its letter runs, each
+    folded by the package's fold_text."""
+    return [fold_text(w) for w in re.findall(r"[^\W\d_]+", text)]
 
 
 def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):

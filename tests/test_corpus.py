@@ -525,12 +525,15 @@ _EDGE_DATES = st.sampled_from([date.min, date.min + timedelta(days=1),
        offset=st.sampled_from([0, 60, -60, 1439, -1439])
        | st.integers(-1439, 1439))
 def test_utc_window_agrees_with_local_date(ts, ends, offset):
+    # the filter decides the window on local dates; the oracle on the UTC
+    # instants of the window's ends, clamped at the calendar's ends
     lo, hi = sorted(ends)
     rule_set = RuleSet(rules=[FilterRule("x", MatchMode.KEYWORD_SUBSTRING)],
                        study_window=(lo, hi), date_offset_minutes=offset)
-    start, end = rule_set.utc_window()
-    d = rule_set.local_date(ts)
-    assert (start <= ts < end) == (d is not None and lo <= d <= hi)
+    record = tweet(ts=ts.isoformat(), text="x")
+    _, report = filter_records(rule_set, [record])
+    _, expected = filter_corpus_reference(rule_set, [record])
+    assert report.to_dict() == expected.to_dict()
 
 
 @settings(max_examples=200, deadline=None)

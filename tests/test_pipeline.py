@@ -23,7 +23,7 @@ from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              Runner, StageError, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
-                             threshold_sweep, tokenize)
+                             threshold_sweep)
 from polmon.polarization import compute_pi
 from polmon.report import _table, _top
 from polmon.stance import Stance, stance_map
@@ -33,7 +33,7 @@ from conftest import (OFFSETS, corpus_of, corpus_rows, follows_of, graph_of,
                       records, rows_of, stances_of, tweet, write_archive)
 from oracles import (build_graph_reference, filter_corpus_reference,
                      load_tweets_reference, stance_shares_reference,
-                     stats_reference, tweet_to_obj)
+                     stats_reference, tokenize, tweet_to_obj)
 
 
 _LETTER = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
@@ -480,8 +480,10 @@ def test_ablation_remove_everything_errors(bridge_setup):
     g, stances, _ = bridge_setup
     annotations = {u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
                    for u in g.nodes}
-    # the stage records the day as a gap, naming the category
-    _, message = _ablation_row(g, stances, annotations, influencer_set=[])
+    # the stage records the day as a gap of its variant, naming the category
+    _, drop, message = _ablation_row(g, stances, annotations,
+                                     influencer_set=[])
+    assert drop is True
     assert message.startswith("removing MediaJournalist nodes")
 
 
@@ -587,15 +589,23 @@ def test_run_all_tallies_follows_once(fixture_paths, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_sweep_names_category_that_empties_graph(sweep_setup):
+def test_sweep_names_category_that_empties_graph(sweep_setup, caplog):
     g, follows, annotations = sweep_setup
     annotations = dict(annotations)
     annotations.update({u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
                         for u in g.nodes})
     tallies = stance_map(follows, annotations, users=g.users)
-    with pytest.raises(ValueError, match="removing MediaJournalist nodes"):
-        threshold_sweep(g, tallies, annotations, thresholds=(0.0, 0.5),
-                        influencer_set=[])
+    with caplog.at_level(logging.WARNING, logger="polmon.pipeline"):
+        result = threshold_sweep(g, tallies, annotations,
+                                 thresholds=(0.0, 0.5), influencer_set=[])
+    # each threshold is a gap entry whose cause names the category
+    assert [t for t, _ in result.entries] == [0.0, 0.5]
+    for _, cause in result.entries:
+        assert cause.startswith("removing MediaJournalist nodes")
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == [f"sweep gap at threshold {t:g}: {cause}"
+                        for t, cause in result.entries]
 
 
 def test_sweep_logs_every_solve(sweep_setup, caplog):
@@ -809,6 +819,42 @@ def test_run_all_both_isolated_variants(fixture_paths, tmp_path):
     # paired rows cover the same dates
     dates = [line.split(",")[0] for line in lines]
     assert dates[0::2] == dates[1::2]
+
+
+@pytest.mark.parametrize("drop_isolated", [True, False])
+def test_summary_draws_the_configured_variant(fixture_paths, tmp_path,
+                                              drop_isolated):
+    # the chart's ablation lines come from the drop_isolated the sweep
+    # uses, whether or not ablation.csv also holds the other variant
+    summaries = []
+    for both in (False, True):
+        config = _config(fixture_paths, tmp_path / str(both))
+        config.drop_isolated, config.ablate_both_variants = drop_isolated, both
+        summaries.append(run_all(config)["summary.html"].read_text("utf-8"))
+    assert summaries[0] == summaries[1]
+
+
+def test_run_all_with_every_node_an_influencer(fixture_paths, tmp_path,
+                                               caplog):
+    # k = 500 selects every node of the fixture's graph, so removing the
+    # influencers empties it: each ablation day and sweep threshold is a gap
+    config = _config(fixture_paths, tmp_path / "out")
+    config.k = 500
+    with caplog.at_level(logging.WARNING, logger="polmon.pipeline"):
+        bundle = run_all(config)
+    assert set(bundle) == EXPECTED_BUNDLE
+    runner = Runner(config)
+    assert len(runner.influencer_ranking.selected) == runner.full_graph.n
+    lines = bundle["sweep.csv"].read_text().splitlines()[1:]
+    assert lines == ["0,,,,,,", "0.5,,,,,,", "0.7,,,,,,"]
+    html = bundle["summary.html"].read_text(encoding="utf-8")
+    assert "<tr><td>0.5</td>" + "<td></td>" * 6 + "</tr>" in html
+    sweep_gaps = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("sweep gap at threshold ")]
+    assert len(sweep_gaps) == 3
+    assert all("removing Influencers nodes" in m for m in sweep_gaps)
+    lines = bundle["ablation.csv"].read_text().splitlines()[1:]
+    assert lines and all(line.endswith(",,,,,") for line in lines)
 
 
 def test_ablation_reuses_series_solves(fixture_paths, tmp_path, monkeypatch):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from polmon.corpus import AccountAnnotation, Category, Side, load_follows
 from polmon.graphkit import remove_nodes
 from polmon.pipeline import ablation_victims
-from polmon.stance import (STANCES, MissingAnnotationError, Stance, classify,
-                           labels, opinion_vector, stance_map,
-                           write_stance_csv)
+from polmon.stance import (STANCES, MissingAnnotationError, Stance, labels,
+                           opinion_vector, stance_map, write_stance_csv)
 
 from conftest import follows_of, graph_of, stances_of
-from oracles import (load_follows_reference, opinion_vector_reference,
-                     stance_map_reference, write_stance_csv_reference)
+from oracles import (classify, load_follows_reference,
+                     opinion_vector_reference, stance_map_reference,
+                     write_stance_csv_reference)
 
 
 def _stance_of(followed, annotations, threshold=0.0):
