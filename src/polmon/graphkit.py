@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -172,13 +172,11 @@ _TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def export_graph(g: InteractionGraph, path: str | Path,
-                 stances: StanceMap | None = None,
-                 annotations: dict | None = None) -> None:
+                 stances: StanceMap, annotations: Mapping) -> None:
     """Write GraphML with user_id, stance and category node attributes.
 
-    stances is a stance map over g's user table, else every node is
-    Neutral; categories come from account annotations, Individual where
-    missing.
+    stances is a stance map over g's user table; categories come from
+    account annotations, Individual where missing.
     The file is streamed line by line in the layout ElementTree writes
     after ET.indent: two-space indentation, " />" empty tags, no newline
     after the root.
@@ -199,10 +197,9 @@ def export_graph(g: InteractionGraph, path: str | Path,
             return
         fh.write(graph_tag + ">\n")
         names = [s.value for s in STANCES]
-        stance_of = (map(names.__getitem__, stances.over(g.users)[g.ids])
-                     if stances is not None else repeat("Neutral"))
+        stance_of = map(names.__getitem__, stances.over(g.users)[g.ids])
         for u, uid, stance in zip(g.nodes, ids, stance_of):
-            entry = annotations.get(u) if annotations else None
+            entry = annotations.get(u)
             category = entry.category.value if entry else "Individual"
             fh.write(f'    <node id="{uid}">\n'
                      + _data_line("d0", u) + _data_line("d1", stance)

@@ -48,6 +48,10 @@ _PI_WITHOUT_COLUMNS = ("pi_without_political", "pi_without_media",
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
+# what a day's or a threshold's solves may raise on its data; the day or
+# threshold becomes a gap row, and any other error fails the stage
+GAP_ERRORS = (ValueError, ConvergenceError)
+
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
@@ -194,12 +198,13 @@ def stance_shares(corpus: Corpus, stances: StanceMap) -> StanceShares:
 def pi_series(graphs: Sequence[tuple[date, InteractionGraph]],
               stances: StanceMap,
               **pi_kwargs) -> list[tuple[date, PolarizationResult | None]]:
-    """compute_pi per day; a failing day becomes a flagged gap (None)."""
+    """compute_pi per day; a day whose solve raises one of GAP_ERRORS
+    becomes a flagged gap (None)."""
     out = []
     for d, g in graphs:
         try:
             out.append((d, compute_pi(g, stances, **pi_kwargs)))
-        except Exception as exc:
+        except GAP_ERRORS as exc:
             log.warning("pi series gap on %s: %s", d, exc)
             out.append((d, None))
     return out
@@ -270,9 +275,9 @@ def threshold_sweep(g: InteractionGraph, stances: StanceMap,
     Neither its tallies nor the reduced graphs depend on the threshold, so
     the reduced graphs are cut once, and each threshold relabels the
     tallies (StanceMap.at), counts the camps among g's nodes and runs the
-    solves.  A threshold whose solves fail, say on a graph that a
-    category's removal empties, is a gap: (threshold, cause), logged at
-    WARNING.
+    solves.  A threshold whose solves raise one of GAP_ERRORS, say on a
+    graph that a category's removal empties, is a gap: (threshold, cause),
+    logged at WARNING.
     """
     reduced = _reduced_graphs(
         g, ablation_victims(annotations, influencer_set, g.users),
@@ -285,7 +290,7 @@ def threshold_sweep(g: InteractionGraph, stances: StanceMap,
         try:
             pi_full = compute_pi(g, relabelled, **pi_kwargs).pi
             pi_without = _pis_without(reduced, relabelled, **pi_kwargs)
-        except (ValueError, ConvergenceError) as exc:
+        except GAP_ERRORS as exc:
             log.warning("sweep gap at threshold %g: %s", t, exc)
             entries.append((t, str(exc)))
             continue
@@ -419,18 +424,6 @@ class RunConfig:
             schema_strict=flag("schema_strict", False),
             ablate_both_variants=flag("ablate_both_variants", False),
         )
-
-    def echo(self) -> dict:
-        out = {}
-        for key, value in vars(self).items():
-            if isinstance(value, Path):
-                value = str(value)
-            elif isinstance(value, date):
-                value = value.isoformat()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
-        return out
 
 
 def _fmt(x: float) -> str:
@@ -572,7 +565,7 @@ class Runner:
                         rows.append(AblationResult(
                             d, full.pi,
                             _pis_without(reduced, stances, **pi_kwargs), drop))
-                    except Exception as exc:
+                    except GAP_ERRORS as exc:
                         log.warning("ablation gap on %s: %s", d, exc)
                         rows.append((d, drop, str(exc)))
             return rows
@@ -743,13 +736,14 @@ class Runner:
                 inputs[label] = {"path": str(p), "sha256": _sha256(Path(p))}
         manifest = {
             "version": __version__,
-            "config": self.config.echo(),
+            "config": vars(self.config),
             "inputs": inputs,
             "outputs": sorted(outputs),
         }
         with self._open("run_manifest.json") as fh:
+            # paths and dates are written as str() gives them
             json.dump(manifest, fh, indent=2, sort_keys=True,
-                      ensure_ascii=False)
+                      ensure_ascii=False, default=str)
             fh.write("\n")
         return self.config.out_dir / "run_manifest.json"
 

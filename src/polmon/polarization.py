@@ -114,15 +114,13 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
     return z, iters, residual, residual <= tol
 
 
-def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
-                   tol: float = 1e-10,
-                   max_iter: int | None = None
+def fj_equilibrium(g: InteractionGraph, s: np.ndarray, tol: float = 1e-10
                    ) -> tuple[np.ndarray, SolverInfo]:
     """Solve (I + L) z = s on g by CG; returns (z, solver info).
 
     CG stops once the max-norm residual ||(I + L) z - s|| is at most tol,
     and raises ConvergenceError carrying the last residual and the
-    iteration count if max_iter iterations do not get there.
+    iteration count if default_max_iter(n) iterations do not get there.
     (I + L)^-1 is entrywise nonnegative with unit row sums, so its
     infinity norm is 1 and a residual <= tol guarantees
     ||z - z*||_inf <= tol for the exact solution z*.  tol must be a
@@ -135,9 +133,8 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray,
     if g.n and np.max(np.abs(s)) > 1.0 + 1e-12:
         raise ValueError("innate opinions must lie in [-1, 1]")
     s = np.asarray(s, dtype=np.float64)
-    if max_iter is None:
-        max_iter = default_max_iter(g.n)
-    z, iters, residual, converged = _cg(g.indptr, g.indices, s, tol, max_iter)
+    z, iters, residual, converged = _cg(g.indptr, g.indices, s, tol,
+                                        default_max_iter(g.n))
     if not converged:
         raise ConvergenceError(
             f"CG stalled at residual {residual:.3e} after {iters} iterations",

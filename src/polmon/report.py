@@ -28,9 +28,9 @@ def _top(counts: Counter, k: int) -> list[tuple[str, int]]:
 
 
 def svg_line_chart(series: Sequence[tuple[str, list[float | None]]],
-                   x_labels: Sequence[str], y_min: float = 0.0,
-                   y_max: float = 1.0, title: str = "") -> str:
-    """Multi-line chart; None values break the line (gap days)."""
+                   x_labels: Sequence[str], title: str) -> str:
+    """Multi-line chart of values in [0, 1] (the PI's range); None values
+    break the line (gap days)."""
     n = len(x_labels)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
              f'height="{_H}" role="img">']
@@ -42,15 +42,14 @@ def svg_line_chart(series: Sequence[tuple[str, list[float | None]]],
                  'stroke="#999"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" '
                  'stroke="#999"/>')
-    span = y_max - y_min or 1.0
 
     def px(i: int) -> float:
         return x0 + (x1 - x0) * (i / max(1, n - 1))
 
     def py(v: float) -> float:
-        return y0 - (y0 - y1) * ((v - y_min) / span)
+        return y0 - (y0 - y1) * v
 
-    for tick in (y_min, (y_min + y_max) / 2, y_max):
+    for tick in (0.0, 0.5, 1.0):
         parts.append(f'<text x="{x0 - 4}" y="{py(tick):.1f}" font-size="9" '
                      f'text-anchor="end">{_fmt(tick)}</text>')
     if n:
@@ -89,7 +88,7 @@ def svg_line_chart(series: Sequence[tuple[str, list[float | None]]],
 
 
 def svg_bar_chart(values: Sequence[int], x_labels: Sequence[str],
-                  title: str = "") -> str:
+                  title: str) -> str:
     n = len(values)
     top = max(values) if values else 1
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '

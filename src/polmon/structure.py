@@ -16,9 +16,12 @@ neighbours of nodes that moved (Leiden's fast local move).  All
 randomization is removed, so a given graph always yields the same
 partition, its communities numbered by first appearance in ascending node
 order.  The local-move loop is plain Python over lists, which is where
-the interpreter indexes fastest.  Each level is logged at DEBUG with its
-size, visits, moves and Q.  Modularity is
-Q = sum_c [e_c/m - (d_c/(2m))^2].
+the interpreter indexes fastest.  Modularity is
+Q = sum_c [e_c/m - (d_c/(2m))^2].  Aggregation carries each community's
+intra weight e_c and degree d_c into its supernode, so Q of a level's
+partition is a sum over the next level's nodes (Blondel et al. 2008), and
+the final Q one over the last level's.  Each level is logged at DEBUG
+with its size, visits, moves and that Q.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
     tot = list(k)
     two_m = 2.0 * m
     threshold = _MIN_GAIN * m
-    queue = deque(range(n))
+    queue = deque(range(n) if m else ())  # no edge, no move to try
     queued = [True] * n
     visits = moves = 0
     while queue:
@@ -213,8 +216,9 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
     return np.array(comm, dtype=np.int64), visits, moves
 
 
-def _aggregate(indptr, indices, weights, self_w, comm):
-    """Collapse communities into supernodes; intra weight moves to self_w."""
+def _aggregate(indptr, indices, weights, self_w, k, comm):
+    """Collapse communities into supernodes; intra weight moves to self_w,
+    and a supernode's degree k is the sum of its members' degrees."""
     uniq, dense = np.unique(comm, return_inverse=True)
     nc = len(uniq)
     n = len(indptr) - 1
@@ -234,72 +238,56 @@ def _aggregate(indptr, indices, weights, self_w, comm):
     new_indptr = np.zeros(nc + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // nc, minlength=nc), out=new_indptr[1:])
     return (new_indptr, keys % nc, summed.astype(np.float64, copy=False),
-            new_self, dense)
+            new_self, np.bincount(dense, weights=k, minlength=nc), dense)
 
 
-def _assignment_modularity(indptr, indices, weights, self_w, comm) -> float:
-    k_arr = np.bincount(
-        np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
-        weights=weights, minlength=len(indptr) - 1) + 2.0 * self_w
-    m = weights.sum() / 2.0 + self_w.sum()
+def _modularity(self_w, k, m: float) -> float:
+    """Q of the partition whose communities are one level's nodes: a
+    node's self weight is its community's e_c, and its degree d_c."""
     if m == 0:
         return 0.0
-    nc = int(comm.max()) + 1 if len(comm) else 0
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    intra = comm[rows] == comm[indices]
-    e_c = np.bincount(comm[rows[intra]], weights=weights[intra],
-                      minlength=nc) / 2.0
-    e_c += np.bincount(comm, weights=self_w, minlength=nc)
-    d_c = np.bincount(comm, weights=k_arr, minlength=nc)
-    return float(np.sum(e_c / m - (d_c / (2.0 * m)) ** 2))
+    return float(np.sum(self_w / m - (k / (2.0 * m)) ** 2))
 
 
 def louvain(g: InteractionGraph) -> CommunityPartition:
-    """Deterministic Louvain partition with recomputed modularity.
+    """Deterministic Louvain partition and its modularity.
 
     An edgeless graph degenerates to singleton communities with Q = 0.
     Community ids are dense, numbered by first appearance in ascending
-    node order.
+    node order.  Q is read off the last level, whose nodes are the
+    communities; e_c and d_c are whole numbers there, so they are exact.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
-    indptr0, indices0 = g.indptr, g.indices
-    weights0 = np.ones(len(indices0), dtype=np.float64)
+    indptr, indices = g.indptr, g.indices
+    weights = np.ones(len(indices), dtype=np.float64)
     self_w = np.zeros(g.n, dtype=np.float64)
-    m = g.m
+    k = g.degrees.astype(np.float64)
+    m = float(g.m)
     node_comm = np.arange(g.n, dtype=np.int64)
-
-    if m > 0:
-        indptr, indices, weights = indptr0, indices0, weights0
-        level_self = self_w
-        for level in itertools.count(1):
-            k_arr = np.bincount(
-                np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
-                weights=weights, minlength=len(indptr) - 1) + 2.0 * level_self
-            comm, visits, moves = _louvain_level(indptr, indices, weights,
-                                                 k_arr, float(m))
-            if log.isEnabledFor(logging.DEBUG):
-                log.debug(
-                    "louvain level %d: n=%d m=%d visits=%d moves=%d Q=%.6f",
-                    level, len(indptr) - 1, len(indices) // 2, visits, moves,
-                    _assignment_modularity(indptr, indices, weights,
-                                           level_self, comm))
-            if not moves:
-                break
+    for level in itertools.count(1):
+        n_level, m_level = len(k), len(indices) // 2
+        comm, visits, moves = _louvain_level(indptr, indices, weights, k, m)
+        if moves:
             # dense[i] is the aggregated node id of level node i, so the
             # original-node map composes through it; every level with a move
             # strictly shrinks the graph, which bounds the loop
-            indptr, indices, weights, level_self, dense = _aggregate(
-                indptr, indices, weights, level_self, comm)
+            indptr, indices, weights, self_w, k, dense = _aggregate(
+                indptr, indices, weights, self_w, k, comm)
             node_comm = dense[node_comm]
+        log.debug("louvain level %d: n=%d m=%d visits=%d moves=%d Q=%.6f",
+                  level, n_level, m_level, visits, moves,
+                  _modularity(self_w, k, m))
+        if not moves:
+            break
 
-    # renumber by first appearance in ascending node order: a community's
-    # new id is the rank of its first node among the first nodes
-    _, first, comm = np.unique(node_comm, return_index=True,
-                               return_inverse=True)
-    final = np.argsort(np.argsort(first))[comm]
-    q = _assignment_modularity(indptr0, indices0, weights0,
-                               np.zeros(g.n), final)
+    # the last level's nodes are the communities; renumber them by first
+    # appearance in ascending node order: a community's new id is the rank
+    # of its first node among the first nodes, and order lists them so
+    _, first = np.unique(node_comm, return_index=True)
+    order = np.argsort(first)
+    final = np.argsort(order)[node_comm]
+    q = _modularity(self_w[order], k[order], m)
     profiles = [CommunityProfile(community_id=c, size=count)
                 for c, count in enumerate(np.bincount(final).tolist())]
     return CommunityPartition(assignment=dict(zip(g.nodes, final.tolist())),

@@ -5,9 +5,11 @@ plain enumeration), deliberately avoiding the package's CSR kernels, sparse
 solves and greedy code paths.  Two kernels that the package computes with
 numpy alone keep their scipy.sparse forms here: the adjacency matvec, which
 also drives the Jacobi-iteration FJ oracle, and Louvain's community
-collapse.  The corpus oracles are the plain archive
-loader, record filter, follow-list loader and text fold that the
-package's ingest path must reproduce: ``json.loads`` per line, a full
+collapse.  Louvain's Q is recomputed per community over the original
+graph, where the package reads it off its last level.  The corpus
+oracles are the plain archive loader, record filter, follow-list loader
+and text fold that the package's ingest path must reproduce:
+``json.loads`` per line, a full
 ``TweetRecord`` per valid line filtered by walking every active rule,
 ``csv.DictReader`` rows, and a whole-string NFD -> strip marks -> NFC ->
 casefold fold of every text; the record filter tests the study window
@@ -149,11 +151,13 @@ def adjacency_matvec_scipy(indptr, indices, x: np.ndarray) -> np.ndarray:
     return adjacency_scipy(indptr, indices) @ x
 
 
-def aggregate_scipy(indptr, indices, weights, self_w, comm):
+def aggregate_scipy(indptr, indices, weights, self_w, k, comm):
     """Louvain's community collapse through scipy's coo -> csr conversion.
 
     Same arguments and return value (indptr, indices, weights, self
-    weights, dense community of each node) as ``structure._aggregate``.
+    weights, degrees, dense community of each node) as
+    ``structure._aggregate``.  k is not read: a supernode's degree is the
+    collapsed matrix's row sum plus twice its self weight.
     """
     uniq, dense = np.unique(comm, return_inverse=True)
     nc = len(uniq)
@@ -168,8 +172,30 @@ def aggregate_scipy(indptr, indices, weights, self_w, comm):
                         shape=(nc, nc)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
+    degrees = np.asarray(mat.sum(axis=1), dtype=np.float64).ravel()
     return (mat.indptr.astype(np.int64), mat.indices.astype(np.int64),
-            mat.data.astype(np.float64), new_self, dense)
+            mat.data.astype(np.float64), new_self, degrees + 2.0 * new_self,
+            dense)
+
+
+def assignment_modularity(indptr, indices, weights, self_w, comm) -> float:
+    """Q of the partition comm (dense ids) of a weighted CSR level, summed
+    per community from its intra edges and its members' degrees; on the
+    original graph this is the Q that ``louvain`` must return."""
+    k_arr = np.bincount(
+        np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
+        weights=weights, minlength=len(indptr) - 1) + 2.0 * self_w
+    m = weights.sum() / 2.0 + self_w.sum()
+    if m == 0:
+        return 0.0
+    nc = int(comm.max()) + 1 if len(comm) else 0
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    intra = comm[rows] == comm[indices]
+    e_c = np.bincount(comm[rows[intra]], weights=weights[intra],
+                      minlength=nc) / 2.0
+    e_c += np.bincount(comm, weights=self_w, minlength=nc)
+    d_c = np.bincount(comm, weights=k_arr, minlength=nc)
+    return float(np.sum(e_c / m - (d_c / (2.0 * m)) ** 2))
 
 
 def dense_fj(g, s: np.ndarray) -> np.ndarray:

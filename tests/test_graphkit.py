@@ -241,7 +241,7 @@ def _read_graphml(path):
 def test_graphml_round_trip(tmp_path):
     g = graph_of([("a", "b"), ("b", "c")], isolated=["d"])
     path = tmp_path / "g.graphml"
-    export_graph(g, path)
+    export_graph(g, path, stances_of(g.users, {}), {})
     back = _read_graphml(path)
     assert not back.is_directed()
     assert sorted(back.nodes) == list(g.nodes)
@@ -264,7 +264,7 @@ def test_graphml_attributes(tmp_path):
 def test_graphml_empty_graph(tmp_path):
     g = graph_of([])
     path = tmp_path / "empty.graphml"
-    export_graph(g, path)
+    export_graph(g, path, stances_of(g.users, {}), {})
     back = _read_graphml(path)
     assert back.number_of_nodes() == 0
     assert back.number_of_edges() == 0
@@ -273,7 +273,7 @@ def test_graphml_empty_graph(tmp_path):
 def test_graphml_edge_count(tmp_path):
     g = graph_of([("a", "b")])
     path = tmp_path / "two.graphml"
-    export_graph(g, path)
+    export_graph(g, path, stances_of(g.users, {}), {})
     assert path.read_text(encoding="utf-8").count("<edge ") == 1
 
 
@@ -310,7 +310,7 @@ def test_graphml_bytes_match_elementtree(tmp_path_factory, case, with_maps):
                      categories)
         export_graph_reference(g, out / "tree.graphml", stances, categories)
     else:
-        export_graph(g, out / "stream.graphml")
+        export_graph(g, out / "stream.graphml", stances_of(g.users, {}), {})
         export_graph_reference(g, out / "tree.graphml")
     assert ((out / "stream.graphml").read_bytes()
             == (out / "tree.graphml").read_bytes())

@@ -24,7 +24,7 @@ from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              Runner, StageError, compute_stats, pi_series,
                              rounded_percentages, run_all, stance_shares,
                              threshold_sweep)
-from polmon.polarization import compute_pi
+from polmon.polarization import ConvergenceError, compute_pi
 from polmon.report import _table, _top
 from polmon.stance import Stance, stance_map
 from polmon.structure import ShieldRanking
@@ -625,6 +625,38 @@ def test_sweep_logs_every_solve(sweep_setup, caplog):
         assert "method=CG" in message
     # removing influencer b strands a (dropped) and leaves the edge c-d
     assert sum("n=2 m=1 " in m for m in solves) == 2
+
+
+_SOLVING_STAGES = [("write_pi_series", "polarize"),
+                   ("write_ablation", "ablate"), ("write_sweep", "sweep")]
+
+
+@pytest.mark.parametrize("writer, stage", _SOLVING_STAGES)
+def test_solve_fault_fails_its_stage(fixture_paths, tmp_path, monkeypatch,
+                                     writer, stage):
+    # only GAP_ERRORS are gaps: any other error of a solve is a fault
+    runner = Runner(_config(fixture_paths, tmp_path / "out"))
+    if stage == "ablate":
+        runner.series  # ablate reads the PI stage; solve it unpatched
+
+    def fault(*args, **kwargs):
+        raise TypeError("injected fault")
+    monkeypatch.setattr(pipeline, "compute_pi", fault)
+    with pytest.raises(StageError, match=rf"^\[{stage}\] injected fault$"):
+        getattr(runner, writer)()
+
+
+@pytest.mark.parametrize("writer, stage", _SOLVING_STAGES)
+def test_convergence_error_is_a_gap(fixture_paths, tmp_path, monkeypatch,
+                                    writer, stage):
+    runner = Runner(_config(fixture_paths, tmp_path / "out"))
+
+    def stall(*args, **kwargs):
+        raise ConvergenceError("CG stalled", 1.0, 1)
+    monkeypatch.setattr(pipeline, "compute_pi", stall)
+    path = getattr(runner, writer)()
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and all(row.endswith(",,") for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polmon import polarization
 from polmon.polarization import (ConvergenceError, _adjacency, compute_pi,
                                  default_max_iter, fj_equilibrium,
                                  polarization_index)
@@ -78,11 +79,11 @@ def test_cg_reports_honest_residual():
     assert info.residual <= 1e-10
 
 
-def test_cg_nonconvergence_raises_with_residual_and_iterations():
+def test_cg_nonconvergence_raises_with_residual_and_iterations(monkeypatch):
     g = graph_of([("a", "b"), ("b", "c"), ("c", "d")])
+    monkeypatch.setattr(polarization, "default_max_iter", lambda n: 1)
     with pytest.raises(ConvergenceError, match="CG") as err:
-        fj_equilibrium(g, np.array([1.0, -1.0, 0.0, 1.0]),
-                       max_iter=1, tol=1e-15)
+        fj_equilibrium(g, np.array([1.0, -1.0, 0.0, 1.0]), tol=1e-15)
     assert err.value.residual > 1e-15
     assert err.value.iterations == 1
 

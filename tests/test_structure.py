@@ -12,8 +12,8 @@ from polmon.structure import (CommunityPartition, decompose_communities,
                               leading_eigenpair, louvain, netshield)
 
 from conftest import graph_of, random_graph, stances_of
-from oracles import (aggregate_scipy, best_partition_modularity,
-                     best_shield_subset, leading_eigenpair_dense,
+from oracles import (aggregate_scipy, assignment_modularity,
+                     best_partition_modularity, best_shield_subset, leading_eigenpair_dense,
                      modularity_of, shield_value_dense, sweep_louvain_level)
 
 
@@ -389,15 +389,31 @@ def test_louvain_logs_each_level(fixture_paths, caplog):
                                                  abs=1e-6)
 
 
-def test_level_q_computed_only_at_debug(monkeypatch, caplog):
-    calls = []
-    q_of = structure._assignment_modularity
-    monkeypatch.setattr(structure, "_assignment_modularity",
-                        lambda *args: calls.append(1) or q_of(*args))
-    g = graph_of([("a", "b"), ("b", "c"), ("x", "y"), ("y", "z")])
-    with caplog.at_level(logging.INFO, logger="polmon.structure"):
-        louvain(g)
-    assert len(calls) == 1  # the final Q only
+def _levels_logged(g, caplog) -> tuple[CommunityPartition, int]:
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="polmon.structure"):
+        partition = louvain(g)
+    return partition, len(caplog.records)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_q_equals_oracle_over_original_graph(seed, caplog):
+    rng = np.random.default_rng(900 + seed)
+    g = random_graph(rng, 150 + 30 * seed, 0.02 + 0.01 * (seed % 3))
+    partition, levels = _levels_logged(g, caplog)
+    assert levels >= 3  # at least two aggregations
+    comm = np.fromiter(partition.assignment.values(), np.int64)
+    assert partition.modularity == assignment_modularity(
+        g.indptr, g.indices, np.ones(len(g.indices)), np.zeros(g.n), comm)
+
+
+def test_fixture_q_equals_oracle(fixture_paths, caplog):
+    g = Runner(RunConfig.from_file(fixture_paths["config"])).full_graph
+    partition, levels = _levels_logged(g, caplog)
+    assert levels >= 2
+    comm = np.fromiter(partition.assignment.values(), np.int64)
+    assert partition.modularity == assignment_modularity(
+        g.indptr, g.indices, np.ones(len(g.indices)), np.zeros(g.n), comm)
 
 
 def test_louvain_deterministic():
@@ -425,14 +441,13 @@ def test_louvain_permutation_consistent():
 def test_aggregate_matches_scipy_oracle(seed, partition):
     rng = np.random.default_rng(700 + seed)
     g = random_graph(rng, 120, 0.05)
-    level = (g.indptr, g.indices, np.ones(len(g.indices)), np.zeros(g.n))
+    level = (g.indptr, g.indices, np.ones(len(g.indices)), np.zeros(g.n),
+             g.degrees.astype(np.float64))
     for _ in range(2):  # levels 1 and 2
-        indptr, indices, weights, self_w = level
+        indptr, indices, weights, self_w, k = level
         n = len(indptr) - 1
         if partition == "louvain":
-            k_arr = np.bincount(np.repeat(np.arange(n), np.diff(indptr)),
-                                weights=weights, minlength=n) + 2.0 * self_w
-            comm = structure._louvain_level(indptr, indices, weights, k_arr,
+            comm = structure._louvain_level(indptr, indices, weights, k,
                                             float(g.m))[0]
         elif partition == "random":  # labels with gaps, as Louvain leaves
             comm = 3 * rng.integers(0, max(1, n // 4), n)
@@ -443,7 +458,7 @@ def test_aggregate_matches_scipy_oracle(seed, partition):
         for a, b in zip(got, expected):
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
-        level = got[:4]
+        level = got[:5]
 
 
 def test_community_ids_dense_and_sized():
