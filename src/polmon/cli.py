@@ -9,13 +9,19 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
-from .pipeline import Runner, RunConfig, StageError, run_all
+from .pipeline import Runner, RunConfig, StageError, check_option, run_all
 
-_SUBCOMMANDS = ("filter", "graph", "stance", "stats", "polarize",
-                "influencers", "communities", "ablate", "sweep", "run-all")
+# each subcommand and the Runner writer it calls (write_<writer>);
+# run-all writes the whole bundle
+_COMMANDS = {"filter": "filtered", "graph": "graphml", "stance": "stance",
+             "stats": "stats", "polarize": "pi_series",
+             "influencers": "influencers", "communities": "communities",
+             "ablate": "ablation", "sweep": "sweep", "run-all": None}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -25,12 +31,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      metavar="DATE", help="clamp the study window start")
     sub.add_argument("--to", dest="date_to", type=date.fromisoformat,
                      metavar="DATE", help="clamp the study window end")
-    sub.add_argument("--out", type=Path, help="output directory override")
-    sub.add_argument("--threshold", type=_unit_interval, metavar="T",
-                     help="stance threshold override, in [0, 1]")
+    sub.add_argument("--out", dest="out_dir", metavar="OUT",
+                     type=lambda raw: Path(raw).resolve(),
+                     help="output directory override")
+    sub.add_argument("--threshold", type=_option("threshold", float),
+                     metavar="T", help="stance threshold override, in [0, 1]")
     sub.add_argument("--drop-isolated", type=_parse_bool, metavar="BOOL",
                      help="drop newly isolated nodes in ablations")
-    sub.add_argument("--k", type=_non_negative, metavar="K",
+    sub.add_argument("--k", type=_option("k", int), metavar="K",
                      help="NetShield selection size")
     sub.add_argument("-v", "--verbose", action="store_true")
 
@@ -44,24 +52,14 @@ def _parse_bool(raw: str) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {raw!r}")
 
 
-def _unit_interval(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {raw!r}")
-    return value
-
-
-def _non_negative(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {raw!r}")
-    return value
+def _option(key: str, parse: Callable):
+    """A flag's argparse type: parse, then RunConfig's range rule for key."""
+    def convert(raw: str):
+        try:
+            return check_option(key, parse(raw))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,20 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monitor a political discussion: filter, graph, stance, "
                     "polarization, influencers, communities.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        sub = subparsers.add_parser(name)
-        _add_common(sub)
+    for name in _COMMANDS:
+        _add_common(subparsers.add_parser(name))
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_file(args.config)
-    if args.out is not None:
-        config.out_dir = args.out.resolve()
-    for key in ("date_from", "date_to", "threshold", "drop_isolated", "k"):
-        if getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
-    return config
+    """--config's run config, with each flag given in place of its key."""
+    keys = {f.name for f in fields(RunConfig)}
+    return replace(RunConfig.from_file(args.config), **{
+        key: value for key, value in vars(args).items()
+        if key in keys and value is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,29 +93,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.command == "run-all":
-            bundle = run_all(config)
-            for name in sorted(bundle):
-                print(f"wrote {bundle[name]}")
-            return 0
-        runner = Runner(config)
-        runner.rule_set  # an empty study window fails before any input
-        actions = {
-            "filter": runner.write_filtered,
-            "graph": runner.write_graphml,
-            "stance": runner.write_stance,
-            "stats": runner.write_stats,
-            "polarize": runner.write_pi_series,
-            "influencers": runner.write_influencers,
-            "communities": runner.write_communities,
-            "ablate": runner.write_ablation,
-            "sweep": runner.write_sweep,
-        }
-        path = actions[args.command]()
-        print(f"wrote {path}")
-        return 0
+            paths = run_all(config).values()
+        else:
+            runner = Runner(config)
+            runner.rule_set  # an empty study window fails before any input
+            paths = [runner.write(_COMMANDS[args.command])]
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for path in sorted(paths):
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

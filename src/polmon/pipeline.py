@@ -20,7 +20,7 @@ import logging
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from pathlib import Path
 from time import perf_counter
@@ -310,6 +310,43 @@ def threshold_sweep(g: InteractionGraph, stances: StanceMap,
 RETIRED_CONFIG_KEYS = ("solver", "workers")
 
 
+# the JSON form of each RunConfig field type, optional or not: a test of
+# the JSON value, what the value must be, and its conversion.  bool is not
+# a number here, and "" or null leave a path or a date unset.
+_JSON_FORMS = {
+    "float": (lambda v: type(v) in (int, float), "a number", float),
+    "int": (lambda v: type(v) is int, "an integer", int),
+    "bool": (lambda v: type(v) is bool, "true or false", bool),
+    "tuple[float, ...]": (
+        lambda v: type(v) is list and all(type(t) in (int, float) for t in v),
+        "a list of numbers", tuple),
+    "Path": (lambda v: v is None or type(v) is str, "a string",
+             lambda v: Path(v) if v else None),
+    "date": (lambda v: v is None or type(v) is str, "an ISO date",
+             lambda v: date.fromisoformat(v) if v else None),
+}
+
+# the range rule of each RunConfig option that has one: a test of the
+# value, and what the value must be
+_RANGES = {
+    "threshold": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "sweep_thresholds": (lambda v: all(0.0 <= t <= 1.0 for t in v),
+                         "be a list of numbers in [0, 1]"),
+    "tol": (lambda v: 0.0 < v < float("inf"), "be a positive finite number"),
+    "k": (lambda v: v >= 0, "be at least 0"),
+    "top_k": (lambda v: v >= 1, "be at least 1"),
+}
+
+
+def check_option(key: str, value):
+    """value, if it meets the range rule of RunConfig option key; otherwise
+    a ValueError names the key."""
+    test, what = _RANGES[key]
+    if not test(value):
+        raise ValueError(f"{key!r} must {what}, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     tweets: Path
@@ -333,97 +370,53 @@ class RunConfig:
     # two variants bracket the effect)
     ablate_both_variants: bool = False
 
+    def __post_init__(self):  # from_file, replace and direct calls alike
+        for key in _RANGES:
+            check_option(key, getattr(self, key))
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Load a JSON run config; paths resolve against its directory.
 
-        Every value must have its field's JSON type (bool is neither an
-        integer nor a number here), dates must be ISO dates, threshold
-        and each sweep threshold must lie in [0, 1], tol must be positive
-        and finite, k must be non-negative, top_k positive, and every key
-        must be a field or one of RETIRED_CONFIG_KEYS; otherwise a
-        ValueError names the key.
+        Every value must have its field's JSON form (_JSON_FORMS), and
+        every key must be a field or one of RETIRED_CONFIG_KEYS; otherwise
+        a ValueError names the key.  A key that is absent, or a path or
+        date that is "" or null, takes the field's default: out_dir is
+        then "out" beside the file, and tweets, annotations and follows
+        have none.
         """
         path = Path(path)
         with path.open("r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("run config must be a JSON object")
-        known = {f.name for f in fields(cls)}.union(RETIRED_CONFIG_KEYS)
-        unknown = sorted(set(raw) - known)
+        types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+        unknown = sorted(set(raw) - set(types) - set(RETIRED_CONFIG_KEYS))
         if unknown:
             raise ValueError(
                 "unknown config key " + ", ".join(map(repr, unknown)))
         base = path.parent
-
-        def typed(key, default, types: tuple, what: str):
-            value = raw.get(key, default)
-            if type(value) not in types:
-                raise ValueError(f"{key!r} must be {what}, got {value!r}")
-            return value
-
-        def text(key) -> str | None:
-            return typed(key, None, (str, type(None)), "a string") or None
-
-        def respath(key) -> Path | None:
-            value = text(key)
-            return (base / value).resolve() if value else None
-
-        def day(key) -> date | None:
-            value = text(key)
+        values = {"out_dir": base / "out"}
+        for key, value in raw.items():
+            if key not in types:
+                continue  # a retired key
+            test, what, convert = _JSON_FORMS[types[key]]
             try:
-                return date.fromisoformat(value) if value else None
-            except ValueError:
+                if not test(value):
+                    raise TypeError
+                value = convert(value)
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(
-                    f"{key!r} must be an ISO date, got {value!r}") from None
-
-        def flag(key, default: bool) -> bool:
-            return typed(key, default, (bool,), "true or false")
-
-        def integer(key, default: int, least: int) -> int:
-            value = typed(key, default, (int,), "an integer")
-            if value < least:
-                raise ValueError(
-                    f"{key!r} must be at least {least}, got {value!r}")
-            return value
-
-        def number(key, default: float) -> float:
-            return float(typed(key, default, (int, float), "a number"))
-
-        thresholds = typed("sweep_thresholds", [0.0, 0.5, 0.7], (list,),
-                           "a list of numbers")
-        if any(type(t) not in (int, float) or not 0.0 <= t <= 1.0
-               for t in thresholds):
-            raise ValueError("'sweep_thresholds' must be a list of numbers "
-                             f"in [0, 1], got {thresholds!r}")
-        threshold = number("threshold", 0.0)
-        if not 0.0 <= threshold <= 1.0:
+                    f"{key!r} must be {what}, got {value!r}") from None
+            if value is not None:
+                values[key] = value
+        missing = [f.name for f in fields(cls) if f.name not in values
+                   and f.default is MISSING]
+        if missing:
             raise ValueError(
-                f"'threshold' must lie in [0, 1], got {threshold!r}")
-        tol = number("tol", 1e-10)
-        if not 0.0 < tol < float("inf"):
-            raise ValueError(
-                f"'tol' must be a positive finite number, got {tol!r}")
-
-        return cls(
-            tweets=respath("tweets"),
-            annotations=respath("annotations"),
-            follows=respath("follows"),
-            out_dir=respath("out_dir") or (base / "out").resolve(),
-            rules=respath("rules"),
-            threshold=threshold,
-            sweep_thresholds=tuple(thresholds),
-            k=integer("k", 500, 0),
-            drop_isolated=flag("drop_isolated", True),
-            include_isolated=flag("include_isolated", True),
-            tol=tol,
-            top_k=integer("top_k", 10, 1),
-            stopwords=respath("stopwords"),
-            date_from=day("date_from"),
-            date_to=day("date_to"),
-            schema_strict=flag("schema_strict", False),
-            ablate_both_variants=flag("ablate_both_variants", False),
-        )
+                "missing config key " + ", ".join(map(repr, missing)))
+        return cls(**{key: (base / value).resolve() if isinstance(value, Path)
+                      else value for key, value in values.items()})
 
 
 def _fmt(x: float) -> str:
@@ -446,16 +439,21 @@ class Runner:
         self._cache: dict[str, object] = {}
         self.load_errors: list = []
 
+    @staticmethod
+    def _as_stage(name: str, fn: Callable, *args):
+        """fn(*args); an error that is not a StageError fails stage name."""
+        try:
+            return fn(*args)
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, exc) from exc
+
     def _get(self, key: str, builder: Callable):
         if key not in self._cache:
             log.debug("stage %s: start", key)
             start = perf_counter()
-            try:
-                self._cache[key] = builder()
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(key, exc) from exc
+            self._cache[key] = self._as_stage(key, builder)
             # the time includes any stage this one built first
             log.debug("stage %s: done in %.3f s", key,
                       perf_counter() - start)
@@ -573,12 +571,17 @@ class Runner:
 
     @property
     def sweep(self) -> ThresholdSweepResult:
-        return self._get("sweep", lambda: threshold_sweep(
-            self.full_graph, self.stances, self.annotations,
-            thresholds=self.config.sweep_thresholds,
-            influencer_set=self.influencer_ranking.selected,
-            drop_isolated=self.config.drop_isolated,
-            **self._pi_kwargs()))
+        """The threshold sweep; on an empty graph it has no entries."""
+        def build():
+            g = self.full_graph
+            if g.n == 0:
+                return ThresholdSweepResult(entries=[])
+            return threshold_sweep(
+                g, self.stances, self.annotations,
+                thresholds=self.config.sweep_thresholds,
+                influencer_set=self.influencer_ranking.selected,
+                drop_isolated=self.config.drop_isolated, **self._pi_kwargs())
+        return self._get("sweep", build)
 
     @property
     def communities(self):
@@ -603,19 +606,29 @@ class Runner:
 
     # -- emitters ----------------------------------------------------------
 
-    def _open(self, name: str):
+    def write(self, name: str, *args) -> Path:
+        """The path that writer write_<name>(*args) wrote; an error it
+        raises that is not a StageError fails stage name."""
+        return self._as_stage(name, getattr(self, f"write_{name}"), *args)
+
+    def _path(self, name: str) -> Path:
+        """name in out_dir, which is made first if it is missing."""
         self.config.out_dir.mkdir(parents=True, exist_ok=True)
-        return (self.config.out_dir / name).open("w", encoding="utf-8",
-                                                 newline="")
+        return self.config.out_dir / name
+
+    def _write_text(self, name: str, text: str) -> Path:
+        path = self._path(name)
+        path.write_text(text, encoding="utf-8", newline="")
+        return path
 
     def write_filtered(self) -> Path:
         """filtered.jsonl and filter_report.json, from a filter pass of
         their own that writes each kept tweet as it meets it; the filter
         stage's load_errors are left as they are."""
         rule_set, report, errors = self.rule_set, FilterReport(), []
-        path = self.config.out_dir / "filtered.jsonl"
+        path = self._path("filtered.jsonl")
         try:
-            with self._open("filtered.jsonl") as fh:
+            with path.open("w", encoding="utf-8", newline="") as fh:
                 for obj, fields, hashtags, _ in kept_tweets(
                         rule_set, self.config.tweets, report,
                         self.config.schema_strict, errors):
@@ -625,21 +638,20 @@ class Runner:
         except Exception as exc:
             path.unlink(missing_ok=True)
             raise StageError("filter", exc) from exc
-        with self._open("filter_report.json") as fh:
-            payload = report.to_dict()
-            payload["malformed_lines"] = len(errors)
-            json.dump(payload, fh, indent=2, sort_keys=True,
-                      ensure_ascii=False)
-            fh.write("\n")
+        payload = report.to_dict()
+        payload["malformed_lines"] = len(errors)
+        self._write_text("filter_report.json", json.dumps(
+            payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
         return path
 
     def _write_csv(self, name: str, header: Sequence[str],
                    rows: Iterable[Sequence]) -> Path:
-        with self._open(name) as fh:
+        path = self._path(name)
+        with path.open("w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             w.writerows(rows)
-        return self.config.out_dir / name
+        return path
 
     def write_stats(self) -> Path:
         kinds = [k.value for k in KINDS]
@@ -652,8 +664,7 @@ class Runner:
               row.n_hashtags, row.n_urls] for row in self.stats[0]))
 
     def write_stance(self) -> Path:
-        path = self.config.out_dir / "stance.csv"
-        self.config.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self._path("stance.csv")
         write_stance_csv(self.stances, path)
         return path
 
@@ -686,7 +697,6 @@ class Runner:
              for row in self.ablation_rows))
 
     def write_sweep(self) -> Path:
-        entries = self.sweep.entries if self.full_graph.n else []
         return self._write_csv(
             "sweep.csv",
             ["threshold", "pi_full", *_PI_WITHOUT_COLUMNS, "n_left_users",
@@ -695,7 +705,8 @@ class Runner:
              if isinstance(e, tuple)
              else [format(e.threshold, "g"), _fmt(e.pi_full),
                    *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
-                   e.n_left_users, e.n_right_users] for e in entries))
+                   e.n_left_users, e.n_right_users]
+             for e in self.sweep.entries))
 
     def write_communities(self) -> Path:
         partition = self.communities
@@ -707,23 +718,17 @@ class Runner:
             ([p.community_id, p.size, p.n_left, p.n_right, p.n_center,
               p.n_neutral, _fmt(p.lean)] for p in ranked))
 
-    def graphml_name(self) -> str:
-        lo, hi = self.rule_set.study_window
-        return f"graph_{lo.strftime('%Y%m%d')}-{hi.strftime('%Y%m%d')}.graphml"
-
     def write_graphml(self) -> Path:
-        self.config.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.config.out_dir / self.graphml_name()
+        """graph_<first day>-<last day>.graphml, over the study window."""
+        lo, hi = self.rule_set.study_window
+        path = self._path(f"graph_{lo:%Y%m%d}-{hi:%Y%m%d}.graphml")
         export_graph(self.full_graph, path, stances=self.stances,
                      annotations=self.annotations)
         return path
 
     def write_summary(self) -> Path:
         from .report import render_summary
-        html = render_summary(self)
-        with self._open("summary.html") as fh:
-            fh.write(html)
-        return self.config.out_dir / "summary.html"
+        return self._write_text("summary.html", render_summary(self))
 
     def write_manifest(self, outputs: Sequence[str]) -> Path:
         inputs = {}
@@ -740,12 +745,10 @@ class Runner:
             "inputs": inputs,
             "outputs": sorted(outputs),
         }
-        with self._open("run_manifest.json") as fh:
-            # paths and dates are written as str() gives them
-            json.dump(manifest, fh, indent=2, sort_keys=True,
-                      ensure_ascii=False, default=str)
-            fh.write("\n")
-        return self.config.out_dir / "run_manifest.json"
+        # paths and dates are written as str() gives them
+        return self._write_text("run_manifest.json", json.dumps(
+            manifest, indent=2, sort_keys=True, ensure_ascii=False,
+            default=str) + "\n")
 
 
 def run_all(config: RunConfig) -> dict[str, Path]:
@@ -758,24 +761,8 @@ def run_all(config: RunConfig) -> dict[str, Path]:
     runner = Runner(config)
     if runner.filtered[1].kept == 0:
         log.warning("filter kept no tweets; emitting an empty bundle")
-    writers = [
-        ("stats_daily.csv", runner.write_stats),
-        ("stance.csv", runner.write_stance),
-        ("pi_series.csv", runner.write_pi_series),
-        ("influencers.csv", runner.write_influencers),
-        ("ablation.csv", runner.write_ablation),
-        ("sweep.csv", runner.write_sweep),
-        ("communities.csv", runner.write_communities),
-        (runner.graphml_name(), runner.write_graphml),
-        ("summary.html", runner.write_summary),
-    ]
-    bundle: dict[str, Path] = {}
-    for name, writer in writers:
-        try:
-            bundle[name] = writer()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name.rsplit(".", 1)[0], exc) from exc
-    bundle["run_manifest.json"] = runner.write_manifest(list(bundle))
+    bundle = {path.name: path for path in map(runner.write, (
+        "stats", "stance", "pi_series", "influencers", "ablation", "sweep",
+        "communities", "graphml", "summary"))}
+    bundle["run_manifest.json"] = runner.write("manifest", list(bundle))
     return bundle

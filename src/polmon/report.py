@@ -172,8 +172,8 @@ def render_summary(runner) -> str:
         sections.append(svg_line_chart(series, dates,
                                        title="Daily polarization index"))
 
-    sweep = runner.sweep if runner.full_graph.n else None
-    if sweep is not None and sweep.entries:
+    sweep = runner.sweep.entries
+    if sweep:
         sections.append("<h2>Threshold sweep</h2>")
         sections.append(_table(
             ["threshold", "pi full", "w/o Political", "w/o MediaJournalist",
@@ -182,7 +182,7 @@ def render_summary(runner) -> str:
              if isinstance(e, tuple)
              else [format(e.threshold, "g"), _fmt(e.pi_full),
                    *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
-                   e.n_left_users, e.n_right_users] for e in sweep.entries]))
+                   e.n_left_users, e.n_right_users] for e in sweep]))
 
     ranking = runner.influencer_ranking
     if ranking.selected:

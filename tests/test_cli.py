@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,15 @@ def _load_with(fixture_paths, tmp_path, **changes):
     return config
 
 
+def _assert_rejected_in_code(fixture_paths, key, value):
+    # a config built in code meets the range rules that from_file applies
+    loaded = RunConfig.from_file(fixture_paths["config"])
+    with pytest.raises(ValueError, match=f"^{key!r} must"):
+        replace(loaded, **{key: value})
+    with pytest.raises(ValueError, match=f"^{key!r} must"):
+        RunConfig(**dict(vars(loaded), **{key: value}))
+
+
 @pytest.mark.parametrize("key,value", [
     ("k", 2.9), ("k", True), ("k", "500"), ("k", None),
     ("top_k", 5.0), ("top_k", False),
@@ -168,6 +178,7 @@ def test_config_tol_must_be_positive_and_finite(tol, fixture_paths, tmp_path,
     config = _load_with(fixture_paths, tmp_path, tol=tol)
     with pytest.raises(ValueError, match="'tol' must be a positive finite"):
         RunConfig.from_file(config)
+    _assert_rejected_in_code(fixture_paths, "tol", tol)
     rc = main(["run-all", "--config", str(config),
                "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -208,6 +219,7 @@ def test_config_rejects_out_of_range_counts(key, value, fixture_paths,
     config = _load_with(fixture_paths, tmp_path, **{key: value})
     with pytest.raises(ValueError, match=f"^{key!r} must be at least"):
         RunConfig.from_file(config)
+    _assert_rejected_in_code(fixture_paths, key, value)
     rc = main(["run-all", "--config", str(config),
                "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -227,11 +239,31 @@ def test_config_rejects_out_of_range_values(key, value, fixture_paths,
     config = _load_with(fixture_paths, tmp_path, **{key: value})
     with pytest.raises(ValueError, match=f"^{key!r} must"):
         RunConfig.from_file(config)
+    if not key.startswith("date_"):  # an ISO date is read from JSON only
+        _assert_rejected_in_code(fixture_paths, key, value)
     rc = main(["run-all", "--config", str(config),
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"{key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["tweets", "annotations", "follows"])
+def test_config_missing_input_path_named_at_load(key, fixture_paths,
+                                                 tmp_path, capsys):
+    # an input path has no default: null, "" or no key fails at load
+    for value in (None, ""):
+        config = _load_with(fixture_paths, tmp_path, **{key: value})
+        with pytest.raises(ValueError, match=f"^missing config key {key!r}$"):
+            RunConfig.from_file(config)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    del raw[key]
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main(["stats", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"cannot load config: missing config key {key!r}" in (
+        capsys.readouterr().err)
 
 
 def test_config_thresholds_at_the_ends_load(fixture_paths, tmp_path):
@@ -284,6 +316,26 @@ def test_empty_study_window_is_an_error(command, dates, lo, hi,
     assert "[rules] empty study window" in err
     assert lo in err and hi in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,stage", [
+    ("filter", "filtered"), ("graph", "graphml"), ("stance", "stance"),
+    ("stats", "stats"), ("polarize", "pi_series"),
+    ("influencers", "influencers"), ("communities", "communities"),
+    ("ablate", "ablation"), ("sweep", "sweep"), ("run-all", "stats"),
+])
+def test_write_fault_names_its_stage(command, stage, fixture_paths, tmp_path,
+                                     capsys):
+    # --out lies below a regular file, so no writer can make it
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    rc = main([command, "--config", str(fixture_paths["config"]),
+               "--out", str(blocker / "x")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: [{stage}] ")
+    assert "Traceback" not in captured.err
+    assert "wrote" not in captured.out
 
 
 _HASH_SEED_RUN = """

@@ -826,6 +826,9 @@ def test_run_all_empty_corpus(tmp_path, caplog):
         bundle = run_all(config)
     assert set(bundle) == EXPECTED_BUNDLE
     assert any("no tweets" in r.message for r in caplog.records)
+    # the sweep of an empty graph has no entries, as sweep.csv has no rows
+    assert not any("sweep gap" in r.message for r in caplog.records)
+    assert Runner(config).sweep.entries == []
     rows = (tmp_path / "out" / "pi_series.csv").read_text().splitlines()
     assert rows == ["date,n,m,pi,method,iterations,residual"]
 
