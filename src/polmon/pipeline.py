@@ -396,7 +396,7 @@ class RunConfig:
             raise ValueError(
                 "unknown config key " + ", ".join(map(repr, unknown)))
         base = path.parent
-        values = {"out_dir": base / "out"}
+        values = {"out_dir": Path("out")}
         for key, value in raw.items():
             if key not in types:
                 continue  # a retired key

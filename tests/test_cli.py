@@ -202,6 +202,22 @@ def test_config_retired_keys_ignored(fixture_paths, tmp_path):
     assert "workers" not in vars(loaded) and "solver" not in vars(loaded)
 
 
+def test_config_default_out_dir_beside_relative_config(fixture_paths,
+                                                       tmp_path, monkeypatch):
+    # a config named by a relative path, with no out_dir key, puts the
+    # bundle in "out" beside the file, not under a second copy of its path
+    raw = json.loads(fixture_paths["config"].read_text(encoding="utf-8"))
+    raw.pop("out_dir", None)
+    raw.update({key: str(fixture_paths[key])
+                for key in ("tweets", "annotations", "follows")})
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    (config_dir / "x.json").write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    config = RunConfig.from_file(Path("configs") / "x.json")
+    assert config.out_dir == (config_dir / "out").resolve()
+
+
 def test_config_numbers_accept_json_ints(fixture_paths, tmp_path):
     config = _load_with(fixture_paths, tmp_path, threshold=0, tol=1,
                         sweep_thresholds=[0, 0.5], k=3, top_k=2)
