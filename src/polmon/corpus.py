@@ -39,7 +39,7 @@ import re
 import unicodedata
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from importlib import resources
@@ -626,27 +626,28 @@ def load_annotations(path: str | Path) -> dict[str, AccountAnnotation]:
 
 class Follows(NamedTuple):
     """A follow list's distinct pairs as columns: followers[follower[k]]
-    follows accounts[account[k]].  Both tables are sorted, and the pairs
-    are in ascending (follower, account) order."""
+    follows accounts[account[k]], and sides[account[k]] is that account's
+    annotated side.  Both tables are sorted, and the pairs are in
+    ascending (follower, account) order."""
     followers: tuple[str, ...]
     accounts: tuple[str, ...]
+    sides: tuple[Side, ...]
     follower: np.ndarray
     account: np.ndarray
 
 
 def load_follows(path: str | Path,
-                 annotations: dict[str, AccountAnnotation] | None = None
-                 ) -> Follows:
-    """Read a follow list; a duplicate pair collapses with a warning that
-    names its line.
+                 annotations: dict[str, AccountAnnotation]) -> Follows:
+    """Read a follow list, and join each followed id to its annotated side;
+    a duplicate pair collapses with a warning that names its line.
 
-    When annotations are given, every followed id must be annotated
-    Political.  A bad header or row raises CorpusFormatError at path:line,
-    after the warnings for the duplicates above it.
+    Every followed id must be annotated Political.  A bad header or row
+    raises CorpusFormatError at path:line, after the warnings for the
+    duplicates above it.
     """
     path = Path(path)
-    political = None if annotations is None else {
-        u for u, a in annotations.items() if a.category is Category.POLITICAL}
+    side_of = {u: a.side for u, a in annotations.items()
+               if a.category is Category.POLITICAL}
     followers, accounts = _Table(), _Table()
     src, dst, line_of = array("q"), array("q"), array("q")
     reader = csv.reader(_csv_lines(path))
@@ -666,7 +667,7 @@ def load_follows(path: str | Path,
                 raise CorpusFormatError(
                     f"{path}:{reader.line_num}: incomplete follow row {row}")
             # a duplicate's followed id passed this check on its first row
-            if political is not None and pair[1] not in political:
+            if pair[1] not in side_of:
                 raise CorpusFormatError(
                     f"{path}:{reader.line_num}: followed id {pair[1]!r} is "
                     "not an annotated political account")
@@ -692,11 +693,14 @@ def load_follows(path: str | Path,
     log.debug("%s: %d follow pairs read, %d duplicates collapsed, %d "
               "distinct followers", path, len(keys), len(keys) - len(pairs),
               len(follower_table))
-    return Follows(follower_table, account_table, *np.divmod(pairs, width))
+    return Follows(follower_table, account_table,
+                   tuple(map(side_of.__getitem__, account_table)),
+                   *np.divmod(pairs, width))
 
 
 def _csv_lines(path: Path) -> Iterator[str]:
-    """path's lines for csv; one with bytes that are not UTF-8 raises."""
+    """path's lines, with their ends as csv wants them; a line that is
+    not UTF-8 raises CorpusFormatError at path:line."""
     with path.open("r", encoding="utf-8", errors="surrogateescape",
                    newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -717,6 +721,14 @@ def _csv_lines(path: Path) -> Iterator[str]:
 _MATCH_MODES = {m.value: m for m in MatchMode}
 
 
+def _reject_unknown(obj: dict, cls: type, what: str) -> None:
+    """Raise naming each key of obj that is not an init field of cls."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls) if f.init})
+    if unknown:
+        raise CorpusFormatError(
+            f"{what}: unknown key " + ", ".join(map(repr, unknown)))
+
+
 def _parse_date(raw, key: str) -> date | None:
     """An ISO date string; None for null or ""."""
     if raw is None or raw == "":
@@ -731,11 +743,13 @@ def _parse_date(raw, key: str) -> date | None:
 def rule_set_from_dict(obj: dict) -> RuleSet:
     """RuleSet from its JSON form, checking every value's JSON type.
 
-    Nothing is coerced: a wrong value raises CorpusFormatError naming its
-    key.  language_whitelist defaults to ["el"], date_offset_minutes to 0.
+    Nothing is coerced: a wrong value or an unknown key raises
+    CorpusFormatError naming the key.  language_whitelist defaults to
+    ["el"], date_offset_minutes to 0.
     """
     if type(obj) is not dict:
         raise CorpusFormatError("rule set must be a JSON object")
+    _reject_unknown(obj, RuleSet, "rule set")
     entries = obj.get("rules", [])
     languages = obj.get("language_whitelist", ["el"])
     offset = obj.get("date_offset_minutes", 0)
@@ -758,6 +772,7 @@ def rule_set_from_dict(obj: dict) -> RuleSet:
         mode = _MATCH_MODES.get(entry["mode"].lower()) if well_typed else None
         if mode is None:
             raise CorpusFormatError(f"bad rule entry {entry!r}")
+        _reject_unknown(entry, FilterRule, f"bad rule entry {entry!r}")
         rules.append(FilterRule(
             term=entry["term"],
             mode=mode,

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import __version__
 from .corpus import (KINDS, Category, Corpus, FilterReport, Ragged, RuleSet,
-                     _Table, archive_obj, default_rule_set, filter_corpus,
-                     fold_text, kept_tweets, load_annotations, load_follows,
-                     load_rule_set)
+                     _csv_lines, _Table, archive_obj, default_rule_set,
+                     filter_corpus, fold_text, kept_tweets, load_annotations,
+                     load_follows, load_rule_set)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import ConvergenceError, PolarizationResult, compute_pi
@@ -80,8 +80,8 @@ def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
 
     The counters are keyed hashtags, words, phrases, mentioned_users and
     active_users.  Words are the letter runs of each text, folded by
-    fold_text, minus the stopwords; each distinct run is folded once per
-    call.  Phrases are the bigrams of a tweet's remaining words.
+    fold_text, minus the folded stopwords; each distinct run is folded
+    once per call.  Phrases are the bigrams of a tweet's remaining words.
     """
     days, day_of = np.unique(corpus.day, return_inverse=True)
     n = len(days)
@@ -99,7 +99,8 @@ def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
             for d, posts, by_kind, *counts in zip(
                 days.tolist(), np.bincount(day_of, minlength=n).tolist(),
                 kinds.tolist(), *distinct)]
-    words, phrases = _word_counts(corpus.texts, frozenset(stopwords))
+    words, phrases = _word_counts(corpus.texts,
+                                  frozenset(map(fold_text, stopwords)))
     return rows, {"hashtags": _counter(corpus.hashtags, tags),
                   "words": words, "phrases": phrases,
                   "mentioned_users": _counter(corpus.users,
@@ -370,9 +371,9 @@ class RunConfig:
     # two variants bracket the effect)
     ablate_both_variants: bool = False
 
-    def __post_init__(self):  # from_file, replace and direct calls alike
-        for key in _RANGES:
-            check_option(key, getattr(self, key))
+    def __setattr__(self, key, value):  # __init__, replace and assignment
+        super().__setattr__(
+            key, check_option(key, value) if key in _RANGES else value)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -509,7 +510,7 @@ class Runner:
     @property
     def stances(self) -> StanceMap:
         return self._get("stance", lambda: stance_map(
-            self.follows, self.annotations, threshold=self.config.threshold,
+            self.follows, threshold=self.config.threshold,
             users=self.filtered[0].users))
 
     @property
@@ -524,8 +525,8 @@ class Runner:
         def build():
             if not self.config.stopwords:
                 return frozenset()
-            text = Path(self.config.stopwords).read_text(encoding="utf-8")
-            return frozenset(w.strip() for w in text.splitlines() if w.strip())
+            lines = _csv_lines(Path(self.config.stopwords))
+            return frozenset(w.strip() for w in lines if w.strip())
         return self._get("stopwords", build)
 
     def _pi_kwargs(self) -> dict:

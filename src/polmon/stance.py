@@ -8,8 +8,10 @@ winning side to hold at least that fraction of *all* the user's political
 follows before a Left/Right label is granted; users failing it fall back to
 Center (never Neutral, which is reserved for the no-follows case).
 
-A StanceMap holds arrays over a user table: the corpus's users in order,
-then the followers outside the corpus, sorted.  Row i is user i's
+The follow list arrives with each followed account's side already
+resolved (load_follows joins it to the annotations), so inference only
+counts.  A StanceMap holds arrays over a user table: the corpus's users in
+order, then the followers outside the corpus, sorted.  Row i is user i's
 [left, right, center] tally, from one bincount over the follow list's
 id columns, and its label code into STANCES.  labels applies the rule
 to a whole tally array at once; the tests hold it to a per-user form of
@@ -25,11 +27,11 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import AccountAnnotation, Category, Follows, Side
+from .corpus import Follows, Side
 
 log = logging.getLogger(__name__)
 
@@ -44,28 +46,11 @@ class Stance(Enum):
 STANCES = tuple(Stance)  # a label code is an index into STANCES
 
 
-class MissingAnnotationError(KeyError):
-    """A followed account has no Political annotation."""
-
-
-def _side_of(followed_id: str,
-             annotations: Mapping[str, AccountAnnotation]) -> Side:
-    ann = annotations.get(followed_id)
-    if ann is None or ann.category is not Category.POLITICAL or ann.side is None:
-        raise MissingAnnotationError(
-            f"followed account {followed_id!r} lacks a Political annotation")
-    return ann.side
-
-
-def _check(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-
-
 def labels(tally: np.ndarray, threshold: float) -> np.ndarray:
     """The label code of each [left, right, center] row of tally, by the
     rule in the module docstring."""
-    _check(threshold)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
     n_left, n_right, n_center = tally.T
     total = n_left + n_right + n_center
     least = threshold * total
@@ -100,17 +85,13 @@ class StanceMap:
 _SLOT = {Side.LEFT: 0, Side.RIGHT: 1, Side.CENTER: 2}
 
 
-def stance_map(follows: Follows, annotations: Mapping[str, AccountAnnotation],
-               threshold: float = 0.0, *, users: Sequence[str]) -> StanceMap:
+def stance_map(follows: Follows, threshold: float = 0.0, *,
+               users: Sequence[str]) -> StanceMap:
     """The stances of users (a corpus's user table) and of every follower.
 
-    Users without follows are Neutral with zero tallies.  A followed
-    account that lacks a Political annotation raises
-    MissingAnnotationError.
+    Users without follows are Neutral with zero tallies.
     """
-    _check(threshold)
-    slot = np.array([_SLOT[_side_of(a, annotations)]
-                     for a in follows.accounts], np.int64)
+    slot = np.array([_SLOT[s] for s in follows.sides], np.int64)
     index = {u: i for i, u in enumerate(users)}
     row = np.array([index.get(f, -1) for f in follows.followers], np.int64)
     outside = np.flatnonzero(row < 0)

@@ -53,14 +53,15 @@ def stances_of(users, labels) -> StanceMap:
                      np.array(code, np.int8), 0.0)
 
 
-def follows_of(pairs) -> Follows:
+def follows_of(pairs, annotations) -> Follows:
     """Follows of (follower, followed) id pairs, as load_follows holds
-    them: sorted tables, and distinct pairs in ascending order."""
+    them: sorted tables, each account's side from annotations, and
+    distinct pairs in ascending order."""
     pairs = sorted(set(pairs))
     followers = tuple(sorted({f for f, _ in pairs}))
     accounts = tuple(sorted({a for _, a in pairs}))
     return Follows(
-        followers, accounts,
+        followers, accounts, tuple(annotations[a].side for a in accounts),
         np.array([followers.index(f) for f, _ in pairs], np.int64),
         np.array([accounts.index(a) for _, a in pairs], np.int64))
 

@@ -690,8 +690,10 @@ def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):
     ascending date, a tweet's date being that of its timestamp shifted by
     the offset; counters hold the whole input's hashtags, words, phrases,
     mentioned_users and active_users.  Words are the letter runs of the
-    text, each folded by fold_text_reference, minus the stopwords.
+    text, each folded by fold_text_reference, minus the stopwords folded
+    alike.
     """
+    stopwords = set(map(fold_text_reference, stopwords))
     shift = timedelta(minutes=offset_minutes)
     days: dict = {}
     counters = {key: Counter() for key in ("hashtags", "words", "phrases",

@@ -227,7 +227,7 @@ def test_c7_stance_threshold_monotonicity():
                 follows.append((uid, str(target)))
         labeled = []
         for t in thresholds:
-            stances = stance_map(follows_of(follows), annotations,
+            stances = stance_map(follows_of(follows, annotations),
                                  threshold=t, users=())
             labeled.append(sum(1 for c in stances.label.tolist()
                                if STANCES[c] in (Stance.LEFT, Stance.RIGHT)))

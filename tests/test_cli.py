@@ -186,6 +186,33 @@ def test_config_tol_must_be_positive_and_finite(tol, fixture_paths, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_config_range_rules_hold_on_assignment(fixture_paths):
+    # an unchecked config.tol = 0.0 made every pi_series.csv and sweep.csv
+    # row a gap
+    config = RunConfig.from_file(fixture_paths["config"])
+    for key, value in (("tol", 0.0), ("top_k", 0), ("k", -1),
+                       ("threshold", 1.5), ("sweep_thresholds", (0.5, 2.0))):
+        with pytest.raises(ValueError, match=f"^{key!r} must"):
+            setattr(config, key, value)
+    assert config == RunConfig.from_file(fixture_paths["config"])
+    config.k = 500
+    assert config.k == 500
+
+
+def test_stopwords_that_are_not_utf8_name_path_and_line(fixture_paths,
+                                                        tmp_path, capsys):
+    stop = tmp_path / "stop.txt"
+    stop.write_bytes("είναι\n".encode("utf-8") + b"caf\xe9\n")
+    config = _load_with(fixture_paths, tmp_path, stopwords=str(stop), **{
+        key: str(fixture_paths[key])
+        for key in ("tweets", "annotations", "follows")})
+    rc = main(["stats", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: [stopwords] {stop.resolve()}:2: not UTF-8 text\n")
+
+
 def test_config_unknown_key_rejected(fixture_paths, tmp_path, capsys):
     config = _load_with(fixture_paths, tmp_path, treshold=0.7)
     rc = main(["stats", "--config", str(config),

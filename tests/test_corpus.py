@@ -718,9 +718,13 @@ def test_load_annotations_unknown_side_names_location(tmp_path):
 def test_csv_that_is_not_utf8_names_path_and_line(tmp_path, loader, header):
     path = tmp_path / "data.csv"
     path.write_bytes(header + b"u1,Political,Left\n\xff\xfeu2,Bot,\n")
+    # as a follow row, line 2 follows an account named "Political"
+    args = ({"Political": AccountAnnotation("Political", Category.POLITICAL,
+                                            Side.LEFT)},
+            ) if loader is load_follows else ()
     with pytest.raises(CorpusFormatError,
                        match=f"^{re.escape(str(path))}:3: "):
-        loader(path)
+        loader(path, *args)
 
 
 def _located(exc: CorpusFormatError, path) -> bool:
@@ -757,17 +761,15 @@ def test_annotation_loader_accepts_or_names_location(tmp_path, rows):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=_ROWS, check_targets=st.booleans())
-def test_follow_loader_accepts_or_names_location(tmp_path, rows,
-                                                 check_targets):
+@given(rows=_ROWS)
+def test_follow_loader_accepts_or_names_location(tmp_path, rows):
     annotations = {"p1": AccountAnnotation("p1", Category.POLITICAL,
                                            Side.LEFT),
                    "Bot": AccountAnnotation("Bot", Category.BOT)}
     path = tmp_path / "follows.csv"
     _write_csv(path, ["follower_id", "followed_political_id"], rows)
     try:
-        pairs = follow_pairs(load_follows(
-            path, annotations if check_targets else None))
+        pairs = follow_pairs(load_follows(path, annotations))
     except CorpusFormatError as exc:
         assert _located(exc, path), exc
     else:
@@ -894,6 +896,25 @@ def test_rule_set_rejects_type_confused_value(key, value):
 def test_rule_set_rejects_type_confused_rule(entry):
     with pytest.raises(CorpusFormatError, match="bad rule entry"):
         rule_set_from_dict(dict(_GOOD_RULES, rules=[entry]))
+
+
+@pytest.mark.parametrize("key, obj, what", [
+    ("active_untill", dict(_GOOD_RULES, rules=[
+        {"term": "υποκλοπες", "mode": "hashtag",
+         "active_untill": "2022-08-02"}]), "bad rule entry"),
+    ("languge_whitelist", dict(_GOOD_RULES, languge_whitelist=["en"]),
+     "rule set"),
+])
+def test_rule_set_rejects_unknown_key(tmp_path, key, obj, what):
+    # a misspelt key would otherwise leave its setting at the default
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{what}.*: unknown key '{key}'$"):
+        rule_set_from_dict(obj)
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(path))}: {what}.*'{key}'$"):
+        corpus.load_rule_set(path)
 
 
 @pytest.mark.parametrize("offset, accepted", [

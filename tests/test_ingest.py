@@ -360,10 +360,8 @@ def _follow_result(load):
 @settings(max_examples=300, deadline=None, suppress_health_check=_FS)
 @given(header=st.permutations(["follower_id", "followed_political_id",
                                "note"]),
-       rows=st.lists(st.lists(_IDS, max_size=4), max_size=8),
-       check_targets=st.booleans())
-def test_follow_loader_equals_reference(tmp_path, caplog, header, rows,
-                                        check_targets):
+       rows=st.lists(st.lists(_IDS, max_size=4), max_size=8))
+def test_follow_loader_equals_reference(tmp_path, caplog, header, rows):
     # the same pairs or the same error line, and a warning for each
     # duplicate pair above it, in line order
     path = tmp_path / "follows.csv"
@@ -371,15 +369,14 @@ def test_follow_loader_equals_reference(tmp_path, caplog, header, rows,
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    annotations = _ANNOTATIONS if check_targets else None
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="polmon.corpus"):
         got = _follow_result(
-            lambda: follow_pairs(load_follows(path, annotations)))
+            lambda: follow_pairs(load_follows(path, _ANNOTATIONS)))
     duplicates = []
     assert got == _follow_result(lambda: (
         (r.follower_id, r.followed_political_id)
-        for r in load_follows_reference(path, annotations, duplicates)))
+        for r in load_follows_reference(path, _ANNOTATIONS, duplicates)))
     assert [r.getMessage() for r in caplog.records] == duplicates
 
 
@@ -387,13 +384,14 @@ def test_follow_loader_reads_repeated_column_like_dictreader(tmp_path):
     path = tmp_path / "follows.csv"
     header = "follower_id,followed_political_id,follower_id\n"
     path.write_text(header + "a,p1,b\n\nc,p2,d\n", encoding="utf-8")
-    assert follow_pairs(load_follows(path)) == [("b", "p1"), ("d", "p2")]
+    assert follow_pairs(load_follows(path, _ANNOTATIONS)) == [("b", "p1"),
+                                                              ("d", "p2")]
     assert [(r.follower_id, r.followed_political_id)
             for r in load_follows_reference(path)] == [("b", "p1"),
                                                        ("d", "p2")]
     path.write_text(header + "a,p1,b\n\nc,p2\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=f"^{path}:4: "):
-        load_follows(path)  # c,p2 has no third column: no follower
+        load_follows(path, _ANNOTATIONS)  # c,p2 has no follower column
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,15 @@ def test_stats_stopwords_removed():
     assert window["phrases"] == Counter({"alpha alpha": 1})
 
 
+def test_stats_stopwords_match_after_folding():
+    # the stopword είναι removes Είναι, whose fold it shares, as well
+    _, window = compute_stats(
+        corpus_of([tweet("t1", text="Είναι καλό είναι")]),
+        stopwords={"είναι"})
+    assert window["words"] == Counter({"καλο": 1})
+    assert window["phrases"] == Counter()
+
+
 _VOCAB = ("Υποκλοπές", "ΥΠΟΚΛΟΠΕΣ", "υποκλοπες", "Ανδρουλάκης", "ΕΥΠ",
           "ο", "το", "και", "predator", "PREDATOR", "Café", "cafe", "ÉTÉ",
           "δίκη", "ΔΙΚΗ", "έρευνα", "Ερευνα")
@@ -512,14 +521,14 @@ def sweep_setup():
         ("b", "L0"), ("b", "L1"), ("b", "R0"),
         ("c", "R0"), ("c", "R1"),
         ("d", "R0"), ("d", "L0"),
-    ])
+    ], annotations)
     g = graph_of([("a", "b"), ("c", "d"), ("b", "c")])
     return g, follows, annotations
 
 
 def test_sweep_threshold_zero_matches_default(sweep_setup):
     g, follows, annotations = sweep_setup
-    stances = stance_map(follows, annotations, 0.0, users=g.users)
+    stances = stance_map(follows, 0.0, users=g.users)
     result = threshold_sweep(g, stances, annotations, thresholds=(0.0,),
                              influencer_set=[])
     pi_full, pi_without = _ablation_reference(g, stances, annotations, [])
@@ -529,7 +538,7 @@ def test_sweep_threshold_zero_matches_default(sweep_setup):
 
 def test_sweep_counts_non_increasing(sweep_setup):
     g, follows, annotations = sweep_setup
-    tallies = stance_map(follows, annotations, users=g.users)
+    tallies = stance_map(follows, users=g.users)
     result = threshold_sweep(g, tallies, annotations,
                              thresholds=(0.0, 0.5, 0.7, 0.9),
                              influencer_set=[])
@@ -540,7 +549,7 @@ def test_sweep_counts_non_increasing(sweep_setup):
 def test_sweep_all_neutral_graph(sweep_setup):
     _, follows, annotations = sweep_setup
     g = graph_of([("x", "y")])  # nobody in the follow data
-    tallies = stance_map(follows, annotations, users=g.users)
+    tallies = stance_map(follows, users=g.users)
     result = threshold_sweep(g, tallies, annotations,
                              thresholds=(0.0, 0.5), influencer_set=[])
     assert all(e.pi_full == 0.0 for e in result.entries)
@@ -549,8 +558,8 @@ def test_sweep_all_neutral_graph(sweep_setup):
     # a map whose table lacks x and y would give them the labels of the
     # followers a and b, so it is rejected
     with pytest.raises(ValueError, match="user table"):
-        threshold_sweep(g, stance_map(follows, annotations, users=()),
-                        annotations, thresholds=(0.0, 0.5), influencer_set=[])
+        threshold_sweep(g, stance_map(follows, users=()), annotations,
+                        thresholds=(0.0, 0.5), influencer_set=[])
 
 
 @pytest.mark.parametrize("drop_isolated", [True, False])
@@ -565,13 +574,13 @@ def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path,
                                runner.annotations)
     influencers = runner.influencer_ranking.selected
     thresholds = (0.0, 0.5, 0.7, 0.9)
-    tallies = stance_map(follows, annotations, users=g.users)
+    tallies = stance_map(follows, users=g.users)
     result = threshold_sweep(g, tallies, annotations, thresholds=thresholds,
                              influencer_set=influencers,
                              drop_isolated=drop_isolated)
     assert [e.threshold for e in result.entries] == list(thresholds)
     for entry in result.entries:
-        stances = stance_map(follows, annotations, threshold=entry.threshold,
+        stances = stance_map(follows, threshold=entry.threshold,
                              users=g.users)
         pi_full, pi_without = _ablation_reference(
             g, stances, annotations, influencers, drop_isolated)
@@ -594,7 +603,7 @@ def test_sweep_names_category_that_empties_graph(sweep_setup, caplog):
     annotations = dict(annotations)
     annotations.update({u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
                         for u in g.nodes})
-    tallies = stance_map(follows, annotations, users=g.users)
+    tallies = stance_map(follows, users=g.users)
     with caplog.at_level(logging.WARNING, logger="polmon.pipeline"):
         result = threshold_sweep(g, tallies, annotations,
                                  thresholds=(0.0, 0.5), influencer_set=[])
@@ -610,7 +619,7 @@ def test_sweep_names_category_that_empties_graph(sweep_setup, caplog):
 
 def test_sweep_logs_every_solve(sweep_setup, caplog):
     g, follows, annotations = sweep_setup
-    tallies = stance_map(follows, annotations, users=g.users)
+    tallies = stance_map(follows, users=g.users)
     caplog.set_level(logging.DEBUG, logger="polmon.polarization")
     threshold_sweep(g, tallies, annotations, thresholds=(0.0, 0.5),
                     influencer_set=["b"])

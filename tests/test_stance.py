@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polmon.corpus import AccountAnnotation, Category, Side, load_follows
+from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
+                           Side, load_follows)
 from polmon.graphkit import remove_nodes
 from polmon.pipeline import ablation_victims
-from polmon.stance import (STANCES, MissingAnnotationError, Stance, labels,
-                           opinion_vector, stance_map, write_stance_csv)
+from polmon.stance import (STANCES, Stance, labels, opinion_vector,
+                           stance_map, write_stance_csv)
 
 from conftest import follows_of, graph_of, stances_of
 from oracles import (classify, load_follows_reference,
@@ -21,7 +22,7 @@ from oracles import (classify, load_follows_reference,
 def _stance_of(followed, annotations, threshold=0.0):
     """The stance and [left, right, center] tally of a user "u" who
     follows the ids in followed."""
-    m = stance_map(follows_of([("u", f) for f in followed]), annotations,
+    m = stance_map(follows_of([("u", f) for f in followed], annotations),
                    threshold, users=["u"])
     return STANCES[m.label[0]], m.tally[0].tolist()
 
@@ -101,38 +102,50 @@ def test_threshold_validated(annotations):
 def test_threshold_validated_without_political_follows(annotations,
                                                        threshold):
     with pytest.raises(ValueError, match="threshold"):
-        stance_map(follows_of([]), annotations, threshold=threshold,
+        stance_map(follows_of([], annotations), threshold=threshold,
                    users=["u"])
     with pytest.raises(ValueError, match="threshold"):
-        stance_map(follows_of([]), annotations, users=()).at(threshold)
+        stance_map(follows_of([], annotations), users=()).at(threshold)
 
 
-def test_missing_annotation_names_id(annotations):
-    with pytest.raises(MissingAnnotationError, match="ghost"):
-        _stance_of(["ghost"], annotations)
+def _follows_error(tmp_path, followed, annotations) -> str:
+    """The error of load_follows on a follow list whose line 3 follows
+    the id followed."""
+    path = tmp_path / "follows.csv"
+    path.write_text(_csv_of([("u", "L0"), ("u", followed)]),
+                    encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        load_follows(path, annotations)
+    return str(info.value).replace(str(path), "<path>")
 
 
-def test_non_political_follow_rejected(annotations):
-    with pytest.raises(MissingAnnotationError, match="media"):
-        _stance_of(["media"], annotations)
+def test_missing_annotation_names_id(annotations, tmp_path):
+    assert _follows_error(tmp_path, "ghost", annotations).startswith(
+        "<path>:3: followed id 'ghost' ")
+
+
+def test_non_political_follow_rejected(annotations, tmp_path):
+    # "media" is annotated, but as a MediaJournalist account
+    assert _follows_error(tmp_path, "media", annotations).startswith(
+        "<path>:3: followed id 'media' ")
 
 
 def test_follow_records_accepted(annotations):
-    m = stance_map(follows_of([("u", "L0")]), annotations, users=())
+    m = stance_map(follows_of([("u", "L0")], annotations), users=())
     assert m.users == ("u",)
     assert STANCES[m.label[0]] is Stance.LEFT
 
 
 def test_stance_map_independent_users(annotations):
-    m = stance_map(follows_of([("u1", "L0"), ("u2", "R0"), ("u3", "C0")]),
-                   annotations, users=())
+    m = stance_map(follows_of([("u1", "L0"), ("u2", "R0"), ("u3", "C0")],
+                              annotations), users=())
     assert m.users == ("u1", "u2", "u3")
     assert [STANCES[c] for c in m.label] == [Stance.LEFT, Stance.RIGHT,
                                              Stance.CENTER]
 
 
 def test_stance_map_absent_user_neutral(annotations):
-    m = stance_map(follows_of([("u1", "L0")]), annotations,
+    m = stance_map(follows_of([("u1", "L0")], annotations),
                    users=["lurker", "u1"])
     assert m.users == ("lurker", "u1")
     assert STANCES[m.label[0]] is Stance.NEUTRAL
@@ -143,8 +156,8 @@ def test_stance_map_rows_put_corpus_users_first(annotations):
     # corpus users keep their order and ids; the followers outside them
     # follow, sorted, so a graph's ids index the stance arrays directly
     follows = follows_of([("zed", "R0"), ("b", "L0"), ("a", "C0"),
-                          ("y", "L1")])
-    m = stance_map(follows, annotations, users=["b", "x"])
+                          ("y", "L1")], annotations)
+    m = stance_map(follows, users=["b", "x"])
     assert m.users == ("b", "x", "a", "y", "zed")
     assert m.tally.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 1], [1, 0, 0],
                                 [0, 1, 0]]
@@ -202,9 +215,9 @@ def _csv_of(pairs) -> str:
        st.sampled_from([None, "ghost", "media"]))
 def test_stance_map_equals_record_reference(pairs, corpus_users, threshold,
                                             edges, stray):
-    # the file may repeat pairs, and may follow an account that is not
-    # annotated Political; loaded without annotations, both forms then
-    # reject it at the stance step
+    # the file may repeat pairs, and may end with a follow of an account
+    # that is not annotated Political: the reference then rejects it at
+    # the stance step, and load_follows at its line
     if stray is not None and pairs:
         pairs = pairs + [(pairs[0][0], stray)]
     annotations = _annotations()
@@ -212,16 +225,17 @@ def test_stance_map_equals_record_reference(pairs, corpus_users, threshold,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "follows.csv"
         path.write_text(_csv_of(pairs), encoding="utf-8")
-        follows, records = (load_follows(path),
-                            load_follows_reference(path))
         try:
-            reference = stance_map_reference(records, annotations, threshold,
+            reference = stance_map_reference(load_follows_reference(path),
+                                             annotations, threshold,
                                              ensure_users=users)
         except KeyError:
-            with pytest.raises(MissingAnnotationError, match=stray):
-                stance_map(follows, annotations, threshold, users=users)
+            with pytest.raises(CorpusFormatError,
+                               match=f":{len(pairs) + 1}: .*'{stray}'"):
+                load_follows(path, annotations)
             return
-        m = stance_map(follows, annotations, threshold, users=users)
+        m = stance_map(load_follows(path, annotations), threshold,
+                       users=users)
         write_stance_csv(m, Path(tmp) / "array.csv")
         write_stance_csv_reference(reference, Path(tmp) / "records.csv")
         assert ((Path(tmp) / "array.csv").read_bytes()
@@ -294,8 +308,7 @@ def test_relabel_symmetry(tally, threshold):
 
 
 def test_relabel_symmetry_end_to_end(annotations):
-    follows = follows_of([("u1", "L0"), ("u1", "L1"), ("u1", "R0"),
-                          ("u2", "R1")])
+    pairs = [("u1", "L0"), ("u1", "L1"), ("u1", "R0"), ("u2", "R1")]
     swapped_annotations = {}
     for uid, ann in annotations.items():
         side = ann.side
@@ -305,9 +318,10 @@ def test_relabel_symmetry_end_to_end(annotations):
             side = Side.LEFT
         swapped_annotations[uid] = AccountAnnotation(uid, ann.category, side)
     g = graph_of([("u1", "u2")])
-    s = opinion_vector(g, stance_map(follows, annotations, users=g.users))
-    s_swapped = opinion_vector(g, stance_map(follows, swapped_annotations,
-                                             users=g.users))
+    s = opinion_vector(g, stance_map(follows_of(pairs, annotations),
+                                     users=g.users))
+    s_swapped = opinion_vector(g, stance_map(
+        follows_of(pairs, swapped_annotations), users=g.users))
     np.testing.assert_array_equal(s_swapped, -s)
 
 
@@ -316,7 +330,7 @@ def test_relabel_symmetry_end_to_end(annotations):
                 max_size=12, unique=True),
        st.floats(0, 1))
 def test_assignment_rederivable_from_counts(followed, threshold):
-    m = stance_map(follows_of([("u", f) for f in followed]), _annotations(),
+    m = stance_map(follows_of([("u", f) for f in followed], _annotations()),
                    threshold, users=["u"])
     assert m.threshold == threshold
     stance = STANCES[m.label[0]]
@@ -330,7 +344,7 @@ def test_follow_order_irrelevant(annotations, tmp_path):
     maps = []
     for name, pairs in (("a.csv", follows), ("b.csv", follows[::-1])):
         (tmp_path / name).write_text(_csv_of(pairs), encoding="utf-8")
-        maps.append(stance_map(load_follows(tmp_path / name), annotations,
+        maps.append(stance_map(load_follows(tmp_path / name, annotations),
                                users=()))
     assert maps[0].users == maps[1].users
     assert maps[0].tally.tolist() == maps[1].tally.tolist()
@@ -339,7 +353,7 @@ def test_follow_order_irrelevant(annotations, tmp_path):
 
 def test_opinion_vector_signs(annotations):
     g = graph_of([("a", "b")])
-    stances = stance_map(follows_of([("a", "L0"), ("b", "R0")]), annotations,
+    stances = stance_map(follows_of([("a", "L0"), ("b", "R0")], annotations),
                          users=g.users)
     np.testing.assert_array_equal(opinion_vector(g, stances), [-1.0, 1.0])
 
@@ -348,12 +362,11 @@ def test_opinion_vector_rejects_map_over_other_table(annotations):
     # a map whose table does not begin with g's users would hand g's ids
     # the rows of other users
     g = graph_of([("x", "y")], users=("w", "x", "y"))
-    follows = follows_of([("a", "L0"), ("b", "L0")])
+    follows = follows_of([("a", "L0"), ("b", "L0")], annotations)
     for users in ((), ("x", "y"), ("w", "x")):
         with pytest.raises(ValueError, match="user table"):
-            opinion_vector(g, stance_map(follows, annotations, users=users))
-    s = opinion_vector(g, stance_map(follows, annotations,
-                                     users=("w", "x", "y")))
+            opinion_vector(g, stance_map(follows, users=users))
+    s = opinion_vector(g, stance_map(follows, users=("w", "x", "y")))
     np.testing.assert_array_equal(s, np.zeros(2))
 
 
@@ -364,7 +377,7 @@ def test_opinion_vector_defaults_to_zero(annotations):
 
 
 def test_stance_csv_output(tmp_path, annotations):
-    stances = stance_map(follows_of([("u1", "L0")]), annotations,
+    stances = stance_map(follows_of([("u1", "L0")], annotations),
                          users=["u0"])
     path = tmp_path / "stance.csv"
     write_stance_csv(stances, path)
