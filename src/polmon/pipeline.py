@@ -47,6 +47,7 @@ _PI_WITHOUT_COLUMNS = ("pi_without_political", "pi_without_media",
                        "pi_without_influencers")
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+_CHUNK = 4096  # texts whose word ids the stats hold at once
 
 # what a day's or a threshold's solves may raise on its data; the day or
 # threshold becomes a gap row, and any other error fails the stage
@@ -124,28 +125,42 @@ def _counter(names: Sequence[str], ids: np.ndarray) -> Counter:
 def _word_counts(texts: Sequence[str], stop: frozenset[str]
                  ) -> tuple[Counter, Counter]:
     """Counters of the words of the texts that are not stopwords, and of
-    the pairs of such words that follow each other in one text."""
-    folds, fold_ids = _Table(), {}  # raw word -> id of its fold in folds
-    ids, ptr = array("q"), array("q", [0])
-    for text in texts:
-        raw = _WORD_RE.findall(text)
-        for w in raw:
-            if w not in fold_ids:
-                fold_ids[w] = folds[fold_text(w)]
-        ids.extend(map(fold_ids.__getitem__, raw))
-        ptr.append(len(ids))
+    the pairs of such words that follow each other in one text.  Only
+    _CHUNK texts' word ids are held at once; each chunk keeps its distinct
+    pairs (keys a << 31 | b of fold ids) and counts, merged at the end."""
+    folds, fold_ids = _Table(), {}  # raw word -> id of its fold, or -1
+    words = np.zeros(0, np.int64)
+    keys, key_counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for start in range(0, len(texts), _CHUNK):
+        ids, ptr = array("q"), array("q", [0])
+        for text in texts[start:start + _CHUNK]:
+            raw = _WORD_RE.findall(text)
+            for w in raw:
+                if w not in fold_ids:
+                    fold = fold_text(w)
+                    fold_ids[w] = -1 if fold in stop else folds[fold]
+            ids.extend(map(fold_ids.__getitem__, raw))
+            ptr.append(len(ids))
+        rows, ids = Ragged(np.frombuffer(ptr, np.int64),
+                           np.frombuffer(ids, np.int64)).pairs()
+        kept = ids >= 0
+        rows, ids = rows[kept], ids[kept]
+        counts = np.bincount(ids, minlength=len(folds))
+        counts[:len(words)] += words
+        words = counts
+        follows = rows[1:] == rows[:-1]
+        chunk_keys, chunk_counts = np.unique(
+            ids[:-1][follows] << 31 | ids[1:][follows], return_counts=True)
+        keys.append(chunk_keys)
+        key_counts.append(chunk_counts)
+    pairs, entry = np.unique(np.concatenate(keys), return_inverse=True)
+    counts = np.bincount(entry, weights=np.concatenate(key_counts)
+                         ).astype(np.int64)
     names = list(folds)
-    rows, ids = Ragged(np.asarray(ptr, np.int64),
-                       np.asarray(ids, np.int64)).pairs()
-    kept = ~np.array([w in stop for w in names], bool)[ids]
-    rows, ids = rows[kept], ids[kept]
-    width = len(names)
-    follows = rows[1:] == rows[:-1]
-    pairs, counts = np.unique(ids[:-1][follows] * width + ids[1:][follows],
-                              return_counts=True)
-    return _counter(names, ids), Counter({
-        f"{names[p // width]} {names[p % width]}": c
-        for p, c in zip(pairs.tolist(), counts.tolist())})
+    phrases = Counter({f"{names[p >> 31]} {names[p & 0x7FFFFFFF]}": c
+                       for p, c in zip(pairs.tolist(), counts.tolist())})
+    return Counter({name: c for name, c in zip(names, words.tolist())
+                    if c}), phrases
 
 
 # ---------------------------------------------------------------------------

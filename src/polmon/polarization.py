@@ -87,7 +87,7 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
     adj = _adjacency(indptr, indices)
     z = np.zeros(len(s))
     r = s.copy()
-    residual = float(np.max(np.abs(r))) if len(r) else 0.0
+    residual = float(np.abs(r).max()) if len(r) else 0.0
     iters = 0
     broke_down = False
     while residual > tol and iters < max_iter and not broke_down:
@@ -104,13 +104,13 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
             z += alpha * p
             r -= alpha * ap
             iters += 1
-            if np.max(np.abs(r)) <= tol:
+            if np.abs(r).max() <= tol:
                 break
             y = r / diag
             ry, ry_old = r @ y, ry
             p = y + (ry / ry_old) * p
         r = s - (diag * z - adj(z))
-        residual = float(np.max(np.abs(r)))
+        residual = float(np.abs(r).max())
     return z, iters, residual, residual <= tol
 
 
@@ -130,7 +130,7 @@ def fj_equilibrium(g: InteractionGraph, s: np.ndarray, tol: float = 1e-10
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if len(s) != g.n:
         raise ValueError(f"opinion vector has length {len(s)}, graph has {g.n}")
-    if g.n and np.max(np.abs(s)) > 1.0 + 1e-12:
+    if g.n and np.abs(s).max() > 1.0 + 1e-12:
         raise ValueError("innate opinions must lie in [-1, 1]")
     s = np.asarray(s, dtype=np.float64)
     z, iters, residual, converged = _cg(g.indptr, g.indices, s, tol,

@@ -63,21 +63,23 @@ def labels(tally: np.ndarray, threshold: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StanceMap:
     """Row i of tally and label belongs to users[i]; label was computed
-    at threshold."""
+    at threshold; base is the user table the map was built over."""
 
     users: tuple[str, ...]
     tally: np.ndarray
     label: np.ndarray
     threshold: float
+    base: tuple[str, ...] | None = None
 
     def at(self, threshold: float) -> "StanceMap":
         """The same users and tallies, labelled at threshold."""
         return StanceMap(self.users, self.tally, labels(self.tally, threshold),
-                         threshold)
+                         threshold, self.base)
 
     def over(self, users: Sequence[str]) -> np.ndarray:
-        """label, once users is checked to begin this map's user table."""
-        if self.users[:len(users)] != tuple(users):
+        """label, once users is checked to begin this map's user table;
+        base, the table the map was built over, passes unchecked."""
+        if users is not self.base and self.users[:len(users)] != tuple(users):
             raise ValueError("the stance map is not over this user table")
         return self.label
 
@@ -103,7 +105,8 @@ def stance_map(follows: Follows, threshold: float = 0.0, *,
     log.debug("stance: %d users, %d followers outside the graph; Left, "
               "Right, Center, Neutral: %s", len(table), len(outside),
               np.bincount(code, minlength=len(STANCES)).tolist())
-    return StanceMap(table, tally, code, threshold)
+    # tuple() returns a tuple unchanged, so base is a corpus's own table
+    return StanceMap(table, tally, code, threshold, tuple(users))
 
 
 _OPINION = np.array([-1.0, 1.0, 0.0, 0.0])  # by code: Left, Right, else

@@ -134,15 +134,15 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
     lam, u = leading_eigenpair(g)
     indptr, indices = g.indptr, g.indices
     b = np.zeros(g.n)
-    picked = np.zeros(g.n, bool)
+    # a picked node's base is -inf, so its score stays below every other
+    base, twice_u = 2.0 * lam * u * u, 2.0 * u
     selected, scores = [], []
     for _ in range(k):
-        score = 2.0 * lam * u * u - 2.0 * u * b
-        score[picked] = -np.inf
+        score = base - twice_u * b
         best = int(np.argmax(score))  # first max = lowest index on ties
         selected.append(g.nodes[best])
         scores.append(float(score[best]))
-        picked[best] = True
+        base[best] = -np.inf
         b[indices[indptr[best]:indptr[best + 1]]] += u[best]
     return ShieldRanking(selected=selected, shield_scores=scores)
 
@@ -170,10 +170,15 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
     deterministic; ties keep the earlier candidate.  The CSR carries no
     diagonal: a node's self-loop weight cancels out of every gain
     difference.  The level's arrays become Python lists once, since the
-    loop indexes them one element at a time.
+    loop indexes them one element at a time.  When every weight is 1.0,
+    as always on level 1, a row is a plain neighbour list and the gain
+    loop adds 1.0, which spares a (j, w) tuple per CSR entry.
     """
-    ptr, nbr, w = indptr.tolist(), indices.tolist(), weights.tolist()
-    rows = [list(zip(nbr[a:b], w[a:b])) for a, b in zip(ptr, ptr[1:])]
+    ptr, nbr = indptr.tolist(), indices.tolist()
+    unit = bool(np.all(weights == 1.0))
+    w = None if unit else weights.tolist()
+    rows = [nbr[a:b] if unit else list(zip(nbr[a:b], w[a:b]))
+            for a, b in zip(ptr, ptr[1:])]
     k = k_arr.tolist()
     n = len(rows)
     comm = list(range(n))
@@ -192,9 +197,14 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
         ki = k[i]
         tot[c_old] -= ki
         cw: dict[int, float] = {}
-        for j, wj in row:
-            c = comm[j]
-            cw[c] = cw.get(c, 0.0) + wj
+        if unit:
+            for j in row:
+                c = comm[j]
+                cw[c] = cw.get(c, 0.0) + 1.0
+        else:
+            for j, wj in row:
+                c = comm[j]
+                cw[c] = cw.get(c, 0.0) + wj
         scale = ki / two_m
         best_c = c_old
         best_g = cw.get(c_old, 0.0) - tot[c_old] * scale
@@ -209,7 +219,7 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
         tot[best_c] += ki
         if best_c != c_old:
             moves += 1
-            for j, _ in row:
+            for j in row if unit else [j for j, _ in row]:
                 if not queued[j] and comm[j] != best_c:
                     queued[j] = True
                     queue.append(j)

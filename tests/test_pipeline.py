@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmon import pipeline
@@ -194,11 +194,25 @@ def test_stats_days_are_the_daily_graphs_days():
         assert [r.date for r in rows] == [d for d, _ in daily_graphs(corpus)]
 
 
+_WORDLESS = [tweet("t0", text=""), tweet("t1", text="12, 3 - _"),
+             tweet("t2", text="Το και"), tweet("t3", text="x1y 2")]
+
+
 @settings(max_examples=200, deadline=None)
 @given(records(), st.sampled_from(OFFSETS),
-       st.sampled_from([(), ("το", "και", "cafe")]))
-def test_stats_equal_reference_on_any_archive(tweets, offset, stopwords):
-    rows, window = compute_stats(corpus_of(tweets, offset), stopwords)
+       st.sampled_from([(), ("το", "και", "cafe")]),
+       st.sampled_from([None, 1, 2, 3]))
+@example([], 0, ("το", "και", "cafe"), 1)
+@example(_WORDLESS, 0, ("το", "και", "cafe"), 2)
+@example(_WORDLESS[:3], 0, (), 3)
+def test_stats_equal_reference_on_any_archive(tweets, offset, stopwords,
+                                              chunk):
+    # chunk: texts counted at once, where a small one puts many chunk
+    # boundaries into a short archive (None keeps the module's size)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(pipeline, "_CHUNK", chunk)
+        rows, window = compute_stats(corpus_of(tweets, offset), stopwords)
     ref_rows, ref_window = stats_reference(tweets, frozenset(stopwords),
                                            offset)
     assert _as_tuples(rows) == ref_rows

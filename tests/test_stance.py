@@ -10,8 +10,8 @@ from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            Side, load_follows)
 from polmon.graphkit import remove_nodes
 from polmon.pipeline import ablation_victims
-from polmon.stance import (STANCES, Stance, labels, opinion_vector,
-                           stance_map, write_stance_csv)
+from polmon.stance import (STANCES, Stance, StanceMap, labels,
+                           opinion_vector, stance_map, write_stance_csv)
 
 from conftest import follows_of, graph_of, stances_of
 from oracles import (classify, load_follows_reference,
@@ -368,6 +368,33 @@ def test_opinion_vector_rejects_map_over_other_table(annotations):
             opinion_vector(g, stance_map(follows, users=users))
     s = opinion_vector(g, stance_map(follows, users=("w", "x", "y")))
     np.testing.assert_array_equal(s, np.zeros(2))
+
+
+class _Unmeasured(tuple):
+    def __len__(self):
+        raise AssertionError("the table was compared")
+
+
+def test_over_takes_its_base_table_without_comparing(annotations):
+    users = ("w", "x", "y")
+    m = stance_map(follows_of([("x", "L0"), ("a", "R0")], annotations),
+                   users=users)
+    assert m.base is users and m.at(0.5).base is users
+    # the base is taken as it is: taking its length would raise here
+    base = _Unmeasured(users)
+    m_base = StanceMap(m.users, m.tally, m.label, m.threshold, base)
+    assert m_base.over(base) is m.label
+    # an equal but distinct table is compared, and accepted
+    assert m.over(tuple(list(users))) is m.label
+    for foreign in (("w", "y"), ("a",), ("w", "x", "y", "a", "b")):
+        with pytest.raises(ValueError, match="user table"):
+            m.over(foreign)
+    # a list is copied, so a later change to it cannot pass as the base
+    listed = ["w", "x"]
+    m = stance_map(follows_of([("x", "L0")], annotations), users=listed)
+    listed[1] = "z"
+    with pytest.raises(ValueError, match="user table"):
+        m.over(listed)
 
 
 def test_opinion_vector_defaults_to_zero(annotations):
