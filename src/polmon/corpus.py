@@ -25,9 +25,10 @@ date (``RuleSet.local_date``), then the rules, and yields each kept
 tweet.  Rules are matched by lookup: a dict from hashtag term to rule
 keys per local date, and keyword terms tested against the folded text.
 ``filter_corpus`` feeds the kept tweets into a ``Corpus``: numpy columns
-over sorted, interned string tables, which the graph, stats and share
-stages read.  ``archive_obj`` gives the object that filtered.jsonl holds
-for a kept tweet.
+over sorted, interned string tables, and each text's words as ids into a
+word table, which the graph, stats and share stages read; no text is
+kept.  ``archive_obj`` gives the object that filtered.jsonl holds for a
+kept tweet.
 """
 
 from __future__ import annotations
@@ -495,6 +496,7 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
 
 KINDS = tuple(Kind)  # a kind code is an index into KINDS
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
+_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)  # a word: a run of letters
 
 
 class Ragged(NamedTuple):
@@ -506,6 +508,16 @@ class Ragged(NamedTuple):
         """(tweet, id) of every entry, in order."""
         return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr)), \
             self.ids
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of a 1-D array: sorted, then each run of equal values
+    kept once.  np.unique itself tests for a masked array when called
+    without its return_* flags, which imports numpy.ma on first use."""
+    a = np.sort(a)
+    first = np.ones(len(a), bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
 class _Table(dict):
@@ -534,7 +546,10 @@ class Corpus:
     are string tables, each sorted once, so id order is string order.  Per
     tweet: day is the local date's ordinal, kind a code into KINDS, author
     a user id, and ref_ids, tag_ids and url_ids are Ragged ids into users,
-    hashtags and urls.
+    hashtags and urls.  words is the table of the texts' words (runs of
+    letters, as written), numbered in the order they are first met, not
+    sorted; word_ids holds each text's words in order as Ragged int32 ids
+    into it.
     """
 
     users: tuple[str, ...]
@@ -546,7 +561,8 @@ class Corpus:
     ref_ids: Ragged
     tag_ids: Ragged
     url_ids: Ragged
-    texts: list[str]
+    words: tuple[str, ...]
+    word_ids: Ragged
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Kind, date, Sequence[str],
@@ -557,7 +573,8 @@ class Corpus:
         tables = users, hashtags, urls = _Table(), _Table(), _Table()
         ptrs = refs_at, tags_at, urls_at = [array("q", [0]) for _ in tables]
         ids = ref_ids, tag_ids, url_ids = [array("q") for _ in tables]
-        day, kind, author, texts = array("q"), array("b"), array("q"), []
+        day, kind, author = array("q"), array("b"), array("q")
+        words, word_ids, words_at = _Table(), array("i"), array("q", [0])
         for user, k, d, refs, tags, links, text in rows:
             day.append(d.toordinal())
             kind.append(_KIND_CODES[k])
@@ -568,7 +585,8 @@ class Corpus:
             tags_at.append(len(tag_ids))
             url_ids.extend(map(urls.__getitem__, links))
             urls_at.append(len(url_ids))
-            texts.append(text)
+            word_ids.extend(map(words.__getitem__, _WORD_RE.findall(text)))
+            words_at.append(len(word_ids))
         tables = [_sorted(table) for table in tables]
         ragged = [Ragged(np.asarray(ptr, np.int64),
                          rank[np.asarray(column, np.int64)])
@@ -576,7 +594,9 @@ class Corpus:
         user_rank = tables[0][1]
         return cls(*(keys for keys, _ in tables), np.asarray(day, np.int64),
                    np.asarray(kind, np.int8),
-                   user_rank[np.asarray(author, np.int64)], *ragged, texts)
+                   user_rank[np.asarray(author, np.int64)], *ragged,
+                   tuple(words), Ragged(np.asarray(words_at, np.int64),
+                                        np.asarray(word_ids, np.int32)))
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +701,10 @@ def load_follows(path: str | Path,
     width = max(len(account_table), 1)
     keys = (follower_rank[np.asarray(src, np.int64)] * width
             + account_rank[np.asarray(dst, np.int64)])
-    pairs = np.unique(keys)
+    pairs = _distinct(keys)
     if len(pairs) < len(keys):  # name each row that repeats a pair
         first = np.unique(keys, return_index=True)[1]
-        for k in np.setdiff1d(np.arange(len(keys)), first).tolist():
+        for k in np.delete(np.arange(len(keys)), first).tolist():
             log.warning("%s:%d: duplicate follow pair %s", path, line_of[k],
                         (follower_table[keys[k] // width],
                          account_table[keys[k] % width]))

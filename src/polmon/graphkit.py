@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _distinct
 from .stance import STANCES, StanceMap
 
 
@@ -108,9 +108,9 @@ def _graph(users: tuple[str, ...], authors: np.ndarray, src: np.ndarray,
     (src, dst) pair of user ids that are not equal."""
     other = src != dst
     lo, hi = np.minimum(src, dst)[other], np.maximum(src, dst)[other]
-    ids = np.unique(np.concatenate([authors, dst]))
+    ids = _distinct(np.concatenate([authors, dst]))
     width = len(users)
-    pairs = np.unique(lo * width + hi)
+    pairs = _distinct(lo * width + hi)
     return InteractionGraph.from_pairs(
         users, ids, np.searchsorted(ids, pairs // width),
         np.searchsorted(ids, pairs % width))

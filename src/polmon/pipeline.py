@@ -17,8 +17,6 @@ import csv
 import hashlib
 import json
 import logging
-import re
-from array import array
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
@@ -30,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .corpus import (KINDS, Category, Corpus, FilterReport, Ragged, RuleSet,
-                     _csv_lines, _Table, archive_obj, default_rule_set,
-                     filter_corpus, fold_text, kept_tweets, load_annotations,
-                     load_follows, load_rule_set)
+                     _csv_lines, _distinct, _Table, archive_obj,
+                     default_rule_set, filter_corpus, fold_text, kept_tweets,
+                     load_annotations, load_follows, load_rule_set)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import ConvergenceError, PolarizationResult, compute_pi
@@ -46,8 +44,7 @@ ABLATION_CATEGORIES = ("Political", "MediaJournalist", "Influencers")
 _PI_WITHOUT_COLUMNS = ("pi_without_political", "pi_without_media",
                        "pi_without_influencers")
 
-_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
-_CHUNK = 4096  # texts whose word ids the stats hold at once
+_CHUNK = 4096  # tweets whose word ids the stats hold at once
 
 # what a day's or a threshold's solves may raise on its data; the day or
 # threshold becomes a gap row, and any other error fails the stage
@@ -80,9 +77,10 @@ def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
     """Counts per local day (ascending date), and whole-window counters.
 
     The counters are keyed hashtags, words, phrases, mentioned_users and
-    active_users.  Words are the letter runs of each text, folded by
-    fold_text, minus the folded stopwords; each distinct run is folded
-    once per call.  Phrases are the bigrams of a tweet's remaining words.
+    active_users.  Words are the letter runs of each text (the corpus's
+    words), folded by fold_text, minus the folded stopwords; each entry of
+    the corpus's word table is folded once per call.  Phrases are the
+    bigrams of a tweet's remaining words.
     """
     days, day_of = np.unique(corpus.day, return_inverse=True)
     n = len(days)
@@ -100,7 +98,7 @@ def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
             for d, posts, by_kind, *counts in zip(
                 days.tolist(), np.bincount(day_of, minlength=n).tolist(),
                 kinds.tolist(), *distinct)]
-    words, phrases = _word_counts(corpus.texts,
+    words, phrases = _word_counts(corpus.words, corpus.word_ids,
                                   frozenset(map(fold_text, stopwords)))
     return rows, {"hashtags": _counter(corpus.hashtags, tags),
                   "words": words, "phrases": phrases,
@@ -112,7 +110,7 @@ def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
 def _distinct_per_day(day_of: np.ndarray, ids: np.ndarray, width: int,
                       n_days: int) -> np.ndarray:
     """The number of distinct ids on each day; ids lie below width."""
-    keys = np.unique(day_of * width + ids)
+    keys = _distinct(day_of * width + ids)
     return np.bincount(keys // max(width, 1), minlength=n_days)
 
 
@@ -122,45 +120,51 @@ def _counter(names: Sequence[str], ids: np.ndarray) -> Counter:
     return Counter({name: c for name, c in zip(names, counts) if c})
 
 
-def _word_counts(texts: Sequence[str], stop: frozenset[str]
-                 ) -> tuple[Counter, Counter]:
-    """Counters of the words of the texts that are not stopwords, and of
-    the pairs of such words that follow each other in one text.  Only
-    _CHUNK texts' word ids are held at once; each chunk keeps its distinct
-    pairs (keys a << 31 | b of fold ids) and counts, merged at the end."""
-    folds, fold_ids = _Table(), {}  # raw word -> id of its fold, or -1
-    words = np.zeros(0, np.int64)
+def _word_counts(words: Sequence[str], word_ids: Ragged,
+                 stop: frozenset[str]) -> tuple[Counter, Counter]:
+    """Counters of the folds of the words that are not stopwords, and of
+    the pairs of such folds that follow each other in one tweet; word_ids
+    holds each tweet's ids into words.  Each entry of words is folded once.
+    Only _CHUNK tweets' fold ids are held at once; each chunk's distinct
+    pairs (keys a << 31 | b of fold ids) and counts wait, and are merged
+    into the running ones whenever they outnumber them."""
+    folds = _Table()  # in words' order, so a fold's id is its first use
+    fold_of = np.array([-1 if fold in stop else folds[fold]
+                        for fold in map(fold_text, words)], np.int64)
+    counts = np.zeros(len(folds), np.int64)
     keys, key_counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for start in range(0, len(texts), _CHUNK):
-        ids, ptr = array("q"), array("q", [0])
-        for text in texts[start:start + _CHUNK]:
-            raw = _WORD_RE.findall(text)
-            for w in raw:
-                if w not in fold_ids:
-                    fold = fold_text(w)
-                    fold_ids[w] = -1 if fold in stop else folds[fold]
-            ids.extend(map(fold_ids.__getitem__, raw))
-            ptr.append(len(ids))
-        rows, ids = Ragged(np.frombuffer(ptr, np.int64),
-                           np.frombuffer(ids, np.int64)).pairs()
+    waiting = 0  # keys of the chunks since the last merge
+    for start in range(0, len(word_ids.ptr) - 1, _CHUNK):
+        at = word_ids.ptr[start:start + _CHUNK + 1]
+        rows, ids = Ragged(at - at[0], fold_of[word_ids.ids[at[0]:at[-1]]]
+                           ).pairs()
         kept = ids >= 0
         rows, ids = rows[kept], ids[kept]
-        counts = np.bincount(ids, minlength=len(folds))
-        counts[:len(words)] += words
-        words = counts
+        counts += np.bincount(ids, minlength=len(folds))
         follows = rows[1:] == rows[:-1]
         chunk_keys, chunk_counts = np.unique(
             ids[:-1][follows] << 31 | ids[1:][follows], return_counts=True)
         keys.append(chunk_keys)
         key_counts.append(chunk_counts)
-    pairs, entry = np.unique(np.concatenate(keys), return_inverse=True)
-    counts = np.bincount(entry, weights=np.concatenate(key_counts)
-                         ).astype(np.int64)
+        waiting += len(chunk_keys)
+        if waiting > len(keys[0]):
+            merged, merged_counts = _merged(keys, key_counts)
+            keys, key_counts, waiting = [merged], [merged_counts], 0
+    pairs, pair_counts = _merged(keys, key_counts)
     names = list(folds)
     phrases = Counter({f"{names[p >> 31]} {names[p & 0x7FFFFFFF]}": c
-                       for p, c in zip(pairs.tolist(), counts.tolist())})
-    return Counter({name: c for name, c in zip(names, words.tolist())
+                       for p, c in zip(pairs.tolist(), pair_counts.tolist())})
+    return Counter({name: c for name, c in zip(names, counts.tolist())
                     if c}), phrases
+
+
+def _merged(keys: Sequence[np.ndarray], counts: Sequence[np.ndarray]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of all the key arrays, ascending, and the sum of
+    each one's counts."""
+    merged, entry = np.unique(np.concatenate(keys), return_inverse=True)
+    return merged, np.bincount(entry, weights=np.concatenate(counts),
+                               minlength=len(merged)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +204,7 @@ def stance_shares(corpus: Corpus, stances: StanceMap) -> StanceShares:
     tweet_counts = dict(zip(values, np.bincount(
         label[corpus.author], minlength=len(values)).tolist()))
     user_counts = dict(zip(values, np.bincount(
-        label[np.unique(corpus.author)], minlength=len(values)).tolist()))
+        label[_distinct(corpus.author)], minlength=len(values)).tolist()))
     return StanceShares(tweet_counts=tweet_counts, user_counts=user_counts,
                         tweet_pct=rounded_percentages(tweet_counts),
                         user_pct=rounded_percentages(user_counts))

@@ -16,7 +16,7 @@ from polmon.stance import STANCES, Stance, StanceMap
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
-from oracles import TweetRecord, tweet_to_obj  # noqa: E402
+from oracles import TweetRecord, letter_runs, tweet_to_obj  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,13 +94,21 @@ def rows_of(records, offset_minutes: int = 0) -> list[tuple]:
              t.text) for t in records]
 
 
+def stored_rows(records, offset_minutes: int = 0) -> list[tuple]:
+    """What a Corpus reads back of each record (see corpus_rows): rows_of,
+    with the text as its letter runs."""
+    return [(*row[:-1], tuple(letter_runs(row[-1])))
+            for row in rows_of(records, offset_minutes)]
+
+
 def corpus_of(records, offset_minutes: int = 0) -> Corpus:
     """The records as columns, through the builder filter_corpus uses."""
     return Corpus.from_rows(rows_of(records, offset_minutes))
 
 
 def corpus_rows(corpus: Corpus) -> list[tuple]:
-    """rows_of read back from the columns."""
+    """The rows_of of each tweet read back from the columns, with its text
+    as the words stored for it."""
     def lists(ragged, table):
         ptr, ids = ragged.ptr.tolist(), ragged.ids.tolist()
         return [tuple(table[j] for j in ids[a:b])
@@ -111,7 +119,8 @@ def corpus_rows(corpus: Corpus) -> list[tuple]:
         map(date.fromordinal, corpus.day.tolist()),
         lists(corpus.ref_ids, corpus.users),
         lists(corpus.tag_ids, corpus.hashtags),
-        lists(corpus.url_ids, corpus.urls), corpus.texts))
+        lists(corpus.url_ids, corpus.urls),
+        lists(corpus.word_ids, corpus.words)))
 
 
 def follow_pairs(follows: Follows) -> list[tuple[str, str]]:
@@ -132,7 +141,7 @@ def filter_records(rule_set: RuleSet, records
                    ) -> tuple[list[tuple], FilterReport]:
     """filter_corpus over an archive of the records, with the kept tweets
     as corpus_rows; a record with normalised hashtags and a UTC timestamp
-    reads back as its rows_of."""
+    reads back as its stored_rows."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_archive(Path(tmp) / "tweets.jsonl", records)
         kept, report = filter_corpus(rule_set, path)

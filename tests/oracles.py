@@ -24,7 +24,8 @@ build their archives from records, and what ``filtered.jsonl`` holds of a
 kept line is ``tweet_to_obj`` of its reference record.
 The stats oracle tallies the bundle's daily counts and the summary's
 whole-window counters one tweet at a time; ``tokenize`` gives the words
-it counts in one text.  The graph and share oracles are the record loops
+it counts in one text, and ``letter_runs`` those words as written.
+The graph and share oracles are the record loops
 the package ran before it held the kept tweets as columns: sets of user ids and id pairs per tweet, tweets grouped by local
 date, and a stance label looked up per tweet.
 """
@@ -677,10 +678,15 @@ def write_stance_csv_reference(stances, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def letter_runs(text: str) -> list[str]:
+    """The runs of letters of a text, in order, as written."""
+    return re.findall(r"[^\W\d_]+", text)
+
+
 def tokenize(text: str) -> list[str]:
     """The words compute_stats counts in a text: its letter runs, each
     folded by the package's fold_text."""
-    return [fold_text(w) for w in re.findall(r"[^\W\d_]+", text)]
+    return [fold_text(w) for w in letter_runs(text)]
 
 
 def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):
@@ -703,8 +709,7 @@ def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):
         counters["hashtags"].update(t.hashtags)
         counters["mentioned_users"].update(t.referenced_user_ids)
         counters["active_users"][t.author_id] += 1
-        words = [w for w in map(fold_text_reference,
-                                re.findall(r"[^\W\d_]+", t.text))
+        words = [w for w in map(fold_text_reference, letter_runs(t.text))
                  if w not in stopwords]
         counters["words"].update(words)
         counters["phrases"].update(

@@ -421,28 +421,47 @@ def test_config_must_be_object(tmp_path, capsys):
     assert "cannot load config" in capsys.readouterr().err
 
 
-_RUN_WITHOUT_SCIPY = """
+_RUN_ALL_IN_CHILD = """
 import json, sys
+import numpy
+numpy_ma_on_import = "numpy.ma" in sys.modules
 import polmon.cli, polmon.corpus, polmon.graphkit, polmon.pipeline
 import polmon.polarization, polmon.report, polmon.stance, polmon.structure
 
 rc = polmon.cli.main(["run-all", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"rc": rc, "scipy_loaded": "scipy" in sys.modules}))
+print(json.dumps({"rc": rc, "scipy_loaded": "scipy" in sys.modules,
+                  "numpy_ma_on_import": numpy_ma_on_import,
+                  "numpy_ma_loaded": "numpy.ma" in sys.modules}))
 """
 
 
-def test_run_all_does_not_load_scipy(fixture_paths, tmp_path):
-    # the package needs numpy alone; scipy is a test dependency
+def _run_all_in_child(fixture_paths, out: Path) -> dict:
+    """run-all on the fixture in a fresh interpreter: its return code, and
+    which of scipy and numpy.ma it loaded."""
     src = str(Path(polmon.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_WITHOUT_SCIPY,
-         str(fixture_paths["config"]), str(tmp_path / "out")],
+        [sys.executable, "-c", _RUN_ALL_IN_CHILD,
+         str(fixture_paths["config"]), str(out)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_run_all_does_not_load_scipy(fixture_paths, tmp_path):
+    # the package needs numpy alone; scipy is a test dependency
+    result = _run_all_in_child(fixture_paths, tmp_path / "out")
     assert result["rc"] == 0
     assert (tmp_path / "out" / "run_manifest.json").exists()
     assert not result["scipy_loaded"]
+
+
+def test_run_all_does_not_load_numpy_ma(fixture_paths, tmp_path):
+    # np.unique without return_* flags imports numpy.ma on first use
+    result = _run_all_in_child(fixture_paths, tmp_path / "out")
+    if result["numpy_ma_on_import"]:
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert result["rc"] == 0
+    assert not result["numpy_ma_loaded"]

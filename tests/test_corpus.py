@@ -5,6 +5,7 @@ import unicodedata
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,9 @@ from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            load_tweets, normalize_hashtag, rule_set_from_dict)
 
 from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records,
-                      follow_pairs, keeps, records, rows_of, tweet)
-from oracles import (filter_corpus_reference, parse_tweet_reference,
-                     tweet_to_obj)
+                      follow_pairs, keeps, records, stored_rows, tweet)
+from oracles import (filter_corpus_reference, letter_runs,
+                     parse_tweet_reference, tweet_to_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +237,8 @@ def test_type_confused_line_does_not_abort_filter(tmp_path):
     path = _write(tmp_path, [GOOD_LINE, json.dumps(obj), GOOD_LINE])
     errors = []
     kept, report = filter_corpus(default_rule_set(), path, error_log=errors)
-    assert (len(kept.texts), report.total, len(errors)) == (2, 2, 1)
-    assert corpus_rows(kept) == rows_of(
+    assert (len(kept.day), report.total, len(errors)) == (2, 2, 1)
+    assert corpus_rows(kept) == stored_rows(
         [parse_tweet_reference(json.loads(GOOD_LINE))] * 2)
 
 
@@ -445,7 +446,7 @@ def test_filter_all_match(rules):
     tweets = [tweet(f"t{i}", text="υποκλοπές", ts="2022-08-05T09:00:00Z")
               for i in range(4)]
     kept, report = filter_records(rules, tweets)
-    assert kept == rows_of(tweets)
+    assert kept == stored_rows(tweets)
     assert report.kept == report.total == 4
 
 
@@ -461,7 +462,7 @@ def test_filter_mixed_matches_recheck(rules):
     ]
     kept, report = filter_records(rules, tweets)
     oracle, ref_report = filter_corpus_reference(rules, tweets)
-    assert kept == rows_of(oracle)
+    assert kept == stored_rows(oracle)
     assert report == ref_report
     assert report.kept == len(oracle) == 2
     assert report.kept + report.dropped == report.total == len(tweets)
@@ -476,7 +477,7 @@ def test_filter_idempotent(rules):
     ]
     kept, _ = filter_records(rules, tweets)
     again, report = filter_records(rules, tweets[:1])
-    assert again == kept == rows_of(tweets[:1])
+    assert again == kept == stored_rows(tweets[:1])
     assert report.kept == report.total
 
 
@@ -497,7 +498,7 @@ def test_date_overflow_counts_as_out_of_window(tmp_path, ts, offset):
     good, edge = map(parse_tweet_reference, (json.loads(GOOD_LINE), obj))
     kept, report = filter_corpus(rule_set, path, error_log=errors)
     assert errors == []
-    assert corpus_rows(kept) == rows_of([good], offset)
+    assert corpus_rows(kept) == stored_rows([good], offset)
     assert (report.total, report.kept, report.dropped_window) == (2, 1, 1)
     assert report.to_dict()["dropped"] == report.total - report.kept
     assert not keeps(rule_set, edge)
@@ -553,12 +554,26 @@ def test_corpus_days_are_rule_set_local_dates(minutes, offset):
 @given(records(), st.sampled_from(OFFSETS))
 def test_corpus_columns_read_back_as_the_records(tweets, offset):
     corpus = corpus_of(tweets, offset)
-    assert len(corpus.texts) == len(corpus.day) == len(tweets)
-    assert corpus_rows(corpus) == rows_of(tweets, offset)
+    assert len(corpus.word_ids.ptr) - 1 == len(corpus.day) == len(tweets)
+    assert corpus_rows(corpus) == stored_rows(tweets, offset)
     for table in (corpus.users, corpus.hashtags, corpus.urls):
         assert list(table) == sorted(set(table))  # interned, id order
     assert set(corpus.users) == {
         u for t in tweets for u in (t.author_id, *t.referenced_user_ids)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(records())
+@example([tweet("t1", text="το Το ΤΟ τo 12το x_το"),
+          tweet("t2", text="Café το café"), tweet("t3", text="")])
+def test_word_table_numbers_each_run_once_in_first_met_order(tweets):
+    corpus = corpus_of(tweets)
+    runs = [w for t in tweets for w in letter_runs(t.text)]
+    assert len(set(corpus.words)) == len(corpus.words)
+    assert list(corpus.words) == list(dict.fromkeys(runs))
+    assert corpus.word_ids.ids.dtype == np.int32
+    assert corpus.word_ids.ids.tolist() == list(
+        map(corpus.words.index, runs))
 
 
 # the reference path: each active rule on its own, term and text folded
@@ -644,7 +659,7 @@ def test_filter_equals_per_rule_reference(rules, tweets, offset):
                        date_offset_minutes=offset)
     kept, report = filter_records(rule_set, tweets)
     ref_kept, ref_hits = _filter_reference(rule_set, tweets)
-    assert kept == rows_of(ref_kept, offset)
+    assert kept == stored_rows(ref_kept, offset)
     assert report.rule_hits == ref_hits
     assert ref_kept == filter_corpus_reference(rule_set, tweets)[0]
 
@@ -662,7 +677,7 @@ def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
     kept, report = filter_records(rules, tweets)
     # the default set's four keyword rules are active on every date
     assert folded == [t.text for t in tweets]
-    assert kept == rows_of([tweets[0], tweets[1], tweets[4]])
+    assert kept == stored_rows([tweets[0], tweets[1], tweets[4]])
     folded.clear()
     assert [keeps(rules, t) for t in tweets] == [True, True, False, False,
                                                   True]

@@ -30,7 +30,7 @@ from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
                            load_follows, load_tweets)
 from polmon.pipeline import RunConfig, Runner
 
-from conftest import corpus_rows, follow_pairs, rows_of
+from conftest import corpus_rows, follow_pairs, stored_rows
 from oracles import (filter_corpus_reference, fold_text_reference,
                      load_follows_reference, load_tweets_reference,
                      tweet_to_obj)
@@ -197,7 +197,7 @@ def test_filter_pass_equals_reference(tmp_path, rules, lines, offset):
     def reference(strict, errors):
         kept, report = filter_corpus_reference(rule_set, load_tweets_reference(
             path, schema_strict=strict, error_log=errors))
-        return rows_of(kept, offset), report
+        return stored_rows(kept, offset), report
 
     for strict in (False, True):
         assert _filtered(one_pass, strict) == _filtered(reference, strict)

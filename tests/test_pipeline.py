@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmon import pipeline
-from polmon.corpus import (AccountAnnotation, Category, Kind, Side,
+from polmon.corpus import (_WORD_RE, AccountAnnotation, Category, Kind, Side,
                            default_rule_set, filter_corpus)
 from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
@@ -30,7 +30,7 @@ from polmon.stance import Stance, stance_map
 from polmon.structure import ShieldRanking
 
 from conftest import (OFFSETS, corpus_of, corpus_rows, follows_of, graph_of,
-                      records, rows_of, stances_of, tweet, write_archive)
+                      records, stances_of, stored_rows, tweet, write_archive)
 from oracles import (build_graph_reference, filter_corpus_reference,
                      load_tweets_reference, stance_shares_reference,
                      stats_reference, tokenize, tweet_to_obj)
@@ -247,7 +247,7 @@ def test_stats_folds_each_distinct_word_once(monkeypatch):
                         lambda s: folded.append(s) or real(s))
     compute_stats(corpus_of(tweets))
     assert sorted(folded) == sorted({w for t in tweets
-                                     for w in pipeline._WORD_RE.findall(t.text)})
+                                     for w in _WORD_RE.findall(t.text)})
 
 
 _WINDOW_KEYS = ("hashtags", "words", "phrases", "mentioned_users",
@@ -719,7 +719,7 @@ def test_malformed_lines_outside_the_window_are_counted(fixture_paths,
     kept, report = runner.filtered
     assert len(runner.load_errors) == 6
     assert [lineno for lineno, _ in runner.load_errors] == [2, 3, 5, 6, 8, 9]
-    assert (len(kept.texts), report.total, report.dropped_window) == (
+    assert (len(kept.day), report.total, report.dropped_window) == (
         1, 3, 2)
     runner.write_filtered()
     payload = json.loads((tmp_path / "out" / "filter_report.json")
@@ -780,7 +780,7 @@ def test_run_all_over_the_whole_calendar(fixture_paths, tmp_path, offset):
     runner = Runner(config)
     kept, _ = filter_corpus_reference(runner.rule_set,
                                       load_tweets_reference(config.tweets))
-    assert corpus_rows(runner.filtered[0]) == rows_of(kept, offset)
+    assert corpus_rows(runner.filtered[0]) == stored_rows(kept, offset)
     assert [t.tweet_id for t in kept if t.tweet_id.startswith("edge")] == (
         ["edge0"] if offset > 0 else ["edge1"])
     assert ((runner.daily[0][0] == date.min) if offset > 0
