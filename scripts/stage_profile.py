@@ -11,7 +11,9 @@ A writer's line is named ``write_<name>``.  Self time leaves out the
 stages that a stage or writer built first, which have lines of their own.
 Resident MB is read from /proc/self/statm after the stage (where there is
 none, it is getrusage's peak); peak MB is getrusage's ru_maxrss so far.
-The last line, ``total``, gives the wall time of the whole run.
+The first line, ``import``, gives the import time of ``polmon.pipeline``
+and the memory right after it.  The last line, ``total``, gives the wall
+time of the whole run.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/stage_profile.py config.json out/
 
@@ -29,10 +31,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from polmon import pipeline  # noqa: E402
-
 
 def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -47,6 +45,18 @@ def resident_mb() -> float:
     return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_start = perf_counter()
+from polmon import pipeline  # noqa: E402
+
+IMPORTED = perf_counter() - _start, resident_mb(), peak_mb()
+
+
+def print_row(name: str, seconds: float, resident: float, peak: float
+              ) -> None:
+    print(f"{name:<22}{seconds:9.3f}{resident:10.1f}{peak:10.1f}", flush=True)
+
+
 class Profile:
     """Times calls that may nest, and prints a line as each one ends."""
 
@@ -54,8 +64,7 @@ class Profile:
         self._inner = [0.0]  # per open call: the time of the calls inside
 
     def line(self, name: str, seconds: float) -> None:
-        print(f"{name:<22}{seconds:9.3f}{resident_mb():10.1f}"
-              f"{peak_mb():10.1f}", flush=True)
+        print_row(name, seconds, resident_mb(), peak_mb())
 
     def measure(self, name: str, fn: Callable):
         self._inner.append(0.0)
@@ -96,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     profile = Profile()
     print(f"{'stage':<22}{'self_s':>9}{'rss_mb':>10}{'peak_mb':>10}",
           flush=True)
+    print_row("import", *IMPORTED)
     # run_all builds its Runner from the module's name at call time
     runner, pipeline.Runner = pipeline.Runner, profiled_runner(profile)
     try:

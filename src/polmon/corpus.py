@@ -23,7 +23,8 @@ two for each valid one.  ``kept_tweets`` is the one keep-or-drop pass over
 it: it tests the language, then the study window on the tweet's local
 date (``RuleSet.local_date``), then the rules, and yields each kept
 tweet.  Rules are matched by lookup: a dict from hashtag term to rule
-keys per local date, and keyword terms tested against the folded text.
+keys per local date, and keyword terms tested against the text as
+``fold_text`` folds it (ASCII and Greek through an ISO-8859-7 byte table).
 ``filter_corpus`` feeds the kept tweets into a ``Corpus``: numpy columns
 over sorted, interned string tables, and each text's words as ids into a
 word table, which the graph, stats and share stages read; no text is
@@ -33,6 +34,7 @@ kept tweet.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import logging
@@ -42,6 +44,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
+from encodings import iso8859_7
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -167,12 +170,23 @@ def fold_text(s: str) -> str:
     Greek tonos/diaeresis are removed via NFD + combining-mark strip; the
     final sigma folds to sigma through casefold.  NFC-recomposed so equal
     strings compare equal byte-wise.  Below U+0900 each character folds on
-    its own, by table: with the marks stripped, NFC only joins a starter to
-    one at U+09BE or above (Indic vowel signs, Hangul V/T jamo; UAX #15).
+    its own: with the marks stripped, NFC only joins a starter to one at
+    U+09BE or above (Indic vowel signs, Hangul V/T jamo; UAX #15).  Three
+    paths give that fold.  Text with a character at or above U+0900 folds
+    as a whole.  Other text that ISO-8859-7 encodes (ASCII and monotonic
+    Greek) folds byte by byte through _BYTE_FOLDS: each character of that
+    code page folds to exactly one character of it (checked as the table
+    is built), so each byte's fold is its character's fold.  The rest
+    folds character by character through _FOLD_TABLE.
     """
-    if _WIDE.search(s) is None:
+    if _WIDE.search(s) is not None:
+        return _fold_whole(s)
+    try:
+        raw = codecs.charmap_encode(s, None, iso8859_7.encoding_table)[0]
+    except UnicodeEncodeError:
         return s.translate(_FOLD_TABLE)
-    return _fold_whole(s)
+    return codecs.charmap_decode(raw.translate(_BYTE_FOLDS), None,
+                                 iso8859_7.decoding_table)[0]
 
 
 def _fold_whole(s: str) -> str:
@@ -187,8 +201,21 @@ class _FoldTable(dict):
         return folded
 
 
+def _byte_folds() -> bytes:
+    """Each ISO-8859-7 byte's fold.  Raises unless each character of the
+    code page folds to exactly one character of it: RuntimeError for a
+    fold of another length, UnicodeEncodeError for one outside it."""
+    chars = iso8859_7.decoding_table  # "\ufffe" at the 3 undefined bytes
+    folds = [_fold_whole(ch) for ch in chars]
+    bad = [ch for ch, folded in zip(chars, folds) if len(folded) != 1]
+    if bad:
+        raise RuntimeError(f"{bad} do not fold to one character each")
+    return "".join(folds).replace("\ufffe", "\0").encode("iso8859_7")
+
+
 _FOLD_TABLE = _FoldTable()  # code point -> its fold, filled on first use
 _WIDE = re.compile("[^\x00-\u08ff]")
+_BYTE_FOLDS = _byte_folds()
 
 
 def normalize_hashtag(tag: str) -> str:
@@ -286,7 +313,8 @@ def _check_tweet(obj: dict) -> Checked:
             media.append({"kind": media_kind, "url": str(item["url"])})
         except (KeyError, ValueError, TypeError):
             raise CorpusFormatError(f"bad media item {item!r}") from None
-    return Checked(kind, ts, hashtags, urls, refs, counts, media)
+    return tuple.__new__(Checked, (kind, ts, hashtags, urls, refs, counts,
+                                   media))  # skips Checked.__new__'s frame
 
 
 def archive_obj(obj: dict, fields: Checked, hashtags: list[str]) -> dict:
@@ -469,7 +497,8 @@ def kept_tweets(rule_set: RuleSet, path: str | Path, report: FilterReport,
         hashtags = _normalized(fields.hashtags, tags)
         keys = matcher.hits(d, str(obj["text"]), hashtags)
         if keys:
-            report.rule_hits.update(keys)
+            for key in keys:  # faster than Counter.update
+                report.rule_hits[key] += 1
             report.kept += 1
             yield obj, fields, hashtags, d
         else:

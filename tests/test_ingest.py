@@ -4,11 +4,12 @@ The loader decodes with a reused raw decoder and yields each valid line's
 object and checked fields, keeping the decoded lists; filter_corpus reads
 the loader's lines, memoises hashtag normalisation, matches rules by
 lookup on the folded text and holds the tweets it keeps as columns;
-write_filtered writes each kept line as archive_obj; fold_text folds text
-below U+0900 character by character; load_follows reads rows by column
-index.  Each must give exactly what the reference gives: the references
-build a TweetRecord per line, and what filtered.jsonl holds of a kept line
-is tweet_to_obj of its record.
+write_filtered writes each kept line as archive_obj; fold_text folds
+ISO-8859-7 text through a byte table and other text below U+0900
+character by character; load_follows reads rows by column index.  Each
+must give exactly what the reference gives: the references build a
+TweetRecord per line, and what filtered.jsonl holds of a kept line is
+tweet_to_obj of its record.
 """
 
 import csv
@@ -312,7 +313,9 @@ def test_write_filtered_equals_reference(tmp_path, rules, lines, wide,
 
 # text where folding by character could go wrong: NFD Greek, Hangul jamo
 # runs after a syllable, Indic two-part vowel signs (which NFC composes),
-# casefold expansions, and combining marks with no base
+# casefold expansions, combining marks with no base, ISO-8859-7
+# characters at or above U+0900 (which take the whole-string path) and two
+# that decompose, and accented text that ISO-8859-7 cannot encode
 _PIECES = st.sampled_from([
     unicodedata.normalize("NFD", "Υποκλοπές ΐΰ ϊϋ"), "\u03ac", "\u0301",
     "\u0308", "\u0345",
@@ -320,6 +323,7 @@ _PIECES = st.sampled_from([
     "\u0b4b", "\u0b47\u0b3e", "\u09cb", "\u09c7\u09be", "\u0d4a",
     "\u00df", "\u0130", "\u1e9e", "\u03c2", "\u03a3", "\ufb01",
     "\u212a", "\u212b", "\u01c5", "\u2126",
+    "\u20ac", "\u2018", "\u2019", "\u2015", "\u037a", "\u0385", "caf\u00e9",
 ])
 _TEXT = st.lists(_PIECES | st.text(max_size=6), max_size=8).map("".join)
 
@@ -334,6 +338,45 @@ def test_fold_covers_every_code_point_below_u0900():
     s = "".join(map(chr, range(1, 0x900)))
     assert fold_text(s) == fold_text_reference(s)
     assert len(corpus._FOLD_TABLE) <= 0x900
+
+
+_CODEPAGE = bytes(range(256)).decode("iso8859_7", "ignore")
+_CODEPAGE_LOW = "".join(ch for ch in _CODEPAGE if ch < "\u0900")
+
+
+def test_each_codepage_character_folds_to_one_codepage_character():
+    assert len(_CODEPAGE) == 253
+    for ch in _CODEPAGE:
+        folded = fold_text_reference(ch)
+        assert len(folded.encode("iso8859_7")) == 1, (ch, folded)
+        assert fold_text(ch) == folded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_CODEPAGE_LOW))
+@example(_CODEPAGE_LOW)
+def test_fold_of_codepage_text_equals_reference(s):
+    assert fold_text(s) == fold_text_reference(s)
+
+
+def test_codepage_text_folds_without_the_character_table(monkeypatch):
+    table = corpus._FoldTable()
+    monkeypatch.setattr(corpus, "_FOLD_TABLE", table)
+    for s in (_CODEPAGE_LOW, "ΥΠΟΚΛΟΠΈΣ #ypoklopes, ΐΰ 2022!"):
+        assert fold_text(s) == fold_text_reference(s)
+    assert not table
+    assert fold_text("café") == "cafe" and table  # é is not in ISO-8859-7
+
+
+@pytest.mark.parametrize("folded, error", [
+    ("ss", RuntimeError), ("", RuntimeError), ("\u00e9", UnicodeEncodeError)])
+def test_byte_table_refuses_a_fold_to_other_than_one_codepage_character(
+        monkeypatch, folded, error):
+    fold = corpus._fold_whole
+    monkeypatch.setattr(corpus, "_fold_whole",
+                        lambda s: folded if s == "\u03b2" else fold(s))
+    with pytest.raises(error):
+        corpus._byte_folds()
 
 
 # ---------------------------------------------------------------------------

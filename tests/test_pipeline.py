@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmon import pipeline
-from polmon.corpus import (_WORD_RE, AccountAnnotation, Category, Kind, Side,
+from polmon.corpus import (AccountAnnotation, Category, Kind, Side,
                            default_rule_set, filter_corpus)
 from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
@@ -32,8 +32,9 @@ from polmon.structure import ShieldRanking
 from conftest import (OFFSETS, corpus_of, corpus_rows, follows_of, graph_of,
                       records, stances_of, stored_rows, tweet, write_archive)
 from oracles import (build_graph_reference, filter_corpus_reference,
-                     load_tweets_reference, stance_shares_reference,
-                     stats_reference, tokenize, tweet_to_obj)
+                     letter_runs, load_tweets_reference,
+                     stance_shares_reference, stats_reference, tokenize,
+                     tweet_to_obj)
 
 
 _LETTER = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
@@ -247,7 +248,7 @@ def test_stats_folds_each_distinct_word_once(monkeypatch):
                         lambda s: folded.append(s) or real(s))
     compute_stats(corpus_of(tweets))
     assert sorted(folded) == sorted({w for t in tweets
-                                     for w in _WORD_RE.findall(t.text)})
+                                     for w in letter_runs(t.text)})
 
 
 _WINDOW_KEYS = ("hashtags", "words", "phrases", "mentioned_users",

@@ -43,7 +43,7 @@ def test_stage_profile_on_fixture(fixture_paths, tmp_path):
     # each stage once, in the order run_all first needs it, each writer
     # after the stages it reads, and the whole run last
     assert [name for name, *_ in rows] == [
-        "rules", "filter", "stopwords", "stats", "write_stats",
+        "import", "rules", "filter", "stopwords", "stats", "write_stats",
         "annotations", "follows", "stance", "write_stance", "daily",
         "polarize", "write_pi_series", "graph", "influencers",
         "write_influencers", "ablate", "write_ablation", "sweep",
@@ -51,9 +51,10 @@ def test_stage_profile_on_fixture(fixture_paths, tmp_path):
         "shares", "write_summary", "write_manifest", "total"]
     self_s = [s for _, s, _, _ in rows]
     peaks = [p for *_, p in rows]
-    # each time is printed to the millisecond, so each is off by 0.0005
+    # each time is printed to the millisecond, so each is off by 0.0005;
+    # the import comes before the run that total times
     assert min(self_s) >= 0
-    assert sum(self_s[:-1]) <= self_s[-1] + 0.0005 * len(rows)
+    assert sum(self_s[1:-1]) <= self_s[-1] + 0.0005 * len(rows)
     assert peaks == sorted(peaks) and min(r for _, _, r, _ in rows) > 0
     assert {"summary.html", "run_manifest.json"} <= {
         p.name for p in (tmp_path / "out").iterdir()}
