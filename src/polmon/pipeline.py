@@ -321,6 +321,14 @@ def threshold_sweep(g: InteractionGraph, stances: StanceMap,
     return ThresholdSweepResult(entries=entries)
 
 
+def sweep_rows(entries: Sequence, fmt: Callable[[float], str]) -> list[list]:
+    """Sweep rows, PIs written by fmt; a gap's row holds its threshold only."""
+    return [[format(e[0], "g"), "", "", "", "", "", ""] if isinstance(e, tuple)
+            else [format(e.threshold, "g"), fmt(e.pi_full),
+                  *(fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
+                  e.n_left_users, e.n_right_users] for e in entries]
+
+
 # ---------------------------------------------------------------------------
 # run configuration and the report bundle
 # ---------------------------------------------------------------------------
@@ -633,8 +641,9 @@ class Runner:
 
     def _path(self, name: str) -> Path:
         """name in out_dir, which is made first if it is missing."""
-        self.config.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.config.out_dir / name
+        path = Path(self.config.out_dir, name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
     def _write_text(self, name: str, text: str) -> Path:
         path = self._path(name)
@@ -721,12 +730,7 @@ class Runner:
             "sweep.csv",
             ["threshold", "pi_full", *_PI_WITHOUT_COLUMNS, "n_left_users",
              "n_right_users"],
-            ([format(e[0], "g"), "", "", "", "", "", ""]
-             if isinstance(e, tuple)
-             else [format(e.threshold, "g"), _fmt(e.pi_full),
-                   *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
-                   e.n_left_users, e.n_right_users]
-             for e in self.sweep.entries))
+            sweep_rows(self.sweep.entries, _fmt))
 
     def write_communities(self) -> Path:
         partition = self.communities

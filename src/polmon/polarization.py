@@ -12,7 +12,8 @@ unanimous at +/-1.
 
 The one solver is Jacobi-preconditioned conjugate gradients (CG) on the
 SPD system, in numpy alone; the tests check it against a dense solve and
-against the Jacobi iteration above.
+against the Jacobi iteration above.  Its A x and inner product
+(_adjacency, _dot) are also those of structure's power iteration.
 """
 
 from __future__ import annotations
@@ -61,13 +62,19 @@ def _adjacency(indptr: np.ndarray, indices: np.ndarray
 
     bincount starts each row at 0.0 and adds the row's entries in CSR
     order, as scipy's CSR matvec does, so the product is bit-identical to
-    ``csr_matrix @ x``; the solver's last bits depend on that order.
-    (bincount returns integers when there are no entries at all.)
+    scipy's; the order fixes the last bits of z and u, and those break
+    NetShield's exact score ties.  (bincount gives ints on no entries.)
     """
     n = len(indptr) - 1
     rows = np.repeat(np.arange(n), np.diff(indptr))
     return lambda x: np.bincount(rows, weights=x.take(indices),
                                  minlength=n).astype(np.float64, copy=False)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b in numpy's single-threaded einsum loop, not BLAS: BLAS splits
+    a long sum across threads, and the order fixes bits (see _adjacency)."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
@@ -93,10 +100,10 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
     while residual > tol and iters < max_iter and not broke_down:
         y = r / diag
         p = y
-        ry = r @ y
+        ry = _dot(r, y)
         while iters < max_iter:
             ap = diag * p - adj(p)
-            pap = p @ ap
+            pap = _dot(p, ap)
             broke_down = not 0.0 < pap < np.inf
             if broke_down:
                 break
@@ -107,7 +114,7 @@ def _cg(indptr: np.ndarray, indices: np.ndarray, s: np.ndarray, tol: float,
             if np.abs(r).max() <= tol:
                 break
             y = r / diag
-            ry, ry_old = r @ y, ry
+            ry, ry_old = _dot(r, y), ry
             p = y + (ry / ry_old) * p
         r = s - (diag * z - adj(z))
         residual = float(np.abs(r).max())
@@ -146,7 +153,7 @@ def polarization_index(z: np.ndarray) -> float:
     """Mean squared equilibrium opinion; undefined (raises) on empty input."""
     if len(z) == 0:
         raise ValueError("polarization index is undefined on an empty graph")
-    return float(np.dot(z, z) / len(z))
+    return _dot(z, z) / len(z)
 
 
 def compute_pi(g: InteractionGraph, stances: StanceMap, tol: float = 1e-10,

@@ -127,7 +127,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def render_summary(runner) -> str:
     """Assemble summary.html from an (already computed) pipeline Runner."""
-    from .pipeline import ABLATION_CATEGORIES
+    from .pipeline import ABLATION_CATEGORIES, sweep_rows
     report = runner.filtered[1]
     stats, window_counts = runner.stats
     shares = runner.shares
@@ -178,11 +178,7 @@ def render_summary(runner) -> str:
         sections.append(_table(
             ["threshold", "pi full", "w/o Political", "w/o MediaJournalist",
              "w/o Influencers", "Left users", "Right users"],
-            [[format(e[0], "g"), "", "", "", "", "", ""]
-             if isinstance(e, tuple)
-             else [format(e.threshold, "g"), _fmt(e.pi_full),
-                   *(_fmt(e.pi_without[c]) for c in ABLATION_CATEGORIES),
-                   e.n_left_users, e.n_right_users] for e in sweep]))
+            sweep_rows(sweep, _fmt)))
 
     ranking = runner.influencer_ranking
     if ranking.selected:

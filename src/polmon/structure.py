@@ -5,8 +5,8 @@ NetShield greedily picks the k nodes maximizing the shield value
     Sv(S) = sum_{i in S} 2 lambda u_i^2 - sum_{i,j in S} A_ij u_i u_j
 
 where (lambda, u) is the leading adjacency eigenpair, found by power
-iteration to a fixed tolerance; picking and score updates run in
-O(n k + m), within the O(n k^2 + m) class.
+iteration, with CG's A x and inner product, to a fixed tolerance; picking
+and score updates run in O(n k + m), within the O(n k^2 + m) class.
 
 Louvain is the standard two-phase modularity heuristic: local moves to the
 best positive-gain neighbouring community, then graph aggregation, repeated
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphkit import InteractionGraph
-from .polarization import ConvergenceError
+from .polarization import ConvergenceError, _adjacency, _dot
 from .stance import STANCES
 
 log = logging.getLogger(__name__)
@@ -95,25 +95,17 @@ def leading_eigenpair(g: InteractionGraph) -> tuple[float, np.ndarray]:
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
-    indptr, indices = g.indptr, g.indices
-    # A u is one np.add.reduceat over the starts of the non-empty rows:
-    # empty rows in between contribute no entries, so each segment is
-    # exactly one row.  This summation order fixes u's last bits, which
-    # break NetShield's exact score ties, so it is part of the output.
-    nonempty = np.diff(indptr) > 0
-    starts = indptr[:-1][nonempty]
-    au = np.zeros(g.n)
+    adj = _adjacency(g.indptr, g.indices)
     u = np.full(g.n, 1.0 / np.sqrt(g.n))
     for it in range(_EIGEN_MAX_ITER + 1):
-        if len(indices):
-            au[nonempty] = np.add.reduceat(u[indices], starts)
-        lam = float(np.dot(u, au))
+        au = adj(u)
+        lam = _dot(u, au)
         residual = float(np.max(np.abs(au - lam * u)))
         if residual <= _EIGEN_TOL * max(1.0, lam):
             return lam, u
         if it < _EIGEN_MAX_ITER:
             y = au + u
-            u = y / np.linalg.norm(y)
+            u = y / np.sqrt(_dot(y, y))
     raise ConvergenceError(
         f"power iteration stalled at residual {residual:.3e} after "
         f"{_EIGEN_MAX_ITER} iterations (degenerate leading spectrum?)",

@@ -700,6 +700,13 @@ def _config(fixture_paths, out_dir) -> RunConfig:
     return config
 
 
+def test_out_dir_given_as_str(fixture_paths, tmp_path):
+    config = _config(fixture_paths, str(tmp_path / "out"))
+    path = Runner(config).write("stats")
+    assert path == tmp_path / "out" / "stats_daily.csv"
+    assert path.read_text(encoding="utf-8").startswith("date,n_posts,")
+
+
 def test_malformed_lines_outside_the_window_are_counted(fixture_paths,
                                                        tmp_path):
     # a truncated and a type-confused line before, inside and after the

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polmon
 from polmon import polarization
 from polmon.polarization import (ConvergenceError, _adjacency, compute_pi,
                                  default_max_iter, fj_equilibrium,
@@ -361,3 +368,44 @@ def test_matvec_bit_equal_to_scipy(case):
         got = matvec(v)
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
         assert got.tobytes() == expected.tobytes()
+
+
+_SOLVE_IN_CHILD = """
+import hashlib, json
+import numpy as np
+from polmon.graphkit import InteractionGraph
+from polmon.polarization import fj_equilibrium
+from polmon.structure import leading_eigenpair
+
+rng = np.random.default_rng(25)
+n = 25_000
+pairs = np.unique(np.sort(rng.integers(0, n, size=(80_000, 2)), axis=1),
+                  axis=0)
+pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+g = InteractionGraph.from_pairs(tuple(f"u{i:05d}" for i in range(n)),
+                                np.arange(n), pairs[:, 0], pairs[:, 1])
+z, _ = fj_equilibrium(g, rng.choice([-1.0, 0.0, 1.0], size=n))
+lam, u = leading_eigenpair(g)
+print(json.dumps({"n": g.n, "m": g.m, "lam": lam.hex(),
+                  "z": hashlib.sha256(z.tobytes()).hexdigest(),
+                  "u": hashlib.sha256(u.tobytes()).hexdigest()}))
+"""
+
+
+def test_solves_do_not_depend_on_blas_thread_count():
+    # BLAS splits a sum of ~20k terms or more across its threads, which
+    # changes its last bits; the solvers' own sums must not
+    src = str(Path(polmon.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_IN_CHILD],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert results[0]["n"] >= 20_000
+    assert results[0] == results[1]
