@@ -8,7 +8,9 @@ File formats (all consumed here, all documented in the README):
     reply_count.  For retweets/quotes/replies the primary referenced author
     (the retweeted/quoted/replied-to user) comes first in
     referenced_user_ids; mentions follow.
-  - annotations: CSV with header ``user_id,category,side``
+  - annotations: CSV with header ``user_id,category,side``; read into
+    ``Annotations``, category and side code columns over a sorted user
+    table, which ``join_onto`` lays over another sorted user table
   - follow lists: CSV with header ``follower_id,followed_political_id``
   - rule set: JSON with keys rules[].term, rules[].mode, rules[].active_from,
     rules[].active_until, language_whitelist, study_window and an optional
@@ -41,6 +43,7 @@ import logging
 import re
 import unicodedata
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
@@ -144,21 +147,6 @@ class RuleSet:
             return None
 
 
-@dataclass
-class AccountAnnotation:
-    user_id: str
-    category: Category
-    side: Side | None = None
-
-    def __post_init__(self):
-        if self.category is Category.POLITICAL and self.side is None:
-            raise CorpusFormatError(
-                f"political account {self.user_id!r} needs a side")
-        if self.category is not Category.POLITICAL and self.side is not None:
-            raise CorpusFormatError(
-                f"non-political account {self.user_id!r} must not carry a side")
-
-
 # ---------------------------------------------------------------------------
 # text normalization
 # ---------------------------------------------------------------------------
@@ -169,22 +157,18 @@ def fold_text(s: str) -> str:
 
     Greek tonos/diaeresis are removed via NFD + combining-mark strip; the
     final sigma folds to sigma through casefold.  NFC-recomposed so equal
-    strings compare equal byte-wise.  Below U+0900 each character folds on
-    its own: with the marks stripped, NFC only joins a starter to one at
-    U+09BE or above (Indic vowel signs, Hangul V/T jamo; UAX #15).  Three
-    paths give that fold.  Text with a character at or above U+0900 folds
-    as a whole.  Other text that ISO-8859-7 encodes (ASCII and monotonic
-    Greek) folds byte by byte through _BYTE_FOLDS: each character of that
-    code page folds to exactly one character of it (checked as the table
-    is built), so each byte's fold is its character's fold.  The rest
-    folds character by character through _FOLD_TABLE.
+    strings compare equal byte-wise.  Two paths give that fold.  Text that
+    ISO-8859-7 encodes (ASCII and monotonic Greek) folds byte by byte
+    through _BYTE_FOLDS: each character of that code page folds to exactly
+    one character of it (checked as the table is built), and with the
+    marks stripped NFC joins none of them to another (it only joins a
+    starter to an Indic vowel sign or a Hangul V/T jamo; UAX #15), so each
+    byte's fold is its character's fold.  Other text folds as a whole.
     """
-    if _WIDE.search(s) is not None:
-        return _fold_whole(s)
     try:
         raw = codecs.charmap_encode(s, None, iso8859_7.encoding_table)[0]
     except UnicodeEncodeError:
-        return s.translate(_FOLD_TABLE)
+        return _fold_whole(s)
     return codecs.charmap_decode(raw.translate(_BYTE_FOLDS), None,
                                  iso8859_7.decoding_table)[0]
 
@@ -193,12 +177,6 @@ def _fold_whole(s: str) -> str:
     decomposed = unicodedata.normalize("NFD", s)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return unicodedata.normalize("NFC", stripped).casefold()
-
-
-class _FoldTable(dict):
-    def __missing__(self, cp: int) -> str:
-        folded = self[cp] = _fold_whole(chr(cp))
-        return folded
 
 
 def _byte_folds() -> bytes:
@@ -213,8 +191,6 @@ def _byte_folds() -> bytes:
     return "".join(folds).replace("\ufffe", "\0").encode("iso8859_7")
 
 
-_FOLD_TABLE = _FoldTable()  # code point -> its fold, filled on first use
-_WIDE = re.compile("[^\x00-\u08ff]")
 _BYTE_FOLDS = _byte_folds()
 
 
@@ -632,23 +608,40 @@ class Corpus:
 # companion datasets
 # ---------------------------------------------------------------------------
 
-_CATEGORY_ALIASES = {
-    "individual": Category.INDIVIDUAL,
-    "mediajournalist": Category.MEDIA_JOURNALIST,
+_CATEGORY_ALIASES = {c.value.lower(): c for c in Category} | {
     "media/journalist": Category.MEDIA_JOURNALIST,
-    "media": Category.MEDIA_JOURNALIST,
-    "political": Category.POLITICAL,
-    "organization": Category.ORGANIZATION,
-    "bot": Category.BOT,
-}
+    "media": Category.MEDIA_JOURNALIST}
+CATEGORIES = tuple(Category)  # a category code is an index into CATEGORIES
+SIDES = tuple(Side)  # a side code is an index into SIDES; -1 is no side
+_SIDE_CODES = {"": -1} | {side.value: i for i, side in enumerate(SIDES)}
 
 
-def load_annotations(path: str | Path) -> dict[str, AccountAnnotation]:
-    """Read the account annotation CSV into a user_id-keyed dict.
+def join_onto(table: Sequence[str], keys: Iterable[str],
+              values: np.ndarray) -> np.ndarray:
+    """values[k] at the index of keys[k] in the sorted table, 0 elsewhere:
+    one bisection per key, none per entry; a key not in table is left out."""
+    out = np.zeros(len(table), values.dtype)
+    for key, value in zip(keys, values.tolist()):
+        i = bisect_left(table, key)
+        if i < len(table) and table[i] == key:
+            out[i] = value
+    return out
 
-    A bad header or row raises CorpusFormatError naming path:line.
-    """
-    annotations: dict[str, AccountAnnotation] = {}
+
+class Annotations(NamedTuple):
+    """Annotated accounts as columns: users[i] of the sorted users has
+    category code category[i] and side code side[i], -1 unless it is
+    Political.  Code 0, Individual, is what join_onto gives the rest."""
+    users: tuple[str, ...]
+    category: np.ndarray
+    side: np.ndarray
+
+
+def load_annotations(path: str | Path) -> Annotations:
+    """Read the account annotation CSV, where a Political account needs a
+    side and no other may carry one; a bad header or row raises
+    CorpusFormatError naming path:line."""
+    codes: dict[str, tuple[int, int]] = {}
     path = Path(path)
     reader = csv.DictReader(_csv_lines(path))
     if reader.fieldnames is None or "user_id" not in reader.fieldnames:
@@ -658,35 +651,41 @@ def load_annotations(path: str | Path) -> dict[str, AccountAnnotation]:
         uid = (row.get("user_id") or "").strip()
         if not uid:
             raise CorpusFormatError(f"{where}: empty user_id")
-        if uid in annotations:
+        if uid in codes:
             raise CorpusFormatError(f"{where}: duplicate annotation for {uid}")
         raw_cat = (row.get("category") or "").strip()
         category = _CATEGORY_ALIASES.get(raw_cat.lower())
         if category is None:
             raise CorpusFormatError(f"{where}: unknown category {raw_cat!r}")
-        raw_side = (row.get("side") or "").strip()
-        try:
-            side = Side(raw_side.capitalize()) if raw_side else None
-            annotations[uid] = AccountAnnotation(uid, category, side)
-        except ValueError as exc:  # unknown side, or side rule broken
-            raise CorpusFormatError(f"{where}: {exc}") from None
-    return annotations
+        raw_side = (row.get("side") or "").strip().capitalize()
+        side = _SIDE_CODES.get(raw_side)
+        if side is None:
+            raise CorpusFormatError(f"{where}: {raw_side!r} is not a valid "
+                                    "Side")
+        if (category is Category.POLITICAL) != (side >= 0):
+            raise CorpusFormatError(f"{where}: " + (
+                f"political account {uid!r} needs a side" if side < 0 else
+                f"non-political account {uid!r} must not carry a side"))
+        codes[uid] = CATEGORIES.index(category), side
+    users = tuple(sorted(codes))
+    category, side = np.array([codes[u] for u in users],
+                              np.int8).reshape(-1, 2).T
+    return Annotations(users, category, side)
 
 
 class Follows(NamedTuple):
     """A follow list's distinct pairs as columns: followers[follower[k]]
-    follows accounts[account[k]], and sides[account[k]] is that account's
-    annotated side.  Both tables are sorted, and the pairs are in
+    follows accounts[account[k]], and side[account[k]] is that account's
+    side code into SIDES.  Both tables are sorted, and the pairs are in
     ascending (follower, account) order."""
     followers: tuple[str, ...]
     accounts: tuple[str, ...]
-    sides: tuple[Side, ...]
+    side: np.ndarray
     follower: np.ndarray
     account: np.ndarray
 
 
-def load_follows(path: str | Path,
-                 annotations: dict[str, AccountAnnotation]) -> Follows:
+def load_follows(path: str | Path, annotations: Annotations) -> Follows:
     """Read a follow list, and join each followed id to its annotated side;
     a duplicate pair collapses with a warning that names its line.
 
@@ -695,8 +694,8 @@ def load_follows(path: str | Path,
     duplicates above it.
     """
     path = Path(path)
-    side_of = {u: a.side for u, a in annotations.items()
-               if a.category is Category.POLITICAL}
+    side_of = {u: s for u, s in zip(annotations.users,
+                                    annotations.side.tolist()) if s >= 0}
     followers, accounts = _Table(), _Table()
     src, dst, line_of = array("q"), array("q"), array("q")
     reader = csv.reader(_csv_lines(path))
@@ -743,7 +742,7 @@ def load_follows(path: str | Path,
               "distinct followers", path, len(keys), len(keys) - len(pairs),
               len(follower_table))
     return Follows(follower_table, account_table,
-                   tuple(map(side_of.__getitem__, account_table)),
+                   np.array([side_of[a] for a in account_table], np.int8),
                    *np.divmod(pairs, width))
 
 

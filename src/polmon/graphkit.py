@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, _distinct
+from .corpus import CATEGORIES, Annotations, Corpus, _distinct, join_onto
 from .stance import STANCES, StanceMap
 
 
@@ -172,11 +171,11 @@ _TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def export_graph(g: InteractionGraph, path: str | Path,
-                 stances: StanceMap, annotations: Mapping) -> None:
+                 stances: StanceMap, annotations: Annotations) -> None:
     """Write GraphML with user_id, stance and category node attributes.
 
-    stances is a stance map over g's user table; categories come from
-    account annotations, Individual where missing.
+    stances is a stance map over g's user table; the annotations are
+    joined onto that table for the categories, Individual where missing.
     The file is streamed line by line in the layout ElementTree writes
     after ET.indent: two-space indentation, " />" empty tags, no newline
     after the root.
@@ -196,11 +195,13 @@ def export_graph(g: InteractionGraph, path: str | Path,
             fh.write(graph_tag + " />\n</graphml>")
             return
         fh.write(graph_tag + ">\n")
-        names = [s.value for s in STANCES]
-        stance_of = map(names.__getitem__, stances.over(g.users)[g.ids])
-        for u, uid, stance in zip(g.nodes, ids, stance_of):
-            entry = annotations.get(u)
-            category = entry.category.value if entry else "Individual"
+        stance_of = map([s.value for s in STANCES].__getitem__,
+                        stances.over(g.users)[g.ids].tolist())
+        category_of = map([c.value for c in CATEGORIES].__getitem__,
+                          join_onto(g.users, annotations.users,
+                                    annotations.category)[g.ids].tolist())
+        for u, uid, stance, category in zip(g.nodes, ids, stance_of,
+                                            category_of):
             fh.write(f'    <node id="{uid}">\n'
                      + _data_line("d0", u) + _data_line("d1", stance)
                      + _data_line("d2", category) + "    </node>\n")

@@ -27,10 +27,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import (KINDS, Category, Corpus, FilterReport, Ragged, RuleSet,
-                     _csv_lines, _distinct, _Table, archive_obj,
-                     default_rule_set, filter_corpus, fold_text, kept_tweets,
-                     load_annotations, load_follows, load_rule_set)
+from .corpus import (CATEGORIES, KINDS, Annotations, Category, Corpus,
+                     FilterReport, Ragged, RuleSet, _csv_lines, _distinct,
+                     _Table, archive_obj, default_rule_set, filter_corpus,
+                     fold_text, join_onto, kept_tweets, load_annotations,
+                     load_follows, load_rule_set)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import ConvergenceError, PolarizationResult, compute_pi
@@ -238,16 +239,16 @@ class AblationResult:
     drop_isolated: bool
 
 
-def ablation_victims(annotations: Mapping, influencer_set: Iterable[str],
+def ablation_victims(annotations: Annotations, influencer_set: Iterable[str],
                      users: Sequence[str]) -> dict[str, np.ndarray]:
     """The users each of ABLATION_CATEGORIES removes, as a boolean mask
-    over the user table users."""
-    category = np.array([getattr(annotations.get(u), "category", None)
-                         for u in users], object)
-    chosen = set(influencer_set)
-    return {"Political": category == Category.POLITICAL,
-            "MediaJournalist": category == Category.MEDIA_JOURNALIST,
-            "Influencers": np.array([u in chosen for u in users], bool)}
+    over the sorted user table users; a pick outside it removes no one."""
+    category = join_onto(users, annotations.users, annotations.category)
+    picks = list(influencer_set)
+    code = CATEGORIES.index
+    return {"Political": category == code(Category.POLITICAL),
+            "MediaJournalist": category == code(Category.MEDIA_JOURNALIST),
+            "Influencers": join_onto(users, picks, np.ones(len(picks), bool))}
 
 
 def _reduced_graphs(g: InteractionGraph, victims: Mapping[str, np.ndarray],
@@ -285,7 +286,7 @@ class ThresholdSweepResult:
 
 
 def threshold_sweep(g: InteractionGraph, stances: StanceMap,
-                    annotations: Mapping, influencer_set: Iterable[str],
+                    annotations: Annotations, influencer_set: Iterable[str],
                     thresholds: Sequence[float] = (0.0, 0.5, 0.7),
                     drop_isolated: bool = True, **pi_kwargs
                     ) -> ThresholdSweepResult:

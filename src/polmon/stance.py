@@ -8,12 +8,12 @@ winning side to hold at least that fraction of *all* the user's political
 follows before a Left/Right label is granted; users failing it fall back to
 Center (never Neutral, which is reserved for the no-follows case).
 
-The follow list arrives with each followed account's side already
+The follow list arrives with each followed account's side code already
 resolved (load_follows joins it to the annotations), so inference only
 counts.  A StanceMap holds arrays over a user table: the corpus's users in
 order, then the followers outside the corpus, sorted.  Row i is user i's
-[left, right, center] tally, from one bincount over the follow list's
-id columns, and its label code into STANCES.  labels applies the rule
+[left, right, center] tally, one bincount of the follows' side codes (the
+order of SIDES), and its label code into STANCES.  labels applies the rule
 to a whole tally array at once; the tests hold it to a per-user form of
 the rule, their oracle classify.
 Graphs carry their nodes' ids into the corpus's users; StanceMap.over
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Follows, Side
+from .corpus import Follows
 
 log = logging.getLogger(__name__)
 
@@ -84,23 +84,19 @@ class StanceMap:
         return self.label
 
 
-_SLOT = {Side.LEFT: 0, Side.RIGHT: 1, Side.CENTER: 2}
-
-
 def stance_map(follows: Follows, threshold: float = 0.0, *,
                users: Sequence[str]) -> StanceMap:
     """The stances of users (a corpus's user table) and of every follower.
 
     Users without follows are Neutral with zero tallies.
     """
-    slot = np.array([_SLOT[s] for s in follows.sides], np.int64)
     index = {u: i for i, u in enumerate(users)}
     row = np.array([index.get(f, -1) for f in follows.followers], np.int64)
     outside = np.flatnonzero(row < 0)
     row[outside] = len(users) + np.arange(len(outside))
     table = (*users, *map(follows.followers.__getitem__, outside.tolist()))
-    tally = np.bincount(row[follows.follower] * 3 + slot[follows.account],
-                        minlength=3 * len(table)).reshape(len(table), 3)
+    slot = row[follows.follower] * 3 + follows.side[follows.account]
+    tally = np.bincount(slot, minlength=3 * len(table)).reshape(len(table), 3)
     code = labels(tally, threshold)
     log.debug("stance: %d users, %d followers outside the graph; Left, "
               "Right, Center, Neutral: %s", len(table), len(outside),

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from polmon.corpus import (KINDS, Corpus, FilterReport, Follows, Kind,
-                           RuleSet, filter_corpus)
+from polmon.corpus import (CATEGORIES, KINDS, SIDES, Annotations, Corpus,
+                           FilterReport, Follows, Kind, RuleSet,
+                           filter_corpus)
 from polmon.graphkit import InteractionGraph
 from polmon.stance import STANCES, Stance, StanceMap
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
-from oracles import TweetRecord, letter_runs, tweet_to_obj  # noqa: E402
+from oracles import (Account, TweetRecord, letter_runs,  # noqa: E402
+                     tweet_to_obj)
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,15 +55,39 @@ def stances_of(users, labels) -> StanceMap:
                      np.array(code, np.int8), 0.0)
 
 
+def _side_code(side) -> int:
+    return -1 if side is None else SIDES.index(side)
+
+
+def annotations_of(accounts) -> Annotations:
+    """Annotations of a dict from user id to Account, as load_annotations
+    holds them."""
+    users = tuple(sorted(accounts))
+    return Annotations(
+        users,
+        np.array([CATEGORIES.index(accounts[u].category) for u in users],
+                 np.int8),
+        np.array([_side_code(accounts[u].side) for u in users], np.int8))
+
+
+def accounts_of(annotations: Annotations) -> dict:
+    """The dict from user id to Account that annotations holds."""
+    return {u: Account(CATEGORIES[c], None if s < 0 else SIDES[s])
+            for u, c, s in zip(annotations.users,
+                               annotations.category.tolist(),
+                               annotations.side.tolist())}
+
+
 def follows_of(pairs, annotations) -> Follows:
     """Follows of (follower, followed) id pairs, as load_follows holds
-    them: sorted tables, each account's side from annotations, and
-    distinct pairs in ascending order."""
+    them: sorted tables, each account's side code from the dict
+    annotations, and distinct pairs in ascending order."""
     pairs = sorted(set(pairs))
     followers = tuple(sorted({f for f, _ in pairs}))
     accounts = tuple(sorted({a for _, a in pairs}))
     return Follows(
-        followers, accounts, tuple(annotations[a].side for a in accounts),
+        followers, accounts,
+        np.array([_side_code(annotations[a].side) for a in accounts], np.int8),
         np.array([followers.index(f) for f, _ in pairs], np.int64),
         np.array([accounts.index(a) for _, a in pairs], np.int64))
 

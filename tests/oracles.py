@@ -28,6 +28,9 @@ it counts in one text, and ``letter_runs`` those words as written.
 The graph and share oracles are the record loops
 the package ran before it held the kept tweets as columns: sets of user ids and id pairs per tweet, tweets grouped by local
 date, and a stance label looked up per tweet.
+The annotation oracles hold annotations as the package did before it
+held them as code columns: a dict from user id to an ``Account``, looked
+up once per user.
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from polmon.corpus import (Category, CorpusFormatError, FilterReport,
-                           FilterRule, Kind, MatchMode, RuleSet,
+                           FilterRule, Kind, MatchMode, RuleSet, Side,
                            _parse_timestamp, fold_text, normalize_hashtag)
 from polmon.graphkit import InteractionGraph
 from polmon.pipeline import StanceShares, rounded_percentages
@@ -89,6 +92,26 @@ def remove_nodes_reference(g, victims: set[str], drop_isolated: bool = False
         surviving = [u for u in surviving
                      if deg_after[u] > 0 or deg_before[u] == 0]
     return tuple(surviving), tuple(kept_edges)
+
+
+class Account(NamedTuple):
+    """An account's annotation in the dict form of the annotations."""
+    category: Category
+    side: Side | None = None
+
+
+def ablation_victims_reference(annotations, influencer_set, users
+                               ) -> dict[str, np.ndarray]:
+    """The masks ablation_victims gives over the user table users, from a
+    lookup of each user in the dict annotations and in a set of the
+    picks."""
+    category = [getattr(annotations.get(u), "category", None) for u in users]
+    chosen = set(influencer_set)
+    return {"Political": np.array([c is Category.POLITICAL
+                                   for c in category], bool),
+            "MediaJournalist": np.array([c is Category.MEDIA_JOURNALIST
+                                         for c in category], bool),
+            "Influencers": np.array([u in chosen for u in users], bool)}
 
 
 def export_graph_reference(g, path, stances=None, annotations=None) -> None:

@@ -12,7 +12,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from polmon.corpus import AccountAnnotation, Category, Side, default_rule_set
+from polmon.corpus import Category, Side, default_rule_set
 from polmon.graphkit import remove_nodes
 from polmon.pipeline import RunConfig, run_all
 from polmon.polarization import compute_pi, fj_equilibrium, polarization_index
@@ -21,8 +21,9 @@ from polmon.structure import leading_eigenpair, louvain, netshield
 
 from conftest import (follows_of, graph_of, keeps, random_graph, stances_of,
                       tweet)
-from oracles import (best_partition_modularity, best_shield_subset, dense_fj,
-                     fixed_point_fj, modularity_of, shield_value_dense)
+from oracles import (Account, best_partition_modularity, best_shield_subset,
+                     dense_fj, fixed_point_fj, modularity_of,
+                     shield_value_dense)
 
 
 def _report(cid: str, name: str, detail: str = "PASS") -> None:
@@ -216,7 +217,7 @@ def test_c7_stance_threshold_monotonicity():
         for i in range(int(rng.integers(3, 9))):
             side = (Side.LEFT, Side.RIGHT, Side.CENTER)[int(rng.integers(3))]
             uid = f"p{i}"
-            annotations[uid] = AccountAnnotation(uid, Category.POLITICAL, side)
+            annotations[uid] = Account(Category.POLITICAL, side)
             political.append(uid)
         follows = []
         for i in range(int(rng.integers(5, 40))):

@@ -11,15 +11,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polmon import corpus
-from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
+from polmon.corpus import (Category, CorpusFormatError,
                            FilterRule, Kind, MatchMode, RuleSet,
                            Side, archive_obj, default_rule_set, filter_corpus,
                            fold_text, load_annotations, load_follows,
                            load_tweets, normalize_hashtag, rule_set_from_dict)
 
-from conftest import (OFFSETS, corpus_of, corpus_rows, filter_records,
-                      follow_pairs, keeps, records, stored_rows, tweet)
-from oracles import (filter_corpus_reference, letter_runs,
+from conftest import (OFFSETS, accounts_of, annotations_of, corpus_of,
+                      corpus_rows, filter_records, follow_pairs, keeps,
+                      records, stored_rows, tweet)
+from oracles import (Account, filter_corpus_reference, letter_runs,
                      parse_tweet_reference, tweet_to_obj)
 
 
@@ -705,9 +706,11 @@ def test_load_annotations(tmp_path):
                     "m1,MediaJournalist,\n"
                     "u1,Individual,\n", encoding="utf-8")
     annotations = load_annotations(path)
-    assert annotations["p1"].side is Side.LEFT
-    assert annotations["m1"].category is Category.MEDIA_JOURNALIST
-    assert annotations["u1"].side is None
+    assert annotations.users == ("m1", "p1", "u1")
+    assert accounts_of(annotations) == {
+        "m1": Account(Category.MEDIA_JOURNALIST),
+        "p1": Account(Category.POLITICAL, Side.LEFT),
+        "u1": Account(Category.INDIVIDUAL)}
 
 
 def test_load_annotations_duplicate(tmp_path):
@@ -726,6 +729,24 @@ def test_load_annotations_unknown_side_names_location(tmp_path):
         load_annotations(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    (",Bot,", "empty user_id"),
+    ("u1,Bot,", "duplicate annotation for u1"),
+    ("x,Pundit,", "unknown category 'Pundit'"),
+    ("x,Political,leftish", "'Leftish' is not a valid Side"),
+    ("x,Political,", "political account 'x' needs a side"),
+    ("x,Bot,Left", "non-political account 'x' must not carry a side"),
+], ids=["empty-id", "duplicate", "unknown-category", "unknown-side",
+        "political-without-side", "non-political-with-side"])
+def test_load_annotations_error_names_line(tmp_path, row, message):
+    path = tmp_path / "ann.csv"
+    path.write_text(f"user_id,category,side\nu1,Individual,\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        load_annotations(path)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
 @pytest.mark.parametrize("loader, header", [
     (load_annotations, b"user_id,category,side\n"),
     (load_follows, b"follower_id,followed_political_id\n"),
@@ -734,8 +755,8 @@ def test_csv_that_is_not_utf8_names_path_and_line(tmp_path, loader, header):
     path = tmp_path / "data.csv"
     path.write_bytes(header + b"u1,Political,Left\n\xff\xfeu2,Bot,\n")
     # as a follow row, line 2 follows an account named "Political"
-    args = ({"Political": AccountAnnotation("Political", Category.POLITICAL,
-                                            Side.LEFT)},
+    args = (annotations_of({"Political": Account(Category.POLITICAL,
+                                                 Side.LEFT)}),
             ) if loader is load_follows else ()
     with pytest.raises(CorpusFormatError,
                        match=f"^{re.escape(str(path))}:3: "):
@@ -770,17 +791,19 @@ def test_annotation_loader_accepts_or_names_location(tmp_path, rows):
     except CorpusFormatError as exc:
         assert _located(exc, path), exc
     else:
-        assert all(isinstance(a, AccountAnnotation)
-                   for a in annotations.values())
+        accounts = accounts_of(annotations)
+        assert list(accounts) == sorted(accounts)
+        assert all((a.category is Category.POLITICAL) == (a.side is not None)
+                   for a in accounts.values())
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=_ROWS)
 def test_follow_loader_accepts_or_names_location(tmp_path, rows):
-    annotations = {"p1": AccountAnnotation("p1", Category.POLITICAL,
-                                           Side.LEFT),
-                   "Bot": AccountAnnotation("Bot", Category.BOT)}
+    annotations = annotations_of({"p1": Account(Category.POLITICAL,
+                                                Side.LEFT),
+                                  "Bot": Account(Category.BOT)})
     path = tmp_path / "follows.csv"
     _write_csv(path, ["follower_id", "followed_political_id"], rows)
     try:
@@ -826,13 +849,6 @@ def _with_value(key, value) -> dict:
     else:
         obj["rules"][0][key] = value
     return obj
-
-
-def test_annotation_side_rules():
-    with pytest.raises(CorpusFormatError):
-        AccountAnnotation("x", Category.POLITICAL, None)
-    with pytest.raises(CorpusFormatError):
-        AccountAnnotation("x", Category.BOT, Side.LEFT)
 
 
 def test_load_follows_validates_targets(tmp_path):

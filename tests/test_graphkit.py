@@ -3,13 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polmon.corpus import AccountAnnotation, Category, Kind, Side
+from polmon.corpus import Category, Kind, Side
 from polmon.graphkit import (build_graph, daily_graphs, export_graph,
                              remove_nodes)
 from polmon.stance import Stance
 
-from conftest import OFFSETS, corpus_of, graph_of, records, stances_of, tweet
-from oracles import (build_graph_reference, csr_reference,
+from conftest import (OFFSETS, annotations_of, corpus_of, graph_of, records,
+                      stances_of, tweet)
+from oracles import (Account, build_graph_reference, csr_reference,
                      daily_graphs_reference, export_graph_reference,
                      remove_nodes_reference)
 
@@ -241,7 +242,8 @@ def _read_graphml(path):
 def test_graphml_round_trip(tmp_path):
     g = graph_of([("a", "b"), ("b", "c")], isolated=["d"])
     path = tmp_path / "g.graphml"
-    export_graph(g, path, stances_of(g.users, {}), {})
+    export_graph(g, path, stances_of(g.users, {}),
+                 annotations_of({}))
     back = _read_graphml(path)
     assert not back.is_directed()
     assert sorted(back.nodes) == list(g.nodes)
@@ -253,7 +255,8 @@ def test_graphml_round_trip(tmp_path):
 def test_graphml_attributes(tmp_path):
     g = graph_of([("a", "b")])
     stances = stances_of(g.users, {"a": Stance.LEFT})
-    annotations = {"b": AccountAnnotation("b", Category.POLITICAL, Side.RIGHT)}
+    annotations = annotations_of({"b": Account(Category.POLITICAL,
+                                               Side.RIGHT)})
     path = tmp_path / "g.graphml"
     export_graph(g, path, stances=stances, annotations=annotations)
     back = _read_graphml(path)
@@ -264,7 +267,8 @@ def test_graphml_attributes(tmp_path):
 def test_graphml_empty_graph(tmp_path):
     g = graph_of([])
     path = tmp_path / "empty.graphml"
-    export_graph(g, path, stances_of(g.users, {}), {})
+    export_graph(g, path, stances_of(g.users, {}),
+                 annotations_of({}))
     back = _read_graphml(path)
     assert back.number_of_nodes() == 0
     assert back.number_of_edges() == 0
@@ -273,7 +277,8 @@ def test_graphml_empty_graph(tmp_path):
 def test_graphml_edge_count(tmp_path):
     g = graph_of([("a", "b")])
     path = tmp_path / "two.graphml"
-    export_graph(g, path, stances_of(g.users, {}), {})
+    export_graph(g, path, stances_of(g.users, {}),
+                 annotations_of({}))
     assert path.read_text(encoding="utf-8").count("<edge ") == 1
 
 
@@ -282,9 +287,9 @@ def test_graphml_edge_count(tmp_path):
 _XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\t\r\ud800 aZ"),
                               st.characters()), max_size=6)
 _CATEGORY = st.one_of(
-    st.just(AccountAnnotation("u", Category.POLITICAL, Side.LEFT)),
+    st.just(Account(Category.POLITICAL, Side.LEFT)),
     st.sampled_from(Category).filter(lambda c: c is not Category.POLITICAL)
-    .map(lambda c: AccountAnnotation("u", c)))
+    .map(Account))
 
 
 @st.composite
@@ -294,8 +299,9 @@ def labelled_graphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
     stances = (draw(st.dictionaries(st.sampled_from(ids),
                                     st.sampled_from(Stance))) if ids else {})
-    categories = (draw(st.dictionaries(st.sampled_from(ids), _CATEGORY))
-                  if ids else {})
+    # annotated ids from the graph and from outside it
+    annotated = st.sampled_from(ids) | _XML_TEXT if ids else _XML_TEXT
+    categories = draw(st.dictionaries(annotated, _CATEGORY, max_size=10))
     return graph_of(edges, isolated=ids), stances, categories
 
 
@@ -307,10 +313,11 @@ def test_graphml_bytes_match_elementtree(tmp_path_factory, case, with_maps):
     out = tmp_path_factory.mktemp("graphml")
     if with_maps:
         export_graph(g, out / "stream.graphml", stances_of(g.users, stances),
-                     categories)
+                     annotations_of(categories))
         export_graph_reference(g, out / "tree.graphml", stances, categories)
     else:
-        export_graph(g, out / "stream.graphml", stances_of(g.users, {}), {})
+        export_graph(g, out / "stream.graphml", stances_of(g.users, {}),
+                     annotations_of({}))
         export_graph_reference(g, out / "tree.graphml")
     assert ((out / "stream.graphml").read_bytes()
             == (out / "tree.graphml").read_bytes())

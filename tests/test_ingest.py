@@ -25,14 +25,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polmon import corpus, report
-from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
+from polmon.corpus import (Category, CorpusFormatError,
                            FilterRule, MatchMode, RuleSet, Side,
                            default_rule_set, filter_corpus, fold_text,
                            load_follows, load_tweets)
 from polmon.pipeline import RunConfig, Runner
 
-from conftest import corpus_rows, follow_pairs, stored_rows
-from oracles import (filter_corpus_reference, fold_text_reference,
+from conftest import annotations_of, corpus_rows, follow_pairs, stored_rows
+from oracles import (Account, filter_corpus_reference, fold_text_reference,
                      load_follows_reference, load_tweets_reference,
                      tweet_to_obj)
 from test_corpus import (_BASES, GOOD_LINE, _archive_object, _rule, _variant,
@@ -314,8 +314,8 @@ def test_write_filtered_equals_reference(tmp_path, rules, lines, wide,
 # text where folding by character could go wrong: NFD Greek, Hangul jamo
 # runs after a syllable, Indic two-part vowel signs (which NFC composes),
 # casefold expansions, combining marks with no base, ISO-8859-7
-# characters at or above U+0900 (which take the whole-string path) and two
-# that decompose, and accented text that ISO-8859-7 cannot encode
+# characters at or above U+0900 and two that decompose, and accented text
+# that ISO-8859-7 cannot encode
 _PIECES = st.sampled_from([
     unicodedata.normalize("NFD", "Υποκλοπές ΐΰ ϊϋ"), "\u03ac", "\u0301",
     "\u0308", "\u0345",
@@ -337,7 +337,6 @@ def test_fold_equals_whole_string_reference(s):
 def test_fold_covers_every_code_point_below_u0900():
     s = "".join(map(chr, range(1, 0x900)))
     assert fold_text(s) == fold_text_reference(s)
-    assert len(corpus._FOLD_TABLE) <= 0x900
 
 
 _CODEPAGE = bytes(range(256)).decode("iso8859_7", "ignore")
@@ -359,15 +358,6 @@ def test_fold_of_codepage_text_equals_reference(s):
     assert fold_text(s) == fold_text_reference(s)
 
 
-def test_codepage_text_folds_without_the_character_table(monkeypatch):
-    table = corpus._FoldTable()
-    monkeypatch.setattr(corpus, "_FOLD_TABLE", table)
-    for s in (_CODEPAGE_LOW, "ΥΠΟΚΛΟΠΈΣ #ypoklopes, ΐΰ 2022!"):
-        assert fold_text(s) == fold_text_reference(s)
-    assert not table
-    assert fold_text("café") == "cafe" and table  # é is not in ISO-8859-7
-
-
 @pytest.mark.parametrize("folded, error", [
     ("ss", RuntimeError), ("", RuntimeError), ("\u00e9", UnicodeEncodeError)])
 def test_byte_table_refuses_a_fold_to_other_than_one_codepage_character(
@@ -383,11 +373,12 @@ def test_byte_table_refuses_a_fold_to_other_than_one_codepage_character(
 # follow lists
 # ---------------------------------------------------------------------------
 
-_ANNOTATIONS = {
-    "p1": AccountAnnotation("p1", Category.POLITICAL, Side.LEFT),
-    "p2": AccountAnnotation("p2", Category.POLITICAL, Side.RIGHT),
-    "b1": AccountAnnotation("b1", Category.BOT),
+_ACCOUNTS = {
+    "p1": Account(Category.POLITICAL, Side.LEFT),
+    "p2": Account(Category.POLITICAL, Side.RIGHT),
+    "b1": Account(Category.BOT),
 }
+_ANNOTATIONS = annotations_of(_ACCOUNTS)
 _IDS = st.sampled_from(["u1", "u2", " u1 ", "p1", "p2", "b1", "", "x"])
 
 
@@ -419,7 +410,7 @@ def test_follow_loader_equals_reference(tmp_path, caplog, header, rows):
     duplicates = []
     assert got == _follow_result(lambda: (
         (r.follower_id, r.followed_political_id)
-        for r in load_follows_reference(path, _ANNOTATIONS, duplicates)))
+        for r in load_follows_reference(path, _ACCOUNTS, duplicates)))
     assert [r.getMessage() for r in caplog.records] == duplicates
 
 

@@ -17,21 +17,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmon import pipeline
-from polmon.corpus import (AccountAnnotation, Category, Kind, Side,
-                           default_rule_set, filter_corpus)
+from polmon.corpus import (Category, Kind, Side, default_rule_set,
+                           filter_corpus)
 from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
-                             Runner, StageError, compute_stats, pi_series,
-                             rounded_percentages, run_all, stance_shares,
-                             threshold_sweep)
+                             Runner, StageError, ablation_victims,
+                             compute_stats, pi_series, rounded_percentages,
+                             run_all, stance_shares, threshold_sweep)
 from polmon.polarization import ConvergenceError, compute_pi
 from polmon.report import _table, _top
 from polmon.stance import Stance, stance_map
 from polmon.structure import ShieldRanking
 
-from conftest import (OFFSETS, corpus_of, corpus_rows, follows_of, graph_of,
-                      records, stances_of, stored_rows, tweet, write_archive)
-from oracles import (build_graph_reference, filter_corpus_reference,
+from conftest import (OFFSETS, accounts_of, annotations_of, corpus_of,
+                      corpus_rows, follows_of, graph_of, records, stances_of,
+                      stored_rows, tweet, write_archive)
+from oracles import (Account, ablation_victims_reference,
+                     build_graph_reference, filter_corpus_reference,
                      letter_runs, load_tweets_reference,
                      stance_shares_reference, stats_reference, tokenize,
                      tweet_to_obj)
@@ -439,17 +441,10 @@ def test_pi_series_flags_gap_and_continues():
 
 def _ablation_reference(g, stances, annotations, influencer_set,
                         drop_isolated=True, **pi_kwargs):
-    """(pi_full, pi_without): g and g without each connector category,
-    each removed with remove_nodes and solved with compute_pi."""
-    victims = {"Political": set(), "MediaJournalist": set(),
-               "Influencers": set(influencer_set)}
-    for uid, ann in annotations.items():
-        if ann.category is Category.POLITICAL:
-            victims["Political"].add(uid)
-        elif ann.category is Category.MEDIA_JOURNALIST:
-            victims["MediaJournalist"].add(uid)
-    masks = {name: np.array([u in victims[name] for u in g.users], bool)
-             for name in ABLATION_CATEGORIES}
+    """(pi_full, pi_without): g and g without each connector category of
+    the dict annotations, each removed with remove_nodes and solved with
+    compute_pi."""
+    masks = ablation_victims_reference(annotations, influencer_set, g.users)
     return compute_pi(g, stances, **pi_kwargs).pi, {
         name: compute_pi(remove_nodes(g, masks[name], drop_isolated),
                          stances, **pi_kwargs).pi
@@ -464,7 +459,8 @@ def _ablation_row(g, stances, annotations, influencer_set,
                               follows=Path("unused"), out_dir=Path("unused"),
                               drop_isolated=drop_isolated))
     runner._cache.update(graph=g, daily=[(day, g)], stance=stances,
-                         annotations=annotations, polarize=[(day, None)],
+                         annotations=annotations_of(annotations),
+                         polarize=[(day, None)],
                          influencers=ShieldRanking(list(influencer_set), []))
     [row] = runner.ablation_rows
     return row
@@ -478,7 +474,7 @@ def bridge_setup():
     g = graph_of(left + right + bridges)
     stance_spec = {u: ("L" if u.startswith("l") else
                        "R" if u.startswith("r") else "N") for u in g.nodes}
-    annotations = {"m0": AccountAnnotation("m0", Category.MEDIA_JOURNALIST)}
+    annotations = {"m0": Account(Category.MEDIA_JOURNALIST)}
     return g, stances_of(g.users, stance_spec), annotations
 
 
@@ -502,7 +498,7 @@ def test_ablation_bridge_removal_raises_pi(bridge_setup):
 
 def test_ablation_remove_everything_errors(bridge_setup):
     g, stances, _ = bridge_setup
-    annotations = {u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
+    annotations = {u: Account(Category.MEDIA_JOURNALIST)
                    for u in g.nodes}
     # the stage records the day as a gap of its variant, naming the category
     _, drop, message = _ablation_row(g, stances, annotations,
@@ -518,6 +514,29 @@ def test_ablation_category_keys_fixed(bridge_setup):
     assert all(0.0 <= v <= 1.0 for v in result.pi_without.values())
 
 
+# ids from one small pool, so that annotated ids and picks fall both in
+# and outside the user table, and users are left unannotated
+_POOL_ID = st.text(st.sampled_from("ab\u00e9\u03b1\U0001f600"), max_size=3)
+_ACCOUNT = st.one_of(
+    st.sampled_from(Side).map(lambda side: Account(Category.POLITICAL, side)),
+    st.sampled_from(Category).filter(lambda c: c is not Category.POLITICAL)
+    .map(Account))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_POOL_ID, unique=True, max_size=10),
+       st.dictionaries(_POOL_ID, _ACCOUNT, max_size=10),
+       st.lists(_POOL_ID, max_size=6))
+def test_ablation_victims_equal_reference(users, accounts, picks):
+    users = tuple(sorted(users))
+    got = ablation_victims(annotations_of(accounts), picks, users)
+    want = ablation_victims_reference(accounts, picks, users)
+    assert tuple(got) == ABLATION_CATEGORIES
+    for name in ABLATION_CATEGORIES:
+        assert got[name].dtype == bool
+        np.testing.assert_array_equal(got[name], want[name])
+
+
 # ---------------------------------------------------------------------------
 # threshold sweep
 # ---------------------------------------------------------------------------
@@ -527,10 +546,8 @@ def test_ablation_category_keys_fixed(bridge_setup):
 def sweep_setup():
     annotations = {}
     for i in range(3):
-        annotations[f"L{i}"] = AccountAnnotation(f"L{i}", Category.POLITICAL,
-                                                 Side.LEFT)
-        annotations[f"R{i}"] = AccountAnnotation(f"R{i}", Category.POLITICAL,
-                                                 Side.RIGHT)
+        annotations[f"L{i}"] = Account(Category.POLITICAL, Side.LEFT)
+        annotations[f"R{i}"] = Account(Category.POLITICAL, Side.RIGHT)
     follows = follows_of([
         ("a", "L0"), ("a", "L1"),
         ("b", "L0"), ("b", "L1"), ("b", "R0"),
@@ -544,8 +561,8 @@ def sweep_setup():
 def test_sweep_threshold_zero_matches_default(sweep_setup):
     g, follows, annotations = sweep_setup
     stances = stance_map(follows, 0.0, users=g.users)
-    result = threshold_sweep(g, stances, annotations, thresholds=(0.0,),
-                             influencer_set=[])
+    result = threshold_sweep(g, stances, annotations_of(annotations),
+                             thresholds=(0.0,), influencer_set=[])
     pi_full, pi_without = _ablation_reference(g, stances, annotations, [])
     assert result.entries[0].pi_full == pi_full
     assert result.entries[0].pi_without == pi_without
@@ -554,7 +571,7 @@ def test_sweep_threshold_zero_matches_default(sweep_setup):
 def test_sweep_counts_non_increasing(sweep_setup):
     g, follows, annotations = sweep_setup
     tallies = stance_map(follows, users=g.users)
-    result = threshold_sweep(g, tallies, annotations,
+    result = threshold_sweep(g, tallies, annotations_of(annotations),
                              thresholds=(0.0, 0.5, 0.7, 0.9),
                              influencer_set=[])
     labeled = [e.n_left_users + e.n_right_users for e in result.entries]
@@ -565,7 +582,7 @@ def test_sweep_all_neutral_graph(sweep_setup):
     _, follows, annotations = sweep_setup
     g = graph_of([("x", "y")])  # nobody in the follow data
     tallies = stance_map(follows, users=g.users)
-    result = threshold_sweep(g, tallies, annotations,
+    result = threshold_sweep(g, tallies, annotations_of(annotations),
                              thresholds=(0.0, 0.5), influencer_set=[])
     assert all(e.pi_full == 0.0 for e in result.entries)
     assert all(e.n_left_users == e.n_right_users == 0
@@ -573,7 +590,8 @@ def test_sweep_all_neutral_graph(sweep_setup):
     # a map whose table lacks x and y would give them the labels of the
     # followers a and b, so it is rejected
     with pytest.raises(ValueError, match="user table"):
-        threshold_sweep(g, stance_map(follows, users=()), annotations,
+        threshold_sweep(g, stance_map(follows, users=()),
+                        annotations_of(annotations),
                         thresholds=(0.0, 0.5), influencer_set=[])
 
 
@@ -587,6 +605,7 @@ def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path,
     runner = Runner(config)
     g, follows, annotations = (runner.full_graph, runner.follows,
                                runner.annotations)
+    accounts = accounts_of(annotations)
     influencers = runner.influencer_ranking.selected
     thresholds = (0.0, 0.5, 0.7, 0.9)
     tallies = stance_map(follows, users=g.users)
@@ -598,7 +617,7 @@ def test_sweep_equals_ablation_per_threshold(fixture_paths, tmp_path,
         stances = stance_map(follows, threshold=entry.threshold,
                              users=g.users)
         pi_full, pi_without = _ablation_reference(
-            g, stances, annotations, influencers, drop_isolated)
+            g, stances, accounts, influencers, drop_isolated)
         assert entry.pi_full == pi_full
         assert entry.pi_without == pi_without
 
@@ -616,11 +635,11 @@ def test_run_all_tallies_follows_once(fixture_paths, tmp_path, monkeypatch):
 def test_sweep_names_category_that_empties_graph(sweep_setup, caplog):
     g, follows, annotations = sweep_setup
     annotations = dict(annotations)
-    annotations.update({u: AccountAnnotation(u, Category.MEDIA_JOURNALIST)
+    annotations.update({u: Account(Category.MEDIA_JOURNALIST)
                         for u in g.nodes})
     tallies = stance_map(follows, users=g.users)
     with caplog.at_level(logging.WARNING, logger="polmon.pipeline"):
-        result = threshold_sweep(g, tallies, annotations,
+        result = threshold_sweep(g, tallies, annotations_of(annotations),
                                  thresholds=(0.0, 0.5), influencer_set=[])
     # each threshold is a gap entry whose cause names the category
     assert [t for t, _ in result.entries] == [0.0, 0.5]
@@ -636,8 +655,8 @@ def test_sweep_logs_every_solve(sweep_setup, caplog):
     g, follows, annotations = sweep_setup
     tallies = stance_map(follows, users=g.users)
     caplog.set_level(logging.DEBUG, logger="polmon.polarization")
-    threshold_sweep(g, tallies, annotations, thresholds=(0.0, 0.5),
-                    influencer_set=["b"])
+    threshold_sweep(g, tallies, annotations_of(annotations),
+                    thresholds=(0.0, 0.5), influencer_set=["b"])
     solves = [r.getMessage() for r in caplog.records
               if r.name == "polmon.polarization"]
     # per threshold: the full graph plus one graph per ablation category
@@ -946,7 +965,7 @@ def test_ablation_reuses_series_solves(fixture_paths, tmp_path, monkeypatch):
     assert len(solved) == 2 + 2 * len(ABLATION_CATEGORIES) * len(full_graphs)
     monkeypatch.setattr(pipeline, "compute_pi", real_compute_pi)
     expected = [AblationResult(d, *_ablation_reference(
-                    g, runner.stances, runner.annotations,
+                    g, runner.stances, accounts_of(runner.annotations),
                     runner.influencer_ranking.selected, drop,
                     **runner._pi_kwargs()), drop)
                 for d, g in runner.daily for drop in (True, False)]

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polmon.corpus import (AccountAnnotation, Category, CorpusFormatError,
-                           Side, load_follows)
+from polmon.corpus import Category, CorpusFormatError, Side, load_follows
 from polmon.graphkit import remove_nodes
 from polmon.pipeline import ablation_victims
 from polmon.stance import (STANCES, Stance, StanceMap, labels,
                            opinion_vector, stance_map, write_stance_csv)
 
-from conftest import follows_of, graph_of, stances_of
-from oracles import (classify, load_follows_reference,
+from conftest import (accounts_of, annotations_of, follows_of, graph_of,
+                      stances_of)
+from oracles import (Account, classify, load_follows_reference,
                      opinion_vector_reference, stance_map_reference,
                      write_stance_csv_reference)
 
@@ -35,10 +35,10 @@ def annotations():
 def _annotations():
     out = {}
     for i in range(4):
-        out[f"L{i}"] = AccountAnnotation(f"L{i}", Category.POLITICAL, Side.LEFT)
-        out[f"R{i}"] = AccountAnnotation(f"R{i}", Category.POLITICAL, Side.RIGHT)
-        out[f"C{i}"] = AccountAnnotation(f"C{i}", Category.POLITICAL, Side.CENTER)
-    out["media"] = AccountAnnotation("media", Category.MEDIA_JOURNALIST)
+        out[f"L{i}"] = Account(Category.POLITICAL, Side.LEFT)
+        out[f"R{i}"] = Account(Category.POLITICAL, Side.RIGHT)
+        out[f"C{i}"] = Account(Category.POLITICAL, Side.CENTER)
+    out["media"] = Account(Category.MEDIA_JOURNALIST)
     return out
 
 
@@ -115,7 +115,7 @@ def _follows_error(tmp_path, followed, annotations) -> str:
     path.write_text(_csv_of([("u", "L0"), ("u", followed)]),
                     encoding="utf-8")
     with pytest.raises(CorpusFormatError) as info:
-        load_follows(path, annotations)
+        load_follows(path, annotations_of(annotations))
     return str(info.value).replace(str(path), "<path>")
 
 
@@ -232,10 +232,10 @@ def test_stance_map_equals_record_reference(pairs, corpus_users, threshold,
         except KeyError:
             with pytest.raises(CorpusFormatError,
                                match=f":{len(pairs) + 1}: .*'{stray}'"):
-                load_follows(path, annotations)
+                load_follows(path, annotations_of(annotations))
             return
-        m = stance_map(load_follows(path, annotations), threshold,
-                       users=users)
+        m = stance_map(load_follows(path, annotations_of(annotations)),
+                       threshold, users=users)
         write_stance_csv(m, Path(tmp) / "array.csv")
         write_stance_csv_reference(reference, Path(tmp) / "records.csv")
         assert ((Path(tmp) / "array.csv").read_bytes()
@@ -253,9 +253,10 @@ def test_fixture_opinion_vectors_equal_record_reference(fixture_paths,
     config = RunConfig.from_file(fixture_paths["config"])
     config.out_dir = tmp_path
     runner = Runner(config)
+    accounts = accounts_of(runner.annotations)
     reference = stance_map_reference(
-        load_follows_reference(config.follows, runner.annotations),
-        runner.annotations, config.threshold,
+        load_follows_reference(config.follows, accounts),
+        accounts, config.threshold,
         ensure_users=runner.full_graph.nodes)
     runner.write_stance()
     write_stance_csv_reference(reference, tmp_path / "reference.csv")
@@ -316,7 +317,7 @@ def test_relabel_symmetry_end_to_end(annotations):
             side = Side.RIGHT
         elif side is Side.RIGHT:
             side = Side.LEFT
-        swapped_annotations[uid] = AccountAnnotation(uid, ann.category, side)
+        swapped_annotations[uid] = Account(ann.category, side)
     g = graph_of([("u1", "u2")])
     s = opinion_vector(g, stance_map(follows_of(pairs, annotations),
                                      users=g.users))
@@ -344,8 +345,9 @@ def test_follow_order_irrelevant(annotations, tmp_path):
     maps = []
     for name, pairs in (("a.csv", follows), ("b.csv", follows[::-1])):
         (tmp_path / name).write_text(_csv_of(pairs), encoding="utf-8")
-        maps.append(stance_map(load_follows(tmp_path / name, annotations),
-                               users=()))
+        maps.append(stance_map(
+            load_follows(tmp_path / name, annotations_of(annotations)),
+            users=()))
     assert maps[0].users == maps[1].users
     assert maps[0].tally.tolist() == maps[1].tally.tolist()
     assert maps[0].label.tolist() == maps[1].label.tolist()
