@@ -333,7 +333,8 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
                 error_log: list | None = None
                 ) -> Iterator[tuple[dict, Checked]]:
     """Stream (object, checked fields) for every valid line of a
-    line-delimited JSON archive, whatever its date.
+    line-delimited JSON archive, whatever its date.  Lines end at LF only,
+    and lose only JSON whitespace (space, tab, CR, LF) from their ends.
 
     Malformed lines are skipped with a warning (collected into error_log as
     ``(line_number, message)`` when a list is passed); with schema_strict
@@ -342,9 +343,10 @@ def load_tweets(path: str | Path, schema_strict: bool = False,
     it.  An unreadable file always raises.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape",
+                   newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")
             if not line:
                 continue
             try:

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import logging
+import resource
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
@@ -460,6 +461,18 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _memory_mb() -> tuple[float, float]:
+    """The memory this process holds now (/proc/self/statm; where there is
+    none, its peak) and its peak so far (ru_maxrss), in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            pages = int(fh.read().split()[1])
+    except OSError:
+        return peak, peak
+    return pages * resource.getpagesize() / 2**20, peak
+
+
 class Runner:
     """Caches pipeline stages so CLI subcommands can share one code path."""
 
@@ -467,25 +480,32 @@ class Runner:
         self.config = config
         self._cache: dict[str, object] = {}
         self.load_errors: list = []
+        self._spent = 0.0  # time in finished stages, nested ones once
 
-    @staticmethod
-    def _as_stage(name: str, fn: Callable, *args):
-        """fn(*args); an error that is not a StageError fails stage name."""
+    def _as_stage(self, label: str, name: str, fn: Callable, *args):
+        """fn(*args), logged at DEBUG as stage label with its time, its self
+        time (less the stages it built first) and the memory after it; an
+        error that is not a StageError fails stage name."""
+        log.debug("stage %s: start", label)
+        before, start = self._spent, perf_counter()
         try:
-            return fn(*args)
+            result = fn(*args)
         except StageError:
             raise
         except Exception as exc:
             raise StageError(name, exc) from exc
+        elapsed = perf_counter() - start
+        # _spent grew by the time of the stages this one built first
+        inner, self._spent = self._spent - before, before + elapsed
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("stage %s: done in %.3f s, self %.3f s, "
+                      "%.1f MB resident, %.1f MB peak", label, elapsed,
+                      elapsed - inner, *_memory_mb())
+        return result
 
     def _get(self, key: str, builder: Callable):
         if key not in self._cache:
-            log.debug("stage %s: start", key)
-            start = perf_counter()
-            self._cache[key] = self._as_stage(key, builder)
-            # the time includes any stage this one built first
-            log.debug("stage %s: done in %.3f s", key,
-                      perf_counter() - start)
+            self._cache[key] = self._as_stage(key, key, builder)
         return self._cache[key]
 
     # -- stages ------------------------------------------------------------
@@ -638,7 +658,8 @@ class Runner:
     def write(self, name: str, *args) -> Path:
         """The path that writer write_<name>(*args) wrote; an error it
         raises that is not a StageError fails stage name."""
-        return self._as_stage(name, getattr(self, f"write_{name}"), *args)
+        writer = f"write_{name}"
+        return self._as_stage(writer, name, getattr(self, writer), *args)
 
     def _path(self, name: str) -> Path:
         """name in out_dir, which is made first if it is missing."""
@@ -783,6 +804,7 @@ def run_all(config: RunConfig) -> dict[str, Path]:
     fixed inputs; an empty corpus still produces the whole bundle (headers
     only) plus a warning.
     """
+    start = perf_counter()
     runner = Runner(config)
     if runner.filtered[1].kept == 0:
         log.warning("filter kept no tweets; emitting an empty bundle")
@@ -790,4 +812,7 @@ def run_all(config: RunConfig) -> dict[str, Path]:
         "stats", "stance", "pi_series", "influencers", "ablation", "sweep",
         "communities", "graphml", "summary"))}
     bundle["run_manifest.json"] = runner.write("manifest", list(bundle))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("run_all: done in %.3f s, %.1f MB peak",
+                  perf_counter() - start, _memory_mb()[1])
     return bundle

@@ -27,36 +27,46 @@ def _top(counts: Counter, k: int) -> list[tuple[str, int]]:
     return heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+# the plot area: x from _X0 to _X1, values from _Y0 (bottom) up to _Y1
+_X0, _X1, _Y0, _Y1 = _PAD, _W - 10, _H - 24, 20
+
+
+def _frame(title: str, x_labels: Sequence[str]) -> tuple[list[str], str]:
+    """A chart's opening (the <svg> tag, the title and the x axis) and its
+    first and last x labels ("" when there are none)."""
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+            f'height="{_H}" role="img">',
+            f'<text x="{_W // 2}" y="14" text-anchor="middle" '
+            f'font-size="12">{html.escape(title)}</text>',
+            f'<line x1="{_X0}" y1="{_Y0}" x2="{_X1}" y2="{_Y0}" '
+            'stroke="#999"/>']
+    if not x_labels:
+        return head, ""
+    return head, (f'<text x="{_X0}" y="{_H - 8}" font-size="9">'
+                  f'{html.escape(x_labels[0])}</text>'
+                  f'<text x="{_X1}" y="{_H - 8}" font-size="9" '
+                  f'text-anchor="end">{html.escape(x_labels[-1])}</text>')
+
+
 def svg_line_chart(series: Sequence[tuple[str, list[float | None]]],
                    x_labels: Sequence[str], title: str) -> str:
     """Multi-line chart of values in [0, 1] (the PI's range); None values
     break the line (gap days)."""
     n = len(x_labels)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-             f'height="{_H}" role="img">']
-    parts.append(f'<text x="{_W // 2}" y="14" text-anchor="middle" '
-                 f'font-size="12">{html.escape(title)}</text>')
-    x0, x1 = _PAD, _W - 10
-    y0, y1 = _H - 24, 20
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" '
-                 'stroke="#999"/>')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" '
+    parts, ends = _frame(title, x_labels)
+    parts.append(f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0}" y2="{_Y1}" '
                  'stroke="#999"/>')
 
     def px(i: int) -> float:
-        return x0 + (x1 - x0) * (i / max(1, n - 1))
+        return _X0 + (_X1 - _X0) * (i / max(1, n - 1))
 
     def py(v: float) -> float:
-        return y0 - (y0 - y1) * v
+        return _Y0 - (_Y0 - _Y1) * v
 
     for tick in (0.0, 0.5, 1.0):
-        parts.append(f'<text x="{x0 - 4}" y="{py(tick):.1f}" font-size="9" '
+        parts.append(f'<text x="{_X0 - 4}" y="{py(tick):.1f}" font-size="9" '
                      f'text-anchor="end">{_fmt(tick)}</text>')
-    if n:
-        parts.append(f'<text x="{x0}" y="{_H - 8}" font-size="9">'
-                     f'{html.escape(x_labels[0])}</text>')
-        parts.append(f'<text x="{x1}" y="{_H - 8}" font-size="9" '
-                     f'text-anchor="end">{html.escape(x_labels[-1])}</text>')
+    parts.append(ends)
     for idx, (name, values) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
         run: list[str] = []
@@ -79,9 +89,9 @@ def svg_line_chart(series: Sequence[tuple[str, list[float | None]]],
                 parts.append(f'<polyline points="{" ".join(seg)}" '
                              f'fill="none" stroke="{color}" '
                              'stroke-width="1.5"/>')
-        parts.append(f'<rect x="{x0 + 90 * idx}" y="{y1 - 14}" width="10" '
+        parts.append(f'<rect x="{_X0 + 90 * idx}" y="{_Y1 - 14}" width="10" '
                      f'height="10" fill="{color}"/>')
-        parts.append(f'<text x="{x0 + 90 * idx + 14}" y="{y1 - 5}" '
+        parts.append(f'<text x="{_X0 + 90 * idx + 14}" y="{_Y1 - 5}" '
                      f'font-size="10">{html.escape(name)}</text>')
     parts.append("</svg>")
     return "".join(parts)
@@ -91,28 +101,16 @@ def svg_bar_chart(values: Sequence[int], x_labels: Sequence[str],
                   title: str) -> str:
     n = len(values)
     top = max(values) if values else 1
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-             f'height="{_H}" role="img">']
-    parts.append(f'<text x="{_W // 2}" y="14" text-anchor="middle" '
-                 f'font-size="12">{html.escape(title)}</text>')
-    x0, x1 = _PAD, _W - 10
-    y0, y1 = _H - 24, 20
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" '
-                 'stroke="#999"/>')
-    parts.append(f'<text x="{x0 - 4}" y="{y1 + 4}" font-size="9" '
+    parts, ends = _frame(title, x_labels)
+    parts.append(f'<text x="{_X0 - 4}" y="{_Y1 + 4}" font-size="9" '
                  f'text-anchor="end">{top}</text>')
-    if n:
-        width = max(1.0, (x1 - x0) / n - 1)
-        for i, v in enumerate(values):
-            h = (y0 - y1) * (v / top) if top else 0
-            parts.append(f'<rect x="{x0 + i * (x1 - x0) / n:.1f}" '
-                         f'y="{y0 - h:.1f}" width="{width:.1f}" '
-                         f'height="{h:.1f}" fill="#1f77b4"/>')
-        parts.append(f'<text x="{x0}" y="{_H - 8}" font-size="9">'
-                     f'{html.escape(x_labels[0])}</text>')
-        parts.append(f'<text x="{x1}" y="{_H - 8}" font-size="9" '
-                     f'text-anchor="end">{html.escape(x_labels[-1])}</text>')
-    parts.append("</svg>")
+    width = max(1.0, (_X1 - _X0) / max(1, n) - 1)
+    for i, v in enumerate(values):
+        h = (_Y0 - _Y1) * (v / top) if top else 0
+        parts.append(f'<rect x="{_X0 + i * (_X1 - _X0) / n:.1f}" '
+                     f'y="{_Y0 - h:.1f}" width="{width:.1f}" '
+                     f'height="{h:.1f}" fill="#1f77b4"/>')
+    parts += [ends, "</svg>"]
     return "".join(parts)
 
 

@@ -499,9 +499,9 @@ def load_tweets_reference(path, schema_strict: bool = False,
     malformed.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")
             if not line:
                 continue
             try:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -381,6 +382,16 @@ def test_write_fault_names_its_stage(command, stage, fixture_paths, tmp_path,
     assert "wrote" not in captured.out
 
 
+def _child_env(**changes) -> dict[str, str]:
+    """This environment with changes, and this checkout's src first on
+    PYTHONPATH."""
+    env = dict(os.environ, **changes)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(polmon.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 _HASH_SEED_RUN = """
 import sys
 from polmon.cli import main
@@ -393,24 +404,57 @@ for command in ("run-all", "filter"):
 def test_bundle_does_not_depend_on_the_hash_seed(fixture_paths, tmp_path):
     # each run is a fresh interpreter with its own string hash seed, into
     # the same output path, so the manifest's out_dir is the same too
-    src = str(Path(polmon.__file__).resolve().parents[1])
     out = tmp_path / "out"
     files = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
-                     if p])
         proc = subprocess.run(
             [sys.executable, "-c", _HASH_SEED_RUN,
              str(fixture_paths["config"]), str(out)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=_child_env(PYTHONHASHSEED=seed), capture_output=True,
+            text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         for p in out.iterdir():
             p.unlink()
     assert len(files[0]) == 12  # the bundle, filtered.jsonl, filter_report
     assert files[0] == files[1]
+
+
+_DONE = re.compile(r"DEBUG polmon\.pipeline: stage (\w+): done in [\d.]+ s, "
+                   r"self ([\d.]+) s, ([\d.]+) MB resident, ([\d.]+) MB peak")
+_TOTAL = re.compile(r"DEBUG polmon\.pipeline: run_all: done in ([\d.]+) s, "
+                    r"([\d.]+) MB peak")
+
+
+def test_verbose_run_all_reports_each_stage_and_writer(fixture_paths,
+                                                       tmp_path):
+    # a fresh interpreter, so that -v sets the level of the root logger
+    proc = subprocess.run(
+        [sys.executable, "-m", "polmon.cli", "run-all", "--config",
+         str(fixture_paths["config"]), "--out", str(tmp_path / "out"), "-v"],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines()
+             if line.startswith("DEBUG polmon.pipeline: ")]
+    rows = [m.groups() for m in map(_DONE.fullmatch, lines) if m]
+    total_s, total_peak = map(float, _TOTAL.fullmatch(lines[-1]).groups())
+    # each stage once, in the order run_all first needs it, each writer
+    # after the stages it reads, and the whole run last
+    assert [name for name, *_ in rows] == [
+        "rules", "filter", "stopwords", "stats", "write_stats",
+        "annotations", "follows", "stance", "write_stance", "daily",
+        "polarize", "write_pi_series", "graph", "influencers",
+        "write_influencers", "ablate", "write_ablation", "sweep",
+        "write_sweep", "communities", "write_communities", "write_graphml",
+        "shares", "write_summary", "write_manifest"]
+    self_s = [float(s) for _, s, _, _ in rows]
+    peaks = [float(p) for *_, p in rows] + [total_peak]
+    # each time is printed to the millisecond, so each is off by 0.0005
+    assert min(self_s) >= 0
+    assert sum(self_s) <= total_s + 0.0005 * (len(rows) + 1)
+    assert peaks == sorted(peaks) and min(float(r) for *_, r, _ in rows) > 0
+    assert {"summary.html", "run_manifest.json"} <= {
+        p.name for p in (tmp_path / "out").iterdir()}
 
 
 def test_config_must_be_object(tmp_path, capsys):
@@ -438,14 +482,10 @@ print(json.dumps({"rc": rc, "scipy_loaded": "scipy" in sys.modules,
 def _run_all_in_child(fixture_paths, out: Path) -> dict:
     """run-all on the fixture in a fresh interpreter: its return code, and
     which of scipy and numpy.ma it loaded."""
-    src = str(Path(polmon.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_ALL_IN_CHILD,
          str(fixture_paths["config"]), str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

@@ -21,7 +21,8 @@ from conftest import (OFFSETS, accounts_of, annotations_of, corpus_of,
                       corpus_rows, filter_records, follow_pairs, keeps,
                       records, stored_rows, tweet)
 from oracles import (Account, filter_corpus_reference, letter_runs,
-                     parse_tweet_reference, tweet_to_obj)
+                     load_tweets_reference, parse_tweet_reference,
+                     tweet_to_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,27 @@ def test_undecodable_bytes_are_a_malformed_line(tmp_path):
     assert [lineno for lineno, _ in errors] == [2]
     with pytest.raises(CorpusFormatError, match="tweets.jsonl:2: "):
         list(load_tweets(path, schema_strict=True))
+
+
+def test_lines_end_at_newline_and_lose_only_json_whitespace(tmp_path):
+    # a raw CR between tokens is JSON whitespace: its record loads whole,
+    # and the lines after it keep their numbers; what str.strip would drop
+    # but json.loads rejects (NBSP, U+001C, U+2028) makes a line malformed
+    def line(tid, before="", after=""):
+        return before + GOOD_LINE.replace('"t1"', f'"{tid}"') + after
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes("\n".join([
+        line("t1", after="\r"), line("t2").replace(', "lang"', ',\r"lang"'),
+        line("t3", after="\u00a0"), line("t4", after="\x1c"),
+        line("t5", before="\u2028"), line("t6", " \t", "\t \r")
+    ]).encode("utf-8") + b"\n")
+    errors, reference_errors = [], []
+    records = list(load_tweets(path, error_log=errors))
+    assert [obj["tweet_id"] for obj, _ in records] == ["t1", "t2", "t6"]
+    assert [lineno for lineno, _ in errors] == [3, 4, 5]
+    assert [r.tweet_id for r in load_tweets_reference(
+        path, error_log=reference_errors)] == ["t1", "t2", "t6"]
+    assert reference_errors == errors
 
 
 def test_lone_surrogate_escape_is_malformed_but_a_pair_loads(tmp_path):

@@ -312,8 +312,25 @@ def test_stage_start_and_end_logged(fixture_paths, tmp_path, caplog):
         "stage stopwords: done", "stage stats: done"]
     assert all(r.levelno == logging.DEBUG for r in caplog.records
                if r.getMessage().startswith("stage "))
-    assert stage_lines[-1].endswith(" s")
+    # time, self time (stats less filter and stopwords), memory now, peak
+    assert re.fullmatch(r"stage stats: done in \d+\.\d{3} s, "
+                        r"self \d+\.\d{3} s, \d+\.\d MB resident, "
+                        r"\d+\.\d MB peak", stage_lines[-1])
     assert not (tmp_path / "out").exists()
+
+
+def test_memory_is_read_only_under_debug(fixture_paths, tmp_path, caplog,
+                                         monkeypatch):
+    def read(*args):
+        raise AssertionError("memory read")
+    monkeypatch.setattr(pipeline, "_memory_mb", read)
+    config = _config(fixture_paths, tmp_path / "out")
+    with caplog.at_level(logging.INFO, logger="polmon"):
+        assert "run_manifest.json" in run_all(config)
+    # the first stage to end (rules) reads it, and fails the filter
+    with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"), \
+            pytest.raises(StageError, match=r"^\[filter\] memory read$"):
+        run_all(config)
 
 
 def test_follow_and_stance_sizes_logged(fixture_paths, tmp_path, caplog):
