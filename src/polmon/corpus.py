@@ -27,11 +27,11 @@ date (``RuleSet.local_date``), then the rules, and yields each kept
 tweet.  Rules are matched by lookup: a dict from hashtag term to rule
 keys per local date, and keyword terms tested against the text as
 ``fold_text`` folds it (ASCII and Greek through an ISO-8859-7 byte table).
-``filter_corpus`` feeds the kept tweets into a ``Corpus``: numpy columns
-over sorted, interned string tables, and each text's words as ids into a
-word table, which the graph, stats and share stages read; no text is
-kept.  ``archive_obj`` gives the object that filtered.jsonl holds for a
-kept tweet.
+``filter_corpus`` fills a ``Corpus`` in its own loop over the kept tweets,
+as it keeps each one: numpy columns over sorted, interned string tables,
+and each text's words as ids into a word table, which the graph, stats
+and share stages read; no text is kept.  ``archive_obj`` gives the
+object that filtered.jsonl holds for a kept tweet.
 """
 
 from __future__ import annotations
@@ -483,20 +483,6 @@ def kept_tweets(rule_set: RuleSet, path: str | Path, report: FilterReport,
             report.dropped_no_rule += 1
 
 
-def filter_corpus(rule_set: RuleSet, path: str | Path,
-                  schema_strict: bool = False, error_log: list | None = None
-                  ) -> tuple[Corpus, FilterReport]:
-    """The archive's kept tweets as a Corpus, and the pass's counters; see
-    kept_tweets."""
-    report = FilterReport()
-    corpus = Corpus.from_rows(
-        (str(obj["author_id"]), fields.kind, d, fields.refs, hashtags,
-         fields.urls, str(obj["text"]))
-        for obj, fields, hashtags, d in kept_tweets(
-            rule_set, path, report, schema_strict, error_log))
-    return corpus, report
-
-
 # ---------------------------------------------------------------------------
 # the kept tweets as columns
 # ---------------------------------------------------------------------------
@@ -547,7 +533,8 @@ def _sorted(table: _Table) -> tuple[tuple, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Kept tweets as columns, in file order.
+    """Kept tweets as columns, in file order.  filter_corpus is its one
+    maker: it fills the columns as it keeps each tweet.
 
     users (authors and referenced users), hashtags (normalised) and urls
     are string tables, each sorted once, so id order is string order.  Per
@@ -571,39 +558,42 @@ class Corpus:
     words: tuple[str, ...]
     word_ids: Ragged
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, Kind, date, Sequence[str],
-                                             Sequence[str], Sequence[str],
-                                             str]]) -> "Corpus":
-        """Columns of (author, kind, local date, referenced users,
-        normalised hashtags, urls, text) rows."""
-        tables = users, hashtags, urls = _Table(), _Table(), _Table()
-        ptrs = refs_at, tags_at, urls_at = [array("q", [0]) for _ in tables]
-        ids = ref_ids, tag_ids, url_ids = [array("q") for _ in tables]
-        day, kind, author = array("q"), array("b"), array("q")
-        words, word_ids, words_at = _Table(), array("i"), array("q", [0])
-        for user, k, d, refs, tags, links, text in rows:
-            day.append(d.toordinal())
-            kind.append(_KIND_CODES[k])
-            author.append(users[user])
-            ref_ids.extend(map(users.__getitem__, refs))
-            refs_at.append(len(ref_ids))
-            tag_ids.extend(map(hashtags.__getitem__, tags))
-            tags_at.append(len(tag_ids))
-            url_ids.extend(map(urls.__getitem__, links))
-            urls_at.append(len(url_ids))
-            word_ids.extend(map(words.__getitem__, _WORD_RE.findall(text)))
-            words_at.append(len(word_ids))
-        tables = [_sorted(table) for table in tables]
-        ragged = [Ragged(np.asarray(ptr, np.int64),
-                         rank[np.asarray(column, np.int64)])
-                  for ptr, column, (_, rank) in zip(ptrs, ids, tables)]
-        user_rank = tables[0][1]
-        return cls(*(keys for keys, _ in tables), np.asarray(day, np.int64),
-                   np.asarray(kind, np.int8),
-                   user_rank[np.asarray(author, np.int64)], *ragged,
-                   tuple(words), Ragged(np.asarray(words_at, np.int64),
-                                        np.asarray(word_ids, np.int32)))
+
+def filter_corpus(rule_set: RuleSet, path: str | Path,
+                  schema_strict: bool = False, error_log: list | None = None
+                  ) -> tuple[Corpus, FilterReport]:
+    """The archive's kept tweets as a Corpus, each one's columns filled as
+    kept_tweets keeps it, and the pass's counters; see kept_tweets."""
+    report = FilterReport()
+    tables = users, hashtags, urls = _Table(), _Table(), _Table()
+    ptrs = refs_at, tags_at, urls_at = [array("q", [0]) for _ in tables]
+    ids = ref_ids, tag_ids, url_ids = [array("q") for _ in tables]
+    day, kind, author = array("q"), array("b"), array("q")
+    words, word_ids, words_at = _Table(), array("i"), array("q", [0])
+    for obj, fields, tags, d in kept_tweets(rule_set, path, report,
+                                            schema_strict, error_log):
+        day.append(d.toordinal())
+        kind.append(_KIND_CODES[fields.kind])
+        author.append(users[str(obj["author_id"])])
+        ref_ids.extend(map(users.__getitem__, fields.refs))
+        refs_at.append(len(ref_ids))
+        tag_ids.extend(map(hashtags.__getitem__, tags))
+        tags_at.append(len(tag_ids))
+        url_ids.extend(map(urls.__getitem__, fields.urls))
+        urls_at.append(len(url_ids))
+        word_ids.extend(map(words.__getitem__,
+                            _WORD_RE.findall(str(obj["text"]))))
+        words_at.append(len(word_ids))
+    tables = [_sorted(table) for table in tables]
+    ragged = [Ragged(np.asarray(ptr, np.int64),
+                     rank[np.asarray(column, np.int64)])
+              for ptr, column, (_, rank) in zip(ptrs, ids, tables)]
+    user_rank = tables[0][1]
+    return Corpus(*(keys for keys, _ in tables), np.asarray(day, np.int64),
+                  np.asarray(kind, np.int8),
+                  user_rank[np.asarray(author, np.int64)], *ragged,
+                  tuple(words), Ragged(np.asarray(words_at, np.int64),
+                                       np.asarray(word_ids, np.int32))), report
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +739,10 @@ def load_follows(path: str | Path, annotations: Annotations) -> Follows:
 
 
 def _csv_lines(path: Path) -> Iterator[str]:
-    """path's lines, with their ends as csv wants them; a line that is
-    not UTF-8 raises CorpusFormatError at path:line."""
-    with path.open("r", encoding="utf-8", errors="surrogateescape",
+    """path's lines, with their ends as csv wants them and without a
+    leading byte-order mark; a line that is not UTF-8 raises
+    CorpusFormatError at path:line."""
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape",
                    newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():

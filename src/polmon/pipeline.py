@@ -481,6 +481,7 @@ class Runner:
         self._cache: dict[str, object] = {}
         self.load_errors: list = []
         self._spent = 0.0  # time in finished stages, nested ones once
+        self._peak = 0.0  # the most memory any reading has shown, in MB
 
     def _as_stage(self, label: str, name: str, fn: Callable, *args):
         """fn(*args), logged at DEBUG as stage label with its time, its self
@@ -500,8 +501,15 @@ class Runner:
         if log.isEnabledFor(logging.DEBUG):
             log.debug("stage %s: done in %.3f s, self %.3f s, "
                       "%.1f MB resident, %.1f MB peak", label, elapsed,
-                      elapsed - inner, *_memory_mb())
+                      elapsed - inner, *self._memory())
         return result
+
+    def _memory(self) -> tuple[float, float]:
+        """_memory_mb, with the peak raised to the most that any reading
+        of this run has shown: ru_maxrss can lag the resident memory."""
+        resident, peak = _memory_mb()
+        self._peak = max(self._peak, resident, peak)
+        return resident, self._peak
 
     def _get(self, key: str, builder: Callable):
         if key not in self._cache:
@@ -814,5 +822,5 @@ def run_all(config: RunConfig) -> dict[str, Path]:
     bundle["run_manifest.json"] = runner.write("manifest", list(bundle))
     if log.isEnabledFor(logging.DEBUG):
         log.debug("run_all: done in %.3f s, %.1f MB peak",
-                  perf_counter() - start, _memory_mb()[1])
+                  perf_counter() - start, runner._memory()[1])
     return bundle

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from polmon.corpus import (CATEGORIES, KINDS, SIDES, Annotations, Corpus,
-                           FilterReport, Follows, Kind, RuleSet,
-                           filter_corpus)
+                           FilterReport, FilterRule, Follows, Kind, MatchMode,
+                           RuleSet, filter_corpus)
 from polmon.graphkit import InteractionGraph
 from polmon.stance import STANCES, Stance, StanceMap
 
@@ -111,30 +111,19 @@ def tweet(tweet_id="t1", author="a", ts="2022-08-05T12:00:00Z",
         referenced_user_ids=list(refs), **kwargs)
 
 
-def rows_of(records, offset_minutes: int = 0) -> list[tuple]:
-    """What a Corpus holds of each record, under the date offset: author,
-    kind, local date, referenced users, hashtags, urls and text."""
+def stored_rows(records, offset_minutes: int = 0) -> list[tuple]:
+    """What a Corpus reads back of each record (see corpus_rows), under the
+    date offset: author, kind, local date, referenced users, hashtags, urls
+    and the text's letter runs."""
     shift = timedelta(minutes=offset_minutes)
     return [(t.author_id, t.kind, (t.timestamp + shift).date(),
              tuple(t.referenced_user_ids), tuple(t.hashtags), tuple(t.urls),
-             t.text) for t in records]
-
-
-def stored_rows(records, offset_minutes: int = 0) -> list[tuple]:
-    """What a Corpus reads back of each record (see corpus_rows): rows_of,
-    with the text as its letter runs."""
-    return [(*row[:-1], tuple(letter_runs(row[-1])))
-            for row in rows_of(records, offset_minutes)]
-
-
-def corpus_of(records, offset_minutes: int = 0) -> Corpus:
-    """The records as columns, through the builder filter_corpus uses."""
-    return Corpus.from_rows(rows_of(records, offset_minutes))
+             tuple(letter_runs(t.text))) for t in records]
 
 
 def corpus_rows(corpus: Corpus) -> list[tuple]:
-    """The rows_of of each tweet read back from the columns, with its text
-    as the words stored for it."""
+    """Each tweet read back from the columns as stored_rows gives it, with
+    its text as the words stored for it."""
     def lists(ragged, table):
         ptr, ids = ragged.ptr.tolist(), ragged.ids.tolist()
         return [tuple(table[j] for j in ids[a:b])
@@ -163,15 +152,33 @@ def write_archive(path: Path, records) -> Path:
     return path
 
 
+def _filtered(rule_set: RuleSet, records, schema_strict: bool = False
+              ) -> tuple[Corpus, FilterReport]:
+    """filter_corpus over an archive of the records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_archive(Path(tmp) / "tweets.jsonl", records)
+        return filter_corpus(rule_set, path, schema_strict)
+
+
 def filter_records(rule_set: RuleSet, records
                    ) -> tuple[list[tuple], FilterReport]:
     """filter_corpus over an archive of the records, with the kept tweets
     as corpus_rows; a record with normalised hashtags and a UTC timestamp
     reads back as its stored_rows."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_archive(Path(tmp) / "tweets.jsonl", records)
-        kept, report = filter_corpus(rule_set, path)
-        return corpus_rows(kept), report
+    kept, report = _filtered(rule_set, records)
+    return corpus_rows(kept), report
+
+
+def corpus_of(records, offset_minutes: int = 0) -> Corpus:
+    """The records as filter_corpus builds them, strictly, under a rule
+    set that keeps each one: a keyword rule whose empty term every text
+    contains, an unbounded study window, the date offset and the records'
+    languages.  A record the archive checker rejects raises."""
+    rule_set = RuleSet(rules=[FilterRule("", MatchMode.KEYWORD_SUBSTRING)],
+                       language_whitelist={t.lang for t in records},
+                       study_window=(date.min, date.max),
+                       date_offset_minutes=offset_minutes)
+    return _filtered(rule_set, records, schema_strict=True)[0]
 
 
 def keeps(rule_set: RuleSet, record) -> bool:

@@ -1,3 +1,4 @@
+import codecs
 import importlib.util
 import json
 import logging
@@ -10,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmon import pipeline
-from polmon.corpus import (Category, Kind, Side, default_rule_set,
-                           filter_corpus)
+from polmon.corpus import (Category, CorpusFormatError, Kind, Side,
+                           default_rule_set, filter_corpus, load_rule_set)
 from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              Runner, StageError, ablation_victims,
@@ -30,8 +32,8 @@ from polmon.stance import Stance, stance_map
 from polmon.structure import ShieldRanking
 
 from conftest import (OFFSETS, accounts_of, annotations_of, corpus_of,
-                      corpus_rows, follows_of, graph_of, records, stances_of,
-                      stored_rows, tweet, write_archive)
+                      corpus_rows, follow_pairs, follows_of, graph_of, records,
+                      stances_of, stored_rows, tweet, write_archive)
 from oracles import (Account, ablation_victims_reference,
                      build_graph_reference, filter_corpus_reference,
                      letter_runs, load_tweets_reference,
@@ -331,6 +333,26 @@ def test_memory_is_read_only_under_debug(fixture_paths, tmp_path, caplog,
     with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"), \
             pytest.raises(StageError, match=r"^\[filter\] memory read$"):
         run_all(config)
+
+
+def test_peak_never_reads_below_resident(fixture_paths, tmp_path, caplog,
+                                         monkeypatch):
+    # ru_maxrss can lag the resident memory; here it stays at 1 MB
+    monkeypatch.setattr(pipeline.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=1024))
+    with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"):
+        run_all(_config(fixture_paths, tmp_path / "out"))
+    lines = [r.getMessage() for r in caplog.records]
+    stages = [tuple(map(float, m.groups())) for m in (
+        re.search(r"([\d.]+) MB resident, ([\d.]+) MB peak$", line)
+        for line in lines) if m]
+    total = [float(m.group(1)) for m in (
+        re.fullmatch(r"run_all: done in [\d.]+ s, ([\d.]+) MB peak", line)
+        for line in lines) if m]
+    assert stages and len(total) == 1
+    assert all(peak >= resident > 1 for resident, peak in stages)
+    peaks = [peak for _, peak in stages] + total
+    assert peaks == sorted(peaks)
 
 
 def test_follow_and_stance_sizes_logged(fixture_paths, tmp_path, caplog):
@@ -734,6 +756,44 @@ def _config(fixture_paths, out_dir) -> RunConfig:
     config = RunConfig.from_file(fixture_paths["config"])
     config.out_dir = out_dir
     return config
+
+
+def test_companion_files_may_start_with_a_bom(fixture_paths, tmp_path):
+    # a UTF-8 byte-order mark is not part of the first header or stopword
+    stop = tmp_path / "stop.txt"
+    stop.write_text("και\nτο\n", encoding="utf-8")
+    plain = Runner(replace(_config(fixture_paths, tmp_path / "out"),
+                           stopwords=stop))
+    copies = {}
+    for key in ("annotations", "follows", "stopwords"):
+        path = getattr(plain.config, key)
+        copies[key] = tmp_path / f"bom_{path.name}"
+        copies[key].write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    bom = Runner(replace(plain.config, **copies))
+    assert bom.stopword_set == plain.stopword_set == {"και", "το"}
+    assert accounts_of(bom.annotations) == accounts_of(plain.annotations)
+    assert follow_pairs(bom.follows) == follow_pairs(plain.follows)
+    assert bom.follows.side.tolist() == plain.follows.side.tolist()
+
+
+def test_archive_and_json_inputs_reject_a_bom(fixture_paths, tmp_path):
+    copies = {}
+    for key in ("tweets", "config"):
+        copies[key] = tmp_path / fixture_paths[key].name
+        copies[key].write_bytes(
+            codecs.BOM_UTF8 + fixture_paths[key].read_bytes())
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(copies['tweets']))}:1: "):
+        filter_corpus(default_rule_set(), copies["tweets"],
+                      schema_strict=True)
+    with pytest.raises(ValueError, match="BOM"):
+        RunConfig.from_file(copies["config"])
+    rules = tmp_path / "rules.json"
+    rules.write_bytes(codecs.BOM_UTF8 + json.dumps({
+        "rules": [{"term": "x", "mode": "hashtag"}],
+        "study_window": ["2022-08-01", "2022-08-05"]}).encode("utf-8"))
+    with pytest.raises(CorpusFormatError, match="BOM"):
+        load_rule_set(rules)
 
 
 def test_out_dir_given_as_str(fixture_paths, tmp_path):

@@ -1,9 +1,12 @@
 import hashlib
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _digests(config, out) -> list[tuple[str, str]]:
@@ -29,3 +32,15 @@ def test_bundle_digests_on_fixture(fixture_paths, tmp_path):
     # only the manifest's out_dir differs between the two directories
     assert _digests(fixture_paths["config"], tmp_path / "b") == first
 
+
+def test_benchmark_tracer_finds_every_hook():
+    # perfbench's tracer wraps the layer entry points, Runner stages and
+    # writers by name, and one it cannot find would read 0 s in every run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json; from tracer import Tracer; "
+         "print(json.dumps(Tracer().install()))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
