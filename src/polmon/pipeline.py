@@ -683,7 +683,8 @@ class Runner:
     def write_filtered(self) -> Path:
         """filtered.jsonl and filter_report.json, from a filter pass of
         their own that writes each kept tweet as it meets it; the filter
-        stage's load_errors are left as they are."""
+        stage's load_errors are left as they are.  A pass that fails
+        removes both files."""
         rule_set, report, errors = self.rule_set, FilterReport(), []
         path = self._path("filtered.jsonl")
         try:
@@ -696,6 +697,7 @@ class Runner:
                              + "\n")
         except Exception as exc:
             path.unlink(missing_ok=True)
+            self._path("filter_report.json").unlink(missing_ok=True)
             raise StageError("filter", exc) from exc
         payload = report.to_dict()
         payload["malformed_lines"] = len(errors)

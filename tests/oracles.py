@@ -493,32 +493,30 @@ def load_tweets_reference(path, schema_strict: bool = False,
                           error_log: list | None = None):
     """Records of a line-delimited archive, by json.loads per line.
 
-    Reads strict UTF-8, so a file that is not UTF-8 raises
-    UnicodeDecodeError here.  A line whose record cannot be written back
-    out as UTF-8 (a lone surrogate escape in a field it keeps) is
-    malformed.
+    The file's bytes are split at LF, and each line is decoded as strict
+    UTF-8 on its own: a line that is not UTF-8 is malformed.  So is a line
+    whose record cannot be written back out as UTF-8 (a lone surrogate
+    escape in a field it keeps).
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip(" \t\r\n")
+    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip(" \t\r\n")
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise CorpusFormatError("line is not an object")
-                record = parse_tweet_reference(obj)
-                json.dumps(tweet_to_obj(record),
-                           ensure_ascii=False).encode("utf-8")
-            except (ValueError, TypeError) as exc:
-                if schema_strict:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: {exc}") from exc
-                if error_log is not None:
-                    error_log.append((lineno, str(exc)))
-                continue
-            yield record
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise CorpusFormatError("line is not an object")
+            record = parse_tweet_reference(obj)
+            json.dumps(tweet_to_obj(record),
+                       ensure_ascii=False).encode("utf-8")
+        except (ValueError, TypeError) as exc:
+            if schema_strict:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+            if error_log is not None:
+                error_log.append((lineno, str(exc)))
+            continue
+        yield record
 
 
 def _utc_window(rule_set: RuleSet) -> tuple[datetime, datetime]:

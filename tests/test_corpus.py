@@ -202,17 +202,44 @@ def test_type_confused_lines_are_skipped_and_counted(tmp_path):
         list(load_tweets(path, schema_strict=True))
 
 
-def test_undecodable_bytes_are_a_malformed_line(tmp_path):
-    good = GOOD_LINE.encode("utf-8")
-    path = tmp_path / "tweets.jsonl"
-    path.write_bytes(b"\n".join([
-        good, good.replace("υποκλοπές".encode("utf-8"), b"\xff\xfe"),
-        good.replace(b'"t1"', b'"t3"')]) + b"\n")
+# the loader decodes blocks of whole lines of about corpus._BLOCK bytes; a
+# line of more than _BLOCK bytes ends its block
+_BLOCK = corpus._BLOCK
+_TEXT_AT = GOOD_LINE.encode("utf-8").index("υποκλοπές".encode("utf-8"))
+
+
+def _line(tid: str, text: str = "υποκλοπές") -> bytes:
+    return GOOD_LINE.replace('"t1"', f'"{tid}"').replace(
+        "υποκλοπές", text).encode("utf-8")
+
+
+def _padded(tid: str, size: int) -> bytes:
+    """A good line of size bytes, its LF included, padded in its text."""
+    pad = size - len(_line(tid)) - 2
+    return _line(tid, "υποκλοπές " + "x" * pad) + b"\n"
+
+
+def _loaded(path):
+    """The loaded tweet ids and the error line numbers."""
     errors = []
-    records = list(load_tweets(path, error_log=errors))
-    assert [obj["tweet_id"] for obj, _ in records] == ["t1", "t3"]
-    assert [lineno for lineno, _ in errors] == [2]
-    with pytest.raises(CorpusFormatError, match="tweets.jsonl:2: "):
+    ids = [obj["tweet_id"] for obj, _ in load_tweets(path, error_log=errors)]
+    return ids, [lineno for lineno, _ in errors]
+
+
+def test_undecodable_bytes_are_a_malformed_line(tmp_path):
+    # the first block is line 1; lines 2 to 6 are the second block
+    lines = [_line(tid) + b"\n" for tid in ("t2", "t3", "t4", "t5", "t6")]
+    lines[2] = lines[2].replace("υποκλοπές".encode("utf-8"), b"\xff")
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(_padded("t1", _BLOCK + 1) + b"".join(lines))
+    errors = []
+    ids = [obj["tweet_id"] for obj, _ in load_tweets(path, error_log=errors)]
+    assert ids == ["t1", "t2", "t3", "t5", "t6"]
+    assert [lineno for lineno, _ in errors] == [4]
+    assert "can't decode byte 0xff" in errors[0][1]
+    with pytest.raises(CorpusFormatError,
+                       match="tweets.jsonl:4: 'utf-8' codec can't decode "
+                             "byte 0xff"):
         list(load_tweets(path, schema_strict=True))
 
 
@@ -244,14 +271,52 @@ def test_lone_surrogate_escape_is_malformed_but_a_pair_loads(tmp_path):
     # the check is on what would be written: a lone surrogate in an unused
     # key is fine
     odd_key = '{"x\\udc00": 1, ' + GOOD_LINE[1:].replace('"t1"', '"t3"')
-    path = _write(tmp_path, [lone, pair, odd_key])
-    errors = []
-    records = list(load_tweets(path, error_log=errors))
-    assert [obj["tweet_id"] for obj, _ in records] == ["t2", "t3"]
-    assert records[0][0]["text"] == "υποκλοπές \U0001F600"
-    assert [lineno for lineno, _ in errors] == [1]
-    with pytest.raises(CorpusFormatError, match="tweets.jsonl:1: "):
-        list(load_tweets(path, schema_strict=True))
+    path = tmp_path / "tweets.jsonl"
+    # with a block ahead, the escapes are in the second block only
+    for ahead in (0, 1):
+        path.write_bytes(_padded("t0", _BLOCK + 1) * ahead + "\n".join(
+            [lone, pair, odd_key]).encode("utf-8") + b"\n")
+        errors = []
+        records = list(load_tweets(path, error_log=errors))
+        assert [obj["tweet_id"] for obj, _ in records] == ["t0"] * ahead + [
+            "t2", "t3"]
+        assert records[-2][0]["text"] == "υποκλοπές \U0001F600"
+        assert [lineno for lineno, _ in errors] == [1 + ahead]
+        with pytest.raises(CorpusFormatError,
+                           match=f"tweets.jsonl:{1 + ahead}: "):
+            list(load_tweets(path, schema_strict=True))
+
+
+def test_line_longer_than_a_block_loads(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(_line("t1") + b"\n" + _padded("t2", 3 * _BLOCK + 5)
+                     + _line("t3") + b"\n")
+    assert _loaded(path) == (["t1", "t2", "t3"], [])
+    (_, _), (long, _), _ = load_tweets(path)
+    assert long == json.loads(path.read_bytes().split(b"\n")[1])
+
+
+def test_greek_character_across_the_block_size_loads(tmp_path):
+    # the second line's first Greek letter has a byte on either side of
+    # offset _BLOCK
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(_padded("t1", _BLOCK - 1 - _TEXT_AT)
+                     + _line("t2") + b"\n" + _line("t3") + b"\n")
+    assert path.read_bytes()[_BLOCK - 1:_BLOCK + 1] == "υ".encode("utf-8")
+    assert _loaded(path) == (["t1", "t2", "t3"], [])
+    assert [obj["text"] for obj, _ in load_tweets(path)][1:] == [
+        "υποκλοπές"] * 2
+
+
+@pytest.mark.parametrize("last, expected", [
+    (_line("t3"), (["t1", "t2", "t3"], [])),
+    (_line("t3")[:-2], (["t1", "t2"], [3]))], ids=["whole", "truncated"])
+def test_last_line_without_newline(tmp_path, last, expected):
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(_padded("t1", _BLOCK + 1) + _line("t2") + b"\n" + last)
+    assert _loaded(path) == expected
+    path.write_bytes(_line("t1") + b"\n" + _line("t2") + b"\n" + last)
+    assert _loaded(path) == expected
 
 
 def test_type_confused_line_does_not_abort_filter(tmp_path):

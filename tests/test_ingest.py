@@ -1,6 +1,7 @@
 """The archive ingest path against the plain references in oracles.py.
 
-The loader decodes with a reused raw decoder and yields each valid line's
+The loader decodes the archive as UTF-8 a block of whole lines at a time,
+then each line with a reused raw decoder, and yields each valid line's
 object and checked fields, keeping the decoded lists; filter_corpus reads
 the loader's lines, memoises hashtag normalisation, matches rules by
 lookup on the folded text and holds the tweets it keeps as columns;
@@ -47,23 +48,30 @@ _FS = [HealthCheck.function_scoped_fixture]
 
 
 @st.composite
-def _archive_line(draw) -> str:
-    """One archive line: valid, wrong-typed, truncated, BOM-prefixed, with
-    extra data after the object, not an object, or blank."""
+def _archive_line(draw) -> bytes:
+    """One archive line's bytes: valid, wrong-typed, truncated,
+    BOM-prefixed, with extra data after the object, not an object, blank,
+    or with bytes that are not UTF-8 (a stray byte, a cut multi-byte
+    sequence, an encoded surrogate) somewhere in it."""
     obj = draw(_archive_object() | st.just(json.loads(GOOD_LINE)))
     text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
-    how = draw(st.integers(0, 9))
+    how = draw(st.integers(0, 10))
     if how == 0:
-        return text[:draw(st.integers(0, len(text) - 1))]
-    if how == 1:
-        return "\ufeff" + text
-    if how == 2:
-        return text + draw(st.sampled_from([" {}", "x", "]", " 1", ",",
-                                            "\t\"a\""]))
-    if how == 3:
-        return draw(st.sampled_from(["[1]", "1", "\"s\"", "null", "  ",
-                                     "", "{}"]))
-    return text
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif how == 1:
+        text = "\ufeff" + text
+    elif how == 2:
+        text += draw(st.sampled_from([" {}", "x", "]", " 1", ",", "\t\"a\""]))
+    elif how == 3:
+        text = draw(st.sampled_from(["[1]", "1", "\"s\"", "null", "  ", "",
+                                     "{}"]))
+    raw = text.encode("utf-8")
+    if how == 4:
+        at = draw(st.integers(0, len(raw)))
+        bad = draw(st.sampled_from([b"\xff", "ο".encode("utf-8")[:1],
+                                    b"\xed\xa0\x80"]))
+        raw = raw[:at] + bad + raw[at:]
+    return raw
 
 
 def _load(loader, written, path, strict=False):
@@ -81,7 +89,7 @@ def _load(loader, written, path, strict=False):
 @given(st.lists(_archive_line(), min_size=1, max_size=8))
 def test_loader_equals_reference(tmp_path, lines):
     path = tmp_path / "tweets.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     for strict in (False, True):
         assert (_load(load_tweets, lambda line: _written(*line), path, strict)
                 == _load(load_tweets_reference, tweet_to_obj, path, strict))

@@ -833,14 +833,19 @@ def test_malformed_lines_outside_the_window_are_counted(fixture_paths,
     assert payload["malformed_lines"] == 6
     assert len(runner.load_errors) == 6
     assert (payload["kept"], payload["total"]) == (1, 3)
-    strict = Runner(replace(config, schema_strict=True,
-                            out_dir=tmp_path / "strict"))
+    # a good pair first, then a strict pass into the same out dir: the
+    # failed pass leaves neither file behind
+    strict_dir = tmp_path / "strict"
+    Runner(replace(config, out_dir=strict_dir)).write_filtered()
+    assert (strict_dir / "filter_report.json").exists()
+    strict = Runner(replace(config, schema_strict=True, out_dir=strict_dir))
     with pytest.raises(StageError, match=f"{re.escape(str(archive))}:2: "):
         strict.filtered
     with pytest.raises(StageError,
                        match=re.escape(f"[filter] {archive}:2: ")):
         strict.write_filtered()
-    assert not (tmp_path / "strict" / "filtered.jsonl").exists()
+    assert not (strict_dir / "filtered.jsonl").exists()
+    assert not (strict_dir / "filter_report.json").exists()
 
 
 def test_write_filtered_writes_each_kept_record(fixture_paths, tmp_path):
