@@ -16,12 +16,16 @@ neighbours of nodes that moved (Leiden's fast local move).  All
 randomization is removed, so a given graph always yields the same
 partition, its communities numbered by first appearance in ascending node
 order.  The local-move loop is plain Python over lists, which is where
-the interpreter indexes fastest.  Modularity is
-Q = sum_c [e_c/m - (d_c/(2m))^2].  Aggregation carries each community's
-intra weight e_c and degree d_c into its supernode, so Q of a level's
-partition is a sum over the next level's nodes (Blondel et al. 2008), and
-the final Q one over the last level's.  Each level is logged at DEBUG
-with its size, visits, moves and that Q.
+the interpreter indexes fastest.  Every level is a multigraph of unit
+entries: aggregation keeps each inter-community CSR entry, so an edge of
+weight w between two supernodes is w adjacent entries, and no level holds
+more entries than level 1's 2m.
+Modularity is Q = sum_c [e_c/m - (d_c/(2m))^2].  Aggregation carries
+each community's intra weight e_c and degree d_c into its supernode, so Q
+of a level's partition is a sum over the next level's nodes (Blondel et
+al. 2008), and the final Q one over the last level's.  Each level is
+logged at DEBUG with its nodes, its edges counted with multiplicity,
+visits, moves, that Q and its seconds.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -144,7 +149,7 @@ def netshield(g: InteractionGraph, k: int) -> ShieldRanking:
 # ---------------------------------------------------------------------------
 
 
-def _louvain_level(indptr, indices, weights, k_arr, m):
+def _louvain_level(indptr, indices, k_arr, m):
     """Queue-driven local moves on one level; returns (comm, visits, moves).
 
     Every node is queued once in ascending order; a node that moves to
@@ -159,18 +164,16 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
     and i moves only when the best candidate beats staying put by more
     than _MIN_GAIN * m.  Candidates are scanned in first-touch order (the
     insertion order of the weight dict), which the sorted CSR makes
-    deterministic; ties keep the earlier candidate.  The CSR carries no
+    deterministic; ties keep the earlier candidate.  Every level is a
+    multigraph of unit entries: an edge of weight w is w equal, adjacent
+    entries of the sorted row, so a row is a plain neighbour list and
+    adding 1.0 per entry sums w(i->c) exactly.  The CSR carries no
     diagonal: a node's self-loop weight cancels out of every gain
     difference.  The level's arrays become Python lists once, since the
-    loop indexes them one element at a time.  When every weight is 1.0,
-    as always on level 1, a row is a plain neighbour list and the gain
-    loop adds 1.0, which spares a (j, w) tuple per CSR entry.
+    loop indexes them one element at a time.
     """
     ptr, nbr = indptr.tolist(), indices.tolist()
-    unit = bool(np.all(weights == 1.0))
-    w = None if unit else weights.tolist()
-    rows = [nbr[a:b] if unit else list(zip(nbr[a:b], w[a:b]))
-            for a, b in zip(ptr, ptr[1:])]
+    rows = [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
     k = k_arr.tolist()
     n = len(rows)
     comm = list(range(n))
@@ -189,14 +192,9 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
         ki = k[i]
         tot[c_old] -= ki
         cw: dict[int, float] = {}
-        if unit:
-            for j in row:
-                c = comm[j]
-                cw[c] = cw.get(c, 0.0) + 1.0
-        else:
-            for j, wj in row:
-                c = comm[j]
-                cw[c] = cw.get(c, 0.0) + wj
+        for j in row:
+            c = comm[j]
+            cw[c] = cw.get(c, 0.0) + 1.0
         scale = ki / two_m
         best_c = c_old
         best_g = cw.get(c_old, 0.0) - tot[c_old] * scale
@@ -211,36 +209,33 @@ def _louvain_level(indptr, indices, weights, k_arr, m):
         tot[best_c] += ki
         if best_c != c_old:
             moves += 1
-            for j in row if unit else [j for j, _ in row]:
+            # a repeated entry finds its neighbour queued or in best_c
+            for j in row:
                 if not queued[j] and comm[j] != best_c:
                     queued[j] = True
                     queue.append(j)
     return np.array(comm, dtype=np.int64), visits, moves
 
 
-def _aggregate(indptr, indices, weights, self_w, k, comm):
-    """Collapse communities into supernodes; intra weight moves to self_w,
-    and a supernode's degree k is the sum of its members' degrees."""
+def _aggregate(indptr, indices, self_w, k, comm):
+    """Collapse communities into supernodes; intra edges move to self_w,
+    a supernode's degree k is the sum of its members' degrees, and every
+    inter-community entry is kept, so the supernodes form a multigraph."""
     uniq, dense = np.unique(comm, return_inverse=True)
     nc = len(uniq)
     n = len(indptr) - 1
     rows = dense[np.repeat(np.arange(n), np.diff(indptr))]
     cols = dense[indices]
     intra = rows == cols
-    new_self = np.bincount(rows[intra], weights=weights[intra],
-                           minlength=nc) / 2.0
+    new_self = np.bincount(rows[intra], minlength=nc) / 2.0
     new_self += np.bincount(dense, weights=self_w, minlength=nc)
-    # one sorted key per (row, col) pair gives the CSR in row-major order;
-    # the weights are whole numbers, so summing duplicates in any order is
-    # exact (and bincount returns integers when there are no entries)
+    # one sorted key per entry gives the CSR in row-major order
     inter = ~intra
-    keys, entry = np.unique(rows[inter] * nc + cols[inter],
-                            return_inverse=True)
-    summed = np.bincount(entry, weights=weights[inter], minlength=len(keys))
+    keys = np.sort(rows[inter] * nc + cols[inter])
     new_indptr = np.zeros(nc + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // nc, minlength=nc), out=new_indptr[1:])
-    return (new_indptr, keys % nc, summed.astype(np.float64, copy=False),
-            new_self, np.bincount(dense, weights=k, minlength=nc), dense)
+    return (new_indptr, keys % nc, new_self,
+            np.bincount(dense, weights=k, minlength=nc), dense)
 
 
 def _modularity(self_w, k, m: float) -> float:
@@ -262,24 +257,26 @@ def louvain(g: InteractionGraph) -> CommunityPartition:
     if g.n < 1:
         raise ValueError("graph must have at least one node")
     indptr, indices = g.indptr, g.indices
-    weights = np.ones(len(indices), dtype=np.float64)
     self_w = np.zeros(g.n, dtype=np.float64)
     k = g.degrees.astype(np.float64)
     m = float(g.m)
     node_comm = np.arange(g.n, dtype=np.int64)
     for level in itertools.count(1):
         n_level, m_level = len(k), len(indices) // 2
-        comm, visits, moves = _louvain_level(indptr, indices, weights, k, m)
+        start = perf_counter()
+        comm, visits, moves = _louvain_level(indptr, indices, k, m)
         if moves:
             # dense[i] is the aggregated node id of level node i, so the
             # original-node map composes through it; every level with a move
             # strictly shrinks the graph, which bounds the loop
-            indptr, indices, weights, self_w, k, dense = _aggregate(
-                indptr, indices, weights, self_w, k, comm)
+            indptr, indices, self_w, k, dense = _aggregate(
+                indptr, indices, self_w, k, comm)
             node_comm = dense[node_comm]
-        log.debug("louvain level %d: n=%d m=%d visits=%d moves=%d Q=%.6f",
-                  level, n_level, m_level, visits, moves,
-                  _modularity(self_w, k, m))
+        if log.isEnabledFor(logging.DEBUG):
+            seconds = perf_counter() - start
+            log.debug("louvain level %d: n=%d m=%d visits=%d moves=%d "
+                      "Q=%.6f in %.3f s", level, n_level, m_level, visits,
+                      moves, _modularity(self_w, k, m), seconds)
         if not moves:
             break
 

@@ -178,10 +178,11 @@ def adjacency_matvec_scipy(indptr, indices, x: np.ndarray) -> np.ndarray:
 def aggregate_scipy(indptr, indices, weights, self_w, k, comm):
     """Louvain's community collapse through scipy's coo -> csr conversion.
 
-    Same arguments and return value (indptr, indices, weights, self
-    weights, degrees, dense community of each node) as
-    ``structure._aggregate``.  k is not read: a supernode's degree is the
-    collapsed matrix's row sum plus twice its self weight.
+    The weighted form of ``structure._aggregate``: it takes each entry's
+    weight and returns (indptr, indices, weights, self weights, degrees,
+    dense community of each node), one entry per pair of supernodes that
+    holds the pair's summed weight.  k is not read: a supernode's degree
+    is the collapsed matrix's row sum plus twice its self weight.
     """
     uniq, dense = np.unique(comm, return_inverse=True)
     nc = len(uniq)
@@ -303,17 +304,19 @@ def modularity_of(g, assignment: dict[str, int]) -> float:
     return q
 
 
-def sweep_louvain_level(indptr, indices, weights, k_arr, m):
+def sweep_louvain_level(indptr, indices, k_arr, m):
     """Louvain local moves swept to a fixpoint: the schedule before the queue.
 
-    Same gains, first-touch candidate order, strict ``> best + 1e-12 * m``
-    rule and return value (comm, visits, moves) as
+    Same arguments, gains, first-touch candidate order, strict
+    ``> best + 1e-12 * m`` rule and return value (comm, visits, moves) as
     ``structure._louvain_level``, but every sweep visits all nodes in
-    ascending order until one sweep moves none.  Substituted for
-    ``_louvain_level``, it makes ``louvain`` the reference partition.
+    ascending order until one sweep moves none.  A row's repeated entries
+    are summed into (neighbour, weight) pairs first, and the sweep adds
+    each pair's weight.  Substituted for ``_louvain_level``, it makes
+    ``louvain`` the reference partition.
     """
-    ptr, nbr, w = indptr.tolist(), indices.tolist(), weights.tolist()
-    rows = [list(zip(nbr[a:b], w[a:b])) for a, b in zip(ptr, ptr[1:])]
+    ptr, nbr = indptr.tolist(), indices.tolist()
+    rows = [list(Counter(nbr[a:b]).items()) for a, b in zip(ptr, ptr[1:])]
     k = k_arr.tolist()
     comm = list(range(len(rows)))
     tot = list(k)
