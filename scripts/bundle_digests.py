@@ -5,9 +5,13 @@ Runs ``run_all`` and ``write_filtered`` for a run config, with OUT as the
 output directory, and prints one ``<sha256>  <file name>`` line per file
 in OUT, sorted by name.  The manifest records the output directory, so
 its digest is taken with the manifest's ``out_dir`` blanked; two
-checkouts that write the same bytes then print the same lines.
+checkouts that write the same bytes then print the same lines when both
+are given the same config path.  The manifest also records the input
+paths, which a config resolves against its own directory, so a config
+inside each checkout makes the manifests differ:
 
-    python3 scripts/bundle_digests.py tests/data/fixture_config.json out/
+    python3 A/scripts/bundle_digests.py A/tests/data/fixture_config.json outA/
+    python3 B/scripts/bundle_digests.py A/tests/data/fixture_config.json outB/
 
 The package is imported from this checkout's ``src``.
 """

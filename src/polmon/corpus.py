@@ -32,8 +32,11 @@ table).
 ``filter_corpus`` fills a ``Corpus`` in its own loop over the kept tweets,
 as it keeps each one: numpy columns over sorted, interned string tables,
 and each text's words as ids into a word table, which the graph, stats
-and share stages read; no text is kept.  ``archive_obj`` gives the
-object that filtered.jsonl holds for a kept tweet.
+and share stages read; no text is kept.  A text's words are its runs of
+letters, split by ``_words``: ISO-8859-7 text through a byte table that
+turns each byte but a letter's into a space, other text by the regex
+itself.  ``archive_obj`` gives the object that filtered.jsonl holds for a
+kept tweet.
 """
 
 from __future__ import annotations
@@ -457,12 +460,14 @@ class _Matcher:
             self.days[d] = by_tag, keywords
         by_tag, keywords = self.days[d]
         keys = []
-        for h in dict.fromkeys(hashtags):
+        for h in dict.fromkeys(hashtags) if len(hashtags) > 1 else hashtags:
             if h in by_tag:
                 keys += by_tag[h]
         if keywords:
             folded = fold_text(text)
-            keys += [key for term, key in keywords if term in folded]
+            for term, key in keywords:
+                if term in folded:
+                    keys.append(key)
         return keys
 
 
@@ -510,6 +515,27 @@ def kept_tweets(rule_set: RuleSet, path: str | Path, report: FilterReport,
 KINDS = tuple(Kind)  # a kind code is an index into KINDS
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)  # a word: a run of letters
+# each ISO-8859-7 byte as itself if _WORD_RE counts its character as a
+# letter, else as a space; "\ufffe" at the 3 undefined bytes is no letter
+_WORD_BYTES = bytes(b if _WORD_RE.fullmatch(ch) else 0x20
+                    for b, ch in enumerate(iso8859_7.decoding_table))
+
+
+def _words(text: str) -> list[str]:
+    """_WORD_RE.findall(text), the text's runs of letters in order.
+
+    Text that ISO-8859-7 encodes (ASCII and monotonic Greek) goes through
+    _WORD_BYTES, which turns each byte that is not a letter into a space,
+    and is split at the spaces: _WORD_RE tests each character on its own
+    and no letter is whitespace, so split() gives exactly its runs.  Other
+    text is searched with _WORD_RE itself.
+    """
+    try:
+        raw = codecs.charmap_encode(text, None, iso8859_7.encoding_table)[0]
+    except UnicodeEncodeError:
+        return _WORD_RE.findall(text)
+    return codecs.charmap_decode(raw.translate(_WORD_BYTES), None,
+                                 iso8859_7.decoding_table)[0].split()
 
 
 class Ragged(NamedTuple):
@@ -585,25 +611,32 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
     """The archive's kept tweets as a Corpus, each one's columns filled as
     kept_tweets keeps it, and the pass's counters; see kept_tweets."""
     report = FilterReport()
-    tables = users, hashtags, urls = _Table(), _Table(), _Table()
-    ptrs = refs_at, tags_at, urls_at = [array("q", [0]) for _ in tables]
+    tables = [_Table() for _ in range(3)]  # users, hashtags, urls
+    ptrs = [array("q", [0]) for _ in tables]
     ids = ref_ids, tag_ids, url_ids = [array("q") for _ in tables]
     day, kind, author = array("q"), array("b"), array("q")
     words, word_ids, words_at = _Table(), array("i"), array("q", [0])
+    # each bound method once, not once per kept tweet
+    user_id, tag_id, url_id, word_id = (
+        table.__getitem__ for table in (*tables, words))
+    add_day, add_kind, add_author = day.append, kind.append, author.append
+    add_refs, add_tags, add_urls, add_words = (
+        column.extend for column in (*ids, word_ids))
+    end_refs, end_tags, end_urls, end_words = (
+        ptr.append for ptr in (*ptrs, words_at))
     for obj, fields, tags, d in kept_tweets(rule_set, path, report,
                                             schema_strict, error_log):
-        day.append(d.toordinal())
-        kind.append(_KIND_CODES[fields.kind])
-        author.append(users[str(obj["author_id"])])
-        ref_ids.extend(map(users.__getitem__, fields.refs))
-        refs_at.append(len(ref_ids))
-        tag_ids.extend(map(hashtags.__getitem__, tags))
-        tags_at.append(len(tag_ids))
-        url_ids.extend(map(urls.__getitem__, fields.urls))
-        urls_at.append(len(url_ids))
-        word_ids.extend(map(words.__getitem__,
-                            _WORD_RE.findall(str(obj["text"]))))
-        words_at.append(len(word_ids))
+        add_day(d.toordinal())
+        add_kind(_KIND_CODES[fields.kind])
+        add_author(user_id(str(obj["author_id"])))
+        add_refs(map(user_id, fields.refs))
+        end_refs(len(ref_ids))
+        add_tags(map(tag_id, tags))
+        end_tags(len(tag_ids))
+        add_urls(map(url_id, fields.urls))
+        end_urls(len(url_ids))
+        add_words(map(word_id, _words(str(obj["text"]))))
+        end_words(len(word_ids))
     tables = [_sorted(table) for table in tables]
     ragged = [Ragged(np.asarray(ptr, np.int64),
                      rank[np.asarray(column, np.int64)])

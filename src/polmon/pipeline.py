@@ -539,10 +539,21 @@ class Runner:
 
     @property
     def filtered(self) -> tuple[Corpus, FilterReport]:
-        return self._get("filter", lambda: filter_corpus(
-            self.rule_set, self.config.tweets,
-            schema_strict=self.config.schema_strict,
-            error_log=self.load_errors))
+        """The kept tweets and the pass's counters; logs at DEBUG what
+        became of the archive's lines."""
+        def build():
+            corpus, report = filter_corpus(
+                self.rule_set, self.config.tweets,
+                schema_strict=self.config.schema_strict,
+                error_log=self.load_errors)
+            malformed = len(self.load_errors)
+            log.debug("filter: %d lines read, %d kept, %d dropped by "
+                      "language, %d by window, %d by no rule, %d malformed",
+                      report.total + malformed, report.kept,
+                      report.dropped_lang, report.dropped_window,
+                      report.dropped_no_rule, malformed)
+            return corpus, report
+        return self._get("filter", build)
 
     @property
     def annotations(self):

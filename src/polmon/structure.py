@@ -174,6 +174,7 @@ def _louvain_level(indptr, indices, k_arr, m):
     """
     ptr, nbr = indptr.tolist(), indices.tolist()
     rows = [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
+    del ptr, nbr  # only the rows are read from here on
     k = k_arr.tolist()
     n = len(rows)
     comm = list(range(n))

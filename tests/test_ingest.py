@@ -7,7 +7,8 @@ the loader's lines, memoises hashtag normalisation, matches rules by
 lookup on the folded text and holds the tweets it keeps as columns;
 write_filtered writes each kept line as archive_obj; fold_text folds
 ISO-8859-7 text through a byte table and other text below U+0900
-character by character; load_follows reads rows by column index.  Each
+character by character, and _words splits ISO-8859-7 text into its runs
+of letters through another; load_follows reads rows by column index.  Each
 must give exactly what the reference gives: the references build a
 TweetRecord per line, and what filtered.jsonl holds of a kept line is
 tweet_to_obj of its record.
@@ -34,8 +35,8 @@ from polmon.pipeline import RunConfig, Runner
 
 from conftest import annotations_of, corpus_rows, follow_pairs, stored_rows
 from oracles import (Account, filter_corpus_reference, fold_text_reference,
-                     load_follows_reference, load_tweets_reference,
-                     tweet_to_obj)
+                     letter_runs, load_follows_reference,
+                     load_tweets_reference, tweet_to_obj)
 from test_corpus import (_BASES, GOOD_LINE, _archive_object, _rule, _variant,
                          _written)
 
@@ -375,6 +376,41 @@ def test_byte_table_refuses_a_fold_to_other_than_one_codepage_character(
                         lambda s: folded if s == "\u03b2" else fold(s))
     with pytest.raises(error):
         corpus._byte_folds()
+
+
+# ---------------------------------------------------------------------------
+# tokenising
+# ---------------------------------------------------------------------------
+
+
+def test_word_byte_table_equals_one_rebuilt_from_letter_runs():
+    # the undefined bytes decode to U+FFFD, which is no letter
+    chars = bytes(range(256)).decode("iso8859_7", "replace")
+    table = bytes(b if letter_runs(ch) == [ch] else 0x20
+                  for b, ch in enumerate(chars))
+    assert corpus._WORD_BYTES == table
+    assert len(table) - table.count(b" ") == 125
+    assert all(letter_runs(ch) == [ch] for ch in "²³½")
+
+
+def test_words_of_each_codepage_character_equal_letter_runs():
+    for ch in _CODEPAGE:
+        for text in (ch, f"a{ch}β", f"{ch}{ch} {ch}"):
+            assert corpus._words(text) == letter_runs(text), text
+
+
+# code-page text, mixed with characters outside the code page (é, an emoji,
+# combining marks) and with NBSP, a code-page character that str.split()
+# counts as whitespace
+_MIXED = st.text(alphabet=st.sampled_from(_CODEPAGE) | st.sampled_from(
+    ["\u00e9", "\U0001f600", "\u0301", "\u0308", "\u00a0", "\u00b2"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_CODEPAGE) | _MIXED | _TEXT)
+@example("Οι Υποκλοπές, το PREDATOR! x_y a1b ½ café \U0001f600")
+def test_words_equal_letter_runs(s):
+    assert corpus._words(s) == letter_runs(s)
 
 
 # ---------------------------------------------------------------------------

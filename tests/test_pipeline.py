@@ -373,6 +373,33 @@ def test_follow_and_stance_sizes_logged(fixture_paths, tmp_path, caplog):
         f"outside the graph; Left, Right, Center, Neutral: {counts}"]
 
 
+def test_filter_counts_logged(fixture_paths, tmp_path, caplog):
+    # with -v, the filter stage says what became of the archive's lines,
+    # with the counts that filter_report.json holds; the fixture with a
+    # truncated line, a blank one and its first day outside the window
+    text = fixture_paths["tweets"].read_text(encoding="utf-8")
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text(text + '{"tweet_id": "1\n\n', encoding="utf-8")
+    runner = Runner(replace(_config(fixture_paths, tmp_path / "out"),
+                            tweets=tweets, date_from=date(2022, 8, 5)))
+    with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"):
+        runner.filtered
+    counts = json.loads(runner.write_filtered().with_name(
+        "filter_report.json").read_text(encoding="utf-8"))
+    assert counts["malformed_lines"] == 1
+    assert counts["total"] == len(text.splitlines())
+    assert min(counts["dropped_lang"], counts["dropped_window"],
+               counts["dropped_no_rule"]) > 0
+    logged = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("filter: ")]
+    assert logged == [
+        f"filter: {counts['total'] + counts['malformed_lines']} lines read, "
+        f"{counts['kept']} kept, {counts['dropped_lang']} dropped by "
+        f"language, {counts['dropped_window']} by window, "
+        f"{counts['dropped_no_rule']} by no rule, "
+        f"{counts['malformed_lines']} malformed"]
+
+
 # ---------------------------------------------------------------------------
 # rounded percentages / shares
 # ---------------------------------------------------------------------------
