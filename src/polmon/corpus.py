@@ -7,7 +7,8 @@ File formats (all consumed here, all documented in the README):
     referenced_user_ids, referenced_tweet_id, like_count, retweet_count,
     reply_count.  For retweets/quotes/replies the primary referenced author
     (the retweeted/quoted/replied-to user) comes first in
-    referenced_user_ids; mentions follow.
+    referenced_user_ids; mentions follow.  The six required fields,
+    referenced_tweet_id and a media url are each a JSON string or integer.
   - annotations: CSV with header ``user_id,category,side``; read into
     ``Annotations``, category and side code columns over a sorted user
     table, which ``join_onto`` lays over another sorted user table
@@ -15,6 +16,11 @@ File formats (all consumed here, all documented in the README):
   - rule set: JSON with keys rules[].term, rules[].mode, rules[].active_from,
     rules[].active_until, language_whitelist, study_window and an optional
     date_offset_minutes for local-time day bucketing (default 0 = UTC).
+
+``json_value`` is the one reader of a rule set's values and of a run
+config's (``pipeline.RunConfig.from_file``): it tests each value against
+the JSON form of the type it becomes, converts it, and otherwise raises
+CorpusFormatError "'<key>' must be <form>, got <value>".
 
 A default rule set (the tracked keyword/hashtag list with its per-term
 activation windows) ships as package data; ``default_rule_set()`` loads it.
@@ -212,6 +218,8 @@ _REQUIRED_FIELDS = (
     "tweet_id", "author_id", "timestamp", "text", "lang", "kind",
 )
 _KIND_OF_VALUE = {k.value: k for k in Kind}
+# the types a scalar field may have in JSON: a bool or a float is neither
+_SCALARS = (str, int)
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -238,12 +246,17 @@ def _check_tweet(obj: dict) -> Checked:
     Raises CorpusFormatError on any violated invariant (missing field,
     bad enum value, a count that is not a non-negative integer, a
     hashtags/urls/referenced_user_ids value that is not a list of strings,
-    a non-original post without a referenced user).  A missing or null
-    count or list means 0 or empty.  The fields keep obj's lists.
+    a non-original post without a referenced user, a required field,
+    referenced_tweet_id or media url that is neither a string nor an
+    integer).  A missing or null count or list means 0 or empty.  The
+    fields keep obj's lists.
     """
     for name in _REQUIRED_FIELDS:
-        if obj.get(name) is None:
-            raise CorpusFormatError(f"missing field {name!r}")
+        value = obj.get(name)
+        if type(value) not in _SCALARS:
+            raise CorpusFormatError(
+                f"missing field {name!r}" if value is None else
+                f"{name} is not a string or an integer: {value!r}")
     kind = _KIND_OF_VALUE.get(str(obj["kind"]).lower())
     if kind is None:
         raise CorpusFormatError(f"unknown kind {obj['kind']!r}")
@@ -281,6 +294,10 @@ def _check_tweet(obj: dict) -> Checked:
             raise CorpusFormatError(
                 f"{name} is not a non-negative integer: {value!r}")
         counts.append(value)
+    ref_tweet = obj.get("referenced_tweet_id")
+    if ref_tweet is not None and type(ref_tweet) not in _SCALARS:
+        raise CorpusFormatError("referenced_tweet_id is not a string or an "
+                                f"integer: {ref_tweet!r}")
 
     media = []
     items = obj.get("media")
@@ -288,10 +305,11 @@ def _check_tweet(obj: dict) -> Checked:
         raise CorpusFormatError(f"media is not a list: {items!r}")
     for item in items or ():
         try:
-            media_kind = str(item["kind"]).lower()
-            if media_kind not in ("image", "video"):
+            media_kind, url = str(item["kind"]).lower(), item["url"]
+            if media_kind not in ("image", "video") or (
+                    type(url) not in _SCALARS):
                 raise ValueError
-            media.append({"kind": media_kind, "url": str(item["url"])})
+            media.append({"kind": media_kind, "url": str(url)})
         except (KeyError, ValueError, TypeError):
             raise CorpusFormatError(f"bad media item {item!r}") from None
     return tuple.__new__(Checked, (kind, ts, hashtags, urls, refs, counts,
@@ -823,15 +841,42 @@ def _reject_unknown(obj: dict, cls: type, what: str) -> None:
             f"{what}: unknown key " + ", ".join(map(repr, unknown)))
 
 
-def _parse_date(raw, key: str) -> date | None:
-    """An ISO date string; None for null or ""."""
-    if raw is None or raw == "":
-        return None
+# the JSON forms of the values of a rule set or a run config, by the type
+# they convert to: a test of the JSON value, what the value must be, and
+# its conversion.  bool is not a number here, and "" or null leave a path
+# or a date unset.
+_JSON_FORMS = {
+    "float": (lambda v: type(v) in (int, float), "a number", float),
+    "int": (lambda v: type(v) is int, "an integer", int),
+    "bool": (lambda v: type(v) is bool, "true or false", bool),
+    "tuple[float, ...]": (
+        lambda v: type(v) is list and all(type(t) in (int, float) for t in v),
+        "a list of numbers", tuple),
+    "Path": (lambda v: v is None or type(v) is str, "a string",
+             lambda v: Path(v) if v else None),
+    "date": (lambda v: v is None or type(v) is str, "an ISO date",
+             lambda v: date.fromisoformat(v) if v else None),
+    "list": (lambda v: type(v) is list, "a list", list),
+    "set[str]": (lambda v: type(v) is list and v
+                 and all(type(x) is str for x in v),
+                 "a non-empty list of strings", set),
+    "tuple[date, date]": (lambda v: type(v) is list and len(v) == 2,
+                          "a list of two ISO dates",
+                          lambda v: tuple(map(date.fromisoformat, v))),
+}
+
+
+def json_value(key: str, value, form: str):
+    """value converted by the JSON form named form (_JSON_FORMS); a value
+    that fails the form's test or conversion raises CorpusFormatError
+    naming key."""
+    test, what, convert = _JSON_FORMS[form]
     try:
-        return date.fromisoformat(raw)
-    except (TypeError, ValueError):
-        raise CorpusFormatError(
-            f"{key!r} must be an ISO date, got {raw!r}") from None
+        if test(value):
+            return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise CorpusFormatError(f"{key!r} must be {what}, got {value!r}")
 
 
 def rule_set_from_dict(obj: dict) -> RuleSet:
@@ -844,21 +889,13 @@ def rule_set_from_dict(obj: dict) -> RuleSet:
     if type(obj) is not dict:
         raise CorpusFormatError("rule set must be a JSON object")
     _reject_unknown(obj, RuleSet, "rule set")
-    entries = obj.get("rules", [])
-    languages = obj.get("language_whitelist", ["el"])
-    offset = obj.get("date_offset_minutes", 0)
-    window = obj.get("study_window")
-    for key, value, ok, what in (
-            ("rules", entries, type(entries) is list, "a list"),
-            ("language_whitelist", languages, type(languages) is list
-             and languages and all(type(x) is str for x in languages),
-             "a non-empty list of strings"),
-            ("date_offset_minutes", offset, type(offset) is int,
-             "an integer"),
-            ("study_window", window, type(window) is list
-             and len(window) == 2, "a list of two ISO dates")):
-        if not ok:
-            raise CorpusFormatError(f"{key!r} must be {what}, got {value!r}")
+    entries = json_value("rules", obj.get("rules", []), "list")
+    languages = json_value("language_whitelist",
+                           obj.get("language_whitelist", ["el"]), "set[str]")
+    offset = json_value("date_offset_minutes",
+                        obj.get("date_offset_minutes", 0), "int")
+    window = json_value("study_window", obj.get("study_window"),
+                        "tuple[date, date]")
     rules = []
     for entry in entries:
         well_typed = (type(entry) is dict and type(entry.get("term")) is str
@@ -870,16 +907,13 @@ def rule_set_from_dict(obj: dict) -> RuleSet:
         rules.append(FilterRule(
             term=entry["term"],
             mode=mode,
-            active_from=_parse_date(entry.get("active_from"), "active_from"),
-            active_until=_parse_date(entry.get("active_until"),
-                                     "active_until"),
+            active_from=json_value("active_from", entry.get("active_from"),
+                                   "date"),
+            active_until=json_value("active_until", entry.get("active_until"),
+                                    "date"),
         ))
-    lo, hi = (_parse_date(w, "study_window") for w in window)
-    if lo is None or hi is None:
-        raise CorpusFormatError(
-            f"'study_window' must be a list of two ISO dates, got {window!r}")
-    return RuleSet(rules=rules, language_whitelist=set(languages),
-                   study_window=(lo, hi), date_offset_minutes=offset)
+    return RuleSet(rules=rules, language_whitelist=languages,
+                   study_window=window, date_offset_minutes=offset)
 
 
 def load_rule_set(path: str | Path) -> RuleSet:

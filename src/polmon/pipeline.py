@@ -30,9 +30,10 @@ import numpy as np
 from . import __version__
 from .corpus import (CATEGORIES, KINDS, Annotations, Category, Corpus,
                      FilterReport, Ragged, RuleSet, _csv_lines, _distinct,
-                     _Table, archive_obj, default_rule_set, filter_corpus,
-                     fold_text, join_onto, kept_tweets, load_annotations,
-                     load_follows, load_rule_set)
+                     _reject_unknown, _Table, archive_obj, default_rule_set,
+                     filter_corpus, fold_text, join_onto, json_value,
+                     kept_tweets, load_annotations, load_follows,
+                     load_rule_set)
 from .graphkit import (InteractionGraph, build_graph, daily_graphs,
                        export_graph, remove_nodes)
 from .polarization import ConvergenceError, PolarizationResult, compute_pi
@@ -234,7 +235,7 @@ def pi_series(graphs: Sequence[tuple[date, InteractionGraph]],
 
 @dataclass
 class AblationResult:
-    date: date | None
+    date: date
     pi_full: float
     pi_without: dict[str, float]
     drop_isolated: bool
@@ -339,23 +340,6 @@ def sweep_rows(entries: Sequence, fmt: Callable[[float], str]) -> list[list]:
 # keys of deleted run options; old config files still load, and ignore them
 RETIRED_CONFIG_KEYS = ("solver", "workers")
 
-
-# the JSON form of each RunConfig field type, optional or not: a test of
-# the JSON value, what the value must be, and its conversion.  bool is not
-# a number here, and "" or null leave a path or a date unset.
-_JSON_FORMS = {
-    "float": (lambda v: type(v) in (int, float), "a number", float),
-    "int": (lambda v: type(v) is int, "an integer", int),
-    "bool": (lambda v: type(v) is bool, "true or false", bool),
-    "tuple[float, ...]": (
-        lambda v: type(v) is list and all(type(t) in (int, float) for t in v),
-        "a list of numbers", tuple),
-    "Path": (lambda v: v is None or type(v) is str, "a string",
-             lambda v: Path(v) if v else None),
-    "date": (lambda v: v is None or type(v) is str, "an ISO date",
-             lambda v: date.fromisoformat(v) if v else None),
-}
-
 # the range rule of each RunConfig option that has one: a test of the
 # value, and what the value must be
 _RANGES = {
@@ -408,7 +392,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Load a JSON run config; paths resolve against its directory.
 
-        Every value must have its field's JSON form (_JSON_FORMS), and
+        Every value must have its field type's JSON form (json_value), and
         every key must be a field or one of RETIRED_CONFIG_KEYS; otherwise
         a ValueError names the key.  A key that is absent, or a path or
         date that is "" or null, takes the field's default: out_dir is
@@ -420,24 +404,13 @@ class RunConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("run config must be a JSON object")
+        raw = {k: v for k, v in raw.items() if k not in RETIRED_CONFIG_KEYS}
+        _reject_unknown(raw, cls, "run config")
         types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
-        unknown = sorted(set(raw) - set(types) - set(RETIRED_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(
-                "unknown config key " + ", ".join(map(repr, unknown)))
         base = path.parent
         values = {"out_dir": Path("out")}
         for key, value in raw.items():
-            if key not in types:
-                continue  # a retired key
-            test, what, convert = _JSON_FORMS[types[key]]
-            try:
-                if not test(value):
-                    raise TypeError
-                value = convert(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(
-                    f"{key!r} must be {what}, got {value!r}") from None
+            value = json_value(key, value, types[key])
             if value is not None:
                 values[key] = value
         missing = [f.name for f in fields(cls) if f.name not in values
@@ -471,6 +444,18 @@ def _memory_mb() -> tuple[float, float]:
     except OSError:
         return peak, peak
     return pages * resource.getpagesize() / 2**20, peak
+
+
+def _stage(key: str) -> Callable[[Callable], property]:
+    """A Runner property whose value the decorated method builds once, as
+    stage key (Runner._as_stage), and which is cached in _cache[key]."""
+    def decorate(build: Callable) -> property:
+        def get(self):
+            if key not in self._cache:
+                self._cache[key] = self._as_stage(key, key, build, self)
+            return self._cache[key]
+        return property(get, doc=build.__doc__)
+    return decorate
 
 
 class Runner:
@@ -511,166 +496,140 @@ class Runner:
         self._peak = max(self._peak, resident, peak)
         return resident, self._peak
 
-    def _get(self, key: str, builder: Callable):
-        if key not in self._cache:
-            self._cache[key] = self._as_stage(key, key, builder)
-        return self._cache[key]
-
     # -- stages ------------------------------------------------------------
 
-    @property
+    @_stage("rules")
     def rule_set(self) -> RuleSet:
         """The rule set with its study window clamped by date_from and
         date_to; a clamp that leaves no day raises, naming both ends."""
-        def build():
-            rs = (load_rule_set(self.config.rules) if self.config.rules
-                  else default_rule_set())
-            lo, hi = rs.study_window
-            if self.config.date_from:
-                lo = max(lo, self.config.date_from)
-            if self.config.date_to:
-                hi = min(hi, self.config.date_to)
-            if lo > hi:
-                raise ValueError(f"empty study window: it would start on "
-                                 f"{lo} and end on {hi}")
-            rs.study_window = (lo, hi)
-            return rs
-        return self._get("rules", build)
+        rs = (load_rule_set(self.config.rules) if self.config.rules
+              else default_rule_set())
+        lo, hi = rs.study_window
+        if self.config.date_from:
+            lo = max(lo, self.config.date_from)
+        if self.config.date_to:
+            hi = min(hi, self.config.date_to)
+        if lo > hi:
+            raise ValueError(f"empty study window: it would start on "
+                             f"{lo} and end on {hi}")
+        rs.study_window = (lo, hi)
+        return rs
 
-    @property
+    @_stage("filter")
     def filtered(self) -> tuple[Corpus, FilterReport]:
         """The kept tweets and the pass's counters; logs at DEBUG what
         became of the archive's lines."""
-        def build():
-            corpus, report = filter_corpus(
-                self.rule_set, self.config.tweets,
-                schema_strict=self.config.schema_strict,
-                error_log=self.load_errors)
-            malformed = len(self.load_errors)
-            log.debug("filter: %d lines read, %d kept, %d dropped by "
-                      "language, %d by window, %d by no rule, %d malformed",
-                      report.total + malformed, report.kept,
-                      report.dropped_lang, report.dropped_window,
-                      report.dropped_no_rule, malformed)
-            return corpus, report
-        return self._get("filter", build)
+        corpus, report = filter_corpus(
+            self.rule_set, self.config.tweets,
+            schema_strict=self.config.schema_strict,
+            error_log=self.load_errors)
+        malformed = len(self.load_errors)
+        log.debug("filter: %d lines read, %d kept, %d dropped by "
+                  "language, %d by window, %d by no rule, %d malformed",
+                  report.total + malformed, report.kept,
+                  report.dropped_lang, report.dropped_window,
+                  report.dropped_no_rule, malformed)
+        return corpus, report
 
-    @property
+    @_stage("annotations")
     def annotations(self):
-        return self._get("annotations",
-                         lambda: load_annotations(self.config.annotations))
+        return load_annotations(self.config.annotations)
 
-    @property
+    @_stage("follows")
     def follows(self):
-        return self._get("follows",
-                         lambda: load_follows(self.config.follows,
-                                              self.annotations))
+        return load_follows(self.config.follows, self.annotations)
 
-    @property
+    @_stage("graph")
     def full_graph(self) -> InteractionGraph:
-        return self._get("graph", lambda: build_graph(self.filtered[0]))
+        return build_graph(self.filtered[0])
 
-    @property
+    @_stage("daily")
     def daily(self) -> list[tuple[date, InteractionGraph]]:
-        return self._get("daily", lambda: daily_graphs(self.filtered[0]))
+        return daily_graphs(self.filtered[0])
 
-    @property
+    @_stage("stance")
     def stances(self) -> StanceMap:
-        return self._get("stance", lambda: stance_map(
-            self.follows, threshold=self.config.threshold,
-            users=self.filtered[0].users))
+        return stance_map(self.follows, threshold=self.config.threshold,
+                          users=self.filtered[0].users)
 
-    @property
+    @_stage("influencers")
     def influencer_ranking(self):
-        def build():
-            g = self.full_graph
-            return netshield(g, min(self.config.k, g.n))
-        return self._get("influencers", build)
+        g = self.full_graph
+        return netshield(g, min(self.config.k, g.n))
 
-    @property
+    @_stage("stopwords")
     def stopword_set(self) -> frozenset[str]:
-        def build():
-            if not self.config.stopwords:
-                return frozenset()
-            lines = _csv_lines(Path(self.config.stopwords))
-            return frozenset(w.strip() for w in lines if w.strip())
-        return self._get("stopwords", build)
+        if not self.config.stopwords:
+            return frozenset()
+        lines = _csv_lines(Path(self.config.stopwords))
+        return frozenset(w.strip() for w in lines if w.strip())
 
     def _pi_kwargs(self) -> dict:
         return {"tol": self.config.tol,
                 "include_isolated": self.config.include_isolated}
 
-    @property
+    @_stage("polarize")
     def series(self):
-        return self._get("polarize", lambda: pi_series(
-            self.daily, self.stances, **self._pi_kwargs()))
+        return pi_series(self.daily, self.stances, **self._pi_kwargs())
 
-    @property
+    @_stage("ablate")
     def ablation_rows(self) -> list[AblationResult | tuple[date, bool, str]]:
         """Per day, one row per ablation variant (drop_isolated True, then
         False, or the configured one); a gap is (date, drop_isolated,
         cause)."""
-        def build():
-            variants = ((True, False) if self.config.ablate_both_variants
-                        else (self.config.drop_isolated,))
-            stances = self.stances
-            pi_kwargs = self._pi_kwargs()
-            victims = ablation_victims(self.annotations,
-                                       self.influencer_ranking.selected,
-                                       self.full_graph.users)
-            # the series stage already solved each day's full graph with
-            # these arguments; only its gap days are solved again, to
-            # reproduce their error
-            series = dict(self.series)
-            rows = []
-            for d, g in self.daily:
-                for drop in variants:
-                    try:
-                        reduced = _reduced_graphs(g, victims, drop)
-                        full = series[d] or compute_pi(g, stances, **pi_kwargs)
-                        rows.append(AblationResult(
-                            d, full.pi,
-                            _pis_without(reduced, stances, **pi_kwargs), drop))
-                    except GAP_ERRORS as exc:
-                        log.warning("ablation gap on %s: %s", d, exc)
-                        rows.append((d, drop, str(exc)))
-            return rows
-        return self._get("ablate", build)
+        variants = ((True, False) if self.config.ablate_both_variants
+                    else (self.config.drop_isolated,))
+        stances = self.stances
+        pi_kwargs = self._pi_kwargs()
+        victims = ablation_victims(self.annotations,
+                                   self.influencer_ranking.selected,
+                                   self.full_graph.users)
+        # the series stage already solved each day's full graph with these
+        # arguments; only its gap days are solved again, to reproduce their
+        # error
+        series = dict(self.series)
+        rows = []
+        for d, g in self.daily:
+            for drop in variants:
+                try:
+                    reduced = _reduced_graphs(g, victims, drop)
+                    full = series[d] or compute_pi(g, stances, **pi_kwargs)
+                    rows.append(AblationResult(
+                        d, full.pi,
+                        _pis_without(reduced, stances, **pi_kwargs), drop))
+                except GAP_ERRORS as exc:
+                    log.warning("ablation gap on %s: %s", d, exc)
+                    rows.append((d, drop, str(exc)))
+        return rows
 
-    @property
+    @_stage("sweep")
     def sweep(self) -> ThresholdSweepResult:
         """The threshold sweep; on an empty graph it has no entries."""
-        def build():
-            g = self.full_graph
-            if g.n == 0:
-                return ThresholdSweepResult(entries=[])
-            return threshold_sweep(
-                g, self.stances, self.annotations,
-                thresholds=self.config.sweep_thresholds,
-                influencer_set=self.influencer_ranking.selected,
-                drop_isolated=self.config.drop_isolated, **self._pi_kwargs())
-        return self._get("sweep", build)
+        g = self.full_graph
+        if g.n == 0:
+            return ThresholdSweepResult(entries=[])
+        return threshold_sweep(
+            g, self.stances, self.annotations,
+            thresholds=self.config.sweep_thresholds,
+            influencer_set=self.influencer_ranking.selected,
+            drop_isolated=self.config.drop_isolated, **self._pi_kwargs())
 
-    @property
+    @_stage("communities")
     def communities(self):
-        def build():
-            g = self.full_graph
-            if g.n == 0:
-                return None
-            partition = louvain(g)
-            decompose_communities(partition, self.stances.over(g.users)[g.ids])
-            return partition
-        return self._get("communities", build)
+        g = self.full_graph
+        if g.n == 0:
+            return None
+        partition = louvain(g)
+        decompose_communities(partition, self.stances.over(g.users)[g.ids])
+        return partition
 
-    @property
+    @_stage("stats")
     def stats(self) -> tuple[list[DailyStats], dict[str, Counter]]:
-        return self._get("stats", lambda: compute_stats(
-            self.filtered[0], self.stopword_set))
+        return compute_stats(self.filtered[0], self.stopword_set)
 
-    @property
+    @_stage("shares")
     def shares(self) -> StanceShares:
-        return self._get("shares",
-                         lambda: stance_shares(self.filtered[0], self.stances))
+        return stance_shares(self.filtered[0], self.stances)
 
     # -- emitters ----------------------------------------------------------
 

@@ -431,12 +431,21 @@ def fold_text_reference(s: str) -> str:
     return unicodedata.normalize("NFC", stripped).casefold()
 
 
+def _json_scalar(value) -> bool:
+    """Whether value is a JSON string or integer; JSON true and false
+    decode to bool, which is an int subclass."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
 def parse_tweet_reference(obj: dict) -> TweetRecord:
     """A validated TweetRecord, building every field from scratch."""
     for name in ("tweet_id", "author_id", "timestamp", "text", "lang",
                  "kind"):
         if name not in obj or obj[name] is None:
             raise CorpusFormatError(f"missing field {name!r}")
+        if not _json_scalar(obj[name]):
+            raise CorpusFormatError(
+                f"{name} is not a string or an integer: {obj[name]!r}")
     try:
         kind = Kind(str(obj["kind"]).lower())
     except ValueError:
@@ -472,17 +481,22 @@ def parse_tweet_reference(obj: dict) -> TweetRecord:
             raise CorpusFormatError(
                 f"{name} is not a non-negative integer: {value!r}")
         counts[name] = value
+    ref_tweet = obj.get("referenced_tweet_id")
+    if ref_tweet is not None and not _json_scalar(ref_tweet):
+        raise CorpusFormatError("referenced_tweet_id is not a string or an "
+                                f"integer: {ref_tweet!r}")
     media = []
     items = obj.get("media")
     if items is not None and type(items) is not list:
         raise CorpusFormatError(f"media is not a list: {items!r}")
     for item in items or ():
         try:
+            if not _json_scalar(item["url"]):
+                raise TypeError
             media.append(MediaItem(kind=MediaKind(str(item["kind"]).lower()),
                                    url=str(item["url"])))
         except (KeyError, ValueError, TypeError):
             raise CorpusFormatError(f"bad media item {item!r}") from None
-    ref_tweet = obj.get("referenced_tweet_id")
     return TweetRecord(
         tweet_id=str(obj["tweet_id"]), author_id=str(obj["author_id"]),
         timestamp=ts, text=str(obj["text"]), lang=str(obj["lang"]),

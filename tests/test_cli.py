@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,27 @@ def test_config_unknown_key_rejected(fixture_paths, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot load config" in err
     assert "'treshold'" in err
+
+
+def test_config_loads_every_key(fixture_paths, tmp_path):
+    # one value per RunConfig field, so every field type's JSON form is read
+    config = _load_with(
+        fixture_paths, tmp_path, out_dir="o", rules="r.json", threshold=0.5,
+        sweep_thresholds=[0.1, 1], k=3, drop_isolated=False,
+        include_isolated=False, tol=1e-8, top_k=2, stopwords="s.txt",
+        date_from="2022-08-01", date_to="2022-08-03", schema_strict=True,
+        ablate_both_variants=True)
+    base = tmp_path.resolve()
+    assert vars(RunConfig.from_file(config)) == {
+        "tweets": base / "fixture_tweets.jsonl",
+        "annotations": base / "fixture_annotations.csv",
+        "follows": base / "fixture_follows.csv", "out_dir": base / "o",
+        "rules": base / "r.json", "threshold": 0.5,
+        "sweep_thresholds": (0.1, 1), "k": 3, "drop_isolated": False,
+        "include_isolated": False, "tol": 1e-8, "top_k": 2,
+        "stopwords": base / "s.txt", "date_from": date(2022, 8, 1),
+        "date_to": date(2022, 8, 3), "schema_strict": True,
+        "ablate_both_variants": True}
 
 
 def test_config_retired_keys_ignored(fixture_paths, tmp_path):

@@ -155,6 +155,27 @@ def test_count_must_be_json_integer(tmp_path, name, value):
     assert _error(tmp_path, obj).startswith(name)
 
 
+@pytest.mark.parametrize("name", ["tweet_id", "author_id", "text", "lang",
+                                  "referenced_tweet_id", "media url"])
+@pytest.mark.parametrize("value", [["u1"], {"id": "u1"}, True, 1.5])
+def test_scalar_field_must_be_json_string_or_integer(tmp_path, name, value):
+    # str() once wrote such a value out as its repr: user "['u1']" or "True"
+    obj = json.loads(GOOD_LINE)
+    if name == "media url":
+        obj["media"] = [{"kind": "image", "url": value}]
+        what = "bad media item"
+    else:
+        obj[name] = value
+        what = f"{name} is not a string or an integer"
+    assert _error(tmp_path, obj).startswith(what)
+    with pytest.raises(CorpusFormatError, match=f"^{what}"):
+        parse_tweet_reference(obj)
+    errors = []
+    path = _write(tmp_path, [json.dumps(obj), GOOD_LINE])
+    assert len(list(load_tweets(path, error_log=errors))) == 1
+    assert [lineno for lineno, _ in errors] == [1]
+
+
 def test_missing_or_null_count_is_zero(tmp_path):
     obj = json.loads(GOOD_LINE)
     del obj["like_count"]
@@ -999,6 +1020,8 @@ def test_rule_set_from_dict_round_trip():
     ("study_window", ["2022-04-01", 20221231]),
     ("study_window", ["2022-04-01", None]),
     ("rules", {"term": "x", "mode": "keyword"}),
+    ("active_from", 20220501),
+    ("active_until", "2022-13-01"),
 ])
 def test_rule_set_rejects_type_confused_value(key, value):
     with pytest.raises(CorpusFormatError, match=key):
