@@ -13,7 +13,10 @@ inside each checkout makes the manifests differ:
     python3 A/scripts/bundle_digests.py A/tests/data/fixture_config.json outA/
     python3 B/scripts/bundle_digests.py A/tests/data/fixture_config.json outB/
 
-The package is imported from this checkout's ``src``.
+It then writes stats_daily.csv again, through a Runner that writes
+nothing else, into a temporary directory: that Runner's filter pass reads
+no words.  If those bytes differ from the full run's, it names the file on
+stderr and exits 1.  The package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -47,6 +51,14 @@ def digests(config_path: str, out: str) -> list[tuple[str, str]]:
     return lines
 
 
+def stats_alone(config_path: str) -> bytes:
+    """stats_daily.csv as a Runner that writes nothing else writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = dataclasses.replace(RunConfig.from_file(config_path),
+                                     out_dir=Path(tmp))
+        return Runner(config).write("stats").read_bytes()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("config", help="run config (JSON)")
@@ -54,6 +66,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     for digest, name in digests(args.config, args.out):
         print(f"{digest}  {name}")
+    full_run = Path(args.out, "stats_daily.csv").read_bytes()
+    if stats_alone(args.config) != full_run:
+        print("stats_daily.csv: the stats writer alone wrote other bytes "
+              "than the full run", file=sys.stderr)
+        return 1
     return 0
 
 

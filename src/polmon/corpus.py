@@ -8,7 +8,8 @@ File formats (all consumed here, all documented in the README):
     reply_count.  For retweets/quotes/replies the primary referenced author
     (the retweeted/quoted/replied-to user) comes first in
     referenced_user_ids; mentions follow.  The six required fields,
-    referenced_tweet_id and a media url are each a JSON string or integer.
+    referenced_tweet_id and a media url are each a JSON string or integer,
+    and the timestamp is a string.
   - annotations: CSV with header ``user_id,category,side``; read into
     ``Annotations``, category and side code columns over a sorted user
     table, which ``join_onto`` lays over another sorted user table
@@ -37,12 +38,13 @@ text as ``fold_text`` folds it (ASCII and Greek through an ISO-8859-7 byte
 table).
 ``filter_corpus`` fills a ``Corpus`` in its own loop over the kept tweets,
 as it keeps each one: numpy columns over sorted, interned string tables,
-and each text's words as ids into a word table, which the graph, stats
-and share stages read; no text is kept.  A text's words are its runs of
-letters, split by ``_words``: ISO-8859-7 text through a byte table that
-turns each byte but a letter's into a space, other text by the regex
-itself.  ``archive_obj`` gives the object that filtered.jsonl holds for a
-kept tweet.
+which the graph, stats and share stages read; no text is kept.  Asked for
+words, it also stores each text's words as ids into a word table, which
+only the summary's word and phrase counts read.  A text's words are its
+runs of letters, split by ``_words``: ISO-8859-7 text through a byte
+table that turns each byte but a letter's into a space, other text by the
+regex itself.  ``archive_obj`` gives the object that filtered.jsonl holds
+for a kept tweet.
 """
 
 from __future__ import annotations
@@ -248,8 +250,8 @@ def _check_tweet(obj: dict) -> Checked:
     hashtags/urls/referenced_user_ids value that is not a list of strings,
     a non-original post without a referenced user, a required field,
     referenced_tweet_id or media url that is neither a string nor an
-    integer).  A missing or null count or list means 0 or empty.  The
-    fields keep obj's lists.
+    integer, a timestamp that is not a string).  A missing or null count
+    or list means 0 or empty.  The fields keep obj's lists.
     """
     for name in _REQUIRED_FIELDS:
         value = obj.get(name)
@@ -261,7 +263,10 @@ def _check_tweet(obj: dict) -> Checked:
     if kind is None:
         raise CorpusFormatError(f"unknown kind {obj['kind']!r}")
     try:
-        ts = _parse_timestamp(str(obj["timestamp"]))
+        ts = _parse_timestamp(obj["timestamp"])
+    except AttributeError:  # an integer, which has no replace()
+        raise CorpusFormatError(
+            f"timestamp is not a string: {obj['timestamp']!r}") from None
     except (ValueError, OverflowError):
         raise CorpusFormatError(
             f"unparseable timestamp {obj['timestamp']!r}") from None
@@ -607,7 +612,8 @@ class Corpus:
     hashtags and urls.  words is the table of the texts' words (runs of
     letters, as written), numbered in the order they are first met, not
     sorted; word_ids holds each text's words in order as Ragged int32 ids
-    into it.
+    into it.  Only the summary's word counts read them, so both are None
+    unless filter_corpus was asked for words.
     """
 
     users: tuple[str, ...]
@@ -619,24 +625,26 @@ class Corpus:
     ref_ids: Ragged
     tag_ids: Ragged
     url_ids: Ragged
-    words: tuple[str, ...]
-    word_ids: Ragged
+    words: tuple[str, ...] | None
+    word_ids: Ragged | None
 
 
 def filter_corpus(rule_set: RuleSet, path: str | Path,
-                  schema_strict: bool = False, error_log: list | None = None
-                  ) -> tuple[Corpus, FilterReport]:
+                  schema_strict: bool = False, error_log: list | None = None,
+                  words: bool = False) -> tuple[Corpus, FilterReport]:
     """The archive's kept tweets as a Corpus, each one's columns filled as
-    kept_tweets keeps it, and the pass's counters; see kept_tweets."""
+    kept_tweets keeps it, and the pass's counters; see kept_tweets.  Only
+    with words are the texts split into the word table and word_ids;
+    otherwise both are None."""
     report = FilterReport()
     tables = [_Table() for _ in range(3)]  # users, hashtags, urls
     ptrs = [array("q", [0]) for _ in tables]
     ids = ref_ids, tag_ids, url_ids = [array("q") for _ in tables]
     day, kind, author = array("q"), array("b"), array("q")
-    words, word_ids, words_at = _Table(), array("i"), array("q", [0])
+    word_table, word_ids, words_at = _Table(), array("i"), array("q", [0])
     # each bound method once, not once per kept tweet
     user_id, tag_id, url_id, word_id = (
-        table.__getitem__ for table in (*tables, words))
+        table.__getitem__ for table in (*tables, word_table))
     add_day, add_kind, add_author = day.append, kind.append, author.append
     add_refs, add_tags, add_urls, add_words = (
         column.extend for column in (*ids, word_ids))
@@ -653,18 +661,21 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
         end_tags(len(tag_ids))
         add_urls(map(url_id, fields.urls))
         end_urls(len(url_ids))
-        add_words(map(word_id, _words(str(obj["text"]))))
-        end_words(len(word_ids))
+        if words:
+            add_words(map(word_id, _words(str(obj["text"]))))
+            end_words(len(word_ids))
     tables = [_sorted(table) for table in tables]
     ragged = [Ragged(np.asarray(ptr, np.int64),
                      rank[np.asarray(column, np.int64)])
               for ptr, column, (_, rank) in zip(ptrs, ids, tables)]
     user_rank = tables[0][1]
+    text_words = (tuple(word_table), Ragged(np.asarray(words_at, np.int64),
+                                            np.asarray(word_ids, np.int32))
+                  ) if words else (None, None)
     return Corpus(*(keys for keys, _ in tables), np.asarray(day, np.int64),
                   np.asarray(kind, np.int8),
                   user_rank[np.asarray(author, np.int64)], *ragged,
-                  tuple(words), Ragged(np.asarray(words_at, np.int64),
-                                       np.asarray(word_ids, np.int32))), report
+                  *text_words), report
 
 
 # ---------------------------------------------------------------------------

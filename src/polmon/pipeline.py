@@ -4,11 +4,12 @@ threshold sweeps, communities, and the deterministic report bundle.
 Everything here is glue around the other modules; the one piece of real
 policy is the rounding rule for percentage tables (round-half-even to one
 decimal, remainder pinned onto the largest share so rows always total
-100.0) and the words counted by the stats (unicode letter runs,
-case/accent-folded, contiguous bigrams as phrases).  The stats and share
-stages work on the Corpus's id columns with array operations, and compute
-what the bundle reads: counts per local day for stats_daily.csv, and
-whole-window counters for the summary's top tables.
+100.0) and the words counted for the summary (unicode letter runs,
+case/accent-folded, contiguous bigrams as phrases).  The stats, content
+and share stages work on the Corpus's id columns with array operations,
+and compute what the bundle reads: counts per local day for
+stats_daily.csv (compute_stats), and whole-window counters for the
+summary's top tables (window_counts), which alone read the texts' words.
 """
 
 from __future__ import annotations
@@ -75,16 +76,8 @@ class DailyStats:
     n_urls: int
 
 
-def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
-                  ) -> tuple[list[DailyStats], dict[str, Counter]]:
-    """Counts per local day (ascending date), and whole-window counters.
-
-    The counters are keyed hashtags, words, phrases, mentioned_users and
-    active_users.  Words are the letter runs of each text (the corpus's
-    words), folded by fold_text, minus the folded stopwords; each entry of
-    the corpus's word table is folded once per call.  Phrases are the
-    bigrams of a tweet's remaining words.
-    """
+def compute_stats(corpus: Corpus) -> list[DailyStats]:
+    """Counts per local day, in ascending date; they read no words."""
     days, day_of = np.unique(corpus.day, return_inverse=True)
     n = len(days)
     kinds = np.bincount(day_of * len(KINDS) + corpus.kind,
@@ -96,18 +89,30 @@ def compute_stats(corpus: Corpus, stopwords: Iterable[str] = ()
                     (day_of, corpus.author, corpus.users),
                     (day_of[tag_rows], tags, corpus.hashtags),
                     (day_of[url_rows], urls, corpus.urls)))
-    rows = [DailyStats(date.fromordinal(d), posts,
+    return [DailyStats(date.fromordinal(d), posts,
                        {k.value: c for k, c in zip(KINDS, by_kind)}, *counts)
             for d, posts, by_kind, *counts in zip(
                 days.tolist(), np.bincount(day_of, minlength=n).tolist(),
                 kinds.tolist(), *distinct)]
+
+
+def window_counts(corpus: Corpus, stopwords: Iterable[str] = ()
+                  ) -> dict[str, Counter]:
+    """Whole-window counters keyed hashtags, words, phrases,
+    mentioned_users and active_users; corpus must hold words
+    (filter_corpus(..., words=True)).
+
+    Words are the letter runs of each text (the corpus's words), folded by
+    fold_text, minus the folded stopwords; each entry of the corpus's word
+    table is folded once per call.  Phrases are the bigrams of a tweet's
+    remaining words.
+    """
     words, phrases = _word_counts(corpus.words, corpus.word_ids,
                                   frozenset(map(fold_text, stopwords)))
-    return rows, {"hashtags": _counter(corpus.hashtags, tags),
-                  "words": words, "phrases": phrases,
-                  "mentioned_users": _counter(corpus.users,
-                                              corpus.ref_ids.ids),
-                  "active_users": _counter(corpus.users, corpus.author)}
+    return {"hashtags": _counter(corpus.hashtags, corpus.tag_ids.ids),
+            "words": words, "phrases": phrases,
+            "mentioned_users": _counter(corpus.users, corpus.ref_ids.ids),
+            "active_users": _counter(corpus.users, corpus.author)}
 
 
 def _distinct_per_day(day_of: np.ndarray, ids: np.ndarray, width: int,
@@ -465,6 +470,7 @@ class Runner:
         self.config = config
         self._cache: dict[str, object] = {}
         self.load_errors: list = []
+        self._words = False  # whether the filter pass reads words
         self._spent = 0.0  # time in finished stages, nested ones once
         self._peak = 0.0  # the most memory any reading has shown, in MB
 
@@ -517,18 +523,20 @@ class Runner:
 
     @_stage("filter")
     def filtered(self) -> tuple[Corpus, FilterReport]:
-        """The kept tweets and the pass's counters; logs at DEBUG what
+        """The kept tweets and the pass's counters; the pass reads words
+        only when the content stage asked for it first.  Logs at DEBUG what
         became of the archive's lines."""
         corpus, report = filter_corpus(
             self.rule_set, self.config.tweets,
             schema_strict=self.config.schema_strict,
-            error_log=self.load_errors)
+            error_log=self.load_errors, words=self._words)
         malformed = len(self.load_errors)
         log.debug("filter: %d lines read, %d kept, %d dropped by "
-                  "language, %d by window, %d by no rule, %d malformed",
-                  report.total + malformed, report.kept,
+                  "language, %d by window, %d by no rule, %d malformed; "
+                  "words %s", report.total + malformed, report.kept,
                   report.dropped_lang, report.dropped_window,
-                  report.dropped_no_rule, malformed)
+                  report.dropped_no_rule, malformed,
+                  "read" if self._words else "not read")
         return corpus, report
 
     @_stage("annotations")
@@ -624,8 +632,23 @@ class Runner:
         return partition
 
     @_stage("stats")
-    def stats(self) -> tuple[list[DailyStats], dict[str, Counter]]:
-        return compute_stats(self.filtered[0], self.stopword_set)
+    def stats(self) -> list[DailyStats]:
+        return compute_stats(self.filtered[0])
+
+    @_stage("content")
+    def content(self) -> dict[str, Counter]:
+        """The summary's whole-window counters (window_counts).  Asked for
+        before the filter stage, it has that pass read words; after a pass
+        without them, it reads them in a pass of its own, whose malformed
+        lines go to a list of its own, not to load_errors."""
+        self._words = True
+        corpus = self.filtered[0]
+        if corpus.words is None:
+            corpus, _ = filter_corpus(
+                self.rule_set, self.config.tweets,
+                schema_strict=self.config.schema_strict, error_log=[],
+                words=True)
+        return window_counts(corpus, self.stopword_set)
 
     @_stage("shares")
     def shares(self) -> StanceShares:
@@ -692,7 +715,7 @@ class Runner:
              "n_hashtags", "n_urls"],
             ([row.date.isoformat(), row.n_posts,
               *(row.n_by_kind[k] for k in kinds), row.n_users,
-              row.n_hashtags, row.n_urls] for row in self.stats[0]))
+              row.n_hashtags, row.n_urls] for row in self.stats))
 
     def write_stance(self) -> Path:
         path = self._path("stance.csv")
@@ -786,6 +809,7 @@ def run_all(config: RunConfig) -> dict[str, Path]:
     """
     start = perf_counter()
     runner = Runner(config)
+    runner.content  # first, so that the one filter pass reads words
     if runner.filtered[1].kept == 0:
         log.warning("filter kept no tweets; emitting an empty bundle")
     bundle = {path.name: path for path in map(runner.write, (

@@ -126,8 +126,8 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def render_summary(runner) -> str:
     """Assemble summary.html from an (already computed) pipeline Runner."""
     from .pipeline import ABLATION_CATEGORIES, sweep_rows
-    report = runner.filtered[1]
-    stats, window_counts = runner.stats
+    counts = runner.content  # first, so that a new runner filters once
+    report, stats = runner.filtered[1], runner.stats
     shares = runner.shares
     dates = [row.date.isoformat() for row in stats]
 
@@ -205,7 +205,7 @@ def render_summary(runner) -> str:
                            ("phrases", "Phrases"),
                            ("mentioned_users", "Mentioned users"),
                            ("active_users", "Active users")):
-            entries = _top(window_counts[key], runner.config.top_k)
+            entries = _top(counts[key], runner.config.top_k)
             if entries:
                 sections.append(f"<h3>{label}</h3>")
                 sections.append(_table(["value", "count"], entries))

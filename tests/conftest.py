@@ -157,7 +157,7 @@ def _filtered(rule_set: RuleSet, records, schema_strict: bool = False
     """filter_corpus over an archive of the records."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_archive(Path(tmp) / "tweets.jsonl", records)
-        return filter_corpus(rule_set, path, schema_strict)
+        return filter_corpus(rule_set, path, schema_strict, words=True)
 
 
 def filter_records(rule_set: RuleSet, records

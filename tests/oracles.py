@@ -450,8 +450,11 @@ def parse_tweet_reference(obj: dict) -> TweetRecord:
         kind = Kind(str(obj["kind"]).lower())
     except ValueError:
         raise CorpusFormatError(f"unknown kind {obj['kind']!r}") from None
+    if not isinstance(obj["timestamp"], str):
+        raise CorpusFormatError(
+            f"timestamp is not a string: {obj['timestamp']!r}")
     try:
-        ts = _parse_timestamp(str(obj["timestamp"]))
+        ts = _parse_timestamp(obj["timestamp"])
     except (ValueError, OverflowError):
         raise CorpusFormatError(
             f"unparseable timestamp {obj['timestamp']!r}") from None
@@ -722,13 +725,14 @@ def letter_runs(text: str) -> list[str]:
 
 
 def tokenize(text: str) -> list[str]:
-    """The words compute_stats counts in a text: its letter runs, each
+    """The words window_counts counts in a text: its letter runs, each
     folded by the package's fold_text."""
     return [fold_text(w) for w in letter_runs(text)]
 
 
 def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):
-    """(rows, counters) as compute_stats reports them, tallied per tweet.
+    """(rows, counters) as compute_stats and window_counts report them,
+    tallied per tweet.
 
     rows are (date, n_posts, n_by_kind, n_users, n_hashtags, n_urls) in
     ascending date, a tweet's date being that of its timestamp shifted by

@@ -208,7 +208,7 @@ def test_stopwords_that_are_not_utf8_name_path_and_line(fixture_paths,
     config = _load_with(fixture_paths, tmp_path, stopwords=str(stop), **{
         key: str(fixture_paths[key])
         for key in ("tweets", "annotations", "follows")})
-    rc = main(["stats", "--config", str(config),
+    rc = main(["run-all", "--config", str(config),
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == (
@@ -463,7 +463,7 @@ def test_verbose_run_all_reports_each_stage_and_writer(fixture_paths,
     # each stage once, in the order run_all first needs it, each writer
     # after the stages it reads, and the whole run last
     assert [name for name, *_ in rows] == [
-        "rules", "filter", "stopwords", "stats", "write_stats",
+        "rules", "filter", "stopwords", "content", "stats", "write_stats",
         "annotations", "follows", "stance", "write_stance", "daily",
         "polarize", "write_pi_series", "graph", "influencers",
         "write_influencers", "ablate", "write_ablation", "sweep",
@@ -477,6 +477,15 @@ def test_verbose_run_all_reports_each_stage_and_writer(fixture_paths,
     assert peaks == sorted(peaks) and min(float(r) for *_, r, _ in rows) > 0
     assert {"summary.html", "run_manifest.json"} <= {
         p.name for p in (tmp_path / "out").iterdir()}
+
+
+def test_stats_command_writes_the_run_all_stats(fixture_paths, tmp_path):
+    # stats reads no words, and its rows are still run-all's, byte for byte
+    for command in ("stats", "run-all"):
+        assert main([command, "--config", str(fixture_paths["config"]),
+                     "--out", str(tmp_path / command)]) == 0
+    assert (tmp_path / "stats" / "stats_daily.csv").read_bytes() == (
+        tmp_path / "run-all" / "stats_daily.csv").read_bytes()
 
 
 def test_config_must_be_object(tmp_path, capsys):

@@ -117,7 +117,8 @@ def test_hashtags_normalized_on_load(tmp_path):
     obj = json.loads(GOOD_LINE)
     obj["hashtags"] = ["#ΥΠΟΚΛΟΠΕΣ", "Predator"]
     path = _write(tmp_path, [json.dumps(obj)])
-    kept, _ = filter_corpus(default_rule_set(), path, schema_strict=True)
+    kept, _ = filter_corpus(default_rule_set(), path, schema_strict=True,
+                            words=True)
     # lower() keeps the context-sensitive final sigma, matching how the
     # tracked hashtags are written
     assert corpus_rows(kept)[0][4] == ("υποκλοπες", "predator")
@@ -174,6 +175,22 @@ def test_scalar_field_must_be_json_string_or_integer(tmp_path, name, value):
     path = _write(tmp_path, [json.dumps(obj), GOOD_LINE])
     assert len(list(load_tweets(path, error_log=errors))) == 1
     assert [lineno for lineno, _ in errors] == [1]
+
+
+@pytest.mark.parametrize("value", [20220805, 0, -1])
+def test_timestamp_must_be_json_string(tmp_path, value):
+    # Python 3.11's fromisoformat reads "20220805" as a basic-format date,
+    # and 3.10's does not: an integer timestamp is malformed on both
+    obj = json.loads(GOOD_LINE)
+    obj["timestamp"] = value
+    what = f"timestamp is not a string: {value!r}"
+    assert _error(tmp_path, obj) == what
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(what)}$"):
+        parse_tweet_reference(obj)
+    errors = []
+    path = _write(tmp_path, [json.dumps(obj), GOOD_LINE])
+    assert len(list(load_tweets(path, error_log=errors))) == 1
+    assert errors == [(1, what)]
 
 
 def test_missing_or_null_count_is_zero(tmp_path):
@@ -345,7 +362,8 @@ def test_type_confused_line_does_not_abort_filter(tmp_path):
     obj["like_count"] = "abc"
     path = _write(tmp_path, [GOOD_LINE, json.dumps(obj), GOOD_LINE])
     errors = []
-    kept, report = filter_corpus(default_rule_set(), path, error_log=errors)
+    kept, report = filter_corpus(default_rule_set(), path, error_log=errors,
+                                 words=True)
     assert (len(kept.day), report.total, len(errors)) == (2, 2, 1)
     assert corpus_rows(kept) == stored_rows(
         [parse_tweet_reference(json.loads(GOOD_LINE))] * 2)
@@ -605,7 +623,8 @@ def test_date_overflow_counts_as_out_of_window(tmp_path, ts, offset):
     })
     errors = []
     good, edge = map(parse_tweet_reference, (json.loads(GOOD_LINE), obj))
-    kept, report = filter_corpus(rule_set, path, error_log=errors)
+    kept, report = filter_corpus(rule_set, path, error_log=errors,
+                                 words=True)
     assert errors == []
     assert corpus_rows(kept) == stored_rows([good], offset)
     assert (report.total, report.kept, report.dropped_window) == (2, 1, 1)

@@ -106,7 +106,7 @@ def test_filter_shares_hashtag_normalisation_within_a_file(tmp_path,
     real = corpus.normalize_hashtag
     monkeypatch.setattr(corpus, "normalize_hashtag",
                         lambda h: calls.update([h]) or real(h))
-    kept, _ = filter_corpus(rule_set, path)
+    kept, _ = filter_corpus(rule_set, path, words=True)
     assert [tags for *_, tags, _, _ in corpus_rows(kept)] == [
         ("υποκλοπές", "pega")] * 3
     assert calls == Counter({"#Υποκλοπές": 1, "#PEGA": 1})
@@ -201,7 +201,7 @@ def test_filter_pass_equals_reference(tmp_path, rules, lines, offset):
 
     def one_pass(strict, errors):
         kept, report = filter_corpus(rule_set, path, schema_strict=strict,
-                                     error_log=errors)
+                                     error_log=errors, words=True)
         return corpus_rows(kept), report
 
     def reference(strict, errors):

@@ -25,7 +25,8 @@ from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              Runner, StageError, ablation_victims,
                              compute_stats, pi_series, rounded_percentages,
-                             run_all, stance_shares, threshold_sweep)
+                             run_all, stance_shares, threshold_sweep,
+                             window_counts)
 from polmon.polarization import ConvergenceError, compute_pi
 from polmon.report import _table, _top
 from polmon.stance import Stance, stance_map
@@ -58,7 +59,7 @@ def _as_tuples(rows):
 def test_stats_counts_unique_users():
     tweets = [tweet("t1", author="a"), tweet("t2", author="a"),
               tweet("t3", author="b")]
-    rows, _ = compute_stats(corpus_of(tweets))
+    rows = compute_stats(corpus_of(tweets))
     assert rows[0].n_users == 2
     assert rows[0].n_posts == 3
 
@@ -70,7 +71,7 @@ def test_stats_kind_counts_sum():
         tweet("t3", author="b", kind=Kind.REPLY, refs=["a"]),
         tweet("t4", author="c", kind=Kind.QUOTE, refs=["a"]),
     ]
-    row = compute_stats(corpus_of(tweets))[0][0]
+    row = compute_stats(corpus_of(tweets))[0]
     assert sum(row.n_by_kind.values()) == row.n_posts == 4
     assert row.n_by_kind == {"original": 1, "retweet": 1, "quote": 1,
                              "reply": 1}
@@ -89,7 +90,8 @@ def test_stats_hand_tally_ten_tweets():
         tweet("t09", author="d", like_count=7),
         tweet("t10", author="e", urls=["u3"]),
     ]
-    rows, window = compute_stats(corpus_of(tweets))
+    corpus = corpus_of(tweets)
+    rows, window = compute_stats(corpus), window_counts(corpus)
     assert len(rows) == 1  # one day
     row = rows[0]
     assert row.n_posts == 10
@@ -106,7 +108,7 @@ def test_stats_hand_tally_ten_tweets():
 def test_stats_per_day_buckets():
     tweets = [tweet("t1", author="a", ts="2022-08-05T10:00:00Z"),
               tweet("t2", author="b", ts="2022-08-06T10:00:00Z")]
-    rows, _ = compute_stats(corpus_of(tweets))
+    rows = compute_stats(corpus_of(tweets))
     assert [r.date.isoformat() for r in rows] == ["2022-08-05", "2022-08-06"]
 
 
@@ -116,13 +118,13 @@ def test_tokenizer_folds_and_splits():
 
 
 def test_stats_phrases_are_bigrams():
-    _, window = compute_stats(
+    window = window_counts(
         corpus_of([tweet("t1", text="alpha beta gamma")]))
     assert window["phrases"] == Counter({"alpha beta": 1, "beta gamma": 1})
 
 
 def test_stats_stopwords_removed():
-    _, window = compute_stats(
+    window = window_counts(
         corpus_of([tweet("t1", text="alpha beta alpha")]), stopwords={"beta"})
     assert window["words"] == Counter({"alpha": 2})
     assert window["phrases"] == Counter({"alpha alpha": 1})
@@ -130,7 +132,7 @@ def test_stats_stopwords_removed():
 
 def test_stats_stopwords_match_after_folding():
     # the stopword είναι removes Είναι, whose fold it shares, as well
-    _, window = compute_stats(
+    window = window_counts(
         corpus_of([tweet("t1", text="Είναι καλό είναι")]),
         stopwords={"είναι"})
     assert window["words"] == Counter({"καλο": 1})
@@ -174,7 +176,7 @@ def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
             tokens = [w for w in tokenize(t.text) if w not in stopwords]
             words.update(tokens)
             phrases.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        _, window = compute_stats(corpus_of(tweets, offset), stopwords)
+        window = window_counts(corpus_of(tweets, offset), stopwords)
         assert window["words"] == words
         assert window["phrases"] == phrases
 
@@ -184,7 +186,8 @@ def test_stats_words_equal_plain_tokenize(fixture_paths, offset, stopwords):
 def test_stats_equal_reference(fixture_paths, offset, stopwords):
     fixture = list(load_tweets_reference(fixture_paths["tweets"]))
     for tweets in (fixture, _synthetic_tweets(seed=11)):
-        rows, window = compute_stats(corpus_of(tweets, offset), stopwords)
+        corpus = corpus_of(tweets, offset)
+        rows, window = compute_stats(corpus), window_counts(corpus, stopwords)
         ref_rows, ref_window = stats_reference(tweets, frozenset(stopwords),
                                                offset)
         assert _as_tuples(rows) == ref_rows
@@ -195,7 +198,7 @@ def test_stats_days_are_the_daily_graphs_days():
     tweets = _synthetic_tweets(seed=13)
     for offset in (0, 180, -420):
         corpus = corpus_of(tweets, offset)
-        rows, _ = compute_stats(corpus)
+        rows = compute_stats(corpus)
         assert [r.date for r in rows] == [d for d, _ in daily_graphs(corpus)]
 
 
@@ -217,7 +220,8 @@ def test_stats_equal_reference_on_any_archive(tweets, offset, stopwords,
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(pipeline, "_CHUNK", chunk)
-        rows, window = compute_stats(corpus_of(tweets, offset), stopwords)
+        corpus = corpus_of(tweets, offset)
+        rows, window = compute_stats(corpus), window_counts(corpus, stopwords)
     ref_rows, ref_window = stats_reference(tweets, frozenset(stopwords),
                                            offset)
     assert _as_tuples(rows) == ref_rows
@@ -231,14 +235,14 @@ def test_stages_on_an_all_dropped_corpus(tmp_path):
               tweet("t3", author="a", kind=Kind.REPLY, refs=["b"],
                     text="άσχετο", hashtags=["x"], urls=["u"])]
     path = write_archive(tmp_path / "tweets.jsonl", tweets)
-    corpus, report = filter_corpus(default_rule_set(), path)
+    corpus, report = filter_corpus(default_rule_set(), path, words=True)
     assert (report.total, report.kept, report.dropped) == (3, 0, 3)
     assert corpus_rows(corpus) == []
     g = build_graph(corpus)
     assert (g.nodes, g.indptr.tolist()) == (
         build_graph_reference([]).nodes, [0])
     assert daily_graphs(corpus) == []
-    rows, window = compute_stats(corpus, ("το",))
+    rows, window = compute_stats(corpus), window_counts(corpus, ("το",))
     assert (_as_tuples(rows), window) == stats_reference([], ("το",))
     assert (stance_shares(corpus, stances_of(corpus.users, {}))
             == stance_shares_reference([], {}))
@@ -250,7 +254,7 @@ def test_stats_folds_each_distinct_word_once(monkeypatch):
     real = pipeline.fold_text
     monkeypatch.setattr(pipeline, "fold_text",
                         lambda s: folded.append(s) or real(s))
-    compute_stats(corpus_of(tweets))
+    window_counts(corpus_of(tweets))
     assert sorted(folded) == sorted({w for t in tweets
                                      for w in letter_runs(t.text)})
 
@@ -273,6 +277,15 @@ def _synthetic_run(tmp_path, fixture_paths, offset: int) -> RunConfig:
                      stopwords=tmp_path / "stop.txt", top_k=5, k=3)
 
 
+def _spy(monkeypatch, name: str) -> list[dict]:
+    """The keyword arguments of each call to pipeline.<name>, which still
+    runs as before."""
+    calls, real = [], getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name,
+                        lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("corpus", ["fixture", "offset0", "offset180",
                                     "offset-300"])
 def test_summary_tables_equal_whole_window_stats(corpus, fixture_paths,
@@ -282,10 +295,7 @@ def test_summary_tables_equal_whole_window_stats(corpus, fixture_paths,
     else:
         config = _synthetic_run(tmp_path, fixture_paths,
                                 int(corpus[len("offset"):]))
-    calls = []
-    real = pipeline.compute_stats
-    monkeypatch.setattr(pipeline, "compute_stats",
-                        lambda *a: calls.append(a) or real(*a))
+    calls = _spy(monkeypatch, "window_counts")
     bundle = run_all(config)
     assert len(calls) == 1  # no second corpus walk
 
@@ -301,6 +311,59 @@ def test_summary_tables_equal_whole_window_stats(corpus, fixture_paths,
         assert _table(["value", "count"], table) in html
 
 
+def test_runner_without_summary_reads_no_words(fixture_paths, tmp_path,
+                                               monkeypatch):
+    # the daily-series writers: one filter pass, and no text is split
+    calls, split = _spy(monkeypatch, "filter_corpus"), []
+    monkeypatch.setattr("polmon.corpus._words",
+                        lambda text: split.append(text) or [])
+    runner = Runner(_config(fixture_paths, tmp_path / "out"))
+    for name in ("stats", "pi_series", "ablation"):
+        runner.write(name)
+    assert [kw["words"] for kw in calls] == [False]
+    assert split == []
+    corpus = runner.filtered[0]
+    assert corpus.words is None and corpus.word_ids is None
+
+
+def test_run_all_filters_once_and_counts_content_first(fixture_paths,
+                                                       tmp_path, monkeypatch,
+                                                       caplog):
+    calls = _spy(monkeypatch, "filter_corpus")
+    with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"):
+        run_all(_config(fixture_paths, tmp_path / "out"))
+    assert [kw["words"] for kw in calls] == [True]
+    starts = [m.split()[1].rstrip(":") for m in map(
+        logging.LogRecord.getMessage, caplog.records)
+        if m.startswith("stage ") and m.endswith(": start")]
+    assert starts[:6] == ["content", "filter", "rules", "stopwords",
+                          "write_stats", "stats"]
+
+
+def test_summary_after_stats_reads_words_in_a_pass_of_its_own(
+        fixture_paths, tmp_path, monkeypatch):
+    # a truncated line, so that a doubled load_errors would show in the
+    # summary's malformed count
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text(fixture_paths["tweets"].read_text(encoding="utf-8")
+                      + '{"tweet_id": "1\n', encoding="utf-8")
+    stop = tmp_path / "stop.txt"
+    stop.write_text("και\nτο\n", encoding="utf-8")
+    config = replace(_config(fixture_paths, tmp_path / "all"),
+                     tweets=tweets, stopwords=stop)
+    expected = run_all(config)["summary.html"].read_bytes()
+    calls = _spy(monkeypatch, "filter_corpus")
+    runner = Runner(replace(config, out_dir=tmp_path / "parts"))
+    runner.write("stats")
+    assert runner.write("summary").read_bytes() == expected
+    assert [kw["words"] for kw in calls] == [False, True]
+    assert len(runner.load_errors) == 1
+    assert runner.filtered[0].words is None
+    kept, _ = filter_corpus_reference(runner.rule_set,
+                                      load_tweets_reference(tweets))
+    assert runner.content == stats_reference(kept, runner.stopword_set)[1]
+
+
 def test_stage_start_and_end_logged(fixture_paths, tmp_path, caplog):
     runner = Runner(_config(fixture_paths, tmp_path / "out"))
     with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"):
@@ -310,11 +373,10 @@ def test_stage_start_and_end_logged(fixture_paths, tmp_path, caplog):
                    if r.getMessage().startswith("stage ")]
     assert [line.split(" in ")[0] for line in stage_lines] == [
         "stage stats: start", "stage filter: start", "stage rules: start",
-        "stage rules: done", "stage filter: done", "stage stopwords: start",
-        "stage stopwords: done", "stage stats: done"]
+        "stage rules: done", "stage filter: done", "stage stats: done"]
     assert all(r.levelno == logging.DEBUG for r in caplog.records
                if r.getMessage().startswith("stage "))
-    # time, self time (stats less filter and stopwords), memory now, peak
+    # time, self time (stats less filter), memory now, peak
     assert re.fullmatch(r"stage stats: done in \d+\.\d{3} s, "
                         r"self \d+\.\d{3} s, \d+\.\d MB resident, "
                         r"\d+\.\d MB peak", stage_lines[-1])
@@ -397,7 +459,14 @@ def test_filter_counts_logged(fixture_paths, tmp_path, caplog):
         f"{counts['kept']} kept, {counts['dropped_lang']} dropped by "
         f"language, {counts['dropped_window']} by window, "
         f"{counts['dropped_no_rule']} by no rule, "
-        f"{counts['malformed_lines']} malformed"]
+        f"{counts['malformed_lines']} malformed; words not read"]
+    # the content stage, asked for first, has the pass read words
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="polmon.pipeline"):
+        Runner(runner.config).content
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("filter: ")] == [
+        logged[0].replace("; words not read", "; words read")]
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +983,7 @@ def test_run_all_over_the_whole_calendar(fixture_paths, tmp_path, offset):
     bundle = run_all(config)
     assert "pi_series.csv" in bundle
     runner = Runner(config)
+    runner.content  # so that the filter pass reads words
     kept, _ = filter_corpus_reference(runner.rule_set,
                                       load_tweets_reference(config.tweets))
     assert corpus_rows(runner.filtered[0]) == stored_rows(kept, offset)

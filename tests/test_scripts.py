@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,6 +32,20 @@ def test_bundle_digests_on_fixture(fixture_paths, tmp_path):
             assert digest == hashlib.sha256(data).hexdigest()
     # only the manifest's out_dir differs between the two directories
     assert _digests(fixture_paths["config"], tmp_path / "b") == first
+
+
+def test_bundle_digests_names_stats_that_differ(fixture_paths, tmp_path,
+                                               monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bundle_digests", SCRIPTS / "bundle_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "stats_alone", lambda config: b"date\n")
+    assert script.main([str(fixture_paths["config"]),
+                        str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 12
+    assert captured.err.startswith("stats_daily.csv: ")
 
 
 def test_benchmark_tracer_finds_every_hook():
