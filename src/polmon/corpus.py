@@ -61,7 +61,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from encodings import iso8859_7
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -80,43 +79,29 @@ class CorpusFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Kind(Enum):
-    ORIGINAL = "original"
-    RETWEET = "retweet"
-    QUOTE = "quote"
-    REPLY = "reply"
-
-
-class MatchMode(Enum):
-    HASHTAG_EXACT = "hashtag"
-    KEYWORD_SUBSTRING = "keyword"
-
-
-class Category(Enum):
-    INDIVIDUAL = "Individual"
-    MEDIA_JOURNALIST = "MediaJournalist"
-    POLITICAL = "Political"
-    ORGANIZATION = "Organization"
-    BOT = "Bot"
-
-
-class Side(Enum):
-    LEFT = "Left"
-    RIGHT = "Right"
-    CENTER = "Center"
+# Each vocabulary is one tuple of names.  A column holds a name's code, its
+# index in the tuple, and a writer writes TUPLE[code]; a rule holds its mode
+# as the name itself.
+KINDS = ("original", "retweet", "quote", "reply")
+MATCH_MODES = ("hashtag", "keyword")
+CATEGORIES = ("Individual", "MediaJournalist", "Political", "Organization",
+              "Bot")
+SIDES = ("Left", "Right", "Center")  # -1 is no side
 
 
 @dataclass
 class FilterRule:
     term: str
-    mode: MatchMode
+    mode: str  # one of MATCH_MODES
     active_from: date | None = None
     active_until: date | None = None
     # fold_text(term) of a keyword rule, computed once here
     folded_term: str = field(init=False, default="", repr=False)
 
     def __post_init__(self):
-        if self.mode is MatchMode.HASHTAG_EXACT:
+        if self.mode not in MATCH_MODES:
+            raise CorpusFormatError(f"bad rule entry {self!r}")
+        if self.mode == "hashtag":
             self.term = normalize_hashtag(self.term)
         else:
             self.folded_term = fold_text(self.term)
@@ -219,7 +204,7 @@ def normalize_hashtag(tag: str) -> str:
 _REQUIRED_FIELDS = (
     "tweet_id", "author_id", "timestamp", "text", "lang", "kind",
 )
-_KIND_OF_VALUE = {k.value: k for k in Kind}
+_KIND_OF_VALUE = {k: i for i, k in enumerate(KINDS)}  # name -> kind code
 # the types a scalar field may have in JSON: a bool or a float is neither
 _SCALARS = (str, int)
 
@@ -233,7 +218,7 @@ def _parse_timestamp(raw: str) -> datetime:
 
 class Checked(NamedTuple):
     """The fields of an archive object that _check_tweet checks."""
-    kind: Kind
+    kind: int  # a code into KINDS
     timestamp: datetime  # UTC
     hashtags: list[str]  # as in the object, not normalised
     urls: list[str]
@@ -246,7 +231,7 @@ def _check_tweet(obj: dict) -> Checked:
     """The checked fields of one decoded archive object.
 
     Raises CorpusFormatError on any violated invariant (missing field,
-    bad enum value, a count that is not a non-negative integer, a
+    unknown kind, a count that is not a non-negative integer, a
     hashtags/urls/referenced_user_ids value that is not a list of strings,
     a non-original post without a referenced user, a required field,
     referenced_tweet_id or media url that is neither a string nor an
@@ -286,9 +271,9 @@ def _check_tweet(obj: dict) -> Checked:
                 f"{name} is not a list of strings: {value!r}") from None
         lists.append(value)
     hashtags, urls, refs = lists
-    if kind is not Kind.ORIGINAL and not refs:
+    if kind and not refs:  # any kind but original, code 0
         raise CorpusFormatError(
-            f"{kind.value} tweet must reference at least one user")
+            f"{KINDS[kind]} tweet must reference at least one user")
 
     counts = []
     for name in ("like_count", "retweet_count", "reply_count"):
@@ -335,7 +320,7 @@ def archive_obj(obj: dict, fields: Checked, hashtags: list[str]) -> dict:
         "timestamp": ts.replace("+00:00", "Z"),
         "text": str(obj["text"]),
         "lang": str(obj["lang"]),
-        "kind": fields.kind.value,
+        "kind": KINDS[fields.kind],
         "hashtags": hashtags,
         "urls": fields.urls,
         "media": fields.media,
@@ -475,8 +460,8 @@ class _Matcher:
             keywords = []
             for rule in self.rule_set.rules:
                 if rule.window_contains(d):
-                    key = f"{rule.mode.value}:{rule.term}"
-                    if rule.mode is MatchMode.HASHTAG_EXACT:
+                    key = f"{rule.mode}:{rule.term}"
+                    if rule.mode == "hashtag":
                         by_tag.setdefault(rule.term, []).append(key)
                     else:
                         keywords.append((rule.folded_term, key))
@@ -535,8 +520,6 @@ def kept_tweets(rule_set: RuleSet, path: str | Path, report: FilterReport,
 # the kept tweets as columns
 # ---------------------------------------------------------------------------
 
-KINDS = tuple(Kind)  # a kind code is an index into KINDS
-_KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)  # a word: a run of letters
 # each ISO-8859-7 byte as itself if _WORD_RE counts its character as a
 # letter, else as a space; "\ufffe" at the 3 undefined bytes is no letter
@@ -653,7 +636,7 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
     for obj, fields, tags, d in kept_tweets(rule_set, path, report,
                                             schema_strict, error_log):
         add_day(d.toordinal())
-        add_kind(_KIND_CODES[fields.kind])
+        add_kind(fields.kind)
         add_author(user_id(str(obj["author_id"])))
         add_refs(map(user_id, fields.refs))
         end_refs(len(ref_ids))
@@ -682,12 +665,11 @@ def filter_corpus(rule_set: RuleSet, path: str | Path,
 # companion datasets
 # ---------------------------------------------------------------------------
 
-_CATEGORY_ALIASES = {c.value.lower(): c for c in Category} | {
-    "media/journalist": Category.MEDIA_JOURNALIST,
-    "media": Category.MEDIA_JOURNALIST}
-CATEGORIES = tuple(Category)  # a category code is an index into CATEGORIES
-SIDES = tuple(Side)  # a side code is an index into SIDES; -1 is no side
-_SIDE_CODES = {"": -1} | {side.value: i for i, side in enumerate(SIDES)}
+# lowercased spelling -> category code
+_CATEGORY_ALIASES = {c.lower(): i for i, c in enumerate(CATEGORIES)} | {
+    alias: CATEGORIES.index("MediaJournalist")
+    for alias in ("media/journalist", "media")}
+_SIDE_CODES = {"": -1} | {side: i for i, side in enumerate(SIDES)}
 
 
 def join_onto(table: Sequence[str], keys: Iterable[str],
@@ -736,11 +718,11 @@ def load_annotations(path: str | Path) -> Annotations:
         if side is None:
             raise CorpusFormatError(f"{where}: {raw_side!r} is not a valid "
                                     "Side")
-        if (category is Category.POLITICAL) != (side >= 0):
+        if (CATEGORIES[category] == "Political") != (side >= 0):
             raise CorpusFormatError(f"{where}: " + (
                 f"political account {uid!r} needs a side" if side < 0 else
                 f"non-political account {uid!r} must not carry a side"))
-        codes[uid] = CATEGORIES.index(category), side
+        codes[uid] = category, side
     users = tuple(sorted(codes))
     category, side = np.array([codes[u] for u in users],
                               np.int8).reshape(-1, 2).T
@@ -841,9 +823,6 @@ def _csv_lines(path: Path) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-_MATCH_MODES = {m.value: m for m in MatchMode}
-
-
 def _reject_unknown(obj: dict, cls: type, what: str) -> None:
     """Raise naming each key of obj that is not an init field of cls."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls) if f.init})
@@ -911,8 +890,8 @@ def rule_set_from_dict(obj: dict) -> RuleSet:
     for entry in entries:
         well_typed = (type(entry) is dict and type(entry.get("term")) is str
                       and type(entry.get("mode")) is str)
-        mode = _MATCH_MODES.get(entry["mode"].lower()) if well_typed else None
-        if mode is None:
+        mode = entry["mode"].lower() if well_typed else None
+        if mode not in MATCH_MODES:
             raise CorpusFormatError(f"bad rule entry {entry!r}")
         _reject_unknown(entry, FilterRule, f"bad rule entry {entry!r}")
         rules.append(FilterRule(

@@ -195,9 +195,9 @@ def export_graph(g: InteractionGraph, path: str | Path,
             fh.write(graph_tag + " />\n</graphml>")
             return
         fh.write(graph_tag + ">\n")
-        stance_of = map([s.value for s in STANCES].__getitem__,
+        stance_of = map(STANCES.__getitem__,
                         stances.over(g.users)[g.ids].tolist())
-        category_of = map([c.value for c in CATEGORIES].__getitem__,
+        category_of = map(CATEGORIES.__getitem__,
                           join_onto(g.users, annotations.users,
                                     annotations.category)[g.ids].tolist())
         for u, uid, stance, category in zip(g.nodes, ids, stance_of,

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import (CATEGORIES, KINDS, Annotations, Category, Corpus,
+from .corpus import (CATEGORIES, KINDS, Annotations, Corpus,
                      FilterReport, Ragged, RuleSet, _csv_lines, _distinct,
                      _reject_unknown, _Table, archive_obj, default_rule_set,
                      filter_corpus, fold_text, join_onto, json_value,
@@ -90,7 +90,7 @@ def compute_stats(corpus: Corpus) -> list[DailyStats]:
                     (day_of[tag_rows], tags, corpus.hashtags),
                     (day_of[url_rows], urls, corpus.urls)))
     return [DailyStats(date.fromordinal(d), posts,
-                       {k.value: c for k, c in zip(KINDS, by_kind)}, *counts)
+                       dict(zip(KINDS, by_kind)), *counts)
             for d, posts, by_kind, *counts in zip(
                 days.tolist(), np.bincount(day_of, minlength=n).tolist(),
                 kinds.tolist(), *distinct)]
@@ -208,11 +208,11 @@ class StanceShares:
 def stance_shares(corpus: Corpus, stances: StanceMap) -> StanceShares:
     """Tweet volume and unique-author shares per stance label; stances is
     a stance map over corpus.users."""
-    values, label = [s.value for s in STANCES], stances.over(corpus.users)
-    tweet_counts = dict(zip(values, np.bincount(
-        label[corpus.author], minlength=len(values)).tolist()))
-    user_counts = dict(zip(values, np.bincount(
-        label[_distinct(corpus.author)], minlength=len(values)).tolist()))
+    label = stances.over(corpus.users)
+    tweet_counts = dict(zip(STANCES, np.bincount(
+        label[corpus.author], minlength=len(STANCES)).tolist()))
+    user_counts = dict(zip(STANCES, np.bincount(
+        label[_distinct(corpus.author)], minlength=len(STANCES)).tolist()))
     return StanceShares(tweet_counts=tweet_counts, user_counts=user_counts,
                         tweet_pct=rounded_percentages(tweet_counts),
                         user_pct=rounded_percentages(user_counts))
@@ -253,8 +253,8 @@ def ablation_victims(annotations: Annotations, influencer_set: Iterable[str],
     category = join_onto(users, annotations.users, annotations.category)
     picks = list(influencer_set)
     code = CATEGORIES.index
-    return {"Political": category == code(Category.POLITICAL),
-            "MediaJournalist": category == code(Category.MEDIA_JOURNALIST),
+    return {"Political": category == code("Political"),
+            "MediaJournalist": category == code("MediaJournalist"),
             "Influencers": join_onto(users, picks, np.ones(len(picks), bool))}
 
 
@@ -708,13 +708,12 @@ class Runner:
         return path
 
     def write_stats(self) -> Path:
-        kinds = [k.value for k in KINDS]
         return self._write_csv(
             "stats_daily.csv",
-            ["date", "n_posts", *(f"n_{k}" for k in kinds), "n_users",
+            ["date", "n_posts", *(f"n_{k}" for k in KINDS), "n_users",
              "n_hashtags", "n_urls"],
             ([row.date.isoformat(), row.n_posts,
-              *(row.n_by_kind[k] for k in kinds), row.n_users,
+              *(row.n_by_kind[k] for k in KINDS), row.n_users,
               row.n_hashtags, row.n_urls] for row in self.stats))
 
     def write_stance(self) -> Path:

@@ -12,6 +12,7 @@ from collections import Counter
 from typing import Sequence
 
 from . import __version__
+from .stance import STANCES
 
 _W, _H = 720, 240
 _PAD = 40
@@ -144,11 +145,10 @@ def render_summary(runner) -> str:
                                       "Posts per day"))
 
     sections.append("<h2>Stance shares</h2>")
-    order = ("Left", "Right", "Center", "Neutral")
     sections.append(_table(
-        ["share of", *order],
-        [["tweets (%)"] + [shares.tweet_pct[k] for k in order],
-         ["users (%)"] + [shares.user_pct[k] for k in order]]))
+        ["share of", *STANCES],
+        [["tweets (%)"] + [shares.tweet_pct[k] for k in STANCES],
+         ["users (%)"] + [shares.user_pct[k] for k in STANCES]]))
 
     pi_rows = runner.series
     if pi_rows:
@@ -193,8 +193,7 @@ def render_summary(runner) -> str:
             f"<p>{partition.n_communities} communities, modularity "
             f"Q = {_fmt(partition.modularity)}</p>")
         sections.append(_table(
-            ["community", "size", "Left", "Right", "Center", "Neutral",
-             "lean"],
+            ["community", "size", *STANCES, "lean"],
             [[p.community_id, p.size, p.n_left, p.n_right, p.n_center,
               p.n_neutral, _fmt(p.lean)]
              for p in partition.per_community[:10]]))

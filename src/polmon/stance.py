@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -36,14 +35,7 @@ from .corpus import Follows
 log = logging.getLogger(__name__)
 
 
-class Stance(Enum):
-    LEFT = "Left"
-    RIGHT = "Right"
-    CENTER = "Center"
-    NEUTRAL = "Neutral"
-
-
-STANCES = tuple(Stance)  # a label code is an index into STANCES
+STANCES = ("Left", "Right", "Center", "Neutral")  # label code -> name
 
 
 def labels(tally: np.ndarray, threshold: float) -> np.ndarray:
@@ -115,7 +107,6 @@ def opinion_vector(g, stances: StanceMap) -> np.ndarray:
 
 def write_stance_csv(stances: StanceMap, path: str | Path) -> None:
     """One row per user of the stance map, in user id order."""
-    names = [s.value for s in STANCES]
     threshold = format(stances.threshold, "g")
     rows = sorted(zip(stances.users, stances.label.tolist(),
                       stances.tally.tolist()))
@@ -123,5 +114,5 @@ def write_stance_csv(stances: StanceMap, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "stance", "n_left", "n_right",
                          "n_center", "threshold"])
-        writer.writerows([uid, names[code], *tally, threshold]
+        writer.writerows([uid, STANCES[code], *tally, threshold]
                          for uid, code, tally in rows)

@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from polmon.corpus import (CATEGORIES, KINDS, SIDES, Annotations, Corpus,
-                           FilterReport, FilterRule, Follows, Kind, MatchMode,
-                           RuleSet, filter_corpus)
+from polmon.corpus import (Annotations, Corpus, FilterReport, FilterRule,
+                           Follows, RuleSet, filter_corpus)
 from polmon.graphkit import InteractionGraph
-from polmon.stance import STANCES, Stance, StanceMap
+from polmon.stance import StanceMap
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
-from oracles import (Account, TweetRecord, letter_runs,  # noqa: E402
-                     tweet_to_obj)
+from oracles import (CATEGORIES, KINDS, SIDES, STANCES,  # noqa: E402
+                     Account, TweetRecord, letter_runs, tweet_to_obj)
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,16 +40,15 @@ def graph_of(edges, isolated=(), users=None) -> InteractionGraph:
         np.array([index[v] for _, v in cleaned], np.int64))
 
 
-_CODES = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
-          "N": Stance.NEUTRAL}
+_NAMES = dict(zip("LRCN", STANCES))  # a stance's letter -> its name
 
 
 def stances_of(users, labels) -> StanceMap:
     """A stance map over the user table users with the given labels (a
-    Stance, or its letter L, R, C or N, per user id); users without a
+    stance name, or its letter L, R, C or N, per user id); users without a
     label are Neutral, and every tally is zero."""
-    label = [labels.get(u, Stance.NEUTRAL) for u in users]
-    code = [STANCES.index(_CODES.get(x, x)) for x in label]
+    label = [labels.get(u, "Neutral") for u in users]
+    code = [STANCES.index(_NAMES.get(x, x)) for x in label]
     return StanceMap(tuple(users), np.zeros((len(users), 3), np.int64),
                      np.array(code, np.int8), 0.0)
 
@@ -102,7 +100,7 @@ def random_graph(rng: np.random.Generator, n: int, p: float
 
 
 def tweet(tweet_id="t1", author="a", ts="2022-08-05T12:00:00Z",
-          text="υποκλοπές", lang="el", kind=Kind.ORIGINAL, hashtags=(),
+          text="υποκλοπές", lang="el", kind="original", hashtags=(),
           refs=(), **kwargs) -> TweetRecord:
     return TweetRecord(
         tweet_id=tweet_id, author_id=author,
@@ -174,7 +172,7 @@ def corpus_of(records, offset_minutes: int = 0) -> Corpus:
     set that keeps each one: a keyword rule whose empty term every text
     contains, an unbounded study window, the date offset and the records'
     languages.  A record the archive checker rejects raises."""
-    rule_set = RuleSet(rules=[FilterRule("", MatchMode.KEYWORD_SUBSTRING)],
+    rule_set = RuleSet(rules=[FilterRule("", "keyword")],
                        language_whitelist={t.lang for t in records},
                        study_window=(date.min, date.max),
                        date_offset_minutes=offset_minutes)
@@ -202,7 +200,7 @@ def records(draw, max_size: int = 12) -> list[TweetRecord]:
     out = []
     for i in range(draw(st.integers(0, max_size))):
         refs = draw(st.lists(st.sampled_from(_USERS), max_size=4))
-        kind = draw(st.sampled_from(list(Kind))) if refs else Kind.ORIGINAL
+        kind = draw(st.sampled_from(KINDS)) if refs else "original"
         minute = draw(st.integers(0, 4 * 24 * 60 - 1))
         ts = datetime(2022, 8, 1) + timedelta(minutes=minute)
         out.append(tweet(

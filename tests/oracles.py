@@ -31,6 +31,10 @@ date, and a stance label looked up per tweet.
 The annotation oracles hold annotations as the package did before it
 held them as code columns: a dict from user id to an ``Account``, looked
 up once per user.
+The vocabularies (``KINDS``, ``CATEGORIES``, ``SIDES``, ``STANCES``) are
+written out here, each in the code order of the package's own tuple, so
+that a wrong or reordered name in the package fails a test; the records
+and oracles hold names, never codes.
 """
 
 from __future__ import annotations
@@ -51,12 +55,17 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from polmon.corpus import (Category, CorpusFormatError, FilterReport,
-                           FilterRule, Kind, MatchMode, RuleSet, Side,
-                           _parse_timestamp, fold_text, normalize_hashtag)
+from polmon.corpus import (CorpusFormatError, FilterReport, FilterRule,
+                           RuleSet, _parse_timestamp, fold_text,
+                           normalize_hashtag)
 from polmon.graphkit import InteractionGraph
 from polmon.pipeline import StanceShares, rounded_percentages
-from polmon.stance import Stance
+
+KINDS = ("original", "retweet", "quote", "reply")
+CATEGORIES = ("Individual", "MediaJournalist", "Political", "Organization",
+              "Bot")
+SIDES = ("Left", "Right", "Center")
+STANCES = ("Left", "Right", "Center", "Neutral")
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -96,8 +105,8 @@ def remove_nodes_reference(g, victims: set[str], drop_isolated: bool = False
 
 class Account(NamedTuple):
     """An account's annotation in the dict form of the annotations."""
-    category: Category
-    side: Side | None = None
+    category: str  # one of CATEGORIES
+    side: str | None = None  # one of SIDES
 
 
 def ablation_victims_reference(annotations, influencer_set, users
@@ -107,9 +116,9 @@ def ablation_victims_reference(annotations, influencer_set, users
     picks."""
     category = [getattr(annotations.get(u), "category", None) for u in users]
     chosen = set(influencer_set)
-    return {"Political": np.array([c is Category.POLITICAL
-                                   for c in category], bool),
-            "MediaJournalist": np.array([c is Category.MEDIA_JOURNALIST
+    return {"Political": np.array([c == "Political" for c in category],
+                                  bool),
+            "MediaJournalist": np.array([c == "MediaJournalist"
                                          for c in category], bool),
             "Influencers": np.array([u in chosen for u in users], bool)}
 
@@ -118,15 +127,12 @@ def export_graph_reference(g, path, stances=None, annotations=None) -> None:
     """GraphML through a whole ElementTree, ET.indent and ElementTree.write.
 
     The writer ``graphkit.export_graph`` streams; it must produce these
-    bytes.  Labels follow the same rule: an entry's .stance / .category
-    enum value, or the entry itself as a string; missing entries are
-    Neutral / Individual.
+    bytes.  Labels follow the same rule: an entry's .stance / .category,
+    or the entry itself as a string; missing entries are Neutral /
+    Individual.
     """
     def label(entry, attr, default):
-        if entry is None:
-            return default
-        value = getattr(entry, attr, entry)
-        return getattr(value, "value", None) or str(value)
+        return default if entry is None else str(getattr(entry, attr, entry))
 
     root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     for key_id, name in (("d0", "user_id"), ("d1", "stance"),
@@ -391,7 +397,7 @@ class TweetRecord:
     timestamp: datetime  # tz-aware UTC
     text: str
     lang: str
-    kind: Kind
+    kind: str  # one of KINDS
     hashtags: list[str] = field(default_factory=list)
     urls: list[str] = field(default_factory=list)
     media: list[MediaItem] = field(default_factory=list)
@@ -412,7 +418,7 @@ def tweet_to_obj(t: TweetRecord) -> dict:
         "timestamp": ts.replace("+00:00", "Z"),
         "text": t.text,
         "lang": t.lang,
-        "kind": t.kind.value,
+        "kind": t.kind,
         "hashtags": list(t.hashtags),
         "urls": list(t.urls),
         "media": [{"kind": m.kind.value, "url": m.url} for m in t.media],
@@ -446,10 +452,9 @@ def parse_tweet_reference(obj: dict) -> TweetRecord:
         if not _json_scalar(obj[name]):
             raise CorpusFormatError(
                 f"{name} is not a string or an integer: {obj[name]!r}")
-    try:
-        kind = Kind(str(obj["kind"]).lower())
-    except ValueError:
-        raise CorpusFormatError(f"unknown kind {obj['kind']!r}") from None
+    kind = str(obj["kind"]).lower()
+    if kind not in KINDS:
+        raise CorpusFormatError(f"unknown kind {obj['kind']!r}")
     if not isinstance(obj["timestamp"], str):
         raise CorpusFormatError(
             f"timestamp is not a string: {obj['timestamp']!r}")
@@ -472,9 +477,9 @@ def parse_tweet_reference(obj: dict) -> TweetRecord:
                 f"{name} is not a list of strings: {value!r}") from None
         lists[name] = value
     refs = list(lists["referenced_user_ids"])
-    if kind is not Kind.ORIGINAL and not refs:
+    if kind != "original" and not refs:
         raise CorpusFormatError(
-            f"{kind.value} tweet must reference at least one user")
+            f"{kind} tweet must reference at least one user")
     counts = {}
     for name in ("like_count", "retweet_count", "reply_count"):
         value = obj.get(name)
@@ -576,12 +581,12 @@ def filter_corpus_reference(rule_set: RuleSet,
             continue
         d = rule_set.local_date(t.timestamp)
         if d not in active_on:
-            active_on[d] = [(rule, f"{rule.mode.value}:{rule.term}")
+            active_on[d] = [(rule, f"{rule.mode}:{rule.term}")
                             for rule in rule_set.rules
                             if rule.window_contains(d)]
         hit, folded = False, None  # the text is folded at most once
         for rule, key in active_on[d]:
-            if rule.mode is MatchMode.HASHTAG_EXACT:
+            if rule.mode == "hashtag":
                 if rule.term not in t.hashtags:
                     continue
             else:
@@ -636,7 +641,7 @@ def load_follows_reference(path, annotations=None, duplicates=None
             seen.add(pair)
             if annotations is not None:
                 ann = annotations.get(pair[1])
-                if ann is None or ann.category is not Category.POLITICAL:
+                if ann is None or ann.category != "Political":
                     raise CorpusFormatError(
                         f"{where}: followed id {pair[1]!r} is not political")
             records.append(FollowRecord(*pair))
@@ -646,7 +651,7 @@ def load_follows_reference(path, annotations=None, duplicates=None
 @dataclass(frozen=True)
 class StanceAssignment:
     user_id: str
-    stance: Stance
+    stance: str  # one of STANCES
     n_left: int
     n_right: int
     n_center: int
@@ -654,19 +659,19 @@ class StanceAssignment:
 
 
 def classify(n_left: int, n_right: int, n_center: int,
-             threshold: float = 0.0) -> Stance:
+             threshold: float = 0.0) -> str:
     """The stance rule on one user's raw tallies, which stance.labels
     applies to a whole tally array."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     total = n_left + n_right + n_center
     if total == 0:
-        return Stance.NEUTRAL
+        return "Neutral"
     if n_left > n_right and n_left >= threshold * total:
-        return Stance.LEFT
+        return "Left"
     if n_right > n_left and n_right >= threshold * total:
-        return Stance.RIGHT
-    return Stance.CENTER
+        return "Right"
+    return "Center"
 
 
 _SIDE_SLOT = {"Left": 0, "Right": 1, "Center": 2}
@@ -680,10 +685,9 @@ def stance_map_reference(follows, annotations, threshold=0.0,
     counts: dict[str, list[int]] = {}
     for f in follows:
         ann = annotations.get(f.followed_political_id)
-        if ann is None or ann.category is not Category.POLITICAL:
+        if ann is None or ann.category != "Political":
             raise KeyError(f.followed_political_id)
-        counts.setdefault(f.follower_id, [0, 0, 0])[
-            _SIDE_SLOT[ann.side.value]] += 1
+        counts.setdefault(f.follower_id, [0, 0, 0])[_SIDE_SLOT[ann.side]] += 1
     out = {uid: StanceAssignment(uid, classify(*tally, threshold), *tally,
                                  threshold)
            for uid, tally in counts.items()}
@@ -697,7 +701,7 @@ def stance_map_reference(follows, annotations, threshold=0.0,
 def opinion_vector_reference(g, stances) -> np.ndarray:
     """+1 for each Right node of g, -1 for each Left one, from a lookup of
     its user id in the dict stances; 0 otherwise."""
-    sign = {Stance.RIGHT: 1.0, Stance.LEFT: -1.0}
+    sign = {"Right": 1.0, "Left": -1.0}
     return np.array([sign.get(getattr(stances.get(u), "stance", None), 0.0)
                      for u in g.nodes])
 
@@ -710,7 +714,7 @@ def write_stance_csv_reference(stances, path) -> None:
                          "n_center", "threshold"])
         for uid in sorted(stances):
             a = stances[uid]
-            writer.writerow([uid, a.stance.value, a.n_left, a.n_right,
+            writer.writerow([uid, a.stance, a.n_left, a.n_right,
                              a.n_center, format(a.threshold_used, "g")])
 
 
@@ -757,7 +761,7 @@ def stats_reference(tweets, stopwords=(), offset_minutes: int = 0):
         counters["phrases"].update(
             f"{a} {b}" for a, b in zip(words, words[1:]))
     rows = [(d, len(day),
-             {k.value: sum(t.kind is k for t in day) for k in Kind},
+             {k: sum(t.kind == k for t in day) for k in KINDS},
              len({t.author_id for t in day}),
              len({h for t in day for h in t.hashtags}),
              len({u for t in day for u in t.urls}))
@@ -807,12 +811,12 @@ def daily_graphs_reference(tweets, offset_minutes: int = 0):
 
 def stance_shares_reference(tweets, stances) -> StanceShares:
     """Shares from a stance label looked up for every tweet's author in
-    the dict stances (user id -> Stance; Neutral when missing)."""
-    tweet_counts = {s.value: 0 for s in Stance}
-    user_counts = {s.value: 0 for s in Stance}
+    the dict stances (user id -> stance name; Neutral when missing)."""
+    tweet_counts = dict.fromkeys(STANCES, 0)
+    user_counts = dict.fromkeys(STANCES, 0)
     seen: set[str] = set()
     for t in tweets:
-        label = stances.get(t.author_id, Stance.NEUTRAL).value
+        label = stances.get(t.author_id, "Neutral")
         tweet_counts[label] += 1
         if t.author_id not in seen:
             seen.add(t.author_id)

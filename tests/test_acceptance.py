@@ -12,18 +12,18 @@ from datetime import date
 import numpy as np
 import pytest
 
-from polmon.corpus import Category, Side, default_rule_set
+from polmon.corpus import default_rule_set
 from polmon.graphkit import remove_nodes
 from polmon.pipeline import RunConfig, run_all
 from polmon.polarization import compute_pi, fj_equilibrium, polarization_index
-from polmon.stance import STANCES, Stance, stance_map
+from polmon.stance import stance_map
 from polmon.structure import leading_eigenpair, louvain, netshield
 
 from conftest import (follows_of, graph_of, keeps, random_graph, stances_of,
                       tweet)
-from oracles import (Account, best_partition_modularity, best_shield_subset,
-                     dense_fj, fixed_point_fj, modularity_of,
-                     shield_value_dense)
+from oracles import (STANCES, Account, best_partition_modularity,
+                     best_shield_subset, dense_fj, fixed_point_fj,
+                     modularity_of, shield_value_dense)
 
 
 def _report(cid: str, name: str, detail: str = "PASS") -> None:
@@ -215,9 +215,9 @@ def test_c7_stance_threshold_monotonicity():
         annotations = {}
         political = []
         for i in range(int(rng.integers(3, 9))):
-            side = (Side.LEFT, Side.RIGHT, Side.CENTER)[int(rng.integers(3))]
+            side = ("Left", "Right", "Center")[int(rng.integers(3))]
             uid = f"p{i}"
-            annotations[uid] = Account(Category.POLITICAL, side)
+            annotations[uid] = Account("Political", side)
             political.append(uid)
         follows = []
         for i in range(int(rng.integers(5, 40))):
@@ -231,7 +231,7 @@ def test_c7_stance_threshold_monotonicity():
             stances = stance_map(follows_of(follows, annotations),
                                  threshold=t, users=())
             labeled.append(sum(1 for c in stances.label.tolist()
-                               if STANCES[c] in (Stance.LEFT, Stance.RIGHT)))
+                               if STANCES[c] in ("Left", "Right")))
         assert labeled == sorted(labeled, reverse=True), (seed, labeled)
     _report("C7", "stance-threshold-monotonicity",
             "PASS (20 random follow datasets)")
@@ -266,9 +266,9 @@ def test_c8_bridge_ablation_raises_pi():
             for v in rng.choice(100, size=5, replace=False):
                 edges.append((x, block_b[v]))
         g = graph_of(edges, isolated=block_a + block_b + bridges)
-        stances = stances_of(g.users, {**{u: Stance.RIGHT for u in block_a},
-                                       **{u: Stance.LEFT for u in block_b},
-                                       **{u: Stance.NEUTRAL for u in bridges}})
+        stances = stances_of(g.users, {**{u: "Right" for u in block_a},
+                                       **{u: "Left" for u in block_b},
+                                       **{u: "Neutral" for u in bridges}})
         pi_full = compute_pi(g, stances).pi
         reduced = remove_nodes(g, np.isin(g.users, bridges),
                                drop_isolated=True)

@@ -11,16 +11,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polmon import corpus
-from polmon.corpus import (Category, CorpusFormatError,
-                           FilterRule, Kind, MatchMode, RuleSet,
-                           Side, archive_obj, default_rule_set, filter_corpus,
+from polmon.corpus import (CorpusFormatError, FilterRule, RuleSet,
+                           archive_obj, default_rule_set, filter_corpus,
                            fold_text, load_annotations, load_follows,
                            load_tweets, normalize_hashtag, rule_set_from_dict)
 
+from polmon.graphkit import export_graph
+
 from conftest import (OFFSETS, accounts_of, annotations_of, corpus_of,
-                      corpus_rows, filter_records, follow_pairs, keeps,
-                      records, stored_rows, tweet)
-from oracles import (Account, filter_corpus_reference, letter_runs,
+                      corpus_rows, filter_records, follow_pairs, graph_of,
+                      keeps, records, stances_of, stored_rows, tweet)
+from oracles import (KINDS, Account, export_graph_reference,
+                     filter_corpus_reference, letter_runs,
                      load_tweets_reference, parse_tweet_reference,
                      tweet_to_obj)
 
@@ -134,6 +136,13 @@ def test_tweet_round_trip(tmp_path):
     assert written == tweet_to_obj(parse_tweet_reference(obj))
     assert written["media"] == [{"kind": "video", "url": "https://v"}]
     assert _written(*_load_one(tmp_path, written)) == written
+    # a kind in any case is read as its code and written as its name
+    for code, spelling in enumerate(("ORIGINAL", "Retweet", "qUOTE",
+                                     "reply")):
+        obj["kind"] = spelling
+        obj_, fields = _load_one(tmp_path, obj)
+        assert fields.kind == code
+        assert _written(obj_, fields)["kind"] == KINDS[code]
 
 
 def test_round_trip_keeps_sub_second_and_early_timestamps(tmp_path):
@@ -424,7 +433,7 @@ def _assert_invariants(w):
         assert type(w[name]) is str
     assert w["timestamp"].endswith("Z")
     assert datetime.fromisoformat(w["timestamp"][:-1]).tzinfo is None
-    assert w["kind"] in {k.value for k in Kind}
+    assert w["kind"] in KINDS
     for name in ("hashtags", "urls", "referenced_user_ids"):
         values = w[name]
         assert type(values) is list
@@ -435,7 +444,7 @@ def _assert_invariants(w):
     for name in ("like_count", "retweet_count", "reply_count"):
         value = w[name]
         assert type(value) is int and value >= 0
-    if w["kind"] != Kind.ORIGINAL.value:
+    if w["kind"] != "original":
         assert w["referenced_user_ids"]
     assert (w["referenced_tweet_id"] is None
             or type(w["referenced_tweet_id"]) is str)
@@ -505,7 +514,7 @@ def test_matches_rejects_non_greek(rules):
 
 
 def test_matches_window_bounds_inclusive():
-    rule = FilterRule("πεδιο", MatchMode.KEYWORD_SUBSTRING,
+    rule = FilterRule("πεδιο", "keyword",
                       active_from=date(2022, 7, 20),
                       active_until=date(2022, 11, 28))
     rs = RuleSet(rules=[rule])
@@ -532,7 +541,7 @@ def test_matches_keyword_accent_folded(rules):
 def test_matches_hashtag_is_exact_not_folded(rules):
     # the unaccented and accented hashtags are separate rules; a made-up
     # accented variant of a keyword-only term must not match via hashtags
-    rs = RuleSet(rules=[FilterRule("pega", MatchMode.HASHTAG_EXACT)])
+    rs = RuleSet(rules=[FilterRule("pega", "hashtag")])
     assert keeps(rs, tweet(text="x", hashtags=["pega"],
                            ts="2022-08-05T09:00:00Z"))
     assert not keeps(rs, tweet(text="x", hashtags=["pegasus"],
@@ -540,7 +549,7 @@ def test_matches_hashtag_is_exact_not_folded(rules):
 
 
 def test_date_offset_shifts_bucketing():
-    rule = FilterRule("οροι", MatchMode.KEYWORD_SUBSTRING,
+    rule = FilterRule("οροι", "keyword",
                       active_until=date(2022, 11, 28))
     rs = RuleSet(rules=[rule], date_offset_minutes=180)  # Athens summer time
     late_utc = tweet(text="οροι", ts="2022-11-28T22:30:00Z")
@@ -657,7 +666,7 @@ def test_utc_window_agrees_with_local_date(ts, ends, offset):
     # the filter decides the window on local dates; the oracle on the UTC
     # instants of the window's ends, clamped at the calendar's ends
     lo, hi = sorted(ends)
-    rule_set = RuleSet(rules=[FilterRule("x", MatchMode.KEYWORD_SUBSTRING)],
+    rule_set = RuleSet(rules=[FilterRule("x", "keyword")],
                        study_window=(lo, hi), date_offset_minutes=offset)
     record = tweet(ts=ts.isoformat(), text="x")
     _, report = filter_records(rule_set, [record])
@@ -669,7 +678,7 @@ def test_utc_window_agrees_with_local_date(ts, ends, offset):
 @given(minutes=st.lists(st.integers(0, 6 * 24 * 60), max_size=30),
        offset=st.sampled_from([0, 180, -420]) | st.integers(-1439, 1439))
 def test_corpus_days_are_rule_set_local_dates(minutes, offset):
-    rule_set = RuleSet(rules=[FilterRule("x", MatchMode.KEYWORD_SUBSTRING)],
+    rule_set = RuleSet(rules=[FilterRule("x", "keyword")],
                        date_offset_minutes=offset)
     start = datetime(2022, 8, 1, tzinfo=timezone.utc)
     tweets = [tweet(f"t{i}", ts=(start + timedelta(minutes=m)).isoformat())
@@ -717,12 +726,12 @@ def _filter_reference(rule_set, tweets):
         for rule in rule_set.rules:
             if not rule.window_contains(d):
                 continue
-            if rule.mode is MatchMode.HASHTAG_EXACT:
+            if rule.mode == "hashtag":
                 matched = rule.term in t.hashtags
             else:
                 matched = fold_text(rule.term) in fold_text(t.text)
             if matched:
-                hits[f"{rule.mode.value}:{rule.term}"] += 1
+                hits[f"{rule.mode}:{rule.term}"] += 1
                 hit = True
         if hit:
             kept.append(t)
@@ -756,8 +765,7 @@ def _rule(draw) -> FilterRule:
     lo = draw(st.none() | st.sampled_from(_DAYS))
     hi = draw(st.none() | st.sampled_from([d for d in _DAYS
                                            if lo is None or d >= lo]))
-    mode = draw(st.sampled_from((MatchMode.KEYWORD_SUBSTRING,
-                                 MatchMode.HASHTAG_EXACT)))
+    mode = draw(st.sampled_from(("keyword", "hashtag")))
     return FilterRule(draw(_variant()), mode, active_from=lo, active_until=hi)
 
 
@@ -813,7 +821,7 @@ def test_match_folds_each_text_once_and_terms_never(monkeypatch, rules):
 
 
 def test_rule_term_folded_once_and_kept():
-    rule = FilterRule("Υποκλοπές", MatchMode.KEYWORD_SUBSTRING)
+    rule = FilterRule("Υποκλοπές", "keyword")
     assert rule.term == "Υποκλοπές"
     assert rule.folded_term == fold_text("Υποκλοπές")
     _, report = filter_records(RuleSet(rules=[rule]),
@@ -827,17 +835,39 @@ def test_rule_term_folded_once_and_kept():
 
 
 def test_load_annotations(tmp_path):
+    # a category in any case or by an alias, and a side in any case
     path = tmp_path / "ann.csv"
     path.write_text("user_id,category,side\n"
                     "p1,Political,Left\n"
                     "m1,MediaJournalist,\n"
-                    "u1,Individual,\n", encoding="utf-8")
+                    "u1,Individual,\n"
+                    "m2,media,\n"
+                    "m3,Media/Journalist,\n"
+                    "o1,ORGANIZATION,\n"
+                    "b1,bot,\n"
+                    "p2,political,RIGHT\n"
+                    "p3,POLITICAL,center\n", encoding="utf-8")
     annotations = load_annotations(path)
-    assert annotations.users == ("m1", "p1", "u1")
-    assert accounts_of(annotations) == {
-        "m1": Account(Category.MEDIA_JOURNALIST),
-        "p1": Account(Category.POLITICAL, Side.LEFT),
-        "u1": Account(Category.INDIVIDUAL)}
+    assert annotations.users == ("b1", "m1", "m2", "m3", "o1", "p1", "p2",
+                                 "p3", "u1")
+    accounts = {
+        "b1": Account("Bot"),
+        "m1": Account("MediaJournalist"),
+        "m2": Account("MediaJournalist"),
+        "m3": Account("MediaJournalist"),
+        "o1": Account("Organization"),
+        "p1": Account("Political", "Left"),
+        "p2": Account("Political", "Right"),
+        "p3": Account("Political", "Center"),
+        "u1": Account("Individual")}
+    assert accounts_of(annotations) == accounts
+    # the codes are written as the names, here GraphML's category labels
+    g = graph_of([], isolated=annotations.users)
+    export_graph(g, tmp_path / "g.graphml", stances_of(g.users, {}),
+                 annotations)
+    export_graph_reference(g, tmp_path / "want.graphml", {}, accounts)
+    assert ((tmp_path / "g.graphml").read_bytes()
+            == (tmp_path / "want.graphml").read_bytes())
 
 
 def test_load_annotations_duplicate(tmp_path):
@@ -882,8 +912,7 @@ def test_csv_that_is_not_utf8_names_path_and_line(tmp_path, loader, header):
     path = tmp_path / "data.csv"
     path.write_bytes(header + b"u1,Political,Left\n\xff\xfeu2,Bot,\n")
     # as a follow row, line 2 follows an account named "Political"
-    args = (annotations_of({"Political": Account(Category.POLITICAL,
-                                                 Side.LEFT)}),
+    args = (annotations_of({"Political": Account("Political", "Left")}),
             ) if loader is load_follows else ()
     with pytest.raises(CorpusFormatError,
                        match=f"^{re.escape(str(path))}:3: "):
@@ -920,7 +949,7 @@ def test_annotation_loader_accepts_or_names_location(tmp_path, rows):
     else:
         accounts = accounts_of(annotations)
         assert list(accounts) == sorted(accounts)
-        assert all((a.category is Category.POLITICAL) == (a.side is not None)
+        assert all((a.category == "Political") == (a.side is not None)
                    for a in accounts.values())
 
 
@@ -928,9 +957,8 @@ def test_annotation_loader_accepts_or_names_location(tmp_path, rows):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=_ROWS)
 def test_follow_loader_accepts_or_names_location(tmp_path, rows):
-    annotations = annotations_of({"p1": Account(Category.POLITICAL,
-                                                Side.LEFT),
-                                  "Bot": Account(Category.BOT)})
+    annotations = annotations_of({"p1": Account("Political", "Left"),
+                                  "Bot": Account("Bot")})
     path = tmp_path / "follows.csv"
     _write_csv(path, ["follower_id", "followed_political_id"], rows)
     try:
@@ -1052,6 +1080,7 @@ def test_rule_set_rejects_type_confused_value(key, value):
     {"term": "x", "mode": ["keyword"]},
     {"term": "x"},
     "x",
+    {"term": "x", "mode": "regex"},
 ])
 def test_rule_set_rejects_type_confused_rule(entry):
     with pytest.raises(CorpusFormatError, match="bad rule entry"):
@@ -1083,7 +1112,7 @@ def test_rule_set_rejects_unknown_key(tmp_path, key, obj, what):
 ])
 def test_rule_set_offset_lies_within_a_day(offset, accepted):
     obj = dict(_GOOD_RULES, date_offset_minutes=offset)
-    rules = [FilterRule("x", MatchMode.KEYWORD_SUBSTRING)]
+    rules = [FilterRule("x", "keyword")]
     if accepted:
         assert rule_set_from_dict(obj).date_offset_minutes == offset
         assert RuleSet(rules, date_offset_minutes=offset)
@@ -1112,13 +1141,21 @@ def test_load_rule_set_names_path(tmp_path):
 
 def test_rule_set_rejects_bad_window():
     with pytest.raises(CorpusFormatError):
-        RuleSet(rules=[FilterRule("x", MatchMode.KEYWORD_SUBSTRING)],
+        RuleSet(rules=[FilterRule("x", "keyword")],
                 study_window=(date(2023, 1, 1), date(2022, 1, 1)))
+
+
+def test_rule_rejects_unknown_mode():
+    # rule_set_from_dict lowercases a mode; a FilterRule takes it as given
+    for mode in ("regex", "Keyword"):
+        with pytest.raises(CorpusFormatError, match=(
+                r"^bad rule entry FilterRule\(term='x', mode=")):
+            FilterRule("x", mode)
 
 
 def test_rule_rejects_inverted_window():
     with pytest.raises(CorpusFormatError):
-        FilterRule("x", MatchMode.KEYWORD_SUBSTRING,
+        FilterRule("x", "keyword",
                    active_from=date(2022, 6, 1), active_until=date(2022, 5, 1))
 
 

@@ -3,22 +3,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polmon.corpus import Category, Kind, Side
 from polmon.graphkit import (build_graph, daily_graphs, export_graph,
                              remove_nodes)
-from polmon.stance import Stance
 
 from conftest import (OFFSETS, annotations_of, corpus_of, graph_of, records,
                       stances_of, tweet)
-from oracles import (Account, build_graph_reference, csr_reference,
-                     daily_graphs_reference, export_graph_reference,
-                     remove_nodes_reference)
+from oracles import (CATEGORIES, STANCES, Account, build_graph_reference,
+                     csr_reference, daily_graphs_reference,
+                     export_graph_reference, remove_nodes_reference)
 
 
 def test_bidirectional_interactions_single_edge():
     tweets = [
-        tweet("t1", author="A", kind=Kind.RETWEET, refs=["B"]),
-        tweet("t2", author="B", kind=Kind.ORIGINAL, refs=["A"],
+        tweet("t1", author="A", kind="retweet", refs=["B"]),
+        tweet("t2", author="B", kind="original", refs=["A"],
               text="γεια @A υποκλοπές"),
     ]
     g = build_graph(corpus_of(tweets))
@@ -27,9 +25,9 @@ def test_bidirectional_interactions_single_edge():
 
 
 def test_repeated_interactions_collapse():
-    tweets = [tweet(f"t{i}", author="A", kind=Kind.RETWEET, refs=["B"])
+    tweets = [tweet(f"t{i}", author="A", kind="retweet", refs=["B"])
               for i in range(3)]
-    tweets.append(tweet("t9", author="A", kind=Kind.QUOTE, refs=["B"]))
+    tweets.append(tweet("t9", author="A", kind="quote", refs=["B"]))
     g = build_graph(corpus_of(tweets))
     assert g.edges == (("A", "B"),)
     assert g.m == 1
@@ -42,7 +40,7 @@ def test_reference_free_tweet_gives_isolated_node():
 
 
 def test_self_reply_drops_self_loop():
-    g = build_graph(corpus_of([tweet("t1", author="A", kind=Kind.REPLY,
+    g = build_graph(corpus_of([tweet("t1", author="A", kind="reply",
                                      refs=["A"])]))
     assert g.nodes == ("A",)
     assert g.edges == ()
@@ -61,7 +59,7 @@ def test_daily_graphs_bucketing():
 
 def test_daily_graphs_single_date_equals_full_build():
     tweets = [
-        tweet("t1", author="A", kind=Kind.RETWEET, refs=["B"],
+        tweet("t1", author="A", kind="retweet", refs=["B"],
               ts="2022-08-05T08:00:00Z"),
         tweet("t2", author="C", ts="2022-08-05T09:00:00Z"),
     ]
@@ -74,11 +72,11 @@ def test_daily_graphs_single_date_equals_full_build():
 
 def test_daily_union_covers_full_window_edges():
     tweets = [
-        tweet("t1", author="A", kind=Kind.RETWEET, refs=["B"],
+        tweet("t1", author="A", kind="retweet", refs=["B"],
               ts="2022-08-05T08:00:00Z"),
-        tweet("t2", author="B", kind=Kind.REPLY, refs=["C"],
+        tweet("t2", author="B", kind="reply", refs=["C"],
               ts="2022-08-06T08:00:00Z"),
-        tweet("t3", author="A", kind=Kind.QUOTE, refs=["B"],
+        tweet("t3", author="A", kind="quote", refs=["B"],
               ts="2022-08-06T10:00:00Z"),
     ]
     days = [g for _, g in daily_graphs(corpus_of(tweets))]
@@ -91,12 +89,12 @@ def test_daily_union_covers_full_window_edges():
 @given(st.permutations(list(range(6))))
 def test_build_graph_order_invariant(order):
     base = [
-        tweet("t0", author="A", kind=Kind.RETWEET, refs=["B"]),
-        tweet("t1", author="B", kind=Kind.REPLY, refs=["C", "A"]),
-        tweet("t2", author="C", kind=Kind.QUOTE, refs=["A"]),
+        tweet("t0", author="A", kind="retweet", refs=["B"]),
+        tweet("t1", author="B", kind="reply", refs=["C", "A"]),
+        tweet("t2", author="C", kind="quote", refs=["A"]),
         tweet("t3", author="D"),
-        tweet("t4", author="C", kind=Kind.RETWEET, refs=["B"]),
-        tweet("t5", author="E", kind=Kind.REPLY, refs=["A"]),
+        tweet("t4", author="C", kind="retweet", refs=["B"]),
+        tweet("t5", author="E", kind="reply", refs=["A"]),
     ]
     reference = build_graph(corpus_of(base))
     shuffled = build_graph(corpus_of([base[i] for i in order]))
@@ -254,9 +252,8 @@ def test_graphml_round_trip(tmp_path):
 
 def test_graphml_attributes(tmp_path):
     g = graph_of([("a", "b")])
-    stances = stances_of(g.users, {"a": Stance.LEFT})
-    annotations = annotations_of({"b": Account(Category.POLITICAL,
-                                               Side.RIGHT)})
+    stances = stances_of(g.users, {"a": "Left"})
+    annotations = annotations_of({"b": Account("Political", "Right")})
     path = tmp_path / "g.graphml"
     export_graph(g, path, stances=stances, annotations=annotations)
     back = _read_graphml(path)
@@ -287,8 +284,8 @@ def test_graphml_edge_count(tmp_path):
 _XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\t\r\ud800 aZ"),
                               st.characters()), max_size=6)
 _CATEGORY = st.one_of(
-    st.just(Account(Category.POLITICAL, Side.LEFT)),
-    st.sampled_from(Category).filter(lambda c: c is not Category.POLITICAL)
+    st.just(Account("Political", "Left")),
+    st.sampled_from(CATEGORIES).filter(lambda c: c != "Political")
     .map(Account))
 
 
@@ -298,7 +295,7 @@ def labelled_graphs(draw):
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
     stances = (draw(st.dictionaries(st.sampled_from(ids),
-                                    st.sampled_from(Stance))) if ids else {})
+                                    st.sampled_from(STANCES))) if ids else {})
     # annotated ids from the graph and from outside it
     annotated = st.sampled_from(ids) | _XML_TEXT if ids else _XML_TEXT
     categories = draw(st.dictionaries(annotated, _CATEGORY, max_size=10))

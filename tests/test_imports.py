@@ -44,3 +44,19 @@ def test_scripts_import_numpy_polmon_and_the_standard_library_only():
     assert scripts
     roots = {path.name: _absolute_import_roots(path) for path in scripts}
     assert _outside(roots, {"numpy", "polmon"}) == {}
+
+
+def test_package_defines_no_enum():
+    # each vocabulary is one tuple of names (corpus.KINDS and the like),
+    # and a code is an index into it; an Enum would be a second form
+    enums = {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if "enum" in _absolute_import_roots(path):
+            found.append(f"{path.name} imports enum")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and enums & {
+                    ast.unparse(base).rsplit(".", 1)[-1]
+                    for base in node.bases}:
+                found.append(f"{path.name} defines {node.name}")
+    assert found == []

@@ -27,8 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polmon import corpus, report
-from polmon.corpus import (Category, CorpusFormatError,
-                           FilterRule, MatchMode, RuleSet, Side,
+from polmon.corpus import (CorpusFormatError, FilterRule, RuleSet,
                            default_rule_set, filter_corpus, fold_text,
                            load_follows, load_tweets)
 from polmon.pipeline import RunConfig, Runner
@@ -180,12 +179,11 @@ def _filter_rule(draw) -> FilterRule:
         return rule
     return FilterRule(" ".join(draw(st.lists(st.sampled_from(_BASES),
                                              min_size=2, max_size=2))),
-                      MatchMode.KEYWORD_SUBSTRING, rule.active_from,
-                      rule.active_until)
+                      "keyword", rule.active_from, rule.active_until)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=_FS)
-@example(rules=[FilterRule("pred κλοπ", MatchMode.KEYWORD_SUBSTRING)],
+@example(rules=[FilterRule("pred κλοπ", "keyword")],
          lines=[GOOD_LINE.replace("υποκλοπές", "Pred  κλοπ"),
                 GOOD_LINE.replace("υποκλοπές", "PRED κλοπ")], offset=0)
 @given(rules=st.lists(_filter_rule(), min_size=1, max_size=6)
@@ -290,7 +288,7 @@ def test_write_filtered_equals_reference(tmp_path, rules, lines, wide,
     path = tmp_path / "tweets.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     (tmp_path / "rules.json").write_text(json.dumps({
-        "rules": [{"term": r.term, "mode": r.mode.value,
+        "rules": [{"term": r.term, "mode": r.mode,
                    "active_from": r.active_from and str(r.active_from),
                    "active_until": r.active_until and str(r.active_until)}
                   for r in rules],
@@ -418,9 +416,9 @@ def test_words_equal_letter_runs(s):
 # ---------------------------------------------------------------------------
 
 _ACCOUNTS = {
-    "p1": Account(Category.POLITICAL, Side.LEFT),
-    "p2": Account(Category.POLITICAL, Side.RIGHT),
-    "b1": Account(Category.BOT),
+    "p1": Account("Political", "Left"),
+    "p2": Account("Political", "Right"),
+    "b1": Account("Bot"),
 }
 _ANNOTATIONS = annotations_of(_ACCOUNTS)
 _IDS = st.sampled_from(["u1", "u2", " u1 ", "p1", "p2", "b1", "", "x"])

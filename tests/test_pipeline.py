@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polmon import pipeline
-from polmon.corpus import (Category, CorpusFormatError, Kind, Side,
-                           default_rule_set, filter_corpus, load_rule_set)
+from polmon.corpus import (CorpusFormatError, default_rule_set, filter_corpus,
+                           load_rule_set)
 from polmon.graphkit import build_graph, daily_graphs, remove_nodes
 from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              Runner, StageError, ablation_victims,
@@ -29,21 +29,21 @@ from polmon.pipeline import (ABLATION_CATEGORIES, AblationResult, RunConfig,
                              window_counts)
 from polmon.polarization import ConvergenceError, compute_pi
 from polmon.report import _table, _top
-from polmon.stance import Stance, stance_map
+from polmon.stance import stance_map
 from polmon.structure import ShieldRanking
 
 from conftest import (OFFSETS, accounts_of, annotations_of, corpus_of,
                       corpus_rows, follow_pairs, follows_of, graph_of, records,
                       stances_of, stored_rows, tweet, write_archive)
-from oracles import (Account, ablation_victims_reference,
+from oracles import (CATEGORIES, KINDS, SIDES, Account,
+                     ablation_victims_reference,
                      build_graph_reference, filter_corpus_reference,
                      letter_runs, load_tweets_reference,
                      stance_shares_reference, stats_reference, tokenize,
                      tweet_to_obj)
 
 
-_LETTER = {"L": Stance.LEFT, "R": Stance.RIGHT, "C": Stance.CENTER,
-           "N": Stance.NEUTRAL}
+_LETTER = {"L": "Left", "R": "Right", "C": "Center", "N": "Neutral"}
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +67,9 @@ def test_stats_counts_unique_users():
 def test_stats_kind_counts_sum():
     tweets = [
         tweet("t1", author="a"),
-        tweet("t2", author="a", kind=Kind.RETWEET, refs=["b"]),
-        tweet("t3", author="b", kind=Kind.REPLY, refs=["a"]),
-        tweet("t4", author="c", kind=Kind.QUOTE, refs=["a"]),
+        tweet("t2", author="a", kind="retweet", refs=["b"]),
+        tweet("t3", author="b", kind="reply", refs=["a"]),
+        tweet("t4", author="c", kind="quote", refs=["a"]),
     ]
     row = compute_stats(corpus_of(tweets))[0]
     assert sum(row.n_by_kind.values()) == row.n_posts == 4
@@ -82,10 +82,10 @@ def test_stats_hand_tally_ten_tweets():
         tweet("t01", author="a", hashtags=["x"], urls=["u1"]),
         tweet("t02", author="a", hashtags=["x", "y"]),
         tweet("t03", author="b", hashtags=["y"], urls=["u1", "u2"]),
-        tweet("t04", author="b", kind=Kind.REPLY, refs=["a"]),
-        tweet("t05", author="b", kind=Kind.REPLY, refs=["a"]),
-        tweet("t06", author="c", kind=Kind.RETWEET, refs=["a"]),
-        tweet("t07", author="c", kind=Kind.QUOTE, refs=["b"]),
+        tweet("t04", author="b", kind="reply", refs=["a"]),
+        tweet("t05", author="b", kind="reply", refs=["a"]),
+        tweet("t06", author="c", kind="retweet", refs=["a"]),
+        tweet("t07", author="c", kind="quote", refs=["b"]),
         tweet("t08", author="d"),
         tweet("t09", author="d", like_count=7),
         tweet("t10", author="e", urls=["u3"]),
@@ -151,8 +151,8 @@ def _synthetic_tweets(seed: int, n: int = 400, days: int = 6):
     users = [f"u{i:02d}" for i in range(25)]
     out = []
     for i in range(n):
-        kind = rng.choice(list(Kind))
-        refs = ([] if kind is Kind.ORIGINAL else
+        kind = rng.choice(KINDS)
+        refs = ([] if kind == "original" else
                 rng.sample(users, rng.randint(1, 3)))
         words = [rng.choice(_VOCAB) for _ in range(rng.randint(0, 9))]
         ts = start + timedelta(minutes=rng.randrange(days * 24 * 60))
@@ -232,7 +232,7 @@ def test_stages_on_an_all_dropped_corpus(tmp_path):
     # one tweet off the language list, one out of the window, one that
     # matches no rule: the pass keeps nothing, and every stage still runs
     tweets = [tweet("t1", lang="en"), tweet("t2", ts="2021-01-01T00:00:00Z"),
-              tweet("t3", author="a", kind=Kind.REPLY, refs=["b"],
+              tweet("t3", author="a", kind="reply", refs=["b"],
                     text="άσχετο", hashtags=["x"], urls=["u"])]
     path = write_archive(tmp_path / "tweets.jsonl", tweets)
     corpus, report = filter_corpus(default_rule_set(), path, words=True)
@@ -609,7 +609,7 @@ def bridge_setup():
     g = graph_of(left + right + bridges)
     stance_spec = {u: ("L" if u.startswith("l") else
                        "R" if u.startswith("r") else "N") for u in g.nodes}
-    annotations = {"m0": Account(Category.MEDIA_JOURNALIST)}
+    annotations = {"m0": Account("MediaJournalist")}
     return g, stances_of(g.users, stance_spec), annotations
 
 
@@ -633,7 +633,7 @@ def test_ablation_bridge_removal_raises_pi(bridge_setup):
 
 def test_ablation_remove_everything_errors(bridge_setup):
     g, stances, _ = bridge_setup
-    annotations = {u: Account(Category.MEDIA_JOURNALIST)
+    annotations = {u: Account("MediaJournalist")
                    for u in g.nodes}
     # the stage records the day as a gap of its variant, naming the category
     _, drop, message = _ablation_row(g, stances, annotations,
@@ -653,8 +653,8 @@ def test_ablation_category_keys_fixed(bridge_setup):
 # and outside the user table, and users are left unannotated
 _POOL_ID = st.text(st.sampled_from("ab\u00e9\u03b1\U0001f600"), max_size=3)
 _ACCOUNT = st.one_of(
-    st.sampled_from(Side).map(lambda side: Account(Category.POLITICAL, side)),
-    st.sampled_from(Category).filter(lambda c: c is not Category.POLITICAL)
+    st.sampled_from(SIDES).map(lambda side: Account("Political", side)),
+    st.sampled_from(CATEGORIES).filter(lambda c: c != "Political")
     .map(Account))
 
 
@@ -681,8 +681,8 @@ def test_ablation_victims_equal_reference(users, accounts, picks):
 def sweep_setup():
     annotations = {}
     for i in range(3):
-        annotations[f"L{i}"] = Account(Category.POLITICAL, Side.LEFT)
-        annotations[f"R{i}"] = Account(Category.POLITICAL, Side.RIGHT)
+        annotations[f"L{i}"] = Account("Political", "Left")
+        annotations[f"R{i}"] = Account("Political", "Right")
     follows = follows_of([
         ("a", "L0"), ("a", "L1"),
         ("b", "L0"), ("b", "L1"), ("b", "R0"),
@@ -770,7 +770,7 @@ def test_run_all_tallies_follows_once(fixture_paths, tmp_path, monkeypatch):
 def test_sweep_names_category_that_empties_graph(sweep_setup, caplog):
     g, follows, annotations = sweep_setup
     annotations = dict(annotations)
-    annotations.update({u: Account(Category.MEDIA_JOURNALIST)
+    annotations.update({u: Account("MediaJournalist")
                         for u in g.nodes})
     tallies = stance_map(follows, users=g.users)
     with caplog.at_level(logging.WARNING, logger="polmon.pipeline"):
@@ -896,7 +896,9 @@ def test_out_dir_given_as_str(fixture_paths, tmp_path):
     config = _config(fixture_paths, str(tmp_path / "out"))
     path = Runner(config).write("stats")
     assert path == tmp_path / "out" / "stats_daily.csv"
-    assert path.read_text(encoding="utf-8").startswith("date,n_posts,")
+    assert path.read_text(encoding="utf-8").startswith(
+        "date,n_posts,n_original,n_retweet,n_quote,n_reply,n_users,"
+        "n_hashtags,n_urls\n")
 
 
 def test_malformed_lines_outside_the_window_are_counted(fixture_paths,
